@@ -28,19 +28,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import CMatrix, dagger, matmul, max_abs_diff
-from .intervention import (
-    Intervention,
-    LocalIntervention,
-    Outcome,
-    povm_elements,
-    random_intervention,
-)
+from .linalg import CMatrix, dagger, deviation, matmul, max_abs_diff
+from .intervention import Intervention, LocalIntervention, Outcome, random_intervention
 from .experiment import (
     EvaluationResult,
     Scenario,
     check_no_signaling,
     check_order_invariance,
+    compare_orderings,
     evaluate_in_order,
     marginal,
 )
@@ -55,7 +50,7 @@ from .scenarios import (
     spin_analyzer,
 )
 from .schema import SchemaError, parse_scenario
-from .spacetime import TIE_TOLERANCE, Frame, IntervalKind, boost, classify
+from .spacetime import Frame, IntervalKind, classify, frame_groups
 
 _BUILTIN_ALIASES = {
     "eprb": "eprb",
@@ -77,26 +72,6 @@ def load_scenario(name_or_path: str) -> Scenario:
             f"({', '.join(sorted(set(_BUILTIN_ALIASES)))}) nor an existing file"
         )
     return parse_scenario(path.read_bytes())
-
-
-def _frame_orders(s: Scenario, v: float) -> list[list[str]]:
-    """All station orderings the frame admits; >1 entry exactly on a tie."""
-    boosted = sorted(
-        ((boost(st.event, Frame(v))[0], st.id) for st in s.stations),
-        key=lambda pair: (pair[0], pair[1]),
-    )
-    groups: list[list[str]] = []
-    last_t = None
-    for t, sid in boosted:
-        if last_t is not None and abs(t - last_t) <= TIE_TOLERANCE:
-            groups[-1].append(sid)
-        else:
-            groups.append([sid])
-        last_t = t
-    orders = []
-    for perm in itertools.product(*(itertools.permutations(g) for g in groups)):
-        orders.append([sid for group in perm for sid in group])
-    return orders
 
 
 def _records_rows(result: EvaluationResult) -> tuple[list[str], list[list[str]]]:
@@ -149,27 +124,20 @@ def _emit_report(report_dict: dict, fmt: str, out) -> None:
 
 def cmd_simulate(args, out) -> int:
     s = load_scenario(args.scenario)
-    orders = _frame_orders(s, args.frame_velocity)
-    results = [evaluate_in_order(s, order) for order in orders]
+    # Every ordering the frame admits: more than one exactly on a tie.
+    groups = frame_groups(s.events(), Frame(args.frame_velocity))
+    results = [
+        evaluate_in_order(s, [e.id for group in perm for e in group])
+        for perm in itertools.product(*(itertools.permutations(g) for g in groups))
+    ]
     if len(results) == 1:
         _emit_result(results[0], args.format, out)
         return 0
     # Tie: every resolution is evaluated and compared record by record.
-    records = set()
-    for r in results:
-        records.update(r.probabilities)
-    worst = 0.0
-    for rec in records:
-        vals = [r.probabilities.get(rec, 0.0) for r in results]
-        worst = max(worst, max(vals) - min(vals))
-    ok = worst <= args.tolerance
+    report = compare_orderings(results, args.tolerance)
+    ok, worst = report.ok, report.worst
     if args.format == "json":
-        doc = {
-            "tie": True,
-            "ok": ok,
-            "worst": worst,
-            "resolutions": [r.as_dict() for r in results],
-        }
+        doc = {"tie": True, "ok": ok, "worst": worst, "resolutions": [r.as_dict() for r in results]}
         print(json.dumps(doc, indent=2, sort_keys=True), file=out)
     else:
         print(
@@ -236,32 +204,24 @@ def _generated_alternatives(s: Scenario, varied_id: str, seed: int) -> list[Loca
     return alts
 
 
-def _spacelike_pairs(s: Scenario) -> list[tuple[str, str]]:
-    pairs = []
-    for a in s.stations:
-        for b in s.stations:
-            if a.id != b.id and classify(a.event, b.event) is IntervalKind.SPACELIKE:
-                pairs.append((a.id, b.id))
-    return pairs
-
-
 def _check_no_signaling_all(s: Scenario, tol: float, seed: int, target: str | None, varied: str | None):
     if target is not None and varied is not None:
         pairs = [(varied, target)]
     else:
         pairs = [
-            (v, t)
-            for (v, t) in _spacelike_pairs(s)
-            if (target is None or t == target) and (varied is None or v == varied)
+            (v.id, t.id)
+            for v in s.stations
+            for t in s.stations
+            if classify(v.event, t.event) is IntervalKind.SPACELIKE
+            and target in (None, t.id)
+            and varied in (None, v.id)
         ]
         if not pairs:
             raise SystemExit("error: no mutually spacelike station pair matches the request")
-    reports = []
-    for v, t in pairs:
-        alts = _generated_alternatives(s, v, seed)
-        rep = check_no_signaling(s, t, alts, tol, varied=v)
-        reports.append(rep)
-    return reports
+    return [
+        check_no_signaling(s, t, _generated_alternatives(s, v, seed), tol, varied=v)
+        for v, t in pairs
+    ]
 
 
 def cmd_check_no_signaling(args, out) -> int:
@@ -300,29 +260,14 @@ def cmd_check_no_signaling(args, out) -> int:
 
 def cmd_check_povm(args, out) -> int:
     s = load_scenario(args.scenario)
-    worst = 0.0
-    rows = []
-    for st in s.stations:
-        locals_to_check = (
-            {(): st.local.local}
-            if isinstance(st.local, LocalIntervention)
-            else dict(st.local.cases)
-        )
-        for key, iv in locals_to_check.items():
-            total = np.zeros((iv.d_in, iv.d_in), dtype=complex)
-            for _, element in povm_elements(iv):
-                total += element.array
-            dev = float(np.max(np.abs(total - np.eye(iv.d_in))))
-            worst = max(worst, dev)
-            label = st.id if not key else f"{st.id}{list(key)}"
-            rows.append((label, dev))
-    ok = worst <= args.tolerance
-    doc = {
-        "ok": ok,
-        "worst": worst,
-        "stations": {label: dev for label, dev in rows},
+    stations = {
+        st.id if not key else f"{st.id}{list(key)}": iv.deviation
+        for st in s.stations
+        for key, iv in st.interventions().items()
     }
-    _emit_report(doc, args.format, out)
+    worst = max(stations.values(), default=0.0)
+    ok = worst <= args.tolerance
+    _emit_report({"ok": ok, "worst": worst, "stations": stations}, args.format, out)
     return 0 if ok else 1
 
 
@@ -435,7 +380,7 @@ def _demo_dimension_change(args, out) -> int:
     branch_spread = max(max_abs_diff(branches[0], k) for k in branches[1:])
     v = CMatrix(2.0 * branches[0].array)
     gram = matmul(dagger(v), v)
-    dev = float(np.max(np.abs(gram.array - np.eye(2))))
+    dev = deviation(gram.array)
     print(
         "  all four corrected branches equal the same half-isometry "
         f"(spread {branch_spread:.3e}); V = 2*branch has max|V*V - I| = {dev:.3e}",
@@ -531,25 +476,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {
+    "simulate": cmd_simulate,
+    "check-invariance": cmd_check_invariance,
+    "check-no-signaling": cmd_check_no_signaling,
+    "check-povm": cmd_check_povm,
+    "demo": cmd_demo,
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out = sys.stdout
+    # Only the two certifiers take --trials in place of a scenario.
+    if getattr(args, "trials", 0) is None and args.scenario is None:
+        raise SystemExit("error: provide a scenario or --trials")
     try:
-        if args.command == "simulate":
-            return cmd_simulate(args, out)
-        if args.command == "check-invariance":
-            if args.trials is None and args.scenario is None:
-                raise SystemExit("error: provide a scenario or --trials")
-            return cmd_check_invariance(args, out)
-        if args.command == "check-no-signaling":
-            if args.trials is None and args.scenario is None:
-                raise SystemExit("error: provide a scenario or --trials")
-            return cmd_check_no_signaling(args, out)
-        if args.command == "check-povm":
-            return cmd_check_povm(args, out)
-        if args.command == "demo":
-            return cmd_demo(args, out)
-        raise SystemExit(f"error: unknown command {args.command!r}")
+        return _COMMANDS[args.command](args, sys.stdout)
     except SchemaError as exc:
         print(f"scenario validation failed: {exc}", file=sys.stderr)
         return 2

@@ -20,12 +20,14 @@ Two certifiers operate on top of the evaluator:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linalg import CMatrix, DimensionError, max_abs_diff, trace
+from . import tolerance
+from .linalg import CMatrix, DimensionError, deviation, trace
 from .intervention import Intervention, LocalIntervention, apply, embed
 from .spacetime import (
     Event,
@@ -46,25 +48,26 @@ __all__ = [
     "NoSignalingReport",
     "Record",
     "Scenario",
+    "StateError",
     "Station",
     "TieError",
     "check_no_signaling",
     "check_order_invariance",
+    "compare_orderings",
     "evaluate_in_frame",
     "evaluate_in_order",
     "marginal",
     "state_at_cut",
 ]
 
-STATE_TOL = 1e-12
-UNITARITY_TOL = 1e-9
-PROBABILITY_SUM_TOL = 1e-9
-IDENTITY_TOL = 1e-12
-
 # A record assigns one outcome label per station; stored canonically as
 # (station id, label) pairs sorted by station id so that results from
 # different evaluation orders are directly comparable.
 Record = tuple[tuple[str, str], ...]
+
+
+class StateError(ValueError):
+    """The initial state is not a density matrix within ``tolerance.STATE``."""
 
 
 class TieError(RuntimeError):
@@ -119,6 +122,12 @@ class Station:
     def subsystem(self) -> int:
         return self.local.subsystem
 
+    def interventions(self) -> dict[tuple[str, ...], Intervention]:
+        """Every intervention the station may fire, keyed by the outcomes selecting it."""
+        if isinstance(self.local, LocalIntervention):
+            return {(): self.local.local}
+        return dict(self.local.cases)
+
     def resolve(self, history: Mapping[str, str]) -> Intervention:
         """Intervention to fire given the outcomes recorded so far."""
         if isinstance(self.local, LocalIntervention):
@@ -136,12 +145,7 @@ class Station:
         return self.local.cases[key]
 
     def possible_labels(self) -> set[str]:
-        if isinstance(self.local, LocalIntervention):
-            return set(self.local.local.labels())
-        out: set[str] = set()
-        for iv in self.local.cases.values():
-            out |= set(iv.labels())
-        return out
+        return {label for iv in self.interventions().values() for label in iv.labels()}
 
 
 @dataclass(frozen=True)
@@ -173,12 +177,18 @@ def _histories_compatible(h1: Mapping[str, str], h2: Mapping[str, str]) -> bool:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Initial state, stations, and inter-station evolutions."""
+    """Initial state, stations, and inter-station evolutions.
+
+    ``growth`` bounds how much the whole chain can raise a trace: the
+    product of ``tolerance.growth`` over every station's worst
+    intervention and every evolution.
+    """
 
     dims0: tuple[int, ...]
     rho0: CMatrix
     stations: tuple[Station, ...]
     evolutions: tuple[Evolution, ...] = ()
+    growth: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "dims0", tuple(self.dims0))
@@ -186,23 +196,35 @@ class Scenario:
         object.__setattr__(self, "evolutions", tuple(self.evolutions))
         if any(d < 1 for d in self.dims0):
             raise ValueError(f"subsystem dimensions must be positive, got {self.dims0}")
-        total = 1
-        for d in self.dims0:
-            total *= d
+        total = math.prod(self.dims0)
         if self.rho0.shape != (total, total):
             raise DimensionError(
                 f"initial state is {self.rho0.rows}x{self.rho0.cols}, but the "
                 f"dimensions {list(self.dims0)} require {total}x{total}"
             )
+        rho, adj = self.rho0.array, self.rho0.array.conj().T
         tr = trace(self.rho0)
-        if abs(tr - 1.0) > STATE_TOL:
-            raise ValueError(f"initial state trace must be 1, got {tr}")
-        if max_abs_diff(self.rho0, CMatrix(self.rho0.array.conj().T)) > STATE_TOL:
-            raise ValueError("initial state must be Hermitian")
+        if abs(tr - 1.0) > tolerance.STATE:
+            raise StateError(f"initial state trace must be 1, got {tr}")
+        if deviation(rho, adj) > tolerance.STATE:
+            raise StateError("initial state must be Hermitian")
+        # rho + rho^dagger + 2 (STATE / total) I has a Cholesky factor iff no eigenvalue
+        # of rho's Hermitian part lies below -STATE / total; far cheaper than eigvalsh.
+        shifted = rho + adj
+        shifted.flat[:: total + 1] += 2 * tolerance.STATE / total
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            raise StateError("initial state must be positive semidefinite") from None
         ids = [s.id for s in self.stations]
         if len(set(ids)) != len(ids):
             raise ValueError(f"station ids must be unique, got {ids}")
         known = set(ids)
+        growth = 1.0
+        for st in self.stations:
+            growth *= max(
+                tolerance.growth(iv.d_in, iv.deviation) for iv in st.interventions().values()
+            )
         for ev in self.evolutions:
             for end in (ev.after, ev.before):
                 if end is not None and end not in known:
@@ -220,13 +242,14 @@ class Scenario:
             m = ev.matrix
             if m.rows != m.cols:
                 raise DimensionError("evolution matrices must be square")
-            g = m.array.conj().T @ m.array
-            dev = float(np.max(np.abs(g - np.eye(m.rows))))
-            if dev > UNITARITY_TOL:
+            dev = deviation(m.array.conj().T @ m.array)
+            if dev > tolerance.UNITARITY:
                 raise ValueError(
                     f"evolution between {ev.after!r} and {ev.before!r} is not unitary "
                     f"(deviation {dev:.3e})"
                 )
+            growth *= tolerance.growth(m.rows, dev)
+        object.__setattr__(self, "growth", growth)
         for i, e1 in enumerate(self.evolutions):
             for e2 in self.evolutions[i + 1 :]:
                 if (e1.after, e1.before) == (e2.after, e2.before) and _histories_compatible(
@@ -320,13 +343,8 @@ def evaluate_in_order(
 
     def emit(state: CMatrix, history: dict[str, str]):
         rec: Record = tuple(sorted(history.items()))
-        tr = trace(state)
-        if abs(tr.imag) > 1e-12:
-            raise AssertionError(f"record {rec} has non-real trace {tr}")
-        p = tr.real
-        if p < -1e-12 or p > 1.0 + 1e-12:
-            raise AssertionError(f"record {rec} has probability {p} outside [0, 1]")
-        probabilities[rec] = p
+        p = trace(state).real
+        probabilities[rec] = tolerance.check(p, 0.0, s.growth, f"probability of record {rec}")
         final_states[rec] = state
 
     def walk(state: CMatrix, dims: tuple[int, ...], history: dict[str, str], idx: int):
@@ -343,20 +361,13 @@ def evaluate_in_order(
             state = _apply_unitary(state, u, f"between {prev!r} and {cur!r}")
         st = s.station(cur)
         local_iv = st.resolve(history)
-        if not 0 <= st.subsystem < len(dims):
-            raise DimensionError(
-                f"station {cur!r} addresses subsystem {st.subsystem}, but only "
-                f"{len(dims)} factors exist"
-            )
-        if dims[st.subsystem] != local_iv.d_in:
-            raise DimensionError(
-                f"station {cur!r} expects subsystem {st.subsystem} of dimension "
-                f"{local_iv.d_in}, but it is {dims[st.subsystem]} at this point in the chain"
-            )
         key = (id(local_iv), st.subsystem, dims)
         lifted = cache.get(key)
         if lifted is None:
-            lifted = embed(LocalIntervention(st.subsystem, local_iv), dims)
+            try:
+                lifted = embed(LocalIntervention(st.subsystem, local_iv), dims)
+            except DimensionError as exc:
+                raise DimensionError(f"station {cur!r} at this point in the chain: {exc}") from exc
             cache[key] = lifted
         for o in local_iv.outcomes:
             branch = apply(state, lifted, o.label)
@@ -364,9 +375,9 @@ def evaluate_in_order(
             walk(branch, new_dims, {**history, cur: o.label}, idx + 1)
 
     walk(s.rho0, tuple(s.dims0), {}, 0)
-    total = sum(probabilities.values())
-    if abs(total - 1.0) > PROBABILITY_SUM_TOL:
-        raise AssertionError(f"record probabilities sum to {total}, expected 1")
+    tolerance.check(
+        sum(probabilities.values()), 2.0 - s.growth, s.growth, "sum of record probabilities"
+    )
     return EvaluationResult(
         ordering=order, probabilities=probabilities, final_states=final_states
     )
@@ -430,10 +441,17 @@ class InvarianceReport:
         return d
 
 
-def _is_identity(m: CMatrix) -> bool:
-    return m.rows == m.cols and float(
-        np.max(np.abs(m.array - np.eye(m.rows)))
-    ) <= IDENTITY_TOL
+def _require_causal_conditions(s: Scenario, causal: set[tuple[str, str]]) -> None:
+    """Reject outcome-conditioned stations that depend on a station not causally prior."""
+    for st in s.stations:
+        if isinstance(st.local, ConditionalLocal):
+            for dep in st.local.depends_on:
+                if (dep, st.id) not in causal:
+                    raise ValueError(
+                        f"station {st.id!r} conditions on {dep!r}, which is not "
+                        "causally prior; outcome dependence across spacelike "
+                        "separation is rejected"
+                    )
 
 
 def _require_order_comparable(
@@ -447,17 +465,9 @@ def _require_order_comparable(
     carry identity evolution. Outcome-conditioned stations may depend
     only on causally prior stations.
     """
-    for st in s.stations:
-        if isinstance(st.local, ConditionalLocal):
-            for dep in st.local.depends_on:
-                if (dep, st.id) not in causal:
-                    raise ValueError(
-                        f"station {st.id!r} conditions on {dep!r}, which is not "
-                        "causally prior; outcome dependence across spacelike "
-                        "separation is rejected"
-                    )
+    _require_causal_conditions(s, causal)
     for ev in s.evolutions:
-        if _is_identity(ev.matrix):
+        if deviation(ev.matrix.array) <= tolerance.IDENTITY:
             continue
         if ev.after is None:
             if not all(ext[0] == ev.before for ext in extensions):
@@ -495,6 +505,16 @@ def check_order_invariance(s: Scenario, tol: float) -> InvarianceReport:
     _require_order_comparable(s, causal, extensions)
     cache: dict = {}
     results = [evaluate_in_order(s, ext, _embed_cache=cache) for ext in extensions]
+    return compare_orderings(results, tol)
+
+
+def compare_orderings(results: Sequence[EvaluationResult], tol: float) -> InvarianceReport:
+    """Worst spread of any record probability across evaluations of one scenario.
+
+    A record missing from an evaluation counts as probability 0; the
+    witness names a maximal-spread record and the two orderings realizing
+    it when the spread exceeds ``tol``.
+    """
     all_records: set[Record] = set()
     for r in results:
         all_records.update(r.probabilities)
@@ -588,14 +608,7 @@ def check_no_signaling(
             f"stations {varied!r} and {target!r} are {kind.value}, not spacelike; "
             "the no-signaling claim applies only to spacelike separation"
         )
-    causal = s.causal()
-    for st in s.stations:
-        if isinstance(st.local, ConditionalLocal):
-            for dep in st.local.depends_on:
-                if (dep, st.id) not in causal:
-                    raise ValueError(
-                        f"station {st.id!r} conditions on {dep!r}, which is not causally prior"
-                    )
+    _require_causal_conditions(s, s.causal())
     for alt in alternatives:
         if alt.subsystem != v_st.subsystem:
             raise ValueError(

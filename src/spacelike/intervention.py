@@ -10,12 +10,14 @@ a probability distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .linalg import CMatrix, DimensionError, dagger, kron, matmul, max_abs_diff, trace
+from . import tolerance
+from .linalg import CMatrix, DimensionError, deviation, kron, matmul, max_abs_diff, trace
 
 __all__ = [
     "CompletenessError",
@@ -29,9 +31,6 @@ __all__ = [
     "povm_elements",
     "random_intervention",
 ]
-
-COMPLETENESS_TOL = 1e-9
-HERMITICITY_TOL = 1e-9
 
 
 class CompletenessError(ValueError):
@@ -69,11 +68,13 @@ class Intervention:
       * every Kraus matrix of an outcome has shape (outcome.d_out, d_in);
       * outcome labels are distinct;
       * sum over all outcomes and Kraus indices of A^dagger A equals the
-        d_in identity within COMPLETENESS_TOL.
+        d_in identity within ``tolerance.COMPLETENESS``; the measured
+        deviation is kept in ``deviation``.
     """
 
     d_in: int
     outcomes: tuple[Outcome, ...]
+    deviation: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "outcomes", tuple(self.outcomes))
@@ -91,17 +92,14 @@ class Intervention:
                         f"outcome {o.label!r} Kraus[{k}] is {m.rows}x{m.cols}, "
                         f"expected {o.d_out}x{self.d_in}"
                     )
-        total = np.zeros((self.d_in, self.d_in), dtype=np.complex128)
-        for o in self.outcomes:
-            for m in o.kraus:
-                total += m.array.conj().T @ m.array
-        worst = float(np.max(np.abs(total - np.eye(self.d_in))))
-        if worst > COMPLETENESS_TOL:
+        worst = deviation(sum(m.array.conj().T @ m.array for o in self.outcomes for m in o.kraus))
+        if worst > tolerance.COMPLETENESS:
             raise CompletenessError(
                 f"Kraus completeness violated: sum of A^dagger A deviates from the "
-                f"{self.d_in}-dim identity by {worst:.3e} (tolerance {COMPLETENESS_TOL})",
+                f"{self.d_in}-dim identity by {worst:.3e} (tolerance {tolerance.COMPLETENESS})",
                 worst,
             )
+        object.__setattr__(self, "deviation", worst)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(o.label for o in self.outcomes)
@@ -129,7 +127,8 @@ def apply(rho: CMatrix, iv: Intervention, mu: str) -> CMatrix:
     """Unnormalized branch state for outcome ``mu``: sum_m A_m rho A_m^dagger.
 
     The trace of the result is the outcome probability when rho has unit
-    trace; more generally branch traces sum to trace(rho) over outcomes.
+    trace; more generally branch traces sum to trace(rho) over outcomes,
+    within the intervention's completeness deviation.
     """
     if rho.rows != rho.cols:
         raise DimensionError(f"state must be square, got {rho.rows}x{rho.cols}")
@@ -137,19 +136,20 @@ def apply(rho: CMatrix, iv: Intervention, mu: str) -> CMatrix:
         raise DimensionError(
             f"state dimension {rho.rows} does not match intervention d_in {iv.d_in}"
         )
-    if float(np.max(np.abs(rho.array - rho.array.conj().T))) > HERMITICITY_TOL:
+    if deviation(rho.array, rho.array.conj().T) > tolerance.HERMITICITY:
         raise ValueError("state must be Hermitian")
     o = iv.outcome(mu)
     acc = np.zeros((o.d_out, o.d_out), dtype=np.complex128)
     for m in o.kraus:
         acc += m.array @ rho.array @ m.array.conj().T
     out = CMatrix(acc)
-    tr = trace(out)
     in_tr = trace(rho).real
-    if abs(tr.imag) > 1e-12 or tr.real < -1e-12 or tr.real > in_tr + 1e-12:
-        raise AssertionError(
-            f"branch trace {tr} outside [0, {in_tr}] for outcome {mu!r}"
-        )
+    tolerance.check(
+        trace(out).real,
+        0.0,
+        in_tr * tolerance.growth(iv.d_in, iv.deviation),
+        f"branch trace for outcome {mu!r}",
+    )
     return out
 
 
@@ -186,12 +186,8 @@ def embed(liv: LocalIntervention, dims: Sequence[int]) -> Intervention:
             f"factor {liv.subsystem} has dimension {dims[liv.subsystem]}, but the "
             f"local intervention expects d_in {liv.local.d_in}"
         )
-    before = 1
-    for d in dims[: liv.subsystem]:
-        before *= d
-    after = 1
-    for d in dims[liv.subsystem + 1 :]:
-        after *= d
+    before = math.prod(dims[: liv.subsystem])
+    after = math.prod(dims[liv.subsystem + 1 :])
     d_in_full = before * liv.local.d_in * after
     eye_b = CMatrix.identity(before)
     eye_a = CMatrix.identity(after)

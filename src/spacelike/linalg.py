@@ -15,6 +15,7 @@ __all__ = [
     "CMatrix",
     "DimensionError",
     "dagger",
+    "deviation",
     "is_hermitian",
     "is_unitary",
     "kron",
@@ -155,23 +156,25 @@ def partial_trace(a: CMatrix, dims: Sequence[int], keep: Iterable[int]) -> CMatr
     return CMatrix(t.reshape(kept, kept))
 
 
+def deviation(a: np.ndarray, b: np.ndarray | None = None) -> float:
+    """Largest entrywise |a - b| of two same-shape arrays; ``b`` defaults to the identity."""
+    if b is None:
+        b = np.eye(a.shape[0])
+    return float(np.max(np.abs(a - b)))
+
+
 def max_abs_diff(a: CMatrix, b: CMatrix) -> float:
     """Largest entrywise absolute difference between two same-shape matrices."""
     if a.shape != b.shape:
         raise DimensionError(
             f"cannot compare {a.rows}x{a.cols} with {b.rows}x{b.cols}: shapes differ"
         )
-    return float(np.max(np.abs(a.array - b.array)))
+    return deviation(a.array, b.array)
 
 
 def is_hermitian(a: CMatrix, tol: float) -> bool:
-    if a.rows != a.cols:
-        return False
-    return float(np.max(np.abs(a.array - a.array.conj().T))) <= tol
+    return a.rows == a.cols and deviation(a.array, a.array.conj().T) <= tol
 
 
 def is_unitary(a: CMatrix, tol: float) -> bool:
-    if a.rows != a.cols:
-        return False
-    g = a.array.conj().T @ a.array
-    return float(np.max(np.abs(g - np.eye(a.rows)))) <= tol
+    return a.rows == a.cols and deviation(a.array.conj().T @ a.array) <= tol

@@ -1,0 +1,39 @@
+"""The package's one tolerance policy.
+
+Acceptance tolerances say how far an input may sit from its ideal form.
+Runtime bounds are derived from them, so an accepted input cannot fail a
+later check; one that still fails is an internal invariant failure and
+raises ValueError.
+
+* A d x d matrix's operator norm is at most d times its largest entry, so
+  an intervention accepted at completeness deviation delta (largest entry
+  of sum A^dagger A - I), or an evolution at unitarity deviation delta,
+  multiplies a trace by at most ``growth(d, delta)`` = 1 + d * delta.
+* rho0 is accepted with |tr - 1| <= STATE and, as positivity is checked
+  with a shift of STATE / D, negative eigenvalues of total mass below
+  STATE; float rounding adds far less than STATE to a trace. ``FLOOR``
+  covers all three.
+"""
+
+TIE = 1e-12  # boosted times this close are a tie, reported rather than broken
+COMPLETENESS = 1e-9  # largest entry of sum A^dagger A - I of an intervention
+UNITARITY = 1e-9  # largest entry of U^dagger U - I of an evolution
+HERMITICITY = 1e-9  # largest entry of rho - rho^dagger of a state passed to apply
+STATE = 1e-12  # rho0: largest |tr - 1|, entry of rho0 - rho0^dagger, negative mass
+IDENTITY = 1e-12  # an evolution this close to I, entrywise, counts as none
+FLOOR = 3 * STATE  # absolute allowance of every runtime trace bound
+
+
+def growth(d: int, deviation: float) -> float:
+    """Bound on how much a map accepted at ``deviation`` on d dimensions can raise a trace."""
+    return 1.0 + d * deviation
+
+
+def check(value: float, low: float, high: float, what: str) -> float:
+    """Return ``value`` if it lies in [low, high] within FLOOR; raise ValueError otherwise."""
+    if not low - FLOOR <= value <= high + FLOOR:
+        raise ValueError(
+            f"{what} is {value!r}, outside the derived bounds [{low!r}, {high!r}] "
+            "(internal invariant failure)"
+        )
+    return value

@@ -1,0 +1,130 @@
+"""The tolerance policy end to end: inputs accepted at the edge of their
+tolerances evaluate cleanly, inputs outside them are rejected with exit 2
+and a message, and no input ends in a traceback."""
+
+import copy
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spacelike import CMatrix, Event, LocalIntervention, Scenario, Station, tolerance
+from spacelike.cli import main
+from spacelike.experiment import StateError
+from spacelike.scenarios import spin_analyzer
+from spacelike.schema import SchemaError, parse_scenario
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+SHIPPED = {p.name: json.loads(p.read_text()) for p in sorted(SCENARIO_DIR.glob("*.json"))}
+
+
+def flat(m):
+    return [[float(z.real), float(z.imag)] for z in np.asarray(m, dtype=complex).reshape(-1)]
+
+
+def qubit_file(rho0, kraus_up, kraus_down, stations=(("M", 0.0, 0.0),)):
+    """One Z-like instrument per station, station i on qubit i."""
+    iv = {
+        "d_in": 2,
+        "outcomes": [
+            {"label": "up", "d_out": 2, "kraus": [flat(kraus_up)]},
+            {"label": "down", "d_out": 2, "kraus": [flat(kraus_down)]},
+        ],
+    }
+    return {
+        "dims": [2] * len(stations),
+        "rho0": flat(rho0),
+        "stations": [
+            {"event": {"id": sid, "t": t, "x": x}, "subsystem": i, "intervention": iv}
+            for i, (sid, t, x) in enumerate(stations)
+        ],
+    }
+
+
+def write(tmp_path, doc):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_completeness_at_the_edge_evaluates(tmp_path, capsys):
+    # sum A^dagger A = (1 + 9e-10) I: accepted, and the branch trace exceeds 1.
+    c = math.sqrt(1.0 + 9e-10)
+    path = write(tmp_path, qubit_file(np.diag([1.0, 0.0]), np.diag([c, 0.0]), np.diag([0.0, c])))
+    assert main(["check-povm", path]) == 0
+    assert main(["simulate", path]) == 0
+    assert main(["check-invariance", path]) == 0
+    assert "sum of probabilities: 1.0000000009" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["simulate", "check-invariance", "check-povm"])
+def test_non_psd_rho0_exits_2_with_message(tmp_path, capsys, command):
+    doc = qubit_file(np.diag([1.5, -0.5]), np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    assert main([command, write(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "$.rho0" in err and "positive semidefinite" in err
+
+
+def test_non_psd_rho0_rejected_by_scenario_and_schema():
+    bad = CMatrix(np.diag([1.5, -0.5]).astype(complex))
+    station = Station(Event("M", 0.0, 0.0), LocalIntervention(0, spin_analyzer(0.0)))
+    with pytest.raises(StateError, match="positive semidefinite"):
+        Scenario(dims0=(2,), rho0=bad, stations=(station,))
+    doc = qubit_file(bad.array, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    with pytest.raises(SchemaError, match=r"\$\.rho0.*positive semidefinite"):
+        parse_scenario(json.dumps(doc))
+
+
+def test_simulate_three_station_tie_evaluates_every_resolution(tmp_path, capsys):
+    rho0 = np.zeros((8, 8))
+    rho0[0, 0] = 1.0
+    stations = (("A", 0.0, 0.0), ("B", 0.0, 2.0), ("C", 0.0, 4.0))
+    doc = qubit_file(rho0, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), stations)
+    assert main(["simulate", write(tmp_path, doc), "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["tie"] is True and out["ok"] is True
+    orderings = {tuple(r["ordering"]) for r in out["resolutions"]}
+    assert len(orderings) == 6
+
+
+def _kraus_entries(doc):
+    for i, station in enumerate(doc["stations"]):
+        for j, outcome in enumerate(station["intervention"]["outcomes"]):
+            for k, matrix in enumerate(outcome["kraus"]):
+                for e in range(len(matrix)):
+                    yield ("stations", i, "intervention", "outcomes", j, "kraus", k, e)
+
+
+PERTURBATION_SITES = [
+    (name, site, tolerance.COMPLETENESS if site[0] == "stations" else tolerance.STATE)
+    for name, doc in SHIPPED.items()
+    for site in [("rho0", e) for e in range(len(doc["rho0"]))] + list(_kraus_entries(doc))
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    where=st.sampled_from(PERTURBATION_SITES),
+    part=st.sampled_from([0, 1]),
+    scale=st.floats(min_value=-2.0, max_value=2.0),
+)
+def test_perturbed_shipped_files_never_raise(tmp_path_factory, where, part, scale):
+    name, site, tol = where
+    doc = copy.deepcopy(SHIPPED[name])
+    node = doc
+    for key in site:
+        node = node[key]
+    node[part] += scale * tol
+    path = write(tmp_path_factory.mktemp("fuzz"), doc)
+    try:
+        parse_scenario(Path(path).read_text())
+        accepted = True
+    except SchemaError:
+        accepted = False
+    # An accepted file evaluates without tripping any runtime bound.
+    assert main(["simulate", path]) == (0 if accepted else 2)
+    assert main(["check-invariance", path]) in ((0, 1) if accepted else (2,))

@@ -184,10 +184,9 @@ def _identity_intervention(d: int) -> Intervention:
 
 def _generated_alternatives(s: Scenario, varied_id: str, seed: int) -> list[LocalIntervention]:
     st = s.station(varied_id)
-    if isinstance(st.local, LocalIntervention):
-        d_in = st.local.local.d_in
-    else:
-        d_in = s.dims0[st.subsystem]
+    # Cases that differ in d_in cannot share one alternative; evaluation then
+    # rejects it with the station named.
+    d_in = next(iter(st.interventions().values())).d_in
     rng = np.random.Generator(np.random.Philox(key=seed))
     alts = [LocalIntervention(st.subsystem, _identity_intervention(d_in))]
     for _ in range(2):
@@ -217,7 +216,7 @@ def _check_no_signaling_all(s: Scenario, tol: float, seed: int, target: str | No
             and varied in (None, v.id)
         ]
         if not pairs:
-            raise SystemExit("error: no mutually spacelike station pair matches the request")
+            raise ValueError("no mutually spacelike station pair matches the request")
     return [
         check_no_signaling(s, t, _generated_alternatives(s, v, seed), tol, varied=v)
         for v, t in pairs

@@ -28,7 +28,10 @@ import numpy as np
 
 from . import tolerance
 from .linalg import CMatrix, DimensionError, deviation, trace
-from .intervention import Intervention, LocalIntervention, apply, embed
+from .intervention import Intervention, LocalIntervention, _branch, _factor_sizes
+# Not called here (_branch contracts each Kraus matrix on its own factor); bound
+# only because the benchmark's tracer, bench/tracer.py, rebinds these names.
+from .intervention import apply, embed  # noqa: F401
 from .spacetime import (
     Event,
     Frame,
@@ -275,10 +278,8 @@ class Scenario:
     def _evolution_for(
         self, after: str | None, before: str | None, history: Mapping[str, str]
     ) -> CMatrix | None:
-        hits = [ev for ev in self.evolutions if ev.matches(after, before, history)]
-        if not hits:
-            return None
-        return hits[0].matrix
+        hits = (ev.matrix for ev in self.evolutions if ev.matches(after, before, history))
+        return next(hits, None)
 
 
 @dataclass(frozen=True)
@@ -302,28 +303,27 @@ class EvaluationResult:
         }
 
 
-def _apply_unitary(state: CMatrix, u: CMatrix, position: str) -> CMatrix:
-    if u.rows != state.rows:
+def _apply_unitary(state: np.ndarray, u: CMatrix, position: str) -> np.ndarray:
+    if u.rows != state.shape[0]:
         raise DimensionError(
             f"evolution {position} is {u.rows}x{u.cols}, but the state there is "
-            f"{state.rows}-dimensional"
+            f"{state.shape[0]}-dimensional"
         )
-    return CMatrix(u.array @ state.array @ u.array.conj().T)
+    out = u.array @ state @ u.array.conj().T
+    out.setflags(write=False)
+    return out
 
 
-def evaluate_in_order(
-    s: Scenario,
-    order: Sequence[str],
-    _embed_cache: dict | None = None,
-) -> EvaluationResult:
+def evaluate_in_order(s: Scenario, order: Sequence[str]) -> EvaluationResult:
     """Evaluate every outcome record under one chronological ordering.
 
     The ordering must be a permutation of the station ids and a linear
     extension of the causal partial order of their events. For each
     record the final state is the sum over Kraus index tuples of
     K rho0 K^dagger with K the right-to-left product of evolutions and
-    embedded Kraus matrices in chain order; its trace is the record
-    probability.
+    Kraus matrices in chain order, each Kraus matrix acting on its own
+    factor; its trace is the record probability. States travel between
+    stations as read-only arrays; only the final states become CMatrix.
     """
     order = tuple(order)
     ids = {st.id for st in s.stations}
@@ -336,18 +336,17 @@ def evaluate_in_order(
             raise ValueError(
                 f"order places {a!r} after {b!r}, violating their causal order"
             )
-    cache: dict = {} if _embed_cache is None else _embed_cache
 
     probabilities: dict[Record, float] = {}
     final_states: dict[Record, CMatrix] = {}
 
-    def emit(state: CMatrix, history: dict[str, str]):
+    def emit(state: np.ndarray, history: dict[str, str]):
         rec: Record = tuple(sorted(history.items()))
-        p = trace(state).real
+        p = float(np.trace(state).real)
         probabilities[rec] = tolerance.check(p, 0.0, s.growth, f"probability of record {rec}")
-        final_states[rec] = state
+        final_states[rec] = CMatrix(state)
 
-    def walk(state: CMatrix, dims: tuple[int, ...], history: dict[str, str], idx: int):
+    def walk(state: np.ndarray, dims: tuple[int, ...], history: dict[str, str], idx: int):
         prev = order[idx - 1] if idx > 0 else None
         if idx == len(order):
             u = s._evolution_for(prev, None, history)
@@ -360,21 +359,17 @@ def evaluate_in_order(
         if u is not None:
             state = _apply_unitary(state, u, f"between {prev!r} and {cur!r}")
         st = s.station(cur)
-        local_iv = st.resolve(history)
-        key = (id(local_iv), st.subsystem, dims)
-        lifted = cache.get(key)
-        if lifted is None:
-            try:
-                lifted = embed(LocalIntervention(st.subsystem, local_iv), dims)
-            except DimensionError as exc:
-                raise DimensionError(f"station {cur!r} at this point in the chain: {exc}") from exc
-            cache[key] = lifted
-        for o in local_iv.outcomes:
-            branch = apply(state, lifted, o.label)
-            new_dims = dims[: st.subsystem] + (o.d_out,) + dims[st.subsystem + 1 :]
-            walk(branch, new_dims, {**history, cur: o.label}, idx + 1)
+        sub = st.subsystem
+        iv = st.resolve(history)
+        try:
+            before, _ = _factor_sizes(dims, sub, iv.d_in)
+        except DimensionError as exc:
+            raise DimensionError(f"station {cur!r} at this point in the chain: {exc}") from exc
+        for o in iv.outcomes:
+            new_dims = dims[:sub] + (o.d_out,) + dims[sub + 1 :]
+            walk(_branch(state, iv, o, before), new_dims, {**history, cur: o.label}, idx + 1)
 
-    walk(s.rho0, tuple(s.dims0), {}, 0)
+    walk(s.rho0.array, tuple(s.dims0), {}, 0)
     tolerance.check(
         sum(probabilities.values()), 2.0 - s.growth, s.growth, "sum of record probabilities"
     )
@@ -398,14 +393,11 @@ def evaluate_in_frame(s: Scenario, f: Frame) -> EvaluationResult:
 def marginal(result: EvaluationResult, station_id: str) -> dict[str, float]:
     """Outcome distribution of one station, summed over all other outcomes."""
     out: dict[str, float] = {}
-    seen = False
     for rec, p in result.probabilities.items():
         entry = dict(rec)
         if station_id in entry:
-            seen = True
-            label = entry[station_id]
-            out[label] = out.get(label, 0.0) + p
-    if not seen:
+            out[entry[station_id]] = out.get(entry[station_id], 0.0) + p
+    if not out:
         raise KeyError(f"station {station_id!r} did not participate in this evaluation")
     return out
 
@@ -503,8 +495,7 @@ def check_order_invariance(s: Scenario, tol: float) -> InvarianceReport:
     causal = s.causal()
     extensions = linear_extensions(causal, s.events())
     _require_order_comparable(s, causal, extensions)
-    cache: dict = {}
-    results = [evaluate_in_order(s, ext, _embed_cache=cache) for ext in extensions]
+    results = [evaluate_in_order(s, ext) for ext in extensions]
     return compare_orderings(results, tol)
 
 
@@ -617,33 +608,24 @@ def check_no_signaling(
             )
 
     order = _chronological_ids(s)
-    cache: dict = {}
-    candidates: list[LocalIntervention | ConditionalLocal] = [v_st.local]
-    candidates.extend(alternatives)
-    marginals = []
-    for cand in candidates:
-        stations = tuple(
-            Station(event=st.event, local=cand) if st.id == varied else st
-            for st in s.stations
-        )
-        variant = Scenario(
-            dims0=s.dims0, rho0=s.rho0, stations=stations, evolutions=s.evolutions
-        )
-        result = evaluate_in_order(variant, order, _embed_cache=cache)
-        marginals.append(marginal(result, target))
-    labels: set[str] = set()
-    for m in marginals:
-        labels.update(m)
-    worst = 0.0
-    for label in labels:
-        vals = [m.get(label, 0.0) for m in marginals]
-        worst = max(worst, max(vals) - min(vals))
+
+    def with_varied(local: LocalIntervention) -> Scenario:
+        stations = tuple(Station(st.event, local) if st.id == varied else st for st in s.stations)
+        return Scenario(dims0=s.dims0, rho0=s.rho0, stations=stations, evolutions=s.evolutions)
+
+    # The original candidate is s itself; only the alternatives need a rebuilt scenario.
+    variants = [s, *map(with_varied, alternatives)]
+    marginals = [marginal(evaluate_in_order(v, order), target) for v in variants]
+    worst = max(
+        max(m.get(label, 0.0) for m in marginals) - min(m.get(label, 0.0) for m in marginals)
+        for label in set().union(*marginals)
+    )
     return NoSignalingReport(
         ok=worst <= tol,
         worst=worst,
         target=target,
         varied=varied,
-        alternatives_checked=len(candidates),
+        alternatives_checked=len(variants),
     )
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tolerance
-from .linalg import CMatrix, DimensionError, deviation, kron, matmul, max_abs_diff, trace
+from .linalg import CMatrix, DimensionError, deviation, kron, matmul, max_abs_diff
 
 __all__ = [
     "CompletenessError",
@@ -138,18 +138,45 @@ def apply(rho: CMatrix, iv: Intervention, mu: str) -> CMatrix:
         )
     if deviation(rho.array, rho.array.conj().T) > tolerance.HERMITICITY:
         raise ValueError("state must be Hermitian")
-    o = iv.outcome(mu)
-    acc = np.zeros((o.d_out, o.d_out), dtype=np.complex128)
+    return CMatrix(_branch(rho.array, iv, iv.outcome(mu), 1))
+
+
+def _factor_sizes(dims: Sequence[int], sub: int, d_in: int) -> tuple[int, int]:
+    """Products of the factor dimensions before and after ``sub``, once ``sub`` fits d_in."""
+    if not 0 <= sub < len(dims):
+        raise DimensionError(f"subsystem index {sub} out of range for {len(dims)} factors")
+    if dims[sub] != d_in:
+        raise DimensionError(
+            f"factor {sub} has dimension {dims[sub]}, but the local intervention "
+            f"expects d_in {d_in}"
+        )
+    return math.prod(dims[:sub]), math.prod(dims[sub + 1 :])
+
+
+def _lift_left(k: np.ndarray, x: np.ndarray, b: int) -> np.ndarray:
+    # (I_b (x) k (x) I_a) @ x without forming the lift: k contracts the middle
+    # index of x's rows, batched over the b leading ones; a is what remains.
+    return (k @ x.reshape(b, k.shape[1], -1)).reshape(-1, x.shape[1])
+
+
+def _branch(rho: np.ndarray, iv: Intervention, o: Outcome, b: int) -> np.ndarray:
+    """Read-only branch state of outcome ``o``, ``iv`` acting after b dimensions.
+
+    With L = I_b (x) A (x) I_a, each Kraus matrix A contributes
+    L rho L^dagger = (L (L rho)^dagger)^dagger: two row contractions and no
+    Kronecker product. The branch trace is bounded by the derived growth.
+    """
+    out = None
     for m in o.kraus:
-        acc += m.array @ rho.array @ m.array.conj().T
-    out = CMatrix(acc)
-    in_tr = trace(rho).real
+        term = _lift_left(m.array, _lift_left(m.array, rho, b).conj().T, b).conj().T
+        out = term if out is None else out + term
     tolerance.check(
-        trace(out).real,
+        float(np.trace(out).real),
         0.0,
-        in_tr * tolerance.growth(iv.d_in, iv.deviation),
-        f"branch trace for outcome {mu!r}",
+        float(np.trace(rho).real) * tolerance.growth(iv.d_in, iv.deviation),
+        f"branch trace for outcome {o.label!r}",
     )
+    out.setflags(write=False)
     return out
 
 
@@ -176,26 +203,14 @@ def embed(liv: LocalIntervention, dims: Sequence[int]) -> Intervention:
     dimensions replace the addressed factor's dimension with the local
     output dimension; completeness is inherited.
     """
-    dims = list(dims)
-    if not 0 <= liv.subsystem < len(dims):
-        raise DimensionError(
-            f"subsystem index {liv.subsystem} out of range for {len(dims)} factors"
-        )
-    if dims[liv.subsystem] != liv.local.d_in:
-        raise DimensionError(
-            f"factor {liv.subsystem} has dimension {dims[liv.subsystem]}, but the "
-            f"local intervention expects d_in {liv.local.d_in}"
-        )
-    before = math.prod(dims[: liv.subsystem])
-    after = math.prod(dims[liv.subsystem + 1 :])
-    d_in_full = before * liv.local.d_in * after
+    before, after = _factor_sizes(dims, liv.subsystem, liv.local.d_in)
     eye_b = CMatrix.identity(before)
     eye_a = CMatrix.identity(after)
     outcomes = []
     for o in liv.local.outcomes:
         lifted = tuple(kron(kron(eye_b, m), eye_a) for m in o.kraus)
         outcomes.append(Outcome(label=o.label, d_out=before * o.d_out * after, kraus=lifted))
-    return Intervention(d_in=d_in_full, outcomes=tuple(outcomes))
+    return Intervention(d_in=before * liv.local.d_in * after, outcomes=tuple(outcomes))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Dense complex matrices with strict shape checking.
 
-Everything else in the package moves states and operators through this
-module: matrices are immutable, double-precision complex, and every
-operation validates dimensions before touching numbers.
+``CMatrix`` is the package's boundary type: scenarios, interventions and
+final states hold immutable double-precision complex matrices, and every
+operation here validates dimensions before touching numbers. Between
+stations the evaluator carries the underlying read-only arrays instead.
 """
 
 from __future__ import annotations

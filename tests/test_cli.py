@@ -3,7 +3,12 @@ import math
 
 import pytest
 
+import numpy as np
+
 from spacelike.cli import main
+from spacelike.experiment import ConditionalLocal, Scenario, Station
+from spacelike.intervention import LocalIntervention, random_intervention
+from spacelike.linalg import CMatrix
 from spacelike.schema import serialize_scenario
 from spacelike.scenarios import eprb
 from spacelike.spacetime import Event
@@ -109,6 +114,31 @@ def test_check_no_signaling_trials(capsys):
     code, out, _ = run(capsys, "check-no-signaling", "--trials", "2", "--format", "json")
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_no_signaling_alternatives_fit_a_conditional_station_after_a_dimension_change(
+    tmp_path, capsys
+):
+    # A grows factor 0 from 2 to 3 dimensions; B, conditioned on A, then acts on
+    # the qutrit, so its generated alternatives must take qutrit input too.
+    grow = random_intervention(2, [3], seed=1)
+    qutrit = random_intervention(3, [2, 2], seed=2)
+    qubit = random_intervention(2, [1, 1], seed=3)
+    s = Scenario(
+        dims0=(2, 2),
+        rho0=CMatrix(np.eye(4) / 4),
+        stations=(
+            Station(Event("A", 0.0, 0.0), LocalIntervention(0, grow)),
+            Station(Event("B", 1.0, 0.0), ConditionalLocal(0, ("A",), {("o0",): qutrit})),
+            Station(Event("C", 1.0, 5.0), LocalIntervention(1, qubit)),
+        ),
+    )
+    path = tmp_path / "conditional.json"
+    path.write_text(serialize_scenario(s))
+    code, out, err = run(capsys, "check-no-signaling", str(path), "--varied", "B", "--target", "C")
+    assert (code, err) == (0, "")
+    assert "overall ok: True" in out
+    assert run(capsys, "check-invariance", str(path))[0] == 0
 
 
 def test_check_povm_reports_deviation(capsys):

@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from spacelike.linalg import CMatrix, dagger, kron, matmul, max_abs_diff, trace
+from spacelike.experiment import ConditionalLocal, Evolution, Scenario, Station, evaluate_in_order
+from spacelike.spacetime import Event
 from spacelike.intervention import (
     CompletenessError,
     Intervention,
     LocalIntervention,
     Outcome,
+    _branch,
     apply,
     commutes,
     embed,
@@ -159,6 +164,70 @@ def test_embed_validates_subsystem():
         embed(LocalIntervention(2, iv), (2, 2))
     with pytest.raises(ValueError, match="dimension"):
         embed(LocalIntervention(0, iv), (3, 2))
+
+
+def two_kraus_intervention(d_in, seed):
+    """Outcome "p" (d_out 2) and "q" (d_out 3), each with two Kraus matrices."""
+    k = [o.kraus[0] for o in random_intervention(d_in, [2, 2, 3, 3], seed=seed).outcomes]
+    return Intervention(
+        d_in=d_in, outcomes=(Outcome("p", 2, (k[0], k[1])), Outcome("q", 3, (k[2], k[3])))
+    )
+
+
+@pytest.mark.parametrize(
+    "dims, sub", [((3, 2, 2), 0), ((3, 2, 2), 1), ((3, 2, 2), 2), ((2, 3), 0), ((2, 3), 1)]
+)
+def test_branch_kernel_matches_kron_embedding(dims, sub):
+    iv = two_kraus_intervention(dims[sub], seed=30 + sub)
+    rho = random_density(np.random.default_rng(len(dims) + sub), math.prod(dims))
+    lifted = embed(LocalIntervention(sub, iv), dims)
+    for o in iv.outcomes:
+        got = _branch(rho.array, iv, o, math.prod(dims[:sub]))
+        want = apply(rho, lifted, o.label)
+        assert got.shape == want.shape == (math.prod(dims) // dims[sub] * o.d_out,) * 2
+        assert max_abs_diff(CMatrix(got), want) <= 1e-12
+
+
+def test_evaluated_chain_matches_explicit_kron_products():
+    # A (qubit, factor 0) changes the composite to 6 or 9 dimensions; a
+    # history-keyed unitary follows; B on factor 1 is conditioned on A.
+    a_iv = two_kraus_intervention(2, seed=40)
+    cases = {
+        ("p",): two_kraus_intervention(3, seed=41),
+        ("q",): random_intervention(3, [1, 2, 3], seed=42),
+    }
+    rng = np.random.default_rng(43)
+    unitaries = {}
+    for label, d in (("p", 6), ("q", 9)):
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        unitaries[label] = q
+    rho = random_density(rng, 6)
+    s = Scenario(
+        dims0=(2, 3),
+        rho0=rho,
+        stations=(
+            Station(Event("A", 0.0, 0.0), LocalIntervention(0, a_iv)),
+            Station(Event("B", 1.0, 0.0), ConditionalLocal(1, ("A",), cases)),
+        ),
+        evolutions=tuple(
+            Evolution("A", "B", CMatrix(u), history={"A": label}) for label, u in unitaries.items()
+        ),
+    )
+    result = evaluate_in_order(s, ["A", "B"])
+    records = 0
+    for oa in a_iv.outcomes:
+        u = unitaries[oa.label]
+        for ob in cases[(oa.label,)].outcomes:
+            want = np.zeros((oa.d_out * ob.d_out,) * 2, dtype=complex)
+            for ka in oa.kraus:
+                for kb in ob.kraus:
+                    k = np.kron(np.eye(oa.d_out), kb.array) @ u @ np.kron(ka.array, np.eye(3))
+                    want += k @ rho.array @ k.conj().T
+            rec = (("A", oa.label), ("B", ob.label))
+            assert max_abs_diff(result.final_states[rec], CMatrix(want)) <= 1e-12
+            assert result.probabilities[rec] == pytest.approx(np.trace(want).real, abs=1e-12)
+            records += 1
+    assert records == len(result.probabilities) == 5
 
 
 def test_commutes_disjoint_tensor_factors():

@@ -1,13 +1,18 @@
+import copy
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spacelike.linalg import CMatrix, max_abs_diff
 from spacelike.intervention import Intervention, LocalIntervention, Outcome
 from spacelike.experiment import ConditionalLocal, Evolution, Scenario, Station, evaluate_in_order
-from spacelike.scenarios import builtin_scenarios, eprb
+from spacelike.cli import main
+from spacelike.scenarios import builtin_scenarios, eprb, random_product_scenario
 from spacelike.schema import SchemaError, parse_scenario, serialize_scenario
 from spacelike.spacetime import Event
 
@@ -202,3 +207,88 @@ def test_utf8_and_bytes_input():
     assert parse_scenario(text.encode("utf-8")).dims0 == (2, 2)
     with pytest.raises(SchemaError, match="UTF-8"):
         parse_scenario(b"\xff\xfe{}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**63 - 1))
+def test_round_trip_of_generated_scenarios_is_exact(seed):
+    s = random_product_scenario(seed)
+    back = parse_scenario(serialize_scenario(s))
+    assert back.dims0 == s.dims0
+    assert np.array_equal(back.rho0.array, s.rho0.array)
+    for a, b in zip(s.stations, back.stations, strict=True):
+        assert (a.event, a.subsystem) == (b.event, b.subsystem)
+        for oa, ob in zip(a.local.local.outcomes, b.local.local.outcomes, strict=True):
+            assert (oa.label, oa.d_out) == (ob.label, ob.d_out)
+            for ka, kb in zip(oa.kraus, ob.kraus, strict=True):
+                assert np.array_equal(ka.array, kb.array)
+    order = [st.id for st in s.stations]
+    want = evaluate_in_order(s, order).probabilities
+    got = evaluate_in_order(back, order).probabilities
+    assert got.keys() == want.keys()
+    assert max(abs(got[rec] - want[rec]) for rec in want) <= 1e-15
+
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+SHIPPED = {p.name: json.loads(p.read_text()) for p in sorted(SCENARIO_DIR.glob("*.json"))}
+
+
+def _is_matrix(node):
+    """A flat list of [re, im] pairs."""
+    first = node[0] if isinstance(node, list) and node else None
+    return isinstance(first, list) and len(first) == 2 and all(
+        isinstance(x, (int, float)) for x in first
+    )
+
+
+def _sites(node, path=()):
+    """Paths of every node of a document, not descending into matrices."""
+    yield path, node
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _sites(value, path + (key,))
+    elif isinstance(node, list) and not _is_matrix(node):
+        for i, value in enumerate(node):
+            yield from _sites(value, path + (i,))
+
+
+# (file, mutation, path): drop a key, add an unknown key, replace a value by
+# one of another type, or drop a matrix's last entry.
+MUTATIONS = []
+for _name, _doc in SHIPPED.items():
+    for _path, _node in _sites(_doc):
+        if isinstance(_node, dict):
+            MUTATIONS += [(_name, "drop", _path + (key,)) for key in _node]
+            MUTATIONS.append((_name, "add", _path))
+        if _path:
+            MUTATIONS.append((_name, "retype", _path))
+        if _is_matrix(_node):
+            MUTATIONS.append((_name, "truncate", _path))
+OTHER_TYPES = ["x", 1, 2.5, None, True, [], {}, [1], {"x": 1}]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mutation=st.sampled_from(MUTATIONS),
+    replacement=st.sampled_from(OTHER_TYPES),
+    command=st.sampled_from(["simulate", "check-invariance", "check-no-signaling", "check-povm"]),
+)
+def test_structurally_mutated_files_exit_0_1_or_2(tmp_path_factory, mutation, replacement, command):
+    name, kind, path = mutation
+    doc = copy.deepcopy(SHIPPED[name])
+    parent = doc
+    for key in path[:-1] if kind != "add" else path:
+        parent = parent[key]
+    if kind == "drop":
+        del parent[path[-1]]
+    elif kind == "add":
+        parent["unexpected"] = replacement
+    elif kind == "truncate":
+        del parent[path[-1]][-1]
+    else:
+        if type(parent[path[-1]]) is type(replacement):
+            replacement = [replacement]
+        parent[path[-1]] = replacement
+    target = tmp_path_factory.mktemp("mutated") / name
+    target.write_text(json.dumps(doc))
+    assert main([command, str(target)]) in (0, 1, 2)

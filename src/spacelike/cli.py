@@ -52,26 +52,11 @@ from .scenarios import (
 from .schema import SchemaError, parse_scenario
 from .spacetime import Frame, IntervalKind, classify, frame_groups
 
-_BUILTIN_ALIASES = {
-    "eprb": "eprb",
-    "counterexample": "counterexample",
-    "dimension-change": "dimension_change",
-    "dimension_change": "dimension_change",
-}
-
-
-def load_scenario(name_or_path: str) -> Scenario:
-    """Resolve a built-in name or parse a scenario file."""
-    key = _BUILTIN_ALIASES.get(name_or_path)
-    if key is not None:
-        return builtin_scenarios()[key]
-    path = Path(name_or_path)
-    if not path.exists():
-        raise SystemExit(
-            f"error: {name_or_path!r} is neither a built-in scenario "
-            f"({', '.join(sorted(set(_BUILTIN_ALIASES)))}) nor an existing file"
-        )
-    return parse_scenario(path.read_bytes())
+def load_scenario(name_or_path: str | Path) -> Scenario:
+    """The built-in scenario of a ``_scenario`` key, or the parsed file at a path."""
+    if isinstance(name_or_path, Path):
+        return parse_scenario(name_or_path.read_bytes())
+    return builtin_scenarios()[name_or_path]
 
 
 def _records_rows(result: EvaluationResult) -> tuple[list[str], list[list[str]]]:
@@ -390,21 +375,31 @@ def _demo_dimension_change(args, out) -> int:
     return 0 if ok else 1
 
 
+# Keyed by the built-in scenario names, which are also the demo names.
 _DEMOS = {
     "eprb": _demo_eprb,
     "counterexample": _demo_counterexample,
-    "dimension-change": _demo_dimension_change,
     "dimension_change": _demo_dimension_change,
 }
 
 
 def cmd_demo(args, out) -> int:
-    fn = _DEMOS.get(args.name)
-    if fn is None:
-        raise SystemExit(
-            f"error: unknown demo {args.name!r}; available: eprb, counterexample, dimension-change"
-        )
-    return fn(args, out)
+    return _DEMOS[args.name](args, out)
+
+
+def _builtin_name(text: str) -> str:
+    return text.replace("-", "_")
+
+
+def _scenario(text: str) -> str | Path:
+    """A built-in name, normalized, or the path of an existing regular file."""
+    if _builtin_name(text) in _DEMOS:
+        return _builtin_name(text)
+    if Path(text).is_file():
+        return Path(text)
+    raise argparse.ArgumentTypeError(
+        f"{text!r} is neither a built-in scenario ({', '.join(_DEMOS)}) nor an existing file"
+    )
 
 
 def _velocity(text: str) -> float:
@@ -416,9 +411,16 @@ def _velocity(text: str) -> float:
 
 def _tolerance(text: str) -> float:
     t = float(text)
-    if not t > 0.0:
-        raise argparse.ArgumentTypeError(f"tolerance must be positive, got {t}")
+    if not 0.0 < t < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {t}")
     return t
+
+
+def _trials(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"trials must be at least 1, got {n}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,14 +433,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, scenario_optional=False):
-        if scenario_optional:
-            p.add_argument("scenario", nargs="?", help="built-in name or scenario JSON file")
-        else:
-            p.add_argument("scenario", help="built-in name or scenario JSON file")
+    def add_common(p, certifier=False):
+        # A certifier sweeps --trials random scenarios in place of one scenario.
+        p.add_argument(
+            "scenario",
+            nargs="?" if certifier else None,
+            type=_scenario,
+            help="built-in name or scenario JSON file",
+        )
         p.add_argument("--tolerance", type=_tolerance, default=1e-9)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("json", "csv", "table"), default="table")
+        if certifier:
+            p.add_argument(
+                "--trials",
+                type=_trials,
+                default=None,
+                help="check this many random product scenarios instead of one scenario",
+            )
+            p.add_argument(
+                "--seed",
+                type=int,
+                default=0,
+                help="seed of the first random scenario and of generated alternatives",
+            )
 
     p_sim = sub.add_parser("simulate", help="evaluate a scenario in one frame")
     add_common(p_sim)
@@ -450,17 +467,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_inv = sub.add_parser("check-invariance", help="certify ordering invariance")
-    add_common(p_inv, scenario_optional=True)
-    p_inv.add_argument(
-        "--trials",
-        type=int,
-        default=None,
-        help="check this many random product scenarios instead of one file",
-    )
+    add_common(p_inv, certifier=True)
 
     p_ns = sub.add_parser("check-no-signaling", help="certify marginal invariance")
-    add_common(p_ns, scenario_optional=True)
-    p_ns.add_argument("--trials", type=int, default=None)
+    add_common(p_ns, certifier=True)
     p_ns.add_argument("--target", default=None, help="station whose marginal is inspected")
     p_ns.add_argument("--varied", default=None, help="station whose intervention is replaced")
 
@@ -468,9 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_povm)
 
     p_demo = sub.add_parser("demo", help="narrated run of a built-in scenario")
-    p_demo.add_argument("name")
+    p_demo.add_argument("name", type=_builtin_name, choices=tuple(_DEMOS))
     p_demo.add_argument("--tolerance", type=_tolerance, default=1e-9)
-    p_demo.add_argument("--seed", type=int, default=0)
 
     return parser
 
@@ -485,16 +494,16 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    # Only the two certifiers take --trials in place of a scenario.
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if getattr(args, "trials", 0) is None and args.scenario is None:
-        raise SystemExit("error: provide a scenario or --trials")
+        parser.error("provide a scenario or --trials")
     try:
         return _COMMANDS[args.command](args, sys.stdout)
     except SchemaError as exc:
         print(f"scenario validation failed: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

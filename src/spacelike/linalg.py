@@ -8,7 +8,7 @@ stations the evaluator carries the underlying read-only arrays instead.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -17,12 +17,9 @@ __all__ = [
     "DimensionError",
     "dagger",
     "deviation",
-    "is_hermitian",
-    "is_unitary",
     "kron",
     "matmul",
     "max_abs_diff",
-    "partial_trace",
     "trace",
 ]
 
@@ -47,7 +44,8 @@ class CMatrix:
             raise DimensionError(f"expected a 2-D matrix, got {a.ndim} dimension(s)")
         if a.shape[0] < 1 or a.shape[1] < 1:
             raise DimensionError(f"matrix axes must be positive, got shape {a.shape}")
-        if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+        # One contiguous pass over the real and imaginary parts of the C-ordered copy.
+        if not np.isfinite(a.view(np.float64)).all():
             raise ValueError("matrix entries must be finite (no NaN/Inf)")
         a.setflags(write=False)
         self._a = a
@@ -115,48 +113,6 @@ def trace(a: CMatrix) -> complex:
     return complex(np.trace(a.array))
 
 
-def partial_trace(a: CMatrix, dims: Sequence[int], keep: Iterable[int]) -> CMatrix:
-    """Trace out all tensor factors except those in ``keep``.
-
-    ``dims`` lists the factor dimensions whose product must equal the
-    (square) matrix order; ``keep`` names the factor positions retained,
-    in their original order. The trace of the result equals the trace of
-    the input.
-    """
-    if a.rows != a.cols:
-        raise DimensionError(f"partial_trace requires a square matrix, got {a.rows}x{a.cols}")
-    dims = list(dims)
-    if any(d < 1 for d in dims):
-        raise DimensionError(f"factor dimensions must be positive, got {dims}")
-    total = 1
-    for d in dims:
-        total *= d
-    if total != a.rows:
-        raise DimensionError(
-            f"product of dims {dims} is {total}, but the matrix order is {a.rows}"
-        )
-    keep = sorted(set(keep))
-    if not keep:
-        raise DimensionError("keep must name at least one factor")
-    if keep[0] < 0 or keep[-1] >= len(dims):
-        raise DimensionError(f"keep indices {keep} out of range for {len(dims)} factors")
-
-    n = len(dims)
-    t = a.array.reshape(dims + dims)
-    # Contract each traced factor pair (row index k, column index k + n),
-    # renumbering as axes disappear.
-    removed = 0
-    for k in range(n):
-        if k in keep:
-            continue
-        t = np.trace(t, axis1=k - removed, axis2=k - removed + (n - removed))
-        removed += 1
-    kept = 1
-    for k in keep:
-        kept *= dims[k]
-    return CMatrix(t.reshape(kept, kept))
-
-
 def deviation(a: np.ndarray, b: np.ndarray | None = None) -> float:
     """Largest entrywise |a - b| of two same-shape arrays; ``b`` defaults to the identity."""
     if b is None:
@@ -171,11 +127,3 @@ def max_abs_diff(a: CMatrix, b: CMatrix) -> float:
             f"cannot compare {a.rows}x{a.cols} with {b.rows}x{b.cols}: shapes differ"
         )
     return deviation(a.array, b.array)
-
-
-def is_hermitian(a: CMatrix, tol: float) -> bool:
-    return a.rows == a.cols and deviation(a.array, a.array.conj().T) <= tol
-
-
-def is_unitary(a: CMatrix, tol: float) -> bool:
-    return a.rows == a.cols and deviation(a.array.conj().T @ a.array) <= tol

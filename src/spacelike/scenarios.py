@@ -217,37 +217,26 @@ def noncommuting_counterexample() -> Scenario:
     )
 
 
-def random_product_scenario(
-    seed: int,
-    n_stations: int | None = None,
-    max_dim: int = 3,
-) -> Scenario:
+def random_product_scenario(seed: int) -> Scenario:
     """Random spacelike product scenario, deterministic in the seed.
 
-    Each station addresses its own subsystem with a random isometric
-    intervention, events are mutually spacelike, and the initial state is
-    a random pure state, so both certifiers must pass by construction.
+    Two to four stations each address their own qubit or qutrit with a
+    random isometric intervention, events are mutually spacelike, and the
+    initial state is a random pure state, so both certifiers must pass by
+    construction.
     """
-    if not 2 <= max_dim <= 3:
-        raise ValueError(f"max_dim must be 2 or 3, got {max_dim}")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    if n_stations is None:
-        n_stations = int(rng.integers(2, 5))
-    if not 1 <= n_stations <= 4:
-        raise ValueError(f"n_stations must be between 1 and 4, got {n_stations}")
-    dims = tuple(int(rng.integers(2, max_dim + 1)) for _ in range(n_stations))
+    n_stations = int(rng.integers(2, 5))
+    dims = tuple(int(rng.integers(2, 4)) for _ in range(n_stations))
     total = int(np.prod(dims))
     v = rng.standard_normal(total) + 1j * rng.standard_normal(total)
     v /= np.linalg.norm(v)
     rho0 = CMatrix(np.outer(v, v.conj()))
     stations = []
     for i, d_in in enumerate(dims):
-        outcome_dims: list[int] = []
-        k = int(rng.integers(1, 4))
-        for _ in range(k):
-            outcome_dims.append(int(rng.integers(1, max_dim + 1)))
+        outcome_dims = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 4)))]
         while sum(outcome_dims) < d_in:
-            outcome_dims.append(int(rng.integers(1, max_dim + 1)))
+            outcome_dims.append(int(rng.integers(1, 4)))
         iv = random_intervention(d_in, outcome_dims, seed=int(rng.integers(0, 2**62)))
         t = float(rng.uniform(-0.4, 0.4))
         stations.append(

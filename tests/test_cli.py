@@ -190,3 +190,32 @@ def test_velocity_and_tolerance_validation():
 def test_check_commands_require_input():
     with pytest.raises(SystemExit):
         main(["check-invariance"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "nonsense-name"],
+        ["simulate", "{tmp}"],
+        ["demo", "nonsense"],
+        ["check-invariance"],
+        ["check-invariance", "--trials", "0"],
+        ["check-invariance", "counterexample", "--tolerance", "inf"],
+        ["simulate", "eprb", "--seed", "0"],
+    ],
+)
+def test_bad_input_exits_2(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(tmp=tmp_path) for arg in argv])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["dimension-change", "dimension_change"])
+def test_builtin_names_take_dash_or_underscore(name, capsys):
+    code, out, _ = run(capsys, "simulate", name, "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[0] == "A,B,probability"
+    code, out, _ = run(capsys, "demo", name)
+    assert code == 0
+    assert "15-dimensional" in out

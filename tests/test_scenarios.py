@@ -270,16 +270,6 @@ def test_random_product_scenario_passes_both_certifiers():
         assert check_no_signaling(s, last.id, [alt], 1e-9, varied=first.id).ok
 
 
-def test_random_product_scenario_validates_arguments():
-    with pytest.raises(ValueError):
-        random_product_scenario(seed=0, n_stations=9)
-    with pytest.raises(ValueError):
-        random_product_scenario(seed=0, max_dim=7)
-    s = random_product_scenario(seed=3, n_stations=2, max_dim=2)
-    assert len(s.stations) == 2
-    assert all(d == 2 for d in s.dims0)
-
-
 def test_builtin_scenarios_all_valid():
     scenarios = builtin_scenarios()
     assert set(scenarios) == {"eprb", "counterexample", "dimension_change"}

@@ -3,9 +3,10 @@
 A scenario is an initial density matrix over listed subsystem
 dimensions, a set of stations (spacetime event plus a local
 intervention), and optional unitary evolutions between chain positions.
-Evaluating a scenario under a chronological ordering produces one
-unnormalized final state per outcome record; its trace is the record's
-probability.
+Evaluating a scenario under a chronological ordering gives every outcome
+record's probability: the trace of the record's unnormalized final state.
+The last station's outcome probabilities come from its POVM elements, so
+the final states are built only when a caller reads them.
 
 Two certifiers operate on top of the evaluator:
 
@@ -21,7 +22,8 @@ Two certifiers operate on top of the evaluator:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -29,6 +31,7 @@ import numpy as np
 from . import tolerance
 from .linalg import CMatrix, DimensionError, deviation, trace
 from .intervention import Intervention, LocalIntervention, _branch, _factor_sizes
+from .intervention import _outcome_probabilities
 # Not called here (_branch contracts each Kraus matrix on its own factor); bound
 # only because the benchmark's tracer, bench/tracer.py, rebinds these names.
 from .intervention import apply, embed  # noqa: F401
@@ -284,11 +287,23 @@ class Scenario:
 
 @dataclass(frozen=True)
 class EvaluationResult:
-    """Per-record probabilities and unnormalized final states for one ordering."""
+    """Per-record probabilities for one ordering; final states are built on first read.
+
+    ``scenario`` is the evaluated scenario. The first read of
+    ``final_states`` walks it again along ``ordering``, building every
+    branch state, and keeps the result.
+    """
 
     ordering: tuple[str, ...]
     probabilities: dict[Record, float]
-    final_states: dict[Record, CMatrix]
+    scenario: Scenario = field(repr=False, compare=False)
+
+    @cached_property
+    def final_states(self) -> dict[Record, CMatrix]:
+        """Unnormalized final state of every record; its trace is the record's probability."""
+        states: dict[Record, np.ndarray] = {}
+        _walk(self.scenario, self.ordering, states)
+        return {rec: CMatrix(state) for rec, state in states.items()}
 
     def records(self) -> list[Record]:
         return sorted(self.probabilities)
@@ -314,37 +329,28 @@ def _apply_unitary(state: np.ndarray, u: CMatrix, position: str) -> np.ndarray:
     return out
 
 
-def evaluate_in_order(s: Scenario, order: Sequence[str]) -> EvaluationResult:
-    """Evaluate every outcome record under one chronological ordering.
+def _walk(
+    s: Scenario, order: tuple[str, ...], states: dict[Record, np.ndarray] | None
+) -> dict[Record, float]:
+    """Record probabilities of one ordering, walking the branches depth first.
 
-    The ordering must be a permutation of the station ids and a linear
-    extension of the causal partial order of their events. For each
-    record the final state is the sum over Kraus index tuples of
-    K rho0 K^dagger with K the right-to-left product of evolutions and
-    Kraus matrices in chain order, each Kraus matrix acting on its own
-    factor; its trace is the record probability. States travel between
-    stations as read-only arrays; only the final states become CMatrix.
+    Without ``states``, the last station's outcome probabilities come from
+    its POVM elements on the reduced state and its branches are not built,
+    unless an evolution follows that station. With ``states``, every branch
+    is built and each record's final state is stored there.
     """
-    order = tuple(order)
-    ids = {st.id for st in s.stations}
-    if set(order) != ids or len(order) != len(ids):
-        raise ValueError(f"order {order} is not a permutation of station ids {sorted(ids)}")
-    causal = s.causal()
-    pos = {sid: i for i, sid in enumerate(order)}
-    for (a, b) in causal:
-        if pos[a] > pos[b]:
-            raise ValueError(
-                f"order places {a!r} after {b!r}, violating their causal order"
-            )
-
     probabilities: dict[Record, float] = {}
-    final_states: dict[Record, CMatrix] = {}
+    last = len(order) - 1
+    povm_leaf = (
+        states is None
+        and last >= 0
+        and not any(ev.after == order[last] and ev.before is None for ev in s.evolutions)
+    )
 
-    def emit(state: np.ndarray, history: dict[str, str]):
+    def emit(history: dict[str, str], p: float) -> Record:
         rec: Record = tuple(sorted(history.items()))
-        p = float(np.trace(state).real)
         probabilities[rec] = tolerance.check(p, 0.0, s.growth, f"probability of record {rec}")
-        final_states[rec] = CMatrix(state)
+        return rec
 
     def walk(state: np.ndarray, dims: tuple[int, ...], history: dict[str, str], idx: int):
         prev = order[idx - 1] if idx > 0 else None
@@ -352,7 +358,9 @@ def evaluate_in_order(s: Scenario, order: Sequence[str]) -> EvaluationResult:
             u = s._evolution_for(prev, None, history)
             if u is not None:
                 state = _apply_unitary(state, u, f"after {prev!r}")
-            emit(state, history)
+            rec = emit(history, float(np.trace(state).real))
+            if states is not None:
+                states[rec] = state
             return
         cur = order[idx]
         u = s._evolution_for(prev, cur, history)
@@ -365,17 +373,49 @@ def evaluate_in_order(s: Scenario, order: Sequence[str]) -> EvaluationResult:
             before, _ = _factor_sizes(dims, sub, iv.d_in)
         except DimensionError as exc:
             raise DimensionError(f"station {cur!r} at this point in the chain: {exc}") from exc
+        if idx == last and povm_leaf:
+            for o, p in zip(iv.outcomes, _outcome_probabilities(state, iv, before)):
+                emit({**history, cur: o.label}, float(p))
+            return
         for o in iv.outcomes:
             new_dims = dims[:sub] + (o.d_out,) + dims[sub + 1 :]
             walk(_branch(state, iv, o, before), new_dims, {**history, cur: o.label}, idx + 1)
 
     walk(s.rho0.array, tuple(s.dims0), {}, 0)
+    return probabilities
+
+
+def evaluate_in_order(s: Scenario, order: Sequence[str]) -> EvaluationResult:
+    """Evaluate every outcome record under one chronological ordering.
+
+    The ordering must be a permutation of the station ids and a linear
+    extension of the causal partial order of their events. For each
+    record the final state is the sum over Kraus index tuples of
+    K rho0 K^dagger with K the right-to-left product of evolutions and
+    Kraus matrices in chain order, each Kraus matrix acting on its own
+    factor; its trace is the record probability. States travel between
+    stations as read-only arrays. At the last station, when no evolution
+    follows it, each outcome's probability is Tr(E rho_red) from its POVM
+    element E and the state reduced to the station's factor, so no final
+    state is built; the result builds them on first read of
+    ``final_states``.
+    """
+    order = tuple(order)
+    ids = {st.id for st in s.stations}
+    if set(order) != ids or len(order) != len(ids):
+        raise ValueError(f"order {order} is not a permutation of station ids {sorted(ids)}")
+    causal = s.causal()
+    pos = {sid: i for i, sid in enumerate(order)}
+    for (a, b) in causal:
+        if pos[a] > pos[b]:
+            raise ValueError(
+                f"order places {a!r} after {b!r}, violating their causal order"
+            )
+    probabilities = _walk(s, order, None)
     tolerance.check(
         sum(probabilities.values()), 2.0 - s.growth, s.growth, "sum of record probabilities"
     )
-    return EvaluationResult(
-        ordering=order, probabilities=probabilities, final_states=final_states
-    )
+    return EvaluationResult(ordering=order, probabilities=probabilities, scenario=s)
 
 
 def evaluate_in_frame(s: Scenario, f: Frame) -> EvaluationResult:
@@ -528,12 +568,28 @@ def compare_orderings(results: Sequence[EvaluationResult], tol: float) -> Invari
 
 
 @dataclass(frozen=True)
+class NoSignalingWitness:
+    """A target outcome whose marginal differs most between two candidates.
+
+    Candidates are indexed as ``check_no_signaling`` evaluates them: 0 is
+    the original intervention, i the i-th alternative.
+    """
+
+    label: str
+    candidate_low: int
+    candidate_high: int
+    p_low: float
+    p_high: float
+
+
+@dataclass(frozen=True)
 class NoSignalingReport:
     ok: bool
     worst: float
     target: str
     varied: str
     alternatives_checked: int
+    witness: NoSignalingWitness | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -542,6 +598,7 @@ class NoSignalingReport:
             "target": self.target,
             "varied": self.varied,
             "alternatives_checked": self.alternatives_checked,
+            "witness": None if self.witness is None else asdict(self.witness),
         }
 
 
@@ -581,7 +638,9 @@ def check_no_signaling(
     Replaces the varied station's intervention by each alternative in
     turn (the original is always included), evaluates in one admissible
     ordering, and reports the worst change of any entry of the
-    ``target`` station's marginal distribution. The two stations must be
+    ``target`` station's marginal distribution; when the check fails, the
+    witness names that entry and the two candidates realizing it. The two
+    stations must be
     mutually spacelike; each alternative must act on the varied station's
     own subsystem. When ``varied`` is omitted it is inferred from the
     subsystem the alternatives address, provided exactly one
@@ -616,16 +675,23 @@ def check_no_signaling(
     # The original candidate is s itself; only the alternatives need a rebuilt scenario.
     variants = [s, *map(with_varied, alternatives)]
     marginals = [marginal(evaluate_in_order(v, order), target) for v in variants]
-    worst = max(
-        max(m.get(label, 0.0) for m in marginals) - min(m.get(label, 0.0) for m in marginals)
-        for label in set().union(*marginals)
-    )
+    worst = 0.0
+    witness: NoSignalingWitness | None = None
+    for label in sorted(set().union(*marginals)):
+        values = [(m.get(label, 0.0), i) for i, m in enumerate(marginals)]
+        (p_low, low), (p_high, high) = min(values), max(values)
+        # A spread within rounding of the worst so far is a tie, kept in label order.
+        if witness is None or p_high - p_low > worst + tolerance.FLOOR:
+            witness = NoSignalingWitness(label, low, high, p_low, p_high)
+        worst = max(worst, p_high - p_low)
+    ok = worst <= tol
     return NoSignalingReport(
-        ok=worst <= tol,
+        ok=ok,
         worst=worst,
         target=target,
         varied=varied,
         alternatives_checked=len(variants),
+        witness=None if ok else witness,
     )
 
 

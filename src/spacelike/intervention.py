@@ -70,11 +70,15 @@ class Intervention:
       * sum over all outcomes and Kraus indices of A^dagger A equals the
         d_in identity within ``tolerance.COMPLETENESS``; the measured
         deviation is kept in ``deviation``.
+
+    ``povm`` holds each outcome's POVM element E = sum_m A_m^dagger A_m, in
+    outcome order, as one read-only (outcomes, d_in, d_in) array.
     """
 
     d_in: int
     outcomes: tuple[Outcome, ...]
     deviation: float = field(init=False, repr=False, compare=False)
+    povm: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "outcomes", tuple(self.outcomes))
@@ -92,7 +96,11 @@ class Intervention:
                         f"outcome {o.label!r} Kraus[{k}] is {m.rows}x{m.cols}, "
                         f"expected {o.d_out}x{self.d_in}"
                     )
-        worst = deviation(sum(m.array.conj().T @ m.array for o in self.outcomes for m in o.kraus))
+        products = ([m.array.conj().T @ m.array for m in o.kraus] for o in self.outcomes)
+        elements = [sum(rest, first) for first, *rest in products]
+        povm = np.array(elements)
+        povm.setflags(write=False)
+        worst = deviation(sum(elements))
         if worst > tolerance.COMPLETENESS:
             raise CompletenessError(
                 f"Kraus completeness violated: sum of A^dagger A deviates from the "
@@ -100,6 +108,7 @@ class Intervention:
                 worst,
             )
         object.__setattr__(self, "deviation", worst)
+        object.__setattr__(self, "povm", povm)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(o.label for o in self.outcomes)
@@ -180,19 +189,31 @@ def _branch(rho: np.ndarray, iv: Intervention, o: Outcome, b: int) -> np.ndarray
     return out
 
 
+def _outcome_probabilities(rho: np.ndarray, iv: Intervention, b: int) -> np.ndarray:
+    """Branch trace of every outcome of ``iv`` acting after b dimensions, no branch built.
+
+    An outcome's branch trace is Tr(E rho_red), with E its POVM element and
+    rho_red the state reduced to the addressed factor. Each trace has the
+    bound ``_branch`` checks.
+    """
+    d = iv.d_in
+    a = rho.shape[0] // (b * d)
+    # rho_red^T: trace out the b leading and a trailing dimensions of rows and columns.
+    red_t = np.einsum("ixjiyj->yx", rho.reshape(b, d, a, b, d, a))
+    probs = (iv.povm.reshape(len(iv.outcomes), -1) @ red_t.reshape(-1)).real
+    high = float(red_t.trace().real) * tolerance.growth(d, iv.deviation)
+    for o, p in zip(iv.outcomes, probs):
+        tolerance.check(float(p), 0.0, high, f"branch trace for outcome {o.label!r}")
+    return probs
+
+
 def povm_elements(iv: Intervention) -> list[tuple[str, CMatrix]]:
     """POVM element E = sum_m A_m^dagger A_m for each outcome.
 
     Each element is Hermitian and positive semidefinite by construction,
     and Tr(E rho) equals the branch trace of ``apply`` for that outcome.
     """
-    out = []
-    for o in iv.outcomes:
-        acc = np.zeros((iv.d_in, iv.d_in), dtype=np.complex128)
-        for m in o.kraus:
-            acc += m.array.conj().T @ m.array
-        out.append((o.label, CMatrix(acc)))
-    return out
+    return [(o.label, CMatrix(e)) for o, e in zip(iv.outcomes, iv.povm)]
 
 
 def embed(liv: LocalIntervention, dims: Sequence[int]) -> Intervention:

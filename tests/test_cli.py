@@ -99,6 +99,7 @@ def test_check_no_signaling_builtin(capsys):
     assert doc["ok"] is True
     assert doc["worst"] < 1e-9
     assert len(doc["pairs"]) == 2
+    assert all(pair["witness"] is None for pair in doc["pairs"])
 
 
 def test_check_no_signaling_single_pair(capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spacelike import experiment
 from spacelike.linalg import CMatrix, DimensionError, max_abs_diff, trace
 from spacelike.intervention import Intervention, LocalIntervention, Outcome, random_intervention
 from spacelike.experiment import (
@@ -18,8 +19,14 @@ from spacelike.experiment import (
     marginal,
     state_at_cut,
 )
-from spacelike.scenarios import eprb, random_product_scenario, spin_analyzer
-from spacelike.spacetime import Event, Frame
+from spacelike.scenarios import (
+    builtin_scenarios,
+    eprb,
+    noncommuting_counterexample,
+    random_product_scenario,
+    spin_analyzer,
+)
+from spacelike.spacetime import Event, Frame, linear_extensions
 
 P0 = CMatrix(np.diag([1.0, 0.0]).astype(complex))
 P1 = CMatrix(np.diag([0.0, 1.0]).astype(complex))
@@ -489,6 +496,19 @@ def test_no_signaling_detects_same_subsystem_influence():
     assert report.worst == pytest.approx(0.5, abs=1e-12)
 
 
+def test_no_signaling_witness_names_target_outcome_and_candidates():
+    # Z fires first on |0>: X's x+ marginal is 1/2 under the original, 1 under a Hadamard.
+    hadamard = Intervention(d_in=2, outcomes=(Outcome("h", 2, (HADAMARD,)),))
+    s = noncommuting_counterexample()
+    report = check_no_signaling(s, "X", [LocalIntervention(0, hadamard)], 1e-9, varied="Z")
+    assert not report.ok
+    witness = report.as_dict()["witness"]
+    assert (witness["label"], witness["candidate_low"], witness["candidate_high"]) == ("x+", 0, 1)
+    assert witness["p_low"] == pytest.approx(0.5, abs=1e-12)
+    assert witness["p_high"] == pytest.approx(1.0, abs=1e-12)
+    assert check_no_signaling(s, "X", [s.station("Z").local], 1e-9, varied="Z").witness is None
+
+
 def test_no_signaling_rejects_timelike_pairs():
     s = timelike_chain_scenario()
     with pytest.raises(ValueError, match="spacelike"):
@@ -568,3 +588,105 @@ def test_state_at_cut_rejects_spacelike_stations():
     s = eprb(0.0, 1.0)
     with pytest.raises(ValueError, match="spacelike"):
         state_at_cut(s, 0.0, 0.0)
+
+
+# ------------------------------------------------- leaf step and final states
+
+
+def assert_leaf_step_matches_state_path(s, orders=None):
+    """Probabilities from the POVM leaf step equal the traces of the built final states."""
+    for order in orders or linear_extensions(s.causal(), s.events()):
+        result = evaluate_in_order(s, order)
+        states = result.final_states
+        assert set(result.probabilities) == set(states)
+        for rec, p in result.probabilities.items():
+            assert abs(p - trace(states[rec]).real) <= 1e-12, (order, rec)
+
+
+def random_density(d, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = g @ g.conj().T
+    return CMatrix(rho / np.trace(rho).real)
+
+
+def test_leaf_step_matches_state_path_on_random_products():
+    for k in range(100):
+        assert_leaf_step_matches_state_path(random_product_scenario(seed=k))
+
+
+def test_leaf_step_matches_state_path_on_builtins():
+    for s in builtin_scenarios().values():
+        assert_leaf_step_matches_state_path(s)
+
+
+def test_leaf_step_matches_state_path_on_a_dimension_changing_middle_factor():
+    # Every station is last in some ordering. The middle one turns its qutrit
+    # into a qubit (an outcome with two Kraus matrices) or a ququart and, as
+    # the outer ones change dimension too, meets b of 3 or 2 dimensions before
+    # it and a of 2, 3 or 1 after it.
+    first, second, third = random_intervention(3, [2, 2, 4], seed=12).outcomes
+    middle = Intervention(d_in=3, outcomes=(Outcome("two", 2, first.kraus + second.kraus), third))
+    s = Scenario(
+        dims0=(3, 3, 2),
+        rho0=random_density(18, seed=5),
+        stations=(
+            station("L", 0.0, 0.0, 0, random_intervention(3, [2, 2], seed=11)),
+            station("M", 0.1, 3.0, 1, middle),
+            station("R", 0.2, 6.0, 2, random_intervention(2, [3, 1], seed=13)),
+        ),
+    )
+    assert_leaf_step_matches_state_path(s)
+
+
+def test_leaf_step_matches_state_path_on_a_conditional_last_station():
+    s = Scenario(
+        dims0=(2, 2),
+        rho0=random_density(4, seed=6),
+        stations=(
+            station("A", 0.0, 0.0, 0, z_iv()),
+            Station(
+                Event("B", 2.0, 0.0),
+                ConditionalLocal(
+                    1,
+                    ("A",),
+                    {
+                        ("z+",): random_intervention(2, [2, 2], seed=21),
+                        ("z-",): random_intervention(2, [1, 3, 1], seed=22),
+                    },
+                ),
+            ),
+        ),
+    )
+    assert_leaf_step_matches_state_path(s, [["A", "B"]])
+
+
+def test_final_evolution_after_the_last_station_takes_the_state_path(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the POVM leaf step ran before a final evolution")
+
+    s = timelike_chain_scenario(
+        rho0=random_density(2, seed=7),
+        evolutions=(Evolution("Q", None, HADAMARD, history={"Q": "x+"}),),
+    )
+    monkeypatch.setattr(experiment, "_outcome_probabilities", unreachable)
+    assert_leaf_step_matches_state_path(s)
+
+
+def test_final_states_are_built_on_first_read_only(monkeypatch):
+    built = []
+    init = CMatrix.__init__
+
+    def counted(self, entries):
+        built.append(entries)
+        init(self, entries)
+
+    s = builtin_scenarios()["dimension_change"]
+    monkeypatch.setattr(CMatrix, "__init__", counted)
+    result = evaluate_in_order(s, [st.id for st in s.stations])
+    assert check_order_invariance(s, 1e-9).ok
+    assert built == []
+    states = result.final_states
+    assert len(built) == len(states) == len(result.probabilities)
+    assert result.final_states is states
+    assert len(built) == len(states)

@@ -498,6 +498,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "trials", 0) is None and args.scenario is None:
         parser.error("provide a scenario or --trials")
+    if getattr(args, "trials", None) is not None:
+        # The sweep checks random scenarios, so it would drop a scenario or a station pair.
+        given = [n for n in ("scenario", "target", "varied") if getattr(args, n, None) is not None]
+        if given:
+            parser.error(f"--trials sweeps random scenarios and cannot be combined with {', '.join(given)}")
     try:
         return _COMMANDS[args.command](args, sys.stdout)
     except SchemaError as exc:

@@ -63,7 +63,6 @@ __all__ = [
     "evaluate_in_frame",
     "evaluate_in_order",
     "marginal",
-    "state_at_cut",
 ]
 
 # A record assigns one outcome label per station; stored canonically as
@@ -694,69 +693,3 @@ def check_no_signaling(
         witness=None if ok else witness,
     )
 
-
-@dataclass(frozen=True)
-class CutState:
-    """Unnormalized state of one record prefix at a causal cut point."""
-
-    record: Record
-    dims: tuple[int, ...]
-    state: CMatrix
-
-
-def state_at_cut(s: Scenario, t: float, x: float) -> list[CutState]:
-    """Chain-prefix states at a spacetime point no station is spacelike to.
-
-    Experimental. Valid only when every station is strictly inside the
-    past or future light cone of (t, x); the returned states are the
-    unnormalized branch states right after the last past-cone
-    intervention (with the evolutions between past stations applied, and
-    none of the slab crossing the cut).
-    """
-    cut = Event(id="__cut__", t=t, x=x)
-    past, future = [], []
-    for st in s.stations:
-        kind = classify(cut, st.event)
-        if kind in (IntervalKind.TIMELIKE_FUTURE, IntervalKind.LIGHTLIKE_FUTURE):
-            future.append(st)
-        elif kind in (IntervalKind.TIMELIKE_PAST, IntervalKind.LIGHTLIKE_PAST):
-            past.append(st)
-        else:
-            raise ValueError(
-                f"station {st.id!r} is {kind.value} with respect to the cut point; "
-                "an intermediate state is well-defined only when no intervention is "
-                "spacelike from it"
-            )
-    prefix = Scenario(
-        dims0=s.dims0,
-        rho0=s.rho0,
-        stations=tuple(past),
-        evolutions=tuple(
-            ev
-            for ev in s.evolutions
-            if (ev.after is None or any(st.id == ev.after for st in past))
-            and ev.before is not None
-            and any(st.id == ev.before for st in past)
-        ),
-    )
-    if not past:
-        return [CutState(record=(), dims=tuple(s.dims0), state=s.rho0)]
-    result = evaluate_in_order(prefix, _chronological_ids(prefix))
-    out = []
-    for rec in result.records():
-        state = result.final_states[rec]
-        dims = _dims_after(s, rec)
-        out.append(CutState(record=rec, dims=dims, state=state))
-    return out
-
-
-def _dims_after(s: Scenario, rec: Record) -> tuple[int, ...]:
-    dims = list(s.dims0)
-    assigned = dict(rec)
-    for st in sorted(s.stations, key=lambda st: (st.event.t, st.id)):
-        if st.id not in assigned:
-            continue
-        iv = st.resolve({k: v for k, v in assigned.items()})
-        o = iv.outcome(assigned[st.id])
-        dims[st.subsystem] = o.d_out
-    return tuple(dims)

@@ -17,16 +17,14 @@ from typing import Sequence
 import numpy as np
 
 from . import tolerance
-from .linalg import CMatrix, DimensionError, deviation, kron, matmul, max_abs_diff
+from .linalg import CMatrix, DimensionError, deviation, kron
 
 __all__ = [
     "CompletenessError",
-    "CommutationReport",
     "Intervention",
     "LocalIntervention",
     "Outcome",
     "apply",
-    "commutes",
     "embed",
     "povm_elements",
     "random_intervention",
@@ -232,38 +230,6 @@ def embed(liv: LocalIntervention, dims: Sequence[int]) -> Intervention:
         lifted = tuple(kron(kron(eye_b, m), eye_a) for m in o.kraus)
         outcomes.append(Outcome(label=o.label, d_out=before * o.d_out * after, kraus=lifted))
     return Intervention(d_in=before * liv.local.d_in * after, outcomes=tuple(outcomes))
-
-
-@dataclass(frozen=True)
-class CommutationReport:
-    ok: bool
-    worst: float
-
-
-def commutes(
-    a_set: Sequence[CMatrix], b_set: Sequence[CMatrix], tol: float
-) -> CommutationReport:
-    """Check that every matrix of one set commutes with every matrix of the other.
-
-    All matrices must be square and of one common dimension; compare
-    dimension-changing interventions by embedding both into the composite
-    space first.
-    """
-    mats = list(a_set) + list(b_set)
-    if not mats:
-        raise ValueError("commutes needs at least one matrix per set")
-    n = mats[0].rows
-    for m in mats:
-        if m.rows != m.cols or m.rows != n:
-            raise DimensionError(
-                f"commutation check needs square matrices of one dimension; "
-                f"got {m.rows}x{m.cols} alongside {n}x{n}"
-            )
-    worst = 0.0
-    for a in a_set:
-        for b in b_set:
-            worst = max(worst, max_abs_diff(matmul(a, b), matmul(b, a)))
-    return CommutationReport(ok=worst <= tol, worst=worst)
 
 
 def random_intervention(

@@ -8,8 +8,6 @@ stations the evaluator carries the underlying read-only arrays instead.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 import numpy as np
 
 __all__ = [
@@ -54,14 +52,6 @@ class CMatrix:
     def identity(cls, n: int) -> "CMatrix":
         return cls(np.eye(n))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "CMatrix":
-        return cls(np.zeros((rows, cols)))
-
-    @classmethod
-    def diag(cls, values: Iterable[complex]) -> "CMatrix":
-        return cls(np.diag(np.asarray(list(values), dtype=np.complex128)))
-
     @property
     def rows(self) -> int:
         return self._a.shape[0]
@@ -78,9 +68,6 @@ class CMatrix:
     def array(self) -> np.ndarray:
         """The underlying read-only ndarray."""
         return self._a
-
-    def __matmul__(self, other: "CMatrix") -> "CMatrix":
-        return matmul(self, other)
 
     def __repr__(self) -> str:
         return f"CMatrix({self.rows}x{self.cols})"

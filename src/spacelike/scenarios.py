@@ -6,7 +6,6 @@ generator feeding the certifiers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +15,6 @@ from .experiment import Scenario, Station, evaluate_in_order
 from .spacetime import Event, IntervalKind, classify
 
 __all__ = [
-    "AnalyzerDirection",
     "builtin_scenarios",
     "chsh",
     "correlation",
@@ -32,26 +30,13 @@ __all__ = [
 _DEFAULT_LAYOUT = (Event(id="A", t=0.0, x=1.0), Event(id="B", t=0.5, x=-1.0))
 
 
-@dataclass(frozen=True)
-class AnalyzerDirection:
-    """In-plane direction of a spin analyzer, reduced modulo 2*pi."""
-
-    angle: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "angle", float(self.angle) % (2.0 * math.pi))
-
-
-def spin_analyzer(direction: AnalyzerDirection | float) -> Intervention:
+def spin_analyzer(angle: float) -> Intervention:
     """Binary projective measurement of spin along an in-plane direction.
 
     The "+" outcome projects onto the eigenvector of
     cos(angle) sigma_z + sin(angle) sigma_x with eigenvalue +1.
     """
-    if not isinstance(direction, AnalyzerDirection):
-        direction = AnalyzerDirection(direction)
-    a = direction.angle
-    c, s = math.cos(a), math.sin(a)
+    c, s = math.cos(angle), math.sin(angle)
     p_plus = 0.5 * np.array([[1.0 + c, s], [s, 1.0 - c]], dtype=complex)
     p_minus = np.eye(2, dtype=complex) - p_plus
     return Intervention(

@@ -161,13 +161,14 @@ def linear_extensions(
     """All total orders of the events consistent with the partial order.
 
     Refuses more than MAX_EXTENSION_EVENTS events: the count of
-    extensions grows factorially, so large sets should be explored by
-    sampling frame velocities instead.
+    extensions grows factorially. Such a scenario can still be evaluated
+    one frame at a time.
     """
     if len(events) > MAX_EXTENSION_EVENTS:
         raise ValueError(
-            f"{len(events)} events exceed the limit of {MAX_EXTENSION_EVENTS} for "
-            "exhaustive enumeration; sample frame velocities (frame_ordering) instead"
+            f"{len(events)} events exceed the limit of {MAX_EXTENSION_EVENTS} events for "
+            "enumerating every ordering; evaluate single frames instead "
+            "(simulate --frame-velocity, evaluate_in_frame)"
         )
     ids = [e.id for e in events]
     if len(set(ids)) != len(ids):

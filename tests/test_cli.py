@@ -10,7 +10,7 @@ from spacelike.experiment import ConditionalLocal, Scenario, Station
 from spacelike.intervention import LocalIntervention, random_intervention
 from spacelike.linalg import CMatrix
 from spacelike.schema import serialize_scenario
-from spacelike.scenarios import eprb
+from spacelike.scenarios import eprb, spin_analyzer
 from spacelike.spacetime import Event
 
 
@@ -203,6 +203,8 @@ def test_check_commands_require_input():
         ["check-invariance", "--trials", "0"],
         ["check-invariance", "counterexample", "--tolerance", "inf"],
         ["simulate", "eprb", "--seed", "0"],
+        ["check-invariance", "counterexample", "--trials", "2"],
+        ["check-no-signaling", "--trials", "2", "--target", "B", "--varied", "A"],
     ],
 )
 def test_bad_input_exits_2(argv, tmp_path, capsys):
@@ -210,6 +212,27 @@ def test_bad_input_exits_2(argv, tmp_path, capsys):
         main([arg.format(tmp=tmp_path) for arg in argv])
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_check_invariance_refuses_more_than_eight_events(tmp_path, capsys):
+    # Nine stations, three in a timelike chain on each qubit of a product state.
+    s = Scenario(
+        dims0=(2, 2, 2),
+        rho0=CMatrix(np.eye(8) / 8),
+        stations=tuple(
+            Station(
+                Event(f"S{i}", 2.0 * (i // 3), 10.0 * (i % 3)),
+                LocalIntervention(i % 3, spin_analyzer(0.3 * i)),
+            )
+            for i in range(9)
+        ),
+    )
+    path = tmp_path / "nine.json"
+    path.write_text(serialize_scenario(s))
+    code, out, err = run(capsys, "check-invariance", str(path))
+    assert code == 2
+    assert "limit of 8 events" in err and "simulate --frame-velocity" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("name", ["dimension-change", "dimension_change"])

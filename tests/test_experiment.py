@@ -17,7 +17,6 @@ from spacelike.experiment import (
     evaluate_in_frame,
     evaluate_in_order,
     marginal,
-    state_at_cut,
 )
 from spacelike.scenarios import (
     builtin_scenarios,
@@ -92,13 +91,13 @@ def test_scenario_validates_evolutions():
     stations = (station("P", 0.0, 0.0, 0, z_iv()), station("Q", 2.0, 0.0, 0, x_iv()))
     base = dict(dims0=(2,), rho0=maximally_mixed(), stations=stations)
     with pytest.raises(ValueError, match="unitary"):
-        Scenario(**base, evolutions=(Evolution("P", "Q", CMatrix.diag([1.0, 0.5])),))
+        Scenario(**base, evolutions=(Evolution("P", "Q", CMatrix(np.diag([1.0, 0.5]))),))
     with pytest.raises(ValueError, match="unknown station"):
         Scenario(**base, evolutions=(Evolution("P", "R", CMatrix.identity(2)),))
     with pytest.raises(ValueError, match="at least one station"):
         Scenario(**base, evolutions=(Evolution(None, None, CMatrix.identity(2)),))
     with pytest.raises(DimensionError):
-        Scenario(**base, evolutions=(Evolution("P", "Q", CMatrix.zeros(2, 3)),))
+        Scenario(**base, evolutions=(Evolution("P", "Q", CMatrix(np.zeros((2, 3)))),))
     with pytest.raises(ValueError, match="unknown"):
         Scenario(
             **base,
@@ -558,36 +557,6 @@ def test_result_serialization_shape():
     rec = doc["records"][0]
     assert set(rec) == {"outcomes", "probability"}
     assert set(rec["outcomes"]) == {"A", "B"}
-
-
-# ------------------------------------------------------------- state at cut
-
-
-def test_state_at_cut_between_chain_stations():
-    s = timelike_chain_scenario(
-        evolutions=(Evolution("P", "Q", HADAMARD),)
-    )
-    cuts = state_at_cut(s, 1.0, 0.0)
-    assert len(cuts) == 2
-    by_record = {c.record: c for c in cuts}
-    up = by_record[(("P", "z+"),)]
-    assert up.dims == (2,)
-    # the crossing evolution toward Q is not applied at the cut
-    np.testing.assert_allclose(up.state.array, 0.5 * np.diag([1.0, 0.0]), atol=1e-12)
-
-
-def test_state_at_cut_before_everything():
-    s = eprb(0.0, 1.0, layout=(Event("A", 5.0, 1.0), Event("B", 5.5, -1.0)))
-    cuts = state_at_cut(s, -10.0, 0.0)
-    assert len(cuts) == 1
-    assert cuts[0].record == ()
-    assert max_abs_diff(cuts[0].state, s.rho0) == 0.0
-
-
-def test_state_at_cut_rejects_spacelike_stations():
-    s = eprb(0.0, 1.0)
-    with pytest.raises(ValueError, match="spacelike"):
-        state_at_cut(s, 0.0, 0.0)
 
 
 # ------------------------------------------------- leaf step and final states

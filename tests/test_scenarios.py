@@ -14,7 +14,6 @@ from spacelike.experiment import (
     marginal,
 )
 from spacelike.scenarios import (
-    AnalyzerDirection,
     builtin_scenarios,
     chsh,
     correlation,
@@ -28,9 +27,11 @@ from spacelike.scenarios import (
 from spacelike.spacetime import Event, IntervalKind, classify
 
 
-def test_analyzer_direction_reduces_modulo_two_pi():
-    assert AnalyzerDirection(2.0 * math.pi + 0.5).angle == pytest.approx(0.5)
-    assert AnalyzerDirection(-0.5).angle == pytest.approx(2.0 * math.pi - 0.5)
+def test_spin_analyzer_is_periodic_in_two_pi():
+    for angle in (-0.5, 0.0, 0.4, 2.5, 6.0):
+        a, b = spin_analyzer(angle), spin_analyzer(angle + 2.0 * math.pi)
+        for label in ("+", "-"):
+            assert max_abs_diff(a.outcome(label).kraus[0], b.outcome(label).kraus[0]) <= 1e-12
 
 
 def test_spin_analyzer_is_a_projective_pair():
@@ -39,7 +40,7 @@ def test_spin_analyzer_is_a_projective_pair():
         p_plus = iv.outcome("+").kraus[0]
         p_minus = iv.outcome("-").kraus[0]
         assert max_abs_diff(matmul(p_plus, p_plus), p_plus) < 1e-12
-        assert max_abs_diff(matmul(p_plus, p_minus), CMatrix.zeros(2, 2)) < 1e-12
+        assert max_abs_diff(matmul(p_plus, p_minus), CMatrix(np.zeros((2, 2)))) < 1e-12
         total = CMatrix(p_plus.array + p_minus.array)
         assert max_abs_diff(total, CMatrix.identity(2)) == 0.0
 

@@ -5,6 +5,9 @@ dimensions, a set of stations (spacetime event plus a local
 intervention), and optional unitary evolutions between chain positions.
 Evaluating a scenario under a chronological ordering gives every outcome
 record's probability: the trace of the record's unnormalized final state.
+The probability walk carries a factor V of rho0 = V V^dagger, D x r with
+r = rank(rho0), wherever the Kraus matrices cannot widen it past D;
+otherwise, and to build final states, it carries D x D density matrices.
 The last station's outcome probabilities come from its POVM elements, so
 the final states are built only when a caller reads them.
 
@@ -30,8 +33,8 @@ import numpy as np
 
 from . import tolerance
 from .linalg import CMatrix, DimensionError, deviation, trace
-from .intervention import Intervention, LocalIntervention, _branch, _factor_sizes
-from .intervention import _outcome_probabilities
+from .intervention import Intervention, LocalIntervention, _factor_sizes, _trace
+from .intervention import _branch, _branch_factor, _outcome_probabilities
 # Not called here (_branch contracts each Kraus matrix on its own factor); bound
 # only because the benchmark's tracer, bench/tracer.py, rebinds these names.
 from .intervention import apply, embed  # noqa: F401
@@ -265,6 +268,32 @@ class Scenario:
                         "overlapping history conditions; matches must be unambiguous"
                     )
 
+    @cached_property
+    def _factor(self) -> np.ndarray | None:
+        """Read-only factor V of rho0 for the probability walk, or None to walk rho0.
+
+        V's columns are the eigenvectors of rho0's Hermitian part, scaled by
+        the square roots of their eigenvalues, less those at or below
+        ``tolerance.rank_cutoff``. An outcome with k Kraus matrices widens V
+        k-fold, so V is used only while rank(rho0) times the product over
+        stations of their largest k stays within rho0's dimension.
+        """
+        total = self.rho0.rows
+        widening = math.prod(
+            max(len(o.kraus) for iv in st.interventions().values() for o in iv.outcomes)
+            for st in self.stations
+        )
+        if widening > total:
+            return None
+        rho = self.rho0.array
+        w, q = np.linalg.eigh((rho + rho.conj().T) / 2)
+        keep = w > tolerance.rank_cutoff(total)
+        if np.count_nonzero(keep) * widening > total:
+            return None
+        v = q[:, keep] * np.sqrt(w[keep])
+        v.setflags(write=False)
+        return v
+
     def station(self, station_id: str) -> Station:
         for s in self.stations:
             if s.id == station_id:
@@ -317,13 +346,13 @@ class EvaluationResult:
         }
 
 
-def _apply_unitary(state: np.ndarray, u: CMatrix, position: str) -> np.ndarray:
+def _apply_unitary(state: np.ndarray, u: CMatrix, position: str, factor: bool) -> np.ndarray:
     if u.rows != state.shape[0]:
         raise DimensionError(
             f"evolution {position} is {u.rows}x{u.cols}, but the state there is "
             f"{state.shape[0]}-dimensional"
         )
-    out = u.array @ state @ u.array.conj().T
+    out = u.array @ state if factor else u.array @ state @ u.array.conj().T
     out.setflags(write=False)
     return out
 
@@ -333,12 +362,19 @@ def _walk(
 ) -> dict[Record, float]:
     """Record probabilities of one ordering, walking the branches depth first.
 
-    Without ``states``, the last station's outcome probabilities come from
-    its POVM elements on the reduced state and its branches are not built,
-    unless an evolution follows that station. With ``states``, every branch
-    is built and each record's final state is stored there.
+    With ``states``, the walk carries rho0, builds every branch state and
+    stores each record's final state there. Without it, the walk carries
+    the scenario's factor V of rho0 where it has one (a Kraus matrix maps V
+    to (I (x) A (x) I) V, an evolution U maps V to U V, and a record's
+    probability is ||V||_F^2) and rho0 otherwise; the last station's
+    outcome probabilities come from its POVM elements on the reduced state
+    and its branches are not built, unless an evolution follows that
+    station.
     """
     probabilities: dict[Record, float] = {}
+    v0 = None if states is not None else s._factor
+    factor = v0 is not None
+    branch = _branch_factor if factor else _branch
     last = len(order) - 1
     povm_leaf = (
         states is None
@@ -356,15 +392,15 @@ def _walk(
         if idx == len(order):
             u = s._evolution_for(prev, None, history)
             if u is not None:
-                state = _apply_unitary(state, u, f"after {prev!r}")
-            rec = emit(history, float(np.trace(state).real))
+                state = _apply_unitary(state, u, f"after {prev!r}", factor)
+            rec = emit(history, _trace(state, factor))
             if states is not None:
                 states[rec] = state
             return
         cur = order[idx]
         u = s._evolution_for(prev, cur, history)
         if u is not None:
-            state = _apply_unitary(state, u, f"between {prev!r} and {cur!r}")
+            state = _apply_unitary(state, u, f"between {prev!r} and {cur!r}", factor)
         st = s.station(cur)
         sub = st.subsystem
         iv = st.resolve(history)
@@ -373,14 +409,14 @@ def _walk(
         except DimensionError as exc:
             raise DimensionError(f"station {cur!r} at this point in the chain: {exc}") from exc
         if idx == last and povm_leaf:
-            for o, p in zip(iv.outcomes, _outcome_probabilities(state, iv, before)):
+            for o, p in zip(iv.outcomes, _outcome_probabilities(state, iv, before, factor)):
                 emit({**history, cur: o.label}, float(p))
             return
         for o in iv.outcomes:
             new_dims = dims[:sub] + (o.d_out,) + dims[sub + 1 :]
-            walk(_branch(state, iv, o, before), new_dims, {**history, cur: o.label}, idx + 1)
+            walk(branch(state, iv, o, before), new_dims, {**history, cur: o.label}, idx + 1)
 
-    walk(s.rho0.array, tuple(s.dims0), {}, 0)
+    walk(v0 if factor else s.rho0.array, tuple(s.dims0), {}, 0)
     return probabilities
 
 
@@ -392,11 +428,15 @@ def evaluate_in_order(s: Scenario, order: Sequence[str]) -> EvaluationResult:
     record the final state is the sum over Kraus index tuples of
     K rho0 K^dagger with K the right-to-left product of evolutions and
     Kraus matrices in chain order, each Kraus matrix acting on its own
-    factor; its trace is the record probability. States travel between
-    stations as read-only arrays. At the last station, when no evolution
-    follows it, each outcome's probability is Tr(E rho_red) from its POVM
-    element E and the state reduced to the station's factor, so no final
-    state is built; the result builds them on first read of
+    factor; its trace is the record probability. The probabilities are
+    computed as ||K V||_F^2, summed over the Kraus index tuples, from a
+    factor V of rho0 = V V^dagger whenever rank(rho0) times the product of
+    the stations' largest Kraus counts is at most rho0's dimension, and
+    from D x D states otherwise; both travel between stations as read-only
+    arrays. At the last station, when no evolution follows it, each
+    outcome's probability is Tr(E rho_red) from its POVM element E and the
+    state reduced to the station's factor, so no final state is built; the
+    result builds them, as density matrices, on first read of
     ``final_states``.
     """
     order = tuple(order)

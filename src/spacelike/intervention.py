@@ -5,7 +5,8 @@ state per outcome, rho -> sum_m A_m rho A_m^dagger, where the Kraus
 matrices of an outcome may have more or fewer rows than columns (the
 output Hilbert space need not match the input). Completeness of the full
 branch set is enforced at construction so that branch traces always form
-a probability distribution.
+a probability distribution. The same branch acts on a factor V of
+rho = V V^dagger as V -> [A_1 V, ..., A_k V], one product per Kraus matrix.
 """
 
 from __future__ import annotations
@@ -166,6 +167,23 @@ def _lift_left(k: np.ndarray, x: np.ndarray, b: int) -> np.ndarray:
     return (k @ x.reshape(b, k.shape[1], -1)).reshape(-1, x.shape[1])
 
 
+def _trace(x: np.ndarray, factor: bool) -> float:
+    """Trace of the state ``x`` carries: ||x||_F^2 of a factor V of rho = V V^dagger, tr x of rho."""
+    return float(np.vdot(x, x).real if factor else np.trace(x).real)
+
+
+def _checked(out: np.ndarray, parent: float, iv: Intervention, o: Outcome, factor: bool):
+    """Freeze a branch once its trace is within the derived growth of the parent's trace."""
+    tolerance.check(
+        _trace(out, factor),
+        0.0,
+        parent * tolerance.growth(iv.d_in, iv.deviation),
+        f"branch trace for outcome {o.label!r}",
+    )
+    out.setflags(write=False)
+    return out
+
+
 def _branch(rho: np.ndarray, iv: Intervention, o: Outcome, b: int) -> np.ndarray:
     """Read-only branch state of outcome ``o``, ``iv`` acting after b dimensions.
 
@@ -177,27 +195,39 @@ def _branch(rho: np.ndarray, iv: Intervention, o: Outcome, b: int) -> np.ndarray
     for m in o.kraus:
         term = _lift_left(m.array, _lift_left(m.array, rho, b).conj().T, b).conj().T
         out = term if out is None else out + term
-    tolerance.check(
-        float(np.trace(out).real),
-        0.0,
-        float(np.trace(rho).real) * tolerance.growth(iv.d_in, iv.deviation),
-        f"branch trace for outcome {o.label!r}",
-    )
-    out.setflags(write=False)
-    return out
+    return _checked(out, _trace(rho, False), iv, o, False)
 
 
-def _outcome_probabilities(rho: np.ndarray, iv: Intervention, b: int) -> np.ndarray:
+def _branch_factor(v: np.ndarray, iv: Intervention, o: Outcome, b: int) -> np.ndarray:
+    """Read-only factor of outcome ``o``'s branch state, given a factor V of rho = V V^dagger.
+
+    Each Kraus matrix A gives L V with L = I_b (x) A (x) I_a, one row
+    contraction; the k matrices of an outcome sit side by side, so the
+    width grows k-fold and sum_m L_m rho L_m^dagger = V' V'^dagger. The
+    branch trace ||V'||_F^2 has the bound ``_branch`` checks.
+    """
+    terms = [_lift_left(m.array, v, b) for m in o.kraus]
+    out = terms[0] if len(terms) == 1 else np.hstack(terms)
+    return _checked(out, _trace(v, True), iv, o, True)
+
+
+def _outcome_probabilities(x: np.ndarray, iv: Intervention, b: int, factor: bool) -> np.ndarray:
     """Branch trace of every outcome of ``iv`` acting after b dimensions, no branch built.
 
+    ``x`` is rho, or a factor V of rho = V V^dagger when ``factor`` is set.
     An outcome's branch trace is Tr(E rho_red), with E its POVM element and
     rho_red the state reduced to the addressed factor. Each trace has the
     bound ``_branch`` checks.
     """
     d = iv.d_in
-    a = rho.shape[0] // (b * d)
-    # rho_red^T: trace out the b leading and a trailing dimensions of rows and columns.
-    red_t = np.einsum("ixjiyj->yx", rho.reshape(b, d, a, b, d, a))
+    if factor:
+        # rho_red = W W^dagger, W gathering every row of V that addresses factor entry x.
+        w = x.reshape(b, d, -1).transpose(1, 0, 2).reshape(d, -1)
+        red_t = w.conj() @ w.T
+    else:
+        a = x.shape[0] // (b * d)
+        # rho_red^T: trace out the b leading and a trailing dimensions of rows and columns.
+        red_t = np.einsum("ixjiyj->yx", x.reshape(b, d, a, b, d, a))
     probs = (iv.povm.reshape(len(iv.outcomes), -1) @ red_t.reshape(-1)).real
     high = float(red_t.trace().real) * tolerance.growth(d, iv.deviation)
     for o, p in zip(iv.outcomes, probs):

@@ -27,7 +27,7 @@ __all__ = [
     "linear_extensions",
 ]
 
-MAX_EXTENSION_EVENTS = 8
+MAX_EXTENSIONS = math.factorial(8)
 
 
 @dataclass(frozen=True)
@@ -160,16 +160,10 @@ def linear_extensions(
 ) -> list[tuple[str, ...]]:
     """All total orders of the events consistent with the partial order.
 
-    Refuses more than MAX_EXTENSION_EVENTS events: the count of
-    extensions grows factorially. Such a scenario can still be evaluated
-    one frame at a time.
+    Refuses more than MAX_EXTENSIONS (8!) of them: their count grows
+    factorially with the number of mutually spacelike events. Such a
+    scenario can still be evaluated one frame at a time.
     """
-    if len(events) > MAX_EXTENSION_EVENTS:
-        raise ValueError(
-            f"{len(events)} events exceed the limit of {MAX_EXTENSION_EVENTS} events for "
-            "enumerating every ordering; evaluate single frames instead "
-            "(simulate --frame-velocity, evaluate_in_frame)"
-        )
     ids = [e.id for e in events]
     if len(set(ids)) != len(ids):
         raise ValueError("event ids must be unique")
@@ -181,6 +175,12 @@ def linear_extensions(
 
     def backtrack():
         if len(chosen) == len(ids):
+            if len(out) == MAX_EXTENSIONS:
+                raise ValueError(
+                    f"{len(ids)} events have more than {MAX_EXTENSIONS} orderings (8!), "
+                    "the limit for enumerating every ordering; evaluate single frames "
+                    "instead (simulate --frame-velocity, evaluate_in_frame)"
+                )
             out.append(tuple(chosen))
             return
         for i in ids:

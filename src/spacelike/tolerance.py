@@ -13,6 +13,9 @@ raises ValueError.
   with a shift of STATE / D, negative eigenvalues of total mass below
   STATE; float rounding adds far less than STATE to a trace. ``FLOOR``
   covers all three.
+* When the evaluator walks a factor V of rho0 (rho0 ~ V V^dagger), V
+  drops every eigenvalue at or below ``rank_cutoff(D)``; the dropped
+  mass, of either sign, takes the place of the negative mass.
 """
 
 TIE = 1e-12  # boosted times this close are a tie, reported rather than broken
@@ -27,6 +30,18 @@ FLOOR = 3 * STATE  # absolute allowance of every runtime trace bound
 def growth(d: int, deviation: float) -> float:
     """Bound on how much a map accepted at ``deviation`` on d dimensions can raise a trace."""
     return 1.0 + d * deviation
+
+
+def rank_cutoff(d: int) -> float:
+    """Largest eigenvalue of a d x d rho0 dropped from its factor V (rho0 ~ V V^dagger).
+
+    Every dropped eigenvalue lies in [-STATE / d, STATE / d] (the positivity
+    check bounds the negative ones) and at most d are dropped, so the
+    dropped mass is at most STATE in size. tr V V^dagger is then within
+    2 STATE of 1 for a rho0 accepted at |tr - 1| <= STATE, and ``FLOOR`` =
+    3 STATE covers both with room for rounding.
+    """
+    return STATE / d
 
 
 def check(value: float, low: float, high: float, what: str) -> float:

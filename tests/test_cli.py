@@ -214,25 +214,37 @@ def test_bad_input_exits_2(argv, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_check_invariance_refuses_more_than_eight_events(tmp_path, capsys):
-    # Nine stations, three in a timelike chain on each qubit of a product state.
+def nine_station_file(tmp_path, event):
+    """Nine stations on a three-qubit product state, station i at ``event(i)`` on qubit i % 3."""
     s = Scenario(
         dims0=(2, 2, 2),
         rho0=CMatrix(np.eye(8) / 8),
         stations=tuple(
-            Station(
-                Event(f"S{i}", 2.0 * (i // 3), 10.0 * (i % 3)),
-                LocalIntervention(i % 3, spin_analyzer(0.3 * i)),
-            )
+            Station(event(f"S{i}", i), LocalIntervention(i % 3, spin_analyzer(0.3 * i)))
             for i in range(9)
         ),
     )
     path = tmp_path / "nine.json"
     path.write_text(serialize_scenario(s))
-    code, out, err = run(capsys, "check-invariance", str(path))
+    return str(path)
+
+
+def test_check_invariance_refuses_more_than_eight_events(tmp_path, capsys):
+    # Nine mutually spacelike stations have 9! orderings, over the limit of 8!.
+    path = nine_station_file(tmp_path, lambda sid, i: Event(sid, 0.0, 10.0 * i))
+    code, out, err = run(capsys, "check-invariance", path)
     assert code == 2
-    assert "limit of 8 events" in err and "simulate --frame-velocity" in err
+    assert "more than 40320 orderings (8!), the limit" in err and "simulate --frame-velocity" in err
     assert "Traceback" not in err
+
+
+def test_check_invariance_certifies_a_nine_station_timelike_chain(tmp_path, capsys):
+    # Nine events, but a timelike chain has exactly one ordering.
+    path = nine_station_file(tmp_path, lambda sid, i: Event(sid, 2.0 * i, 0.0))
+    code, out, err = run(capsys, "check-invariance", path, "--format", "json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["ok"] is True and doc["orders_checked"] == 1
 
 
 @pytest.mark.parametrize("name", ["dimension-change", "dimension_change"])

@@ -563,7 +563,11 @@ def test_result_serialization_shape():
 
 
 def assert_leaf_step_matches_state_path(s, orders=None):
-    """Probabilities from the POVM leaf step equal the traces of the built final states."""
+    """Probabilities equal the traces of the final states the density walk builds.
+
+    The probabilities come from the factor walk wherever the scenario takes
+    it, and at the last station from the POVM leaf step.
+    """
     for order in orders or linear_extensions(s.causal(), s.events()):
         result = evaluate_in_order(s, order)
         states = result.final_states
@@ -572,15 +576,16 @@ def assert_leaf_step_matches_state_path(s, orders=None):
             assert abs(p - trace(states[rec]).real) <= 1e-12, (order, rec)
 
 
-def random_density(d, seed):
+def random_density(d, seed, rank=None):
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    shape = (d, rank or d)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     rho = g @ g.conj().T
     return CMatrix(rho / np.trace(rho).real)
 
 
 def test_leaf_step_matches_state_path_on_random_products():
-    for k in range(100):
+    for k in range(200):
         assert_leaf_step_matches_state_path(random_product_scenario(seed=k))
 
 
@@ -589,23 +594,94 @@ def test_leaf_step_matches_state_path_on_builtins():
         assert_leaf_step_matches_state_path(s)
 
 
-def test_leaf_step_matches_state_path_on_a_dimension_changing_middle_factor():
+def middle_factor_scenario(rho0):
     # Every station is last in some ordering. The middle one turns its qutrit
     # into a qubit (an outcome with two Kraus matrices) or a ququart and, as
     # the outer ones change dimension too, meets b of 3 or 2 dimensions before
     # it and a of 2, 3 or 1 after it.
     first, second, third = random_intervention(3, [2, 2, 4], seed=12).outcomes
     middle = Intervention(d_in=3, outcomes=(Outcome("two", 2, first.kraus + second.kraus), third))
-    s = Scenario(
+    return Scenario(
         dims0=(3, 3, 2),
-        rho0=random_density(18, seed=5),
+        rho0=rho0,
         stations=(
             station("L", 0.0, 0.0, 0, random_intervention(3, [2, 2], seed=11)),
             station("M", 0.1, 3.0, 1, middle),
             station("R", 0.2, 6.0, 2, random_intervention(2, [3, 1], seed=13)),
         ),
     )
+
+
+def count_factor_branches(monkeypatch):
+    """Record every call of the factor walk's branch kernel."""
+    calls = []
+    kernel = experiment._branch_factor
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(experiment, "_branch_factor", counted)
+    return calls
+
+
+def test_leaf_step_matches_state_path_on_a_dimension_changing_middle_factor(monkeypatch):
+    # Full rank 18 times two Kraus matrices exceeds D = 18: the density walk.
+    calls = count_factor_branches(monkeypatch)
+    assert_leaf_step_matches_state_path(middle_factor_scenario(random_density(18, seed=5)))
+    assert calls == []
+
+
+def test_factor_path_matches_state_path_on_a_mixed_two_kraus_scenario(monkeypatch):
+    # Rank 3 times two Kraus matrices stays within D = 18: the factor walk.
+    calls = count_factor_branches(monkeypatch)
+    s = middle_factor_scenario(random_density(18, seed=5, rank=3))
     assert_leaf_step_matches_state_path(s)
+    assert calls
+    assert s._factor.shape == (18, 3)
+
+
+def test_pure_single_kraus_scenario_takes_the_factor_path(monkeypatch):
+    calls = count_factor_branches(monkeypatch)
+    evaluate_in_order(eprb(0.3, 1.2), ["A", "B"])
+    # A's two outcomes branch; B's probabilities come from the POVM leaf step.
+    assert len(calls) == 2
+
+
+def ghz_scenario(angles):
+    """GHZ state with an x-z analyzer per qubit, the stations mutually spacelike."""
+    n = len(angles)
+    psi = np.zeros(2**n, dtype=complex)
+    psi[0] = psi[-1] = 1.0 / math.sqrt(2.0)
+    stations = tuple(
+        station(f"q{i}", 0.05 * i, 2.0 * i, i, spin_analyzer(theta))
+        for i, theta in enumerate(angles)
+    )
+    return Scenario(dims0=(2,) * n, rho0=CMatrix(np.outer(psi, psi.conj())), stations=stations)
+
+
+@pytest.mark.parametrize("qubits", [2, 4, 6, 8])
+def test_factor_path_matches_state_path_on_ghz(qubits):
+    s = ghz_scenario([0.4 + 0.7 * i for i in range(qubits)])
+    assert_leaf_step_matches_state_path(s, [[st.id for st in reversed(s.stations)]])
+
+
+def test_ten_qubit_ghz_meets_the_closed_form_in_two_orderings():
+    # Mermin: for an even number of qubits, <(x) (cos t Z + sin t X)> = prod cos + prod sin.
+    angles = [0.3 + 0.55 * i for i in range(10)]
+    s = ghz_scenario(angles)
+    order = [st.id for st in s.stations]
+    forward, backward = (evaluate_in_order(s, o) for o in (order, order[::-1]))
+    for st in s.stations:
+        assert marginal(forward, st.id)["+"] == pytest.approx(0.5, abs=1e-12)
+    correlation = sum(
+        p * (-1) ** sum(label == "-" for _, label in rec) for rec, p in forward.probabilities.items()
+    )
+    expected = math.prod(map(math.cos, angles)) + math.prod(map(math.sin, angles))
+    assert abs(correlation - expected) <= 1e-12
+    assert forward.probabilities.keys() == backward.probabilities.keys()
+    for rec, p in forward.probabilities.items():
+        assert abs(p - backward.probabilities[rec]) <= 1e-12
 
 
 def test_leaf_step_matches_state_path_on_a_conditional_last_station():

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from spacelike import CMatrix, Event, LocalIntervention, Scenario, Station, tolerance
 from spacelike.cli import main
-from spacelike.experiment import StateError
+from spacelike.experiment import StateError, check_order_invariance, evaluate_in_order
 from spacelike.scenarios import spin_analyzer
 from spacelike.schema import SchemaError, parse_scenario
+from spacelike.spacetime import linear_extensions
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SHIPPED = {p.name: json.loads(p.read_text()) for p in sorted(SCENARIO_DIR.glob("*.json"))}
@@ -77,6 +78,31 @@ def test_non_psd_rho0_rejected_by_scenario_and_schema():
     doc = qubit_file(bad.array, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
     with pytest.raises(SchemaError, match=r"\$\.rho0.*positive semidefinite"):
         parse_scenario(json.dumps(doc))
+
+
+def test_rho0_eigenvalues_at_both_cutoffs_evaluate_under_every_ordering():
+    # One eigenvalue inside the positivity shift, one just below the factor's
+    # rank cutoff and the trace at the edge of STATE: the factor drops both
+    # small eigenvalues, and every runtime bound still holds.
+    d = 4
+    cutoff = tolerance.rank_cutoff(d)
+    assert cutoff == tolerance.STATE / d
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    eigenvalues = np.array([-0.9 * cutoff, 0.99 * cutoff, 0.3, 0.7 + 0.9 * tolerance.STATE])
+    rho0 = CMatrix(q @ np.diag(eigenvalues) @ q.conj().T)
+    stations = (
+        Station(Event("A", 0.0, 0.0), LocalIntervention(0, spin_analyzer(0.4))),
+        Station(Event("B", 0.1, 10.0), LocalIntervention(1, spin_analyzer(1.3))),
+        Station(Event("C", 3.0, 0.0), LocalIntervention(0, spin_analyzer(2.2))),
+    )
+    s = Scenario(dims0=(2, 2), rho0=rho0, stations=stations)
+    assert s._factor.shape == (d, 2)
+    report = check_order_invariance(s, 1e-9)
+    assert report.ok and report.orders_checked == 3
+    for order in linear_extensions(s.causal(), s.events()):
+        total = sum(evaluate_in_order(s, order).probabilities.values())
+        assert abs(total - 1.0) <= tolerance.FLOOR
 
 
 def test_simulate_three_station_tie_evaluates_every_resolution(tmp_path, capsys):

@@ -6,116 +6,22 @@ and certifies that spacelike-separated product interventions give
 ordering-independent record probabilities and no superluminal signaling.
 """
 
-from .linalg import (
-    CMatrix,
-    DimensionError,
-    dagger,
-    kron,
-    matmul,
-    max_abs_diff,
-    trace,
-)
-from .spacetime import (
-    Event,
-    Frame,
-    IntervalKind,
-    TieReport,
-    boost,
-    causal_order,
-    classify,
-    frame_ordering,
-    linear_extensions,
-)
-from .intervention import (
-    CompletenessError,
-    Intervention,
-    LocalIntervention,
-    Outcome,
-    apply,
-    embed,
-    povm_elements,
-    random_intervention,
-)
-from .experiment import (
-    ConditionalLocal,
-    EvaluationResult,
-    Evolution,
-    InvarianceReport,
-    NoSignalingReport,
-    Scenario,
-    Station,
-    TieError,
-    check_no_signaling,
-    check_order_invariance,
-    evaluate_in_frame,
-    evaluate_in_order,
-    marginal,
-)
-from .scenarios import (
-    builtin_scenarios,
-    chsh,
-    correlation,
-    dimension_change_scenario,
-    eprb,
-    export_builtin_scenarios,
-    noncommuting_counterexample,
-    random_product_scenario,
-    spin_analyzer,
-    teleport_intervention,
-)
-from .schema import SchemaError, parse_scenario, serialize_scenario
+from . import experiment, intervention, linalg, scenarios, schema, spacetime
+from .linalg import *  # noqa: F403
+from .spacetime import *  # noqa: F403
+from .intervention import *  # noqa: F403
+from .experiment import *  # noqa: F403
+from .scenarios import *  # noqa: F403
+from .schema import *  # noqa: F403
 
+# Each public name is declared once, in its submodule's __all__.
 __all__ = [
-    "CMatrix",
-    "CompletenessError",
-    "ConditionalLocal",
-    "DimensionError",
-    "EvaluationResult",
-    "Event",
-    "Evolution",
-    "Frame",
-    "IntervalKind",
-    "Intervention",
-    "InvarianceReport",
-    "LocalIntervention",
-    "NoSignalingReport",
-    "Outcome",
-    "Scenario",
-    "SchemaError",
-    "Station",
-    "TieError",
-    "TieReport",
-    "apply",
-    "boost",
-    "builtin_scenarios",
-    "causal_order",
-    "check_no_signaling",
-    "check_order_invariance",
-    "chsh",
-    "classify",
-    "correlation",
-    "dagger",
-    "dimension_change_scenario",
-    "embed",
-    "eprb",
-    "evaluate_in_frame",
-    "evaluate_in_order",
-    "export_builtin_scenarios",
-    "frame_ordering",
-    "kron",
-    "linear_extensions",
-    "marginal",
-    "matmul",
-    "max_abs_diff",
-    "noncommuting_counterexample",
-    "parse_scenario",
-    "povm_elements",
-    "random_intervention",
-    "random_product_scenario",
-    "serialize_scenario",
-    "spin_analyzer",
-    "teleport_intervention",
-    "trace",
+    *linalg.__all__,
+    *spacetime.__all__,
+    *intervention.__all__,
+    *experiment.__all__,
+    *scenarios.__all__,
+    *schema.__all__,
 ]
 
 __version__ = "0.1.0"

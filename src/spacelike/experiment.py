@@ -498,17 +498,11 @@ class InvarianceReport:
     witness: InvarianceWitness | None = None
 
     def as_dict(self) -> dict:
-        d = {"ok": self.ok, "worst": self.worst, "orders_checked": self.orders_checked}
-        if self.witness is None:
-            d["witness"] = None
-        else:
-            d["witness"] = {
-                "record": dict(self.witness.record),
-                "order_low": list(self.witness.order_low),
-                "order_high": list(self.witness.order_high),
-                "p_low": self.witness.p_low,
-                "p_high": self.witness.p_high,
-            }
+        d = asdict(self)
+        if (w := self.witness) is not None:
+            d["witness"].update(
+                record=dict(w.record), order_low=list(w.order_low), order_high=list(w.order_high)
+            )
         return d
 
 
@@ -525,84 +519,87 @@ def _require_causal_conditions(s: Scenario, causal: set[tuple[str, str]]) -> Non
                     )
 
 
-def _require_order_comparable(
-    s: Scenario, causal: set[tuple[str, str]], extensions: list[tuple[str, ...]]
-) -> None:
+def _require_order_comparable(s: Scenario, causal: set[tuple[str, str]]) -> None:
     """Reject scenarios whose dynamics cannot be compared across orderings.
 
-    Non-identity evolutions must sit at a chain position that is the same
-    in every admissible ordering (first, last, or an adjacency that every
-    linear extension preserves); spacelike, reorderable segments must
-    carry identity evolution. Outcome-conditioned stations may depend
-    only on causally prior stations.
+    A non-identity evolution from ``after`` to ``before`` (None: the start
+    or end of the chain) must sit at the same chain position in every
+    admissible ordering: ``after`` causally precedes ``before`` when both
+    are stations, and every other station precedes ``after`` or follows
+    ``before``. Were some station y neither, the edges after -> y -> before
+    would keep the order acyclic, so some linear extension would place y
+    inside the segment. Spacelike, reorderable segments must therefore
+    carry identity evolution. Outcome-conditioned stations may depend only
+    on causally prior stations.
     """
     _require_causal_conditions(s, causal)
     for ev in s.evolutions:
         if deviation(ev.matrix.array) <= tolerance.IDENTITY:
             continue
-        if ev.after is None:
-            if not all(ext[0] == ev.before for ext in extensions):
-                raise ValueError(
-                    f"initial evolution before {ev.before!r} is order-dependent: "
-                    f"{ev.before!r} is not first in every admissible ordering"
-                )
-        elif ev.before is None:
-            if not all(ext[-1] == ev.after for ext in extensions):
-                raise ValueError(
-                    f"final evolution after {ev.after!r} is order-dependent: "
-                    f"{ev.after!r} is not last in every admissible ordering"
-                )
-        else:
-            for ext in extensions:
-                i, j = ext.index(ev.after), ext.index(ev.before)
-                if j != i + 1:
-                    raise ValueError(
-                        f"evolution between {ev.after!r} and {ev.before!r} is not an "
-                        "invariant adjacency: a non-identity unitary on a reorderable "
-                        "segment makes orderings incomparable"
-                    )
+        a, b = ev.after, ev.before
+        # A None end is in no causal pair, so every other station must lie beyond the other end.
+        movable = (None not in (a, b) and (a, b) not in causal) or any(
+            (y, a) not in causal and (b, y) not in causal
+            for y in (st.id for st in s.stations)
+            if y not in (a, b)
+        )
+        if movable:
+            raise ValueError(
+                f"evolution after {a!r} and before {b!r} is order-dependent: the "
+                "segment is reorderable, so its ends are not first, last or adjacent "
+                "in every admissible ordering; a non-identity unitary there makes "
+                "orderings incomparable"
+            )
 
 
 def check_order_invariance(s: Scenario, tol: float) -> InvarianceReport:
     """Certify that record probabilities agree across every admissible ordering.
 
-    Evaluates the scenario under every linear extension of the causal
-    partial order and reports the maximal spread of any record
-    probability; the witness names a maximal-spread record and the two
-    orderings realizing it when the check fails.
+    Validates the scenario, then evaluates it under every linear extension
+    of the causal partial order and reports the maximal spread of any
+    record probability; the witness names a maximal-spread record and the
+    two orderings realizing it when the check fails.
     """
     causal = s.causal()
+    _require_order_comparable(s, causal)
     extensions = linear_extensions(causal, s.events())
-    _require_order_comparable(s, causal, extensions)
     results = [evaluate_in_order(s, ext) for ext in extensions]
     return compare_orderings(results, tol)
+
+
+def _worst_spread(dists: Sequence[Mapping], keys: Sequence) -> tuple[float, tuple | None]:
+    """Worst spread of any entry across distributions, and its witness.
+
+    ``keys`` names each distribution; an entry missing from one counts as
+    0. The witness (entry, key low, key high, p low, p high) is the first
+    entry in sorted order whose spread is within ``tolerance.FLOOR`` of the
+    worst, so rounding cannot pick it; None when there are no entries.
+    """
+    spreads = []
+    for entry in sorted(set().union(*dists)):
+        values = [(d.get(entry, 0.0), k) for d, k in zip(dists, keys)]
+        (p_low, low), (p_high, high) = min(values), max(values)
+        spreads.append((p_high - p_low, (entry, low, high, p_low, p_high)))
+    worst = max((sp for sp, _ in spreads), default=0.0)
+    witness = next((w for sp, w in spreads if sp >= worst - tolerance.FLOOR), None)
+    return worst, witness
 
 
 def compare_orderings(results: Sequence[EvaluationResult], tol: float) -> InvarianceReport:
     """Worst spread of any record probability across evaluations of one scenario.
 
-    A record missing from an evaluation counts as probability 0; the
-    witness names a maximal-spread record and the two orderings realizing
-    it when the spread exceeds ``tol``.
+    A record missing from an evaluation counts as probability 0; when the
+    spread exceeds ``tol``, the witness names the first record whose spread
+    is within ``tolerance.FLOOR`` of the worst and the two orderings
+    realizing it.
     """
-    all_records: set[Record] = set()
-    for r in results:
-        all_records.update(r.probabilities)
-    worst = 0.0
-    witness: InvarianceWitness | None = None
-    for rec in sorted(all_records):
-        values = [(r.probabilities.get(rec, 0.0), r.ordering) for r in results]
-        lo = min(values)
-        hi = max(values)
-        spread = hi[0] - lo[0]
-        if spread > worst:
-            worst = spread
-            witness = InvarianceWitness(
-                record=rec, order_low=lo[1], order_high=hi[1], p_low=lo[0], p_high=hi[0]
-            )
+    worst, witness = _worst_spread([r.probabilities for r in results], [r.ordering for r in results])
     ok = worst <= tol
     return InvarianceReport(
-        ok=ok, worst=worst, orders_checked=len(results), witness=None if ok else witness
+        ok=ok,
+        worst=worst,
+        orders_checked=len(results),
+        witness=None if ok or witness is None else InvarianceWitness(*witness),
     )
 
 
@@ -714,15 +711,7 @@ def check_no_signaling(
     # The original candidate is s itself; only the alternatives need a rebuilt scenario.
     variants = [s, *map(with_varied, alternatives)]
     marginals = [marginal(evaluate_in_order(v, order), target) for v in variants]
-    worst = 0.0
-    witness: NoSignalingWitness | None = None
-    for label in sorted(set().union(*marginals)):
-        values = [(m.get(label, 0.0), i) for i, m in enumerate(marginals)]
-        (p_low, low), (p_high, high) = min(values), max(values)
-        # A spread within rounding of the worst so far is a tie, kept in label order.
-        if witness is None or p_high - p_low > worst + tolerance.FLOOR:
-            witness = NoSignalingWitness(label, low, high, p_low, p_high)
-        worst = max(worst, p_high - p_low)
+    worst, witness = _worst_spread(marginals, range(len(marginals)))
     ok = worst <= tol
     return NoSignalingReport(
         ok=ok,
@@ -730,6 +719,6 @@ def check_no_signaling(
         target=target,
         varied=varied,
         alternatives_checked=len(variants),
-        witness=None if ok else witness,
+        witness=None if ok or witness is None else NoSignalingWitness(*witness),
     )
 

@@ -105,29 +105,25 @@ def causal_order(events: list[Event]) -> set[tuple[str, str]]:
     """Causal partial order as the set of pairs (a, b) with b in a's future.
 
     Transitively closed, and acyclic because every pair strictly increases t.
+    One pass in time order closes it: an event's past is final before any
+    later event reads it, and an earlier event already in the past needs no
+    interval test.
     """
     ids = [e.id for e in events]
     if len(set(ids)) != len(ids):
         dup = sorted({i for i in ids if ids.count(i) > 1})
         raise ValueError(f"duplicate event ids: {dup}")
-    order: set[tuple[str, str]] = set()
-    for a in events:
-        for b in events:
-            if a.id == b.id:
-                continue
-            k = classify(a, b)
-            if k in (IntervalKind.TIMELIKE_FUTURE, IntervalKind.LIGHTLIKE_FUTURE):
-                order.add((a.id, b.id))
-    # Transitive closure over at most a handful of events.
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(order):
-            for (c, d) in list(order):
-                if b == c and (a, d) not in order:
-                    order.add((a, d))
-                    changed = True
-    return order
+    future = (IntervalKind.TIMELIKE_FUTURE, IntervalKind.LIGHTLIKE_FUTURE)
+    # NaN times sort last: comparisons with NaN would scramble the time order.
+    timeline = sorted(events, key=lambda e: (math.isnan(e.t), e.t))
+    past: dict[str, set[str]] = {}
+    for j, b in enumerate(timeline):
+        mine = past[b.id] = set()
+        for a in reversed(timeline[:j]):
+            if a.id not in mine and classify(a, b) in future:
+                mine.add(a.id)
+                mine |= past[a.id]
+    return {(a, b) for b, mine in past.items() for a in mine}
 
 
 def frame_groups(events: list[Event], f: Frame) -> list[list[Event]]:
@@ -167,7 +163,10 @@ def linear_extensions(
     ids = [e.id for e in events]
     if len(set(ids)) != len(ids):
         raise ValueError("event ids must be unique")
-    preds = {i: {a for (a, b) in order if b == i and a in ids} for i in ids}
+    preds: dict[str, set[str]] = {i: set() for i in ids}
+    for a, b in order:
+        if a in preds and b in preds:
+            preds[b].add(a)
 
     out: list[tuple[str, ...]] = []
     chosen: list[str] = []

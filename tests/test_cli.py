@@ -7,7 +7,7 @@ import numpy as np
 
 from spacelike.cli import main
 from spacelike.experiment import ConditionalLocal, Scenario, Station
-from spacelike.intervention import LocalIntervention, random_intervention
+from spacelike.intervention import Intervention, LocalIntervention, Outcome, random_intervention
 from spacelike.linalg import CMatrix
 from spacelike.schema import serialize_scenario
 from spacelike.scenarios import eprb, spin_analyzer
@@ -255,3 +255,33 @@ def test_builtin_names_take_dash_or_underscore(name, capsys):
     code, out, _ = run(capsys, "demo", name)
     assert code == 0
     assert "15-dimensional" in out
+
+
+def identity_chain_file(tmp_path, n):
+    """n identity stations on one qubit, each in the timelike future of the one before."""
+    identity = Intervention(d_in=2, outcomes=(Outcome("id", 2, (CMatrix.identity(2),)),))
+    s = Scenario(
+        dims0=(2,),
+        rho0=CMatrix(np.eye(2) / 2),
+        stations=tuple(
+            Station(Event(f"S{i}", 2.0 * i, 0.0), LocalIntervention(0, identity)) for i in range(n)
+        ),
+    )
+    path = tmp_path / f"chain{n}.json"
+    path.write_text(serialize_scenario(s))
+    return str(path)
+
+
+def test_check_invariance_certifies_a_300_station_chain(tmp_path, capsys):
+    code, out, err = run(capsys, "check-invariance", identity_chain_file(tmp_path, 300), "--format", "json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["ok"] is True and doc["orders_checked"] == 1
+
+
+@pytest.mark.parametrize("command", ["check-invariance", "simulate"])
+def test_a_chain_deeper_than_the_recursion_limit_exits_2(command, tmp_path, capsys):
+    code, out, err = run(capsys, command, identity_chain_file(tmp_path, 1100))
+    assert code == 2
+    assert "error:" in err and "too deep" in err
+    assert "Traceback" not in err

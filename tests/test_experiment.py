@@ -735,3 +735,68 @@ def test_final_states_are_built_on_first_read_only(monkeypatch):
     assert len(built) == len(states) == len(result.probabilities)
     assert result.final_states is states
     assert len(built) == len(states)
+
+
+# ------------------------------------------------------------ ordering layer
+
+
+def extension_scan_admits(extensions, after, before):
+    """Reference: the evolution keeps its chain position in every linear extension."""
+    if after is None:
+        return all(ext[0] == before for ext in extensions)
+    if before is None:
+        return all(ext[-1] == after for ext in extensions)
+    return all(ext.index(before) == ext.index(after) + 1 for ext in extensions)
+
+
+def test_evolution_rule_equals_the_extension_scan():
+    rng = np.random.default_rng(40)
+    verdicts = {True: 0, False: 0}
+    for _ in range(1000):
+        n = int(rng.integers(1, 7))
+        # A narrow x range makes most pairs timelike, so some evolutions are admissible.
+        width = float(rng.choice([0.5, 2.0]))
+        s = Scenario(
+            dims0=(2,),
+            rho0=maximally_mixed(),
+            stations=tuple(
+                station(f"e{i}", float(rng.uniform(-2, 2)), float(rng.uniform(-width, width)), 0, identity_iv())
+                for i in range(n)
+            ),
+        )
+        causal = s.causal()
+        extensions = linear_extensions(causal, s.events())
+        ends = [None, *(st.id for st in s.stations)]
+        for after in ends:
+            for before in ends:
+                if after is None and before is None:
+                    continue
+                probe = Scenario(
+                    dims0=s.dims0,
+                    rho0=s.rho0,
+                    stations=s.stations,
+                    evolutions=(Evolution(after, before, HADAMARD),),
+                )
+                expected = extension_scan_admits(extensions, after, before)
+                try:
+                    experiment._require_order_comparable(probe, causal)
+                    admitted = True
+                except ValueError as exc:
+                    assert "not first" in str(exc) and "reorderable" in str(exc)
+                    admitted = False
+                assert admitted == expected, (s.events(), after, before)
+                verdicts[admitted] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
+
+
+def test_invariance_witness_takes_the_first_record_within_rounding_of_the_worst():
+    early, late = (("A", "a0"),), (("A", "a1"),)
+    results = [
+        experiment.EvaluationResult(("A", "B"), {early: 0.5, late: 0.0}, scenario=None),
+        # late's spread, 0.25 + 1e-16 rounded, beats early's 0.25 by one rounding.
+        experiment.EvaluationResult(("B", "A"), {early: 0.25, late: 0.25 + 1e-16}, scenario=None),
+    ]
+    report = experiment.compare_orderings(results, 1e-9)
+    assert report.worst == 0.25 + 1e-16 > 0.25
+    assert report.witness.record == early
+    assert (report.witness.order_low, report.witness.order_high) == (("B", "A"), ("A", "B"))

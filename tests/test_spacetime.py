@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -99,6 +100,65 @@ def test_causal_order_spacelike_pair_is_empty():
 def test_causal_order_rejects_duplicate_ids():
     with pytest.raises(ValueError, match="duplicate"):
         causal_order([Event("a", 0.0, 0.0), Event("a", 1.0, 0.0)])
+
+
+FUTURE = (IntervalKind.TIMELIKE_FUTURE, IntervalKind.LIGHTLIKE_FUTURE)
+
+
+def fixpoint_closure(events):
+    """Reference: every direct future pair, then closed by rescanning all pairs."""
+    order = {(a.id, b.id) for a in events for b in events if classify(a, b) in FUTURE}
+    changed = True
+    while changed:
+        changed = False
+        for (a, b) in list(order):
+            for (c, d) in list(order):
+                if b == c and (a, d) not in order:
+                    order.add((a, d))
+                    changed = True
+    return order
+
+
+def seeded_layout(rng, n):
+    """n events: a lightlike-collinear decimal grid one time in three, else uniform."""
+    if rng.integers(3) == 0:
+        # On a light ray in exact arithmetic; rounding the decimals makes some
+        # intervals spacelike, so the direct pairs need not be transitive.
+        sign = float(rng.choice([-1.0, 1.0]))
+        x0 = int(rng.integers(-9, 10)) / 10
+        steps = rng.choice(np.arange(-30, 31), size=n, replace=False)
+        return [
+            Event(f"e{i}", int(k) / 10, round(x0 + sign * int(k) / 10, 1))
+            for i, k in enumerate(steps)
+        ]
+    return [
+        Event(f"e{i}", float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
+        for i in range(n)
+    ]
+
+
+def test_causal_order_equals_the_fixpoint_closure():
+    rng = np.random.default_rng(14)
+    needed_closing = 0
+    for _ in range(1200):
+        events = seeded_layout(rng, int(rng.integers(2, 10)))
+        order = causal_order(events)
+        assert order == fixpoint_closure(events)
+        direct = {(a.id, b.id) for a in events for b in events if classify(a, b) in FUTURE}
+        needed_closing += order != direct
+    assert needed_closing > 0
+    # A NaN time compares false both ways; it must not scramble the time order.
+    scrambled = [Event("b", 2.0, 0.0), Event("n", math.nan, 0.0), Event("a", 0.0, 0.0)]
+    assert causal_order(scrambled) == fixpoint_closure(scrambled) == {("a", "b")}
+
+
+def test_causal_order_closes_a_long_chain_in_one_pass():
+    chain = [Event(f"c{i}", 2.0 * i, 0.0) for i in range(1200)]
+    start = time.perf_counter()
+    order = causal_order(chain)
+    elapsed = time.perf_counter() - start
+    assert len(order) == 1200 * 1199 // 2 == 719_400
+    assert elapsed < 1.0
 
 
 def test_frame_ordering_flips_spacelike_pair():

@@ -511,15 +511,6 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:
-        # Enumeration and evaluation recurse once per station of a chain.
-        print(
-            "error: the station chain is too deep to enumerate or evaluate within the "
-            f"interpreter's recursion limit ({sys.getrecursionlimit()})",
-            file=sys.stderr,
-        )
-        return 2
-
 
 if __name__ == "__main__":
     sys.exit(main())

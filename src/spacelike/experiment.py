@@ -5,11 +5,13 @@ dimensions, a set of stations (spacetime event plus a local
 intervention), and optional unitary evolutions between chain positions.
 Evaluating a scenario under a chronological ordering gives every outcome
 record's probability: the trace of the record's unnormalized final state.
-The probability walk carries a factor V of rho0 = V V^dagger, D x r with
-r = rank(rho0), wherever the Kraus matrices cannot widen it past D;
-otherwise, and to build final states, it carries D x D density matrices.
-The last station's outcome probabilities come from its POVM elements, so
-the final states are built only when a caller reads them.
+The evaluator carries a factor V of rho0 = V V^dagger, D x r with
+r = rank(rho0), and walks the ordering level by level: all live branches
+sit in one stacked array, one contraction per station applies its Kraus
+matrices to every branch, and a branch wider than its dimension is
+recompressed. The last station's outcome probabilities come from its POVM
+elements, so the final states, V V^dagger per record, are built only when
+a caller reads them.
 
 Two certifiers operate on top of the evaluator:
 
@@ -24,18 +26,21 @@ Two certifiers operate on top of the evaluator:
 
 from __future__ import annotations
 
+import copy
+import itertools
 import math
-from dataclasses import asdict, dataclass, field
+import operator
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import AbstractSet, Mapping, Sequence
 
 import numpy as np
 
 from . import tolerance
 from .linalg import CMatrix, DimensionError, deviation, trace
 from .intervention import Intervention, LocalIntervention, _factor_sizes, _trace
-from .intervention import _branch, _branch_factor, _outcome_probabilities
-# Not called here (_branch contracts each Kraus matrix on its own factor); bound
+from .intervention import _branches, _check_outcomes, _first_outside, _outcome_probabilities
+# Not called here (the evaluator contracts Kraus stacks on factors); bound
 # only because the benchmark's tracer, bench/tracer.py, rebinds these names.
 from .intervention import apply, embed  # noqa: F401
 from .spacetime import (
@@ -197,6 +202,7 @@ class Scenario:
     stations: tuple[Station, ...]
     evolutions: tuple[Evolution, ...] = ()
     growth: float = field(init=False, repr=False, compare=False)
+    _evolution_growth: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "dims0", tuple(self.dims0))
@@ -229,10 +235,6 @@ class Scenario:
             raise ValueError(f"station ids must be unique, got {ids}")
         known = set(ids)
         growth = 1.0
-        for st in self.stations:
-            growth *= max(
-                tolerance.growth(iv.d_in, iv.deviation) for iv in st.interventions().values()
-            )
         for ev in self.evolutions:
             for end in (ev.after, ev.before):
                 if end is not None and end not in known:
@@ -257,7 +259,8 @@ class Scenario:
                     f"(deviation {dev:.3e})"
                 )
             growth *= tolerance.growth(m.rows, dev)
-        object.__setattr__(self, "growth", growth)
+        object.__setattr__(self, "_evolution_growth", growth)
+        object.__setattr__(self, "growth", self._station_growth() * growth)
         for i, e1 in enumerate(self.evolutions):
             for e2 in self.evolutions[i + 1 :]:
                 if (e1.after, e1.before) == (e2.after, e2.before) and _histories_compatible(
@@ -269,48 +272,81 @@ class Scenario:
                     )
 
     @cached_property
-    def _factor(self) -> np.ndarray | None:
-        """Read-only factor V of rho0 for the probability walk, or None to walk rho0.
+    def _eigen(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only eigenvectors (as columns) and eigenvalues of rho0's Hermitian part.
 
-        V's columns are the eigenvectors of rho0's Hermitian part, scaled by
-        the square roots of their eigenvalues, less those at or below
-        ``tolerance.rank_cutoff``. An outcome with k Kraus matrices widens V
-        k-fold, so V is used only while rank(rho0) times the product over
-        stations of their largest k stays within rho0's dimension.
+        Eigenvalues at or below ``tolerance.rank_cutoff`` are dropped with
+        their eigenvectors.
         """
-        total = self.rho0.rows
-        widening = math.prod(
-            max(len(o.kraus) for iv in st.interventions().values() for o in iv.outcomes)
-            for st in self.stations
-        )
-        if widening > total:
-            return None
         rho = self.rho0.array
         w, q = np.linalg.eigh((rho + rho.conj().T) / 2)
-        keep = w > tolerance.rank_cutoff(total)
-        if np.count_nonzero(keep) * widening > total:
-            return None
-        v = q[:, keep] * np.sqrt(w[keep])
+        keep = w > tolerance.rank_cutoff(self.rho0.rows)
+        q, w = q[:, keep], w[keep]
+        q.setflags(write=False)
+        w.setflags(write=False)
+        return q, w
+
+    @cached_property
+    def _factor(self) -> np.ndarray:
+        """Read-only factor V of rho0 = V V^dagger, D x rank, for the evaluator.
+
+        V's columns are rho0's eigenvectors scaled by the square roots of
+        their eigenvalues, less those dropped by ``_eigen``. It depends on
+        rho0 alone.
+        """
+        q, w = self._eigen
+        v = q * np.sqrt(w)
         v.setflags(write=False)
         return v
 
+    @cached_property
+    def _causal(self) -> frozenset[tuple[str, str]]:
+        return frozenset(causal_order(self.events()))
+
+    @cached_property
+    def _by_id(self) -> dict[str, Station]:
+        return {st.id: st for st in self.stations}
+
     def station(self, station_id: str) -> Station:
-        for s in self.stations:
-            if s.id == station_id:
-                return s
-        raise KeyError(f"unknown station {station_id!r}")
+        try:
+            return self._by_id[station_id]
+        except KeyError:
+            raise KeyError(f"unknown station {station_id!r}") from None
 
     def events(self) -> list[Event]:
         return [s.event for s in self.stations]
 
     def causal(self) -> set[tuple[str, str]]:
-        return causal_order(self.events())
+        return set(self._causal)
 
-    def _evolution_for(
-        self, after: str | None, before: str | None, history: Mapping[str, str]
-    ) -> CMatrix | None:
-        hits = (ev.matrix for ev in self.evolutions if ev.matches(after, before, history))
-        return next(hits, None)
+    def _with_station(self, station_id: str, local: LocalIntervention) -> Scenario:
+        """This scenario with one station's intervention replaced, rho0 not validated again.
+
+        The copy keeps rho0's factor and the causal order, which do not
+        depend on the intervention, and recomputes ``growth`` and the
+        evolution-history labels that name the station.
+        """
+        new = Station(self.station(station_id).event, local)
+        for ev in self.evolutions:
+            v = ev.history.get(station_id)
+            if v is not None and v not in new.possible_labels():
+                raise ValueError(
+                    f"evolution history names outcome {v!r} unknown to station {station_id!r}"
+                )
+        self._factor  # computed here, once, so that every copy shares it
+        s = copy.copy(self)
+        s.__dict__.pop("_by_id", None)
+        object.__setattr__(
+            s, "stations", tuple(new if st.id == station_id else st for st in self.stations)
+        )
+        object.__setattr__(s, "growth", s._station_growth() * self._evolution_growth)
+        return s
+
+    def _station_growth(self) -> float:
+        return math.prod(
+            max(tolerance.growth(iv.d_in, iv.deviation) for iv in st.interventions().values())
+            for st in self.stations
+        )
 
 
 @dataclass(frozen=True)
@@ -318,8 +354,7 @@ class EvaluationResult:
     """Per-record probabilities for one ordering; final states are built on first read.
 
     ``scenario`` is the evaluated scenario. The first read of
-    ``final_states`` walks it again along ``ordering``, building every
-    branch state, and keeps the result.
+    ``final_states`` walks it again along ``ordering`` and keeps the result.
     """
 
     ordering: tuple[str, ...]
@@ -328,7 +363,11 @@ class EvaluationResult:
 
     @cached_property
     def final_states(self) -> dict[Record, CMatrix]:
-        """Unnormalized final state of every record; its trace is the record's probability."""
+        """Unnormalized final state V V^dagger of every record; its trace is its probability.
+
+        The walk runs again with the last-station shortcut off, and each
+        record's factor V is cut to the record's own factor dimensions.
+        """
         states: dict[Record, np.ndarray] = {}
         _walk(self.scenario, self.ordering, states)
         return {rec: CMatrix(state) for rec, state in states.items()}
@@ -346,77 +385,231 @@ class EvaluationResult:
         }
 
 
-def _apply_unitary(state: np.ndarray, u: CMatrix, position: str, factor: bool) -> np.ndarray:
-    if u.rows != state.shape[0]:
+@dataclass(frozen=True)
+class _Level:
+    """The live branches of one sub-batch after the stations fired so far.
+
+    ``v`` is (branch, padded factor dims..., width): every branch's factor
+    V, zero past a branch's own dimension of a factor and past its own
+    width; its state is V diag(weights) V^dagger, with ``weights`` None
+    for all ones. ``tr`` holds each branch's trace, ``dims`` (branch,
+    factor) its actual factor dimensions and ``idx`` (branch, station) the
+    outcome it took at each station of ``fired``, which lists the stations
+    fired so far with the intervention each fired. ``complete``: the rows
+    are every combination of those outcomes, in order.
+    """
+
+    v: np.ndarray
+    tr: np.ndarray
+    dims: np.ndarray
+    idx: np.ndarray
+    weights: np.ndarray | None = None
+    fired: tuple[tuple[str, Intervention], ...] = ()
+    complete: bool = True
+
+    def history(self, row: int) -> dict[str, str]:
+        return {sid: iv.outcomes[i].label for (sid, iv), i in zip(self.fired, self.idx[row])}
+
+    def matches(self, history: Mapping[str, str]) -> np.ndarray:
+        """Which branches recorded every outcome of ``history``."""
+        hit = np.ones(len(self.idx), dtype=bool)
+        pos = {sid: j for j, (sid, _) in enumerate(self.fired)}
+        for sid, label in history.items():
+            labels = self.fired[pos[sid]][1].labels() if sid in pos else ()
+            if label not in labels:
+                return np.zeros_like(hit)
+            hit &= self.idx[:, pos[sid]] == labels.index(label)
+        return hit
+
+    def split(self, key: np.ndarray) -> list[tuple[np.ndarray, _Level]]:
+        """Sub-batches of branches sharing a row of ``key`` (one per branch), first seen first."""
+        if (key == key[0]).all():
+            return [(key[0], self)]
+        _, first, group = np.unique(key, axis=0, return_index=True, return_inverse=True)
+        group = group.reshape(-1)
+        parts = []
+        for i in np.sort(first):
+            rows = np.flatnonzero(group == group[i])
+            part = replace(
+                self, v=self.v[rows], tr=self.tr[rows], dims=self.dims[rows], idx=self.idx[rows],
+                complete=False,
+            )
+            parts.append((key[i], part))
+        return parts
+
+    def records(self) -> list[Record]:
+        """Each branch's record: its outcome labels keyed by station id, sorted by id."""
+        pairs = [[(sid, o.label) for o in iv.outcomes] for sid, iv in self.fired]
+        by_id = sorted(range(len(pairs)), key=lambda j: self.fired[j][0])
+        if not self.complete:
+            return [tuple(pairs[j][row[j]] for j in by_id) for row in self.idx.tolist()]
+        rows = itertools.product(*pairs)
+        return list(map(operator.itemgetter(*by_id), rows) if len(by_id) > 1 else rows)
+
+
+def _apply_unitary(lv: _Level, u: CMatrix, position: str) -> _Level:
+    """Every branch of ``lv`` evolved by u, V -> U V, on the branches' own factor dims."""
+    sizes = lv.dims.prod(axis=1)
+    bad = np.flatnonzero(sizes != u.rows)
+    if bad.size:
         raise DimensionError(
             f"evolution {position} is {u.rows}x{u.cols}, but the state there is "
-            f"{state.shape[0]}-dimensional"
+            f"{sizes[bad[0]]}-dimensional"
         )
-    out = u.array @ state if factor else u.array @ state @ u.array.conj().T
-    out.setflags(write=False)
-    return out
+    # Branches of one sub-batch fired the same interventions, so equal sizes
+    # with different factor dims would need dimension errors elsewhere.
+    if (lv.dims != lv.dims[0]).any():
+        raise DimensionError(
+            f"branches reach the evolution {position} with different factor dimensions"
+        )
+    v = lv.v[(slice(None), *map(slice, lv.dims[0].tolist()))]
+    v = (u.array @ v.reshape(len(v), u.rows, -1)).reshape(v.shape)
+    return replace(lv, v=v, tr=_trace(v, lv.weights))
+
+
+def _evolve(s: Scenario, lv: _Level, prev: str | None, cur: str | None) -> list[_Level]:
+    """``lv`` past the evolution from ``prev`` to ``cur``, split where histories differ."""
+    evs = [ev for ev in s.evolutions if ev.after == prev and ev.before == cur]
+    if not evs:
+        return [lv]
+    position = f"between {prev!r} and {cur!r}" if cur is not None else f"after {prev!r}"
+    which = np.full(len(lv.idx), -1)
+    for i, ev in reversed(list(enumerate(evs))):
+        which[lv.matches(ev.history)] = i
+    return [
+        part if i < 0 else _apply_unitary(part, evs[i].matrix, position)
+        for i, part in lv.split(which)
+    ]
+
+
+def _resolve(st: Station, lv: _Level) -> list[tuple[_Level, Intervention]]:
+    """The intervention ``st`` fires on each branch of ``lv``, split where a case differs."""
+    if isinstance(st.local, LocalIntervention):
+        return [(lv, st.local.local)]
+    pos = {sid: j for j, (sid, _) in enumerate(lv.fired)}
+    if not all(dep in pos for dep in st.local.depends_on):
+        st.resolve(lv.history(0))  # raises: a dependency has not fired
+    cases = lv.idx[:, [pos[dep] for dep in st.local.depends_on]]
+    return [(part, st.resolve(part.history(0))) for _, part in lv.split(cases)]
+
+
+def _fire(st: Station, lv: _Level, iv: Intervention, leaf: bool) -> tuple[_Level, np.ndarray]:
+    """Fire ``iv`` at ``st`` on every branch of ``lv``: the next level and its branch traces.
+
+    Each trace is bounded by its parent's times the derived growth. With
+    ``leaf`` the branches are not built: the traces are the outcome
+    probabilities from ``_outcome_probabilities``, and the returned level
+    records the outcomes but keeps the parents' factors and traces.
+    """
+    sub, d = st.subsystem, iv.d_in
+    n, nfactors = lv.dims.shape
+    if not (0 <= sub < nfactors and (lv.dims[:, sub] == d).all()):
+        bad = np.flatnonzero(lv.dims[:, sub] != d)[0] if 0 <= sub < nfactors else 0
+        try:
+            _factor_sizes(lv.dims[bad].tolist(), sub, d)
+        except DimensionError as exc:
+            raise DimensionError(f"station {st.id!r} at this point in the chain: {exc}") from exc
+    pdims = lv.v.shape[1:-1]
+    # Every branch has d on this factor, so its padding beyond d is zero.
+    v = lv.v[(slice(None),) * (sub + 1) + (slice(0, d),)]
+    v = v.reshape(n, math.prod(pdims[:sub]), d, math.prod(pdims[sub + 1 :]), -1)
+    m = len(iv.outcomes)
+    dims = np.repeat(lv.dims, m, axis=0)
+    dims.reshape(n, m, nfactors)[:, :, sub] = [o.d_out for o in iv.outcomes]
+    idx = np.empty((n, m, lv.idx.shape[1] + 1), dtype=int)
+    idx[:, :, :-1] = lv.idx[:, None]
+    idx[:, :, -1] = np.arange(m)
+    idx, fired = idx.reshape(n * m, -1), (*lv.fired, (st.id, iv))
+    if leaf:
+        tr = _outcome_probabilities(v, iv)
+        _check_outcomes(tr, lv.tr, iv)
+        return _Level(lv.v, lv.tr, dims, idx, lv.weights, fired, lv.complete), tr
+    out = _branches(v, iv)
+    weights = None if lv.weights is None else np.repeat(lv.weights, out.shape[-1] // v.shape[-1])
+    tr = _trace(out, weights)
+    _check_outcomes(tr, lv.tr, iv)
+    shape = (n * m, *pdims[:sub], out.shape[2], *pdims[sub + 1 :])
+    size = math.prod(shape[1:])
+    if out.shape[-1] > size:
+        if weights is not None:
+            out = out * np.sqrt(weights)
+        out, weights = _recompress(out.reshape(n * m, size, -1)), None
+    return _Level(out.reshape(*shape, -1), tr, dims, idx, weights, fired, lv.complete), tr
+
+
+def _recompress(v: np.ndarray) -> np.ndarray:
+    """Factors of the same states no wider than their dimension: V^dagger = QR, V -> R^dagger."""
+    r = np.linalg.qr(v.conj().transpose(0, 2, 1), mode="r")
+    return r.conj().transpose(0, 2, 1)
 
 
 def _walk(
     s: Scenario, order: tuple[str, ...], states: dict[Record, np.ndarray] | None
 ) -> dict[Record, float]:
-    """Record probabilities of one ordering, walking the branches depth first.
+    """Record probabilities of one ordering, every live branch of a level at once.
 
-    With ``states``, the walk carries rho0, builds every branch state and
-    stores each record's final state there. Without it, the walk carries
-    the scenario's factor V of rho0 where it has one (a Kraus matrix maps V
-    to (I (x) A (x) I) V, an evolution U maps V to U V, and a record's
-    probability is ||V||_F^2) and rho0 otherwise; the last station's
-    outcome probabilities come from its POVM elements on the reduced state
-    and its branches are not built, unless an evolution follows that
-    station.
+    The walk starts from the scenario's factor V of rho0 and goes through
+    the ordering one station at a time, carrying each sub-batch of live
+    branches as one ``_Level``: at a station, one contraction of its Kraus
+    stack gives every branch's outcome branches (``_branches``), an
+    evolution U maps each V to U V, and a record's probability is
+    ||V||_F^2. A branch whose width would exceed its dimension is
+    recompressed by QR. Branches split into sub-batches only where a
+    conditional station's case or a history-keyed evolution differs
+    between them. The last station's outcome probabilities come from its
+    POVM elements on the reduced states (``_outcome_probabilities``) and
+    its branches are not built, unless an evolution follows that station.
+
+    With ``states``, every branch is built and each record's final state
+    V diag(weights) V^dagger, V cut to the record's own factor dims, is
+    stored there. That walk starts from rho0's eigenvectors weighted by
+    their eigenvalues, so a diagonal rho0 passes through identities
+    exactly; weights are folded into V if it is recompressed.
+
+    Memory: a level holds prod(outcomes of the stations fired so far) x D
+    x width entries, D the padded dimension and width at most D: 0.5 MB
+    for an 8-qubit GHZ state, 8 MB for 10 qubits.
     """
-    probabilities: dict[Record, float] = {}
-    v0 = None if states is not None else s._factor
-    factor = v0 is not None
-    branch = _branch_factor if factor else _branch
-    last = len(order) - 1
-    povm_leaf = (
-        states is None
-        and last >= 0
-        and not any(ev.after == order[last] and ev.before is None for ev in s.evolutions)
+    v0, weights = s._eigen if states is not None else (s._factor, None)
+    levels = [
+        _Level(
+            v0.reshape(1, *s.dims0, v0.shape[1]),
+            _trace(v0[None], weights),
+            np.array([s.dims0]),
+            np.empty((1, 0), dtype=int),
+            weights,
+        )
+    ]
+    final_evolution = bool(order) and any(
+        ev.after == order[-1] and ev.before is None for ev in s.evolutions
     )
-
-    def emit(history: dict[str, str], p: float) -> Record:
-        rec: Record = tuple(sorted(history.items()))
-        probabilities[rec] = tolerance.check(p, 0.0, s.growth, f"probability of record {rec}")
-        return rec
-
-    def walk(state: np.ndarray, dims: tuple[int, ...], history: dict[str, str], idx: int):
-        prev = order[idx - 1] if idx > 0 else None
-        if idx == len(order):
-            u = s._evolution_for(prev, None, history)
-            if u is not None:
-                state = _apply_unitary(state, u, f"after {prev!r}", factor)
-            rec = emit(history, _trace(state, factor))
-            if states is not None:
-                states[rec] = state
-            return
-        cur = order[idx]
-        u = s._evolution_for(prev, cur, history)
-        if u is not None:
-            state = _apply_unitary(state, u, f"between {prev!r} and {cur!r}", factor)
+    leaf_at = -1 if states is not None or final_evolution else len(order) - 1
+    for j, cur in enumerate((*order, None)):
+        prev = order[j - 1] if j else None
+        levels = [out for lv in levels for out in _evolve(s, lv, prev, cur)]
+        if cur is None:
+            traces = [lv.tr for lv in levels]
+            break
         st = s.station(cur)
-        sub = st.subsystem
-        iv = st.resolve(history)
-        try:
-            before, _ = _factor_sizes(dims, sub, iv.d_in)
-        except DimensionError as exc:
-            raise DimensionError(f"station {cur!r} at this point in the chain: {exc}") from exc
-        if idx == last and povm_leaf:
-            for o, p in zip(iv.outcomes, _outcome_probabilities(state, iv, before, factor)):
-                emit({**history, cur: o.label}, float(p))
-            return
-        for o in iv.outcomes:
-            new_dims = dims[:sub] + (o.d_out,) + dims[sub + 1 :]
-            walk(branch(state, iv, o, before), new_dims, {**history, cur: o.label}, idx + 1)
-
-    walk(v0 if factor else s.rho0.array, tuple(s.dims0), {}, 0)
+        fired = [
+            _fire(st, part, iv, j == leaf_at) for lv in levels for part, iv in _resolve(st, lv)
+        ]
+        levels = [lv for lv, _ in fired]
+        traces = [tr for _, tr in fired]
+        if j == leaf_at:
+            break
+    probabilities: dict[Record, float] = {}
+    for lv, tr in zip(levels, traces):
+        records = lv.records()
+        if (i := _first_outside(tr, s.growth)) is not None:
+            tolerance.check(float(tr[i]), 0.0, s.growth, f"probability of record {records[i]}")
+        probabilities.update(zip(records, tr.tolist()))
+        if states is not None:
+            for rec, v, dims in zip(records, lv.v, lv.dims.tolist()):
+                v = v[tuple(map(slice, dims))].reshape(math.prod(dims), -1)
+                state = (v if lv.weights is None else v * lv.weights) @ v.conj().T
+                state.setflags(write=False)
+                states[rec] = state
     return probabilities
 
 
@@ -430,22 +623,18 @@ def evaluate_in_order(s: Scenario, order: Sequence[str]) -> EvaluationResult:
     Kraus matrices in chain order, each Kraus matrix acting on its own
     factor; its trace is the record probability. The probabilities are
     computed as ||K V||_F^2, summed over the Kraus index tuples, from a
-    factor V of rho0 = V V^dagger whenever rank(rho0) times the product of
-    the stations' largest Kraus counts is at most rho0's dimension, and
-    from D x D states otherwise; both travel between stations as read-only
-    arrays. At the last station, when no evolution follows it, each
-    outcome's probability is Tr(E rho_red) from its POVM element E and the
-    state reduced to the station's factor, so no final state is built; the
-    result builds them, as density matrices, on first read of
+    factor V of rho0 = V V^dagger, level by level: one contraction per
+    station acts on every live branch at once. At the last station, when
+    no evolution follows it, each outcome's probability is Tr(E rho_red)
+    from its POVM element E and the state reduced to the station's factor,
+    so no final state is built; the result builds them on first read of
     ``final_states``.
     """
     order = tuple(order)
-    ids = {st.id for st in s.stations}
-    if set(order) != ids or len(order) != len(ids):
-        raise ValueError(f"order {order} is not a permutation of station ids {sorted(ids)}")
-    causal = s.causal()
+    if set(order) != s._by_id.keys() or len(order) != len(s.stations):
+        raise ValueError(f"order {order} is not a permutation of station ids {sorted(s._by_id)}")
     pos = {sid: i for i, sid in enumerate(order)}
-    for (a, b) in causal:
+    for (a, b) in s._causal:
         if pos[a] > pos[b]:
             raise ValueError(
                 f"order places {a!r} after {b!r}, violating their causal order"
@@ -506,7 +695,7 @@ class InvarianceReport:
         return d
 
 
-def _require_causal_conditions(s: Scenario, causal: set[tuple[str, str]]) -> None:
+def _require_causal_conditions(s: Scenario, causal: AbstractSet[tuple[str, str]]) -> None:
     """Reject outcome-conditioned stations that depend on a station not causally prior."""
     for st in s.stations:
         if isinstance(st.local, ConditionalLocal):
@@ -519,7 +708,7 @@ def _require_causal_conditions(s: Scenario, causal: set[tuple[str, str]]) -> Non
                     )
 
 
-def _require_order_comparable(s: Scenario, causal: set[tuple[str, str]]) -> None:
+def _require_order_comparable(s: Scenario, causal: AbstractSet[tuple[str, str]]) -> None:
     """Reject scenarios whose dynamics cannot be compared across orderings.
 
     A non-identity evolution from ``after`` to ``before`` (None: the start
@@ -560,9 +749,8 @@ def check_order_invariance(s: Scenario, tol: float) -> InvarianceReport:
     record probability; the witness names a maximal-spread record and the
     two orderings realizing it when the check fails.
     """
-    causal = s.causal()
-    _require_order_comparable(s, causal)
-    extensions = linear_extensions(causal, s.events())
+    _require_order_comparable(s, s._causal)
+    extensions = linear_extensions(s._causal, s.events())
     results = [evaluate_in_order(s, ext) for ext in extensions]
     return compare_orderings(results, tol)
 
@@ -694,7 +882,7 @@ def check_no_signaling(
             f"stations {varied!r} and {target!r} are {kind.value}, not spacelike; "
             "the no-signaling claim applies only to spacelike separation"
         )
-    _require_causal_conditions(s, s.causal())
+    _require_causal_conditions(s, s._causal)
     for alt in alternatives:
         if alt.subsystem != v_st.subsystem:
             raise ValueError(
@@ -703,13 +891,8 @@ def check_no_signaling(
             )
 
     order = _chronological_ids(s)
-
-    def with_varied(local: LocalIntervention) -> Scenario:
-        stations = tuple(Station(st.event, local) if st.id == varied else st for st in s.stations)
-        return Scenario(dims0=s.dims0, rho0=s.rho0, stations=stations, evolutions=s.evolutions)
-
-    # The original candidate is s itself; only the alternatives need a rebuilt scenario.
-    variants = [s, *map(with_varied, alternatives)]
+    # The original candidate is s itself; each alternative is s with one station swapped.
+    variants = [s, *(s._with_station(varied, alt) for alt in alternatives)]
     marginals = [marginal(evaluate_in_order(v, order), target) for v in variants]
     worst, witness = _worst_spread(marginals, range(len(marginals)))
     ok = worst <= tol

@@ -6,13 +6,15 @@ matrices of an outcome may have more or fewer rows than columns (the
 output Hilbert space need not match the input). Completeness of the full
 branch set is enforced at construction so that branch traces always form
 a probability distribution. The same branch acts on a factor V of
-rho = V V^dagger as V -> [A_1 V, ..., A_k V], one product per Kraus matrix.
+rho = V V^dagger as V -> [A_1 V, ..., A_k V], one product per Kraus matrix;
+the evaluator's kernels apply it to a whole stack of factors at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -72,6 +74,7 @@ class Intervention:
 
     ``povm`` holds each outcome's POVM element E = sum_m A_m^dagger A_m, in
     outcome order, as one read-only (outcomes, d_in, d_in) array.
+    ``_kraus_stack`` holds the Kraus matrices, built on first use.
     """
 
     d_in: int
@@ -108,6 +111,24 @@ class Intervention:
             )
         object.__setattr__(self, "deviation", worst)
         object.__setattr__(self, "povm", povm)
+
+    @cached_property
+    def _kraus_stack(self) -> np.ndarray:
+        """Read-only (outcomes, Kraus, d_out max, d_in) array of the Kraus matrices, zero-padded."""
+        stack = np.zeros(
+            (
+                len(self.outcomes),
+                max(len(o.kraus) for o in self.outcomes),
+                max(o.d_out for o in self.outcomes),
+                self.d_in,
+            ),
+            dtype=complex,
+        )
+        for i, o in enumerate(self.outcomes):
+            for k, m in enumerate(o.kraus):
+                stack[i, k, : o.d_out] = m.array
+        stack.setflags(write=False)
+        return stack
 
     def labels(self) -> tuple[str, ...]:
         return tuple(o.label for o in self.outcomes)
@@ -167,23 +188,6 @@ def _lift_left(k: np.ndarray, x: np.ndarray, b: int) -> np.ndarray:
     return (k @ x.reshape(b, k.shape[1], -1)).reshape(-1, x.shape[1])
 
 
-def _trace(x: np.ndarray, factor: bool) -> float:
-    """Trace of the state ``x`` carries: ||x||_F^2 of a factor V of rho = V V^dagger, tr x of rho."""
-    return float(np.vdot(x, x).real if factor else np.trace(x).real)
-
-
-def _checked(out: np.ndarray, parent: float, iv: Intervention, o: Outcome, factor: bool):
-    """Freeze a branch once its trace is within the derived growth of the parent's trace."""
-    tolerance.check(
-        _trace(out, factor),
-        0.0,
-        parent * tolerance.growth(iv.d_in, iv.deviation),
-        f"branch trace for outcome {o.label!r}",
-    )
-    out.setflags(write=False)
-    return out
-
-
 def _branch(rho: np.ndarray, iv: Intervention, o: Outcome, b: int) -> np.ndarray:
     """Read-only branch state of outcome ``o``, ``iv`` acting after b dimensions.
 
@@ -195,44 +199,77 @@ def _branch(rho: np.ndarray, iv: Intervention, o: Outcome, b: int) -> np.ndarray
     for m in o.kraus:
         term = _lift_left(m.array, _lift_left(m.array, rho, b).conj().T, b).conj().T
         out = term if out is None else out + term
-    return _checked(out, _trace(rho, False), iv, o, False)
+    high = float(np.trace(rho).real) * tolerance.growth(iv.d_in, iv.deviation)
+    tolerance.check(float(np.trace(out).real), 0.0, high, f"branch trace for outcome {o.label!r}")
+    out.setflags(write=False)
+    return out
 
 
-def _branch_factor(v: np.ndarray, iv: Intervention, o: Outcome, b: int) -> np.ndarray:
-    """Read-only factor of outcome ``o``'s branch state, given a factor V of rho = V V^dagger.
+def _trace(v: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """Trace of V diag(weights) V^dagger for each factor V along ``v``'s leading (branch) axis.
 
-    Each Kraus matrix A gives L V with L = I_b (x) A (x) I_a, one row
-    contraction; the k matrices of an outcome sit side by side, so the
-    width grows k-fold and sum_m L_m rho L_m^dagger = V' V'^dagger. The
-    branch trace ||V'||_F^2 has the bound ``_branch`` checks.
+    ``weights`` weighs the columns; None weighs each by 1, giving ||V||_F^2.
     """
-    terms = [_lift_left(m.array, v, b) for m in o.kraus]
-    out = terms[0] if len(terms) == 1 else np.hstack(terms)
-    return _checked(out, _trace(v, True), iv, o, True)
+    if weights is not None:
+        v = v * np.sqrt(weights)
+    x = np.ascontiguousarray(v).reshape(len(v), -1).view(np.float64)
+    return np.einsum("ij,ij->i", x, x)
 
 
-def _outcome_probabilities(x: np.ndarray, iv: Intervention, b: int, factor: bool) -> np.ndarray:
-    """Branch trace of every outcome of ``iv`` acting after b dimensions, no branch built.
+def _first_outside(values: np.ndarray, high) -> int | None:
+    """Flat index of the first value outside [0, high] by more than ``tolerance.FLOOR``, if any.
 
-    ``x`` is rho, or a factor V of rho = V V^dagger when ``factor`` is set.
-    An outcome's branch trace is Tr(E rho_red), with E its POVM element and
-    rho_red the state reduced to the addressed factor. Each trace has the
-    bound ``_branch`` checks.
+    ``high`` broadcasts against ``values``; NaN is outside.
     """
-    d = iv.d_in
-    if factor:
-        # rho_red = W W^dagger, W gathering every row of V that addresses factor entry x.
-        w = x.reshape(b, d, -1).transpose(1, 0, 2).reshape(d, -1)
-        red_t = w.conj() @ w.T
-    else:
-        a = x.shape[0] // (b * d)
-        # rho_red^T: trace out the b leading and a trailing dimensions of rows and columns.
-        red_t = np.einsum("ixjiyj->yx", x.reshape(b, d, a, b, d, a))
-    probs = (iv.povm.reshape(len(iv.outcomes), -1) @ red_t.reshape(-1)).real
-    high = float(red_t.trace().real) * tolerance.growth(d, iv.deviation)
-    for o, p in zip(iv.outcomes, probs):
-        tolerance.check(float(p), 0.0, high, f"branch trace for outcome {o.label!r}")
-    return probs
+    if values.min() >= -tolerance.FLOOR and (values - high).max() <= tolerance.FLOOR:
+        return None
+    inside = (values >= -tolerance.FLOOR) & (values <= high + tolerance.FLOOR)
+    return int(np.flatnonzero(~inside)[0])
+
+
+def _check_outcomes(traces: np.ndarray, parent: np.ndarray, iv: Intervention) -> None:
+    """Bound every branch trace of ``iv``'s outcomes by the derived growth of its parent's trace.
+
+    ``traces`` is outcome-minor, ``parent`` holds one trace per parent.
+    """
+    m = len(iv.outcomes)
+    high = parent * tolerance.growth(iv.d_in, iv.deviation)
+    if (i := _first_outside(traces.reshape(-1, m), high[:, None])) is not None:
+        label = iv.outcomes[i % m].label
+        what = f"branch trace for outcome {label!r}"
+        tolerance.check(float(traces[i]), 0.0, float(high[i // m]), what)
+
+
+def _branches(v: np.ndarray, iv: Intervention) -> np.ndarray:
+    """Factors of every outcome's branch of every branch in ``v``, in one contraction.
+
+    ``v`` is (branch n, b, d_in, a, width w), each branch's factor V with
+    ``iv`` acting on its middle index after b dimensions. Outcome o's
+    branch factor is [L_1 V, ..., L_k V] with L = I_b (x) A (x) I_a: the
+    zero-padded Kraus stack (outcomes m, Kraus K, d_out max, d_in)
+    contracts d_in once for all of them. Returns (n * m, b, d_out max, a,
+    w * K), outcome-minor; column j * K + k holds Kraus matrix k on V's
+    column j.
+    """
+    n, b, d, a, w = v.shape
+    m, k, d_out, _ = iv._kraus_stack.shape
+    rows = v.transpose(2, 0, 1, 3, 4).reshape(d, -1)
+    out = (iv._kraus_stack.reshape(m * k * d_out, d) @ rows).reshape(m, k, d_out, n, b, a, w)
+    return out.transpose(3, 0, 4, 2, 5, 6, 1).reshape(n * m, b, d_out, a, w * k)
+
+
+def _outcome_probabilities(v: np.ndarray, iv: Intervention) -> np.ndarray:
+    """Branch trace of every outcome of ``iv`` for every branch in ``v``, no branch built.
+
+    ``v`` is laid out as for ``_branches``. An outcome's branch trace is
+    Tr(E rho_red), with E its POVM element and rho_red = W W^dagger the
+    state reduced to the addressed factor, W gathering every row of V that
+    addresses factor entry x. Returns the traces outcome-minor.
+    """
+    n, b, d, a, w = v.shape
+    x = v.transpose(0, 2, 1, 3, 4).reshape(n, d, b * a * w)
+    red_t = (x.conj() @ x.transpose(0, 2, 1)).reshape(n, d * d)
+    return (red_t @ iv.povm.reshape(-1, d * d).T).real.reshape(-1)
 
 
 def povm_elements(iv: Intervention) -> list[tuple[str, CMatrix]]:

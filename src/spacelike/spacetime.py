@@ -172,8 +172,22 @@ def linear_extensions(
     chosen: list[str] = []
     placed: set[str] = set()
 
-    def backtrack():
-        if len(chosen) == len(ids):
+    def ready(i: str) -> bool:
+        return i not in placed and preds[i] <= placed
+
+    # Depth-first backtracking with an explicit stack: nxt[k] is where the
+    # search for the k-th event of the ordering resumes in ``ids``.
+    nxt = [0]
+    while nxt:
+        if len(chosen) < len(ids):
+            k = next((k for k in range(nxt[-1], len(ids)) if ready(ids[k])), None)
+            if k is not None:
+                nxt[-1] = k + 1
+                chosen.append(ids[k])
+                placed.add(ids[k])
+                nxt.append(0)
+                continue
+        else:
             if len(out) == MAX_EXTENSIONS:
                 raise ValueError(
                     f"{len(ids)} events have more than {MAX_EXTENSIONS} orderings (8!), "
@@ -181,15 +195,7 @@ def linear_extensions(
                     "instead (simulate --frame-velocity, evaluate_in_frame)"
                 )
             out.append(tuple(chosen))
-            return
-        for i in ids:
-            if i in placed or not preds[i] <= placed:
-                continue
-            chosen.append(i)
-            placed.add(i)
-            backtrack()
-            chosen.pop()
-            placed.remove(i)
-
-    backtrack()
+        nxt.pop()
+        if chosen:
+            placed.remove(chosen.pop())
     return out

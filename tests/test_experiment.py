@@ -5,7 +5,14 @@ import pytest
 
 from spacelike import experiment
 from spacelike.linalg import CMatrix, DimensionError, max_abs_diff, trace
-from spacelike.intervention import Intervention, LocalIntervention, Outcome, random_intervention
+from spacelike.intervention import (
+    Intervention,
+    LocalIntervention,
+    Outcome,
+    apply,
+    embed,
+    random_intervention,
+)
 from spacelike.experiment import (
     ConditionalLocal,
     Evolution,
@@ -508,6 +515,71 @@ def test_no_signaling_witness_names_target_outcome_and_candidates():
     assert check_no_signaling(s, "X", [s.station("Z").local], 1e-9, varied="Z").witness is None
 
 
+def test_no_signaling_alternatives_reuse_the_validated_initial_state(monkeypatch):
+    s = random_product_scenario(seed=3)
+    varied, target = s.stations[0], s.stations[1]
+    d = varied.resolve({}).d_in
+    alternatives = [
+        LocalIntervention(varied.subsystem, random_intervention(d, [d], seed=k)) for k in range(3)
+    ]
+    calls = {"cholesky": 0, "eigh": 0}
+    for name in calls:
+        kernel = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _kernel=kernel):
+            calls[_name] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    report = check_no_signaling(s, target.id, alternatives, 1e-9, varied=varied.id)
+    assert report.ok and report.alternatives_checked == 4
+    # rho0 was validated when s was built; its factor is computed once and shared.
+    assert calls == {"cholesky": 0, "eigh": 1}
+
+
+def test_swapped_station_recomputes_growth_and_checks_history_labels():
+    s = eprb(0.3, 1.2)
+    noisy = Intervention(
+        d_in=2, outcomes=(Outcome("+", 2, (CMatrix(np.eye(2) * (1 + 1e-10)),)),)
+    )
+    swapped = s._with_station("A", LocalIntervention(0, noisy))
+    rebuilt = Scenario(dims0=s.dims0, rho0=s.rho0, stations=swapped.stations)
+    assert swapped.growth == pytest.approx(rebuilt.growth, rel=1e-15) and swapped.growth > s.growth
+    assert swapped.station("A").local.local is noisy and s.station("A").local.local is not noisy
+    keyed = Scenario(
+        dims0=s.dims0,
+        rho0=s.rho0,
+        stations=s.stations,
+        evolutions=(Evolution("B", None, CMatrix.identity(4), history={"A": "+"}),),
+    )
+    with pytest.raises(ValueError, match="outcome '\\+' unknown to station 'A'"):
+        keyed._with_station("A", LocalIntervention(0, z_iv()))
+    # The message a rebuilt scenario gives.
+    z_station = Station(s.station("A").event, LocalIntervention(0, z_iv()))
+    with pytest.raises(ValueError, match="outcome '\\+' unknown to station 'A'"):
+        Scenario(dims0=s.dims0, rho0=s.rho0, stations=(z_station, s.stations[1]), evolutions=keyed.evolutions)
+
+
+def test_causal_order_is_closed_once_per_scenario(monkeypatch):
+    closures = []
+    closure = experiment.causal_order
+    monkeypatch.setattr(experiment, "causal_order", lambda events: closures.append(1) or closure(events))
+    s = random_product_scenario(seed=3)
+    report = check_order_invariance(s, 1e-9)
+    assert report.orders_checked == len(closures) * 24 == 24
+    # causal() hands out a copy the caller may change.
+    mine = s.causal()
+    mine.add(("x", "y"))
+    assert ("x", "y") not in s.causal() and len(closures) == 1
+
+
+def test_station_lookup_by_id():
+    s = random_product_scenario(seed=3)
+    assert [s.station(st.id) for st in s.stations] == list(s.stations)
+    with pytest.raises(KeyError, match="unknown station 'nope'"):
+        s.station("nope")
+
+
 def test_no_signaling_rejects_timelike_pairs():
     s = timelike_chain_scenario()
     with pytest.raises(ValueError, match="spacelike"):
@@ -562,18 +634,58 @@ def test_result_serialization_shape():
 # ------------------------------------------------- leaf step and final states
 
 
-def assert_leaf_step_matches_state_path(s, orders=None):
-    """Probabilities equal the traces of the final states the density walk builds.
+def reference_final_states(s, order, lifted=None):
+    """Every record's final state by the textbook recursion, independent of the evaluator.
 
-    The probabilities come from the factor walk wherever the scenario takes
-    it, and at the last station from the POVM leaf step.
+    Each station's intervention is lifted to the whole composite space with
+    ``embed`` and each of its outcomes applied with ``apply``; an evolution
+    U maps rho to U rho U^dagger. ``lifted`` may carry the embeddings, one
+    per station, case and composite dims, from one call to the next.
     """
+    states = {}
+    lifted = {} if lifted is None else lifted
+
+    def walk(rho, dims, history, j):
+        prev = order[j - 1] if j else None
+        cur = order[j] if j < len(order) else None
+        u = next((ev.matrix.array for ev in s.evolutions if ev.matches(prev, cur, history)), None)
+        if u is not None:
+            rho = CMatrix(u @ rho.array @ u.conj().T)
+        if cur is None:
+            states[tuple(sorted(history.items()))] = rho
+            return
+        st = s.station(cur)
+        local = LocalIntervention(st.subsystem, st.resolve(history))
+        case = tuple(history[dep] for dep in getattr(st.local, "depends_on", ()))
+        key = (cur, case, dims)
+        if key not in lifted:
+            lifted[key] = embed(local, dims)
+        for o in local.local.outcomes:
+            branch_dims = dims[: st.subsystem] + (o.d_out,) + dims[st.subsystem + 1 :]
+            walk(apply(rho, lifted[key], o.label), branch_dims, {**history, cur: o.label}, j + 1)
+
+    walk(s.rho0, tuple(s.dims0), {}, 0)
+    return states
+
+
+def assert_leaf_step_matches_state_path(s, orders=None, final_states=True):
+    """Probabilities and final states equal the reference recursion's within 1e-12.
+
+    The probabilities come from the batched factor walk and, at the last
+    station, from the POVM leaf step; the final states from the same walk
+    with every branch built.
+    """
+    lifted = {}
     for order in orders or linear_extensions(s.causal(), s.events()):
+        want = reference_final_states(s, order, lifted)
         result = evaluate_in_order(s, order)
-        states = result.final_states
-        assert set(result.probabilities) == set(states)
-        for rec, p in result.probabilities.items():
-            assert abs(p - trace(states[rec]).real) <= 1e-12, (order, rec)
+        assert result.probabilities.keys() == want.keys(), order
+        for rec, state in want.items():
+            assert abs(result.probabilities[rec] - trace(state).real) <= 1e-12, (order, rec)
+        if final_states:
+            got = result.final_states
+            for rec, state in want.items():
+                assert max_abs_diff(got[rec], state) <= 1e-12, (order, rec)
 
 
 def random_density(d, seed, rank=None):
@@ -582,6 +694,12 @@ def random_density(d, seed, rank=None):
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     rho = g @ g.conj().T
     return CMatrix(rho / np.trace(rho).real)
+
+
+def haar_unitary(d, seed):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return CMatrix(q * (np.diagonal(r) / np.abs(np.diagonal(r))).conj())
 
 
 def test_leaf_step_matches_state_path_on_random_products():
@@ -612,40 +730,50 @@ def middle_factor_scenario(rho0):
     )
 
 
-def count_factor_branches(monkeypatch):
-    """Record every call of the factor walk's branch kernel."""
+def count_calls(monkeypatch, name):
+    """Record the arguments and result of every call of the evaluator's kernel ``name``."""
     calls = []
-    kernel = experiment._branch_factor
+    kernel = getattr(experiment, name)
 
     def counted(*args):
-        calls.append(args)
-        return kernel(*args)
+        out = kernel(*args)
+        calls.append((args, out))
+        return out
 
-    monkeypatch.setattr(experiment, "_branch_factor", counted)
+    monkeypatch.setattr(experiment, name, counted)
     return calls
 
 
 def test_leaf_step_matches_state_path_on_a_dimension_changing_middle_factor(monkeypatch):
-    # Full rank 18 times two Kraus matrices exceeds D = 18: the density walk.
-    calls = count_factor_branches(monkeypatch)
+    # Full rank 18: the first station's branches, 18 wide, have 12 or fewer dimensions.
+    recompressed = count_calls(monkeypatch, "_recompress")
     assert_leaf_step_matches_state_path(middle_factor_scenario(random_density(18, seed=5)))
-    assert calls == []
+    assert recompressed
+    for (v,), r in recompressed:
+        assert v.shape[2] > v.shape[1] and r.shape == (v.shape[0], v.shape[1], v.shape[1])
 
 
 def test_factor_path_matches_state_path_on_a_mixed_two_kraus_scenario(monkeypatch):
-    # Rank 3 times two Kraus matrices stays within D = 18: the factor walk.
-    calls = count_factor_branches(monkeypatch)
+    # Rank 3 times two Kraus matrices stays within every dimension the chain reaches.
+    branches = count_calls(monkeypatch, "_branches")
+    recompressed = count_calls(monkeypatch, "_recompress")
     s = middle_factor_scenario(random_density(18, seed=5, rank=3))
     assert_leaf_step_matches_state_path(s)
-    assert calls
     assert s._factor.shape == (18, 3)
+    assert branches and not recompressed
+    for _, out in branches:
+        n, b, d_out, a, width = out.shape
+        assert width <= b * d_out * a
 
 
 def test_pure_single_kraus_scenario_takes_the_factor_path(monkeypatch):
-    calls = count_factor_branches(monkeypatch)
+    branches = count_calls(monkeypatch, "_branches")
+    leaves = count_calls(monkeypatch, "_outcome_probabilities")
     evaluate_in_order(eprb(0.3, 1.2), ["A", "B"])
-    # A's two outcomes branch; B's probabilities come from the POVM leaf step.
-    assert len(calls) == 2
+    # One batched contraction builds both of A's branches; B's outcome
+    # probabilities, for both branches at once, come from the POVM leaf step.
+    assert len(branches) == 1 and branches[0][1].shape[:1] == (2,)
+    assert len(leaves) == 1 and leaves[0][1].shape == (4,)
 
 
 def ghz_scenario(angles):
@@ -663,7 +791,25 @@ def ghz_scenario(angles):
 @pytest.mark.parametrize("qubits", [2, 4, 6, 8])
 def test_factor_path_matches_state_path_on_ghz(qubits):
     s = ghz_scenario([0.4 + 0.7 * i for i in range(qubits)])
-    assert_leaf_step_matches_state_path(s, [[st.id for st in reversed(s.stations)]])
+    ids = [st.id for st in s.stations]
+    if qubits <= 4:
+        assert_leaf_step_matches_state_path(s)
+        return
+    # n! orderings of 2^n records each are too many to run through the
+    # reference; local measurements on distinct qubits commute, so its final
+    # states in one ordering are every ordering's.
+    want = reference_final_states(s, ids)
+    rng = np.random.default_rng(qubits)
+    for order in [ids, ids[::-1], *(list(rng.permutation(ids)) for _ in range(3))]:
+        result = evaluate_in_order(s, order)
+        assert result.probabilities.keys() == want.keys()
+        for rec, state in want.items():
+            assert abs(result.probabilities[rec] - trace(state).real) <= 1e-12, (order, rec)
+    # 8 qubits have 256 final states of 256 x 256 entries (268 MB): probabilities only.
+    if qubits == 6:
+        got = result.final_states
+        for rec, state in want.items():
+            assert max_abs_diff(got[rec], state) <= 1e-12, rec
 
 
 def test_ten_qubit_ghz_meets_the_closed_form_in_two_orderings():
@@ -715,6 +861,71 @@ def test_final_evolution_after_the_last_station_takes_the_state_path(monkeypatch
         evolutions=(Evolution("Q", None, HADAMARD, history={"Q": "x+"}),),
     )
     monkeypatch.setattr(experiment, "_outcome_probabilities", unreachable)
+    assert_leaf_step_matches_state_path(s)
+
+
+def test_sub_batches_match_the_reference_where_cases_evolutions_and_dims_differ():
+    # A history-keyed evolution after A; B's outcomes of 1, 3 and 2 dimensions
+    # (padded to 3); C's cases with different outcome counts (an incomplete
+    # record grid); D's cases leave 3 x 2 or 2 x 3; a final 6 x 6 evolution
+    # on the A = o0 branches, which must cut each to its own factor dims.
+    first, second, third = random_intervention(3, [2, 2, 3], seed=41).outcomes
+    c_wide = Intervention(d_in=3, outcomes=(Outcome("pair", 2, first.kraus + second.kraus), third))
+    to_three, to_two = random_intervention(2, [3], seed=46), random_intervention(2, [2], seed=47)
+    s = Scenario(
+        dims0=(2, 3),
+        rho0=random_density(6, seed=40),
+        stations=(
+            station("A", 0.0, 0.0, 0, random_intervention(2, [2, 2], seed=42)),
+            station("B", 2.0, 0.0, 1, random_intervention(3, [1, 3, 2], seed=43)),
+            Station(
+                Event("C", 4.0, 0.0),
+                ConditionalLocal(
+                    1,
+                    ("B",),
+                    {
+                        ("o0",): random_intervention(1, [2, 2], seed=44),
+                        ("o1",): c_wide,
+                        ("o2",): random_intervention(2, [3], seed=45),
+                    },
+                ),
+            ),
+            Station(
+                Event("D", 6.0, 0.0),
+                ConditionalLocal(
+                    0,
+                    ("B", "C"),
+                    {
+                        ("o0", "o0"): to_three,
+                        ("o0", "o1"): to_three,
+                        ("o1", "pair"): to_three,
+                        ("o1", "o2"): to_two,
+                        ("o2", "o0"): to_two,
+                    },
+                ),
+            ),
+        ),
+        evolutions=(
+            Evolution("A", "B", haar_unitary(6, seed=49), history={"A": "o0"}),
+            Evolution("D", None, haar_unitary(6, seed=50), history={"A": "o0"}),
+        ),
+    )
+    assert_leaf_step_matches_state_path(s)
+
+
+def test_leaf_step_matches_state_path_with_bottleneck_evolutions():
+    stations = (
+        station("R", -5.0, 0.0, 0, z_iv()),
+        station("A1", 0.0, 3.0, 1, random_intervention(2, [2], seed=31)),
+        station("A2", 0.2, -3.0, 2, random_intervention(2, [2], seed=32)),
+        station("Z", 5.0, 0.0, 3, z_iv(labels=("u", "d"))),
+    )
+    evolutions = (
+        Evolution(None, "R", haar_unitary(16, seed=33)),
+        Evolution("Z", None, haar_unitary(16, seed=34), history={"R": "z+"}),
+        Evolution("Z", None, haar_unitary(16, seed=35), history={"R": "z-"}),
+    )
+    s = Scenario(dims0=(2, 2, 2, 2), rho0=random_density(16, seed=36), stations=stations, evolutions=evolutions)
     assert_leaf_step_matches_state_path(s)
 
 

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from spacelike.scenarios import builtin_scenarios, random_product_scenario
 from spacelike.spacetime import (
     Event,
     Frame,
@@ -247,6 +248,42 @@ def test_linear_extensions_respect_the_partial_order():
         pos = {sid: i for i, sid in enumerate(ext)}
         for earlier, later in order:
             assert pos[earlier] < pos[later]
+
+
+def recursive_extensions(order, events):
+    """Reference: the recursive backtracking the enumeration replaced, one frame per event."""
+    ids = [e.id for e in events]
+    preds = {i: {a for a, b in order if b == i} for i in ids}
+    out, chosen = [], []
+
+    def backtrack():
+        if len(chosen) == len(ids):
+            out.append(tuple(chosen))
+            return
+        for i in ids:
+            if i not in chosen and preds[i] <= set(chosen):
+                chosen.append(i)
+                backtrack()
+                chosen.pop()
+
+    backtrack()
+    return out
+
+
+def test_linear_extensions_list_equal_the_recursive_enumeration():
+    # The same orderings in the same order, so witnesses and pinned counts keep.
+    layouts = [random_product_scenario(seed=k).events() for k in range(200)]
+    layouts += [s.events() for s in builtin_scenarios().values()]
+    rng = np.random.default_rng(15)
+    layouts += [seeded_layout(rng, int(rng.integers(0, 7))) for _ in range(1200)]
+    for events in layouts:
+        order = causal_order(events)
+        assert linear_extensions(order, events) == recursive_extensions(order, events), events
+
+
+def test_linear_extensions_of_a_chain_deeper_than_the_recursion_limit():
+    chain = [Event(f"c{i}", 2.0 * i, 0.0) for i in range(1100)]
+    assert linear_extensions(causal_order(chain), chain) == [tuple(e.id for e in chain)]
 
 
 def test_linear_extensions_guard_on_event_count():

@@ -37,6 +37,7 @@ from .experiment import (
     check_order_invariance,
     compare_orderings,
     evaluate_in_order,
+    evaluate_orderings,
     marginal,
 )
 from .scenarios import (
@@ -111,10 +112,13 @@ def cmd_simulate(args, out) -> int:
     s = load_scenario(args.scenario)
     # Every ordering the frame admits: more than one exactly on a tie.
     groups = frame_groups(s.events(), Frame(args.frame_velocity))
-    results = [
-        evaluate_in_order(s, [e.id for group in perm for e in group])
-        for perm in itertools.product(*(itertools.permutations(g) for g in groups))
-    ]
+    results = evaluate_orderings(
+        s,
+        [
+            [e.id for group in perm for e in group]
+            for perm in itertools.product(*(itertools.permutations(g) for g in groups))
+        ],
+    )
     if len(results) == 1:
         _emit_result(results[0], args.format, out)
         return 0

@@ -22,6 +22,7 @@ __all__ = [
     "boost",
     "causal_order",
     "classify",
+    "direct_predecessors",
     "frame_groups",
     "frame_ordering",
     "linear_extensions",
@@ -101,13 +102,14 @@ def classify(e1: Event, e2: Event) -> IntervalKind:
     return IntervalKind.COINCIDENT
 
 
-def causal_order(events: list[Event]) -> set[tuple[str, str]]:
-    """Causal partial order as the set of pairs (a, b) with b in a's future.
+def _causal_pasts(events: list[Event]) -> tuple[dict[str, set[str]], dict[str, list[str]]]:
+    """Each event's causal past, and its direct predecessors, keyed by event id.
 
-    Transitively closed, and acyclic because every pair strictly increases t.
-    One pass in time order closes it: an event's past is final before any
-    later event reads it, and an earlier event already in the past needs no
-    interval test.
+    One pass in time order: an event's past is final before any later
+    event reads it, and an earlier event already in the past needs no
+    interval test. An event that joins the past without already being in
+    it has no event of the past between it and this one, so those are
+    exactly the direct predecessors (the covering pairs of the order).
     """
     ids = [e.id for e in events]
     if len(set(ids)) != len(ids):
@@ -117,13 +119,35 @@ def causal_order(events: list[Event]) -> set[tuple[str, str]]:
     # NaN times sort last: comparisons with NaN would scramble the time order.
     timeline = sorted(events, key=lambda e: (math.isnan(e.t), e.t))
     past: dict[str, set[str]] = {}
+    direct: dict[str, list[str]] = {}
     for j, b in enumerate(timeline):
         mine = past[b.id] = set()
+        nearest = direct[b.id] = []
         for a in reversed(timeline[:j]):
             if a.id not in mine and classify(a, b) in future:
+                nearest.append(a.id)
                 mine.add(a.id)
                 mine |= past[a.id]
+    return past, direct
+
+
+def causal_order(events: list[Event]) -> set[tuple[str, str]]:
+    """Causal partial order as the set of pairs (a, b) with b in a's future.
+
+    Transitively closed, and acyclic because every pair strictly increases t.
+    """
+    past, _ = _causal_pasts(events)
     return {(a, b) for b, mine in past.items() for a in mine}
+
+
+def direct_predecessors(events: list[Event]) -> dict[str, list[str]]:
+    """Each event's direct causal predecessors: the covering pairs of ``causal_order``.
+
+    An order of the events extends the causal order exactly when it places
+    every event after its direct predecessors.
+    """
+    _, direct = _causal_pasts(events)
+    return direct
 
 
 def frame_groups(events: list[Event], f: Frame) -> list[list[Event]]:
@@ -156,6 +180,14 @@ def linear_extensions(
 ) -> list[tuple[str, ...]]:
     """All total orders of the events consistent with the partial order.
 
+    ``order`` may be the partial order or any relation it is the
+    transitive closure of, such as its covering pairs. The orders come
+    depth-first, each depth trying the ready events in ``events`` order,
+    so consecutive orders share their longest prefixes. An event is ready
+    when none of its predecessors is unplaced; a count per event keeps
+    that up to date, so each step costs its event's successors, not a
+    scan of every event.
+
     Refuses more than MAX_EXTENSIONS (8!) of them: their count grows
     factorially with the number of mutually spacelike events. Such a
     scenario can still be evaluated one frame at a time.
@@ -163,39 +195,50 @@ def linear_extensions(
     ids = [e.id for e in events]
     if len(set(ids)) != len(ids):
         raise ValueError("event ids must be unique")
-    preds: dict[str, set[str]] = {i: set() for i in ids}
+    at = {i: k for k, i in enumerate(ids)}
+    # succs[k]: positions of k's successors; missing[k]: k's predecessors not yet placed.
+    succs: list[list[int]] = [[] for _ in ids]
+    missing = [0] * len(ids)
     for a, b in order:
-        if a in preds and b in preds:
-            preds[b].add(a)
+        if a in at and b in at:
+            succs[at[a]].append(at[b])
+            missing[at[b]] += 1
+    ready = {k for k, m in enumerate(missing) if not m}
 
     out: list[tuple[str, ...]] = []
-    chosen: list[str] = []
-    placed: set[str] = set()
-
-    def ready(i: str) -> bool:
-        return i not in placed and preds[i] <= placed
-
-    # Depth-first backtracking with an explicit stack: nxt[k] is where the
-    # search for the k-th event of the ordering resumes in ``ids``.
-    nxt = [0]
-    while nxt:
-        if len(chosen) < len(ids):
-            k = next((k for k in range(nxt[-1], len(ids)) if ready(ids[k])), None)
-            if k is not None:
-                nxt[-1] = k + 1
-                chosen.append(ids[k])
-                placed.add(ids[k])
-                nxt.append(0)
-                continue
-        else:
+    chosen: list[int] = []
+    # Depth-first backtracking with an explicit stack: stack[k] holds the
+    # events ready at depth k, in ``ids`` order, and the next one to try.
+    # The ready set is the same whenever the search returns to a depth.
+    stack = [[sorted(ready), 0]]
+    while stack:
+        top = stack[-1]
+        candidates, k = top
+        if k < len(candidates):
+            top[1] = k + 1
+            x = candidates[k]
+            chosen.append(x)
+            ready.remove(x)
+            for y in succs[x]:
+                missing[y] -= 1
+                if not missing[y]:
+                    ready.add(y)
+            stack.append([sorted(ready), 0])
+            continue
+        if len(chosen) == len(ids):
             if len(out) == MAX_EXTENSIONS:
                 raise ValueError(
                     f"{len(ids)} events have more than {MAX_EXTENSIONS} orderings (8!), "
                     "the limit for enumerating every ordering; evaluate single frames "
                     "instead (simulate --frame-velocity, evaluate_in_frame)"
                 )
-            out.append(tuple(chosen))
-        nxt.pop()
+            out.append(tuple(ids[j] for j in chosen))
+        stack.pop()
         if chosen:
-            placed.remove(chosen.pop())
+            x = chosen.pop()
+            for y in succs[x]:
+                if not missing[y]:
+                    ready.remove(y)
+                missing[y] += 1
+            ready.add(x)
     return out

@@ -72,6 +72,28 @@ def test_simulate_reports_and_compares_tie(tmp_path, capsys):
     assert len(doc["resolutions"]) == 2
 
 
+def test_simulate_evaluates_every_tie_resolution_in_one_walk(tmp_path, capsys, monkeypatch):
+    from spacelike import cli
+
+    stations = tuple(
+        Station(Event(sid, 0.0, 2.0 * i), LocalIntervention(i, spin_analyzer(0.3 + i)))
+        for i, sid in enumerate("ABC")
+    )
+    psi = np.zeros(8, dtype=complex)
+    psi[0] = psi[-1] = 1.0 / math.sqrt(2.0)
+    tied = Scenario(dims0=(2, 2, 2), rho0=CMatrix(np.outer(psi, psi.conj())), stations=stations)
+    path = tmp_path / "tie3.json"
+    path.write_text(serialize_scenario(tied))
+    calls = []
+    walk = cli.evaluate_orderings
+    monkeypatch.setattr(cli, "evaluate_orderings", lambda s, orders: calls.append(orders) or walk(s, orders))
+    code, out, _ = run(capsys, "simulate", str(path), "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["tie"] is True and doc["ok"] is True and len(doc["resolutions"]) == 6
+    assert len(calls) == 1 and len(calls[0]) == 6
+
+
 def test_check_invariance_exit_codes(capsys):
     code, out, _ = run(capsys, "check-invariance", "eprb")
     assert code == 0

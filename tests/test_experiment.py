@@ -23,6 +23,7 @@ from spacelike.experiment import (
     check_order_invariance,
     evaluate_in_frame,
     evaluate_in_order,
+    evaluate_orderings,
     marginal,
 )
 from spacelike.scenarios import (
@@ -251,6 +252,15 @@ def test_evolution_dimension_mismatch_reports_position():
     # the state is 3-dimensional after G, the evolution matrix is 2x2
     with pytest.raises(DimensionError, match="evolution"):
         evaluate_in_order(s, ["G", "Z"])
+    # the same after the last station, where the evolution follows built branches
+    last = Scenario(
+        dims0=(2,),
+        rho0=maximally_mixed(),
+        stations=(station("G", 0.0, 0.0, 0, grow),),
+        evolutions=(Evolution("G", None, CMatrix.identity(2)),),
+    )
+    with pytest.raises(DimensionError, match="evolution after 'G'"):
+        evaluate_in_order(last, ["G"])
 
 
 def test_evaluate_in_frame_matches_explicit_order():
@@ -672,16 +682,21 @@ def assert_leaf_step_matches_state_path(s, orders=None, final_states=True):
     """Probabilities and final states equal the reference recursion's within 1e-12.
 
     The probabilities come from the batched factor walk and, at the last
-    station, from the POVM leaf step; the final states from the same walk
-    with every branch built.
+    station, from the POVM leaf step, both one ordering at a time and for
+    every ordering in one call; the final states from the same walk with
+    every branch built.
     """
     lifted = {}
-    for order in orders or linear_extensions(s.causal(), s.events()):
+    orders = orders or linear_extensions(s.causal(), s.events())
+    together = evaluate_orderings(s, orders)
+    assert [r.ordering for r in together] == [tuple(order) for order in orders]
+    for order, batched in zip(orders, together):
         want = reference_final_states(s, order, lifted)
         result = evaluate_in_order(s, order)
-        assert result.probabilities.keys() == want.keys(), order
+        assert result.probabilities.keys() == batched.probabilities.keys() == want.keys(), order
         for rec, state in want.items():
             assert abs(result.probabilities[rec] - trace(state).real) <= 1e-12, (order, rec)
+            assert abs(batched.probabilities[rec] - result.probabilities[rec]) <= 1e-12, (order, rec)
         if final_states:
             got = result.final_states
             for rec, state in want.items():
@@ -1000,6 +1015,30 @@ def test_evolution_rule_equals_the_extension_scan():
     assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
 
 
+def test_invariance_witness_breaks_ties_by_ordering():
+    # Equal probabilities: the low ordering is the least, the high the greatest.
+    rec = (("A", "a0"),)
+    spread = {("A", "B", "C"): 0.5, ("B", "A", "C"): 0.5, ("C", "B", "A"): 0.1, ("B", "C", "A"): 0.1}
+    results = [experiment.EvaluationResult(o, {rec: p}, scenario=None) for o, p in spread.items()]
+    for ordered in (results, results[::-1]):
+        w = experiment.compare_orderings(ordered, 1e-9).witness
+        assert (w.order_low, w.p_low) == (("B", "C", "A"), 0.1)
+        assert (w.order_high, w.p_high) == (("B", "A", "C"), 0.5)
+
+
+def test_chunk_reduction_keeps_each_records_witness_orderings():
+    # Per column, the least and greatest (value, key), as the witness rule picks them.
+    rng = np.random.default_rng(90)
+    keys = sorted({tuple(rng.permutation(5).tolist()) for _ in range(40)})
+    rng.shuffle(keys)
+    table = rng.integers(0, 3, size=(len(keys), 6)).astype(float)
+    low, high = experiment._extremes(table, keys)
+    for e in range(table.shape[1]):
+        values = list(zip(table[:, e].tolist(), keys))
+        assert (table[low[e], e], keys[low[e]]) == min(values)
+        assert (table[high[e], e], keys[high[e]]) == max(values)
+
+
 def test_invariance_witness_takes_the_first_record_within_rounding_of_the_worst():
     early, late = (("A", "a0"),), (("A", "a1"),)
     results = [
@@ -1011,3 +1050,184 @@ def test_invariance_witness_takes_the_first_record_within_rounding_of_the_worst(
     assert report.worst == 0.25 + 1e-16 > 0.25
     assert report.witness.record == early
     assert (report.witness.order_low, report.witness.order_high) == (("B", "A"), ("A", "B"))
+
+
+# ---------------------------------------------------- orderings walked together
+
+
+def reordered_conditional_scenario():
+    """Six orderings through a conditional station, a dimension change and keyed evolutions.
+
+    R fires first and Z last; A1, A2 and A3 are mutually spacelike between
+    them. A1's case depends on R and has two or three outcomes of 2 or of
+    1, 3 and 1 dimensions, A3 grows its qubit to a qutrit, and a
+    history-keyed evolution follows Z on the R = z+ branches, so prefixes
+    of different padded dims share a station and the last station's
+    branches are built.
+    """
+    stations = (
+        station("R", -5.0, 0.0, 0, z_iv()),
+        Station(
+            Event("A1", 0.0, 3.0),
+            ConditionalLocal(
+                1,
+                ("R",),
+                {
+                    ("z+",): random_intervention(2, [2, 2], seed=61),
+                    ("z-",): random_intervention(2, [1, 3, 1], seed=62),
+                },
+            ),
+        ),
+        station("A2", 0.2, -3.0, 2, random_intervention(2, [2, 2], seed=63)),
+        station("A3", 0.1, 0.0, 3, random_intervention(2, [3, 3], seed=64)),
+        station("Z", 5.0, 0.0, 0, z_iv(labels=("u", "d"))),
+    )
+    evolutions = (
+        Evolution(None, "R", haar_unitary(16, seed=65)),
+        Evolution("Z", None, haar_unitary(24, seed=66), history={"R": "z+"}),
+    )
+    return Scenario(
+        dims0=(2, 2, 2, 2), rho0=random_density(16, seed=60), stations=stations, evolutions=evolutions
+    )
+
+
+def test_orderings_walked_together_through_conditions_and_keyed_evolutions():
+    s = reordered_conditional_scenario()
+    assert len(linear_extensions(s.causal(), s.events())) == 6
+    assert_leaf_step_matches_state_path(s)
+    report = check_order_invariance(s, 1e-9)
+    assert report.ok and report.orders_checked == 6, report
+
+
+def test_orderings_walked_together_evolve_only_where_their_segment_is():
+    # A unitary from A into B acts only in orderings where B follows A; the
+    # prefix (A) is shared with orderings where C follows it.
+    s = Scenario(
+        dims0=(2, 2, 2),
+        rho0=random_density(8, seed=67),
+        stations=(
+            station("A", 0.0, 0.0, 0, random_intervention(2, [2, 2], seed=68)),
+            station("B", 0.1, 3.0, 1, random_intervention(2, [1, 3], seed=69)),
+            station("C", 0.2, 6.0, 2, z_iv()),
+        ),
+        evolutions=(Evolution("A", "B", haar_unitary(8, seed=70)),),
+    )
+    assert len(linear_extensions(s.causal(), s.events())) == 6
+    assert_leaf_step_matches_state_path(s)
+
+
+def test_one_contraction_per_depth_and_station_for_every_ordering(monkeypatch):
+    # Four mutually spacelike stations: 24 orderings of 4 stations each would
+    # make 96 contractions one ordering at a time; together they make one per
+    # (depth, station), four at each of the four depths.
+    branches = count_calls(monkeypatch, "_branches")
+    leaves = count_calls(monkeypatch, "_outcome_probabilities")
+    report = check_order_invariance(ghz_scenario([0.4, 1.1, 1.8, 2.5]), 1e-9)
+    assert report.ok and report.orders_checked == 24
+    assert (len(branches), len(leaves)) == (12, 4)
+
+
+def test_chunked_walks_match_one_walk(monkeypatch):
+    # Four stations, one pair of them noncommuting on one qubit: a spread of
+    # 0.25, ties between orderings and witnesses that chunking must keep.
+    pair = noncommuting_counterexample()
+    flagged = Scenario(
+        dims0=(2, 2, 3),
+        rho0=CMatrix(np.kron(pair.rho0.array, random_density(6, seed=70).array)),
+        stations=(
+            *pair.stations,
+            station("W", 0.2, 5.0, 1, random_intervention(2, [1, 2, 2], seed=71)),
+            station("Y", 0.3, 9.0, 2, random_intervention(3, [2, 4], seed=72)),
+        ),
+    )
+    scenarios = [random_product_scenario(seed=k) for k in range(40)]
+    scenarios += [*builtin_scenarios().values(), reordered_conditional_scenario(), flagged]
+    whole = [
+        (check_order_invariance(s, 1e-9), evaluate_orderings(s, linear_extensions(s.causal(), s.events())))
+        for s in scenarios
+    ]
+    for bound in (1, 2_000):
+        monkeypatch.setattr(experiment, "MAX_LEVEL_BYTES", bound)
+        for s, (report, results) in zip(scenarios, whole):
+            chunked = check_order_invariance(s, 1e-9)
+            assert (chunked.ok, chunked.orders_checked, chunked.witness is None) == (
+                report.ok, report.orders_checked, report.witness is None
+            )
+            assert abs(chunked.worst - report.worst) <= 1e-15
+            if report.witness is not None:
+                w, v = chunked.witness, report.witness
+                assert (w.record, w.order_low, w.order_high) == (v.record, v.order_low, v.order_high)
+                assert abs(w.p_low - v.p_low) <= 1e-15 and abs(w.p_high - v.p_high) <= 1e-15
+            for a, b in zip(evaluate_orderings(s, [r.ordering for r in results]), results):
+                assert a.ordering == b.ordering and a.probabilities.keys() == b.probabilities.keys()
+                for rec, p in b.probabilities.items():
+                    assert abs(a.probabilities[rec] - p) <= 1e-12
+    report = whole[-1][0]
+    assert not report.ok and report.worst > 0.1
+    # The witness follows the rule over every ordering's probabilities at once.
+    assert report.witness == experiment.compare_orderings(whole[-1][1], 1e-9).witness
+
+
+def test_chunks_respect_the_level_bound(monkeypatch):
+    s = random_product_scenario(seed=3)
+    orders = linear_extensions(s.causal(), s.events())
+    per_ordering = experiment._level_bytes(s)
+    monkeypatch.setattr(experiment, "MAX_LEVEL_BYTES", 5 * per_ordering)
+    chunks = experiment._chunks(s, orders)
+    assert [len(c) for c in chunks] == [5, 5, 5, 5, 4]
+    assert [o for c in chunks for o in c] == orders
+    # A level never outgrows the bound it was sized by.
+    levels = count_calls(monkeypatch, "_branches")
+    check_order_invariance(s, 1e-9)
+    assert max(out.nbytes for _, out in levels) <= 5 * per_ordering
+    monkeypatch.setattr(experiment, "MAX_LEVEL_BYTES", 1)
+    assert [len(c) for c in experiment._chunks(s, orders)] == [1] * 24
+
+
+def test_a_scenario_without_stations_has_one_empty_record():
+    s = Scenario(dims0=(2,), rho0=maximally_mixed(), stations=())
+    report = check_order_invariance(s, 1e-9)
+    assert report.ok and report.orders_checked == 1 and report.worst == 0.0
+    assert [r.probabilities for r in evaluate_orderings(s, [[], []])] == [{(): pytest.approx(1.0)}] * 2
+
+
+def closure_admits(s, order):
+    """Reference: the ordering places every pair of the closed causal order in order."""
+    pos = {sid: i for i, sid in enumerate(order)}
+    return all(pos[a] < pos[b] for a, b in s.causal())
+
+
+def test_admissibility_from_direct_predecessors_equals_the_closure_check():
+    rng = np.random.default_rng(80)
+    scenarios = [random_product_scenario(seed=k) for k in range(200)]
+    chain = tuple(station(f"c{i}", 2.0 * i, 0.1 * (i % 3), 0, identity_iv()) for i in range(40))
+    scenarios.append(Scenario(dims0=(2,), rho0=maximally_mixed(), stations=chain))
+    for _ in range(300):
+        n = int(rng.integers(2, 8))
+        scenarios.append(
+            Scenario(
+                dims0=(2,),
+                rho0=maximally_mixed(),
+                stations=tuple(
+                    station(f"e{i}", float(rng.uniform(-2, 2)), float(rng.uniform(-0.7, 0.7)), 0, identity_iv())
+                    for i in range(n)
+                ),
+            )
+        )
+    verdicts = {True: 0, False: 0}
+    for s in scenarios:
+        ids = [sid for _, sid in sorted((st.event.t, st.id) for st in s.stations)]
+        candidates = [ids, *(list(rng.permutation(ids)) for _ in range(4))]
+        for k in range(len(ids) - 1):  # adjacent swaps of the time order
+            candidates.append(ids[:k] + [ids[k + 1], ids[k]] + ids[k + 2 :])
+        for order in candidates:
+            expected = closure_admits(s, order)
+            try:
+                experiment._require_admissible(s, tuple(order))
+                admitted = True
+            except ValueError as exc:
+                assert "violating their causal order" in str(exc)
+                admitted = False
+            assert admitted == expected, (s.events(), order)
+            verdicts[admitted] += 1
+    assert verdicts[True] > 1000 and verdicts[False] > 1000, verdicts

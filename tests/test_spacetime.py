@@ -14,6 +14,7 @@ from spacelike.spacetime import (
     boost,
     causal_order,
     classify,
+    direct_predecessors,
     frame_ordering,
     linear_extensions,
 )
@@ -153,6 +154,24 @@ def test_causal_order_equals_the_fixpoint_closure():
     assert causal_order(scrambled) == fixpoint_closure(scrambled) == {("a", "b")}
 
 
+def test_direct_predecessors_are_the_covering_pairs():
+    rng = np.random.default_rng(16)
+    for _ in range(600):
+        events = seeded_layout(rng, int(rng.integers(1, 9)))
+        order = causal_order(events)
+        ids = [e.id for e in events]
+        covering = {
+            (a, b) for a, b in order if not any((a, c) in order and (c, b) in order for c in ids)
+        }
+        direct = direct_predecessors(events)
+        assert {(a, b) for b, preds in direct.items() for a in preds} == covering
+        assert direct.keys() == set(ids)
+    scrambled = [Event("b", 2.0, 0.0), Event("n", math.nan, 0.0), Event("a", 0.0, 0.0)]
+    assert direct_predecessors(scrambled) == {"a": [], "b": ["a"], "n": []}
+    chain = [Event(f"c{i}", 2.0 * i, 0.0) for i in range(5)]
+    assert direct_predecessors(chain) == {"c0": [], **{f"c{i}": [f"c{i - 1}"] for i in range(1, 5)}}
+
+
 def test_causal_order_closes_a_long_chain_in_one_pass():
     chain = [Event(f"c{i}", 2.0 * i, 0.0) for i in range(1200)]
     start = time.perf_counter()
@@ -278,12 +297,28 @@ def test_linear_extensions_list_equal_the_recursive_enumeration():
     layouts += [seeded_layout(rng, int(rng.integers(0, 7))) for _ in range(1200)]
     for events in layouts:
         order = causal_order(events)
-        assert linear_extensions(order, events) == recursive_extensions(order, events), events
+        expected = recursive_extensions(order, events)
+        assert linear_extensions(order, events) == expected, events
+        # The covering pairs alone give the same orderings.
+        direct = direct_predecessors(events)
+        covering = {(a, b) for b, preds in direct.items() for a in preds}
+        assert linear_extensions(covering, events) == expected, events
 
 
 def test_linear_extensions_of_a_chain_deeper_than_the_recursion_limit():
     chain = [Event(f"c{i}", 2.0 * i, 0.0) for i in range(1100)]
     assert linear_extensions(causal_order(chain), chain) == [tuple(e.id for e in chain)]
+
+
+def test_linear_extensions_take_a_step_per_placed_event():
+    # Each placement updates its successors' counts; nothing rescans the
+    # events. 20,000 events: a rescan at every depth would make 2e8 tests.
+    n = 20_000
+    chain = [Event(f"c{i}", 2.0 * i, 0.0) for i in range(n)]
+    covering = {(f"c{i}", f"c{i + 1}") for i in range(n - 1)}
+    start = time.perf_counter()
+    assert linear_extensions(covering, chain) == [tuple(e.id for e in chain)]
+    assert time.perf_counter() - start < 2.0
 
 
 def test_linear_extensions_guard_on_event_count():

@@ -11,8 +11,6 @@ Subcommands:
   spacelike station pairs, with generated alternatives.
 * ``check-povm``: validate completeness and report the worst deviation
   of any station's POVM sum from the identity.
-* ``demo``: narrate a built-in scenario, printing the quantities it
-  reproduces, and exit nonzero if they are not reproduced.
 
 Exit status is 0 iff every check the invocation executed came back ok.
 """
@@ -28,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import CMatrix, dagger, deviation, matmul, max_abs_diff
+from .linalg import CMatrix
 from .intervention import Intervention, LocalIntervention, Outcome, random_intervention
 from .experiment import (
     EvaluationResult,
@@ -36,20 +34,11 @@ from .experiment import (
     check_no_signaling,
     check_order_invariance,
     compare_orderings,
-    evaluate_in_order,
     evaluate_orderings,
-    marginal,
 )
-from .scenarios import (
-    builtin_scenarios,
-    chsh,
-    correlation,
-    dimension_change_scenario,
-    eprb,
-    noncommuting_counterexample,
-    random_product_scenario,
-    spin_analyzer,
-)
+# Not called here; bound only because the benchmark's tracer, bench/tracer.py, rebinds it.
+from .experiment import evaluate_in_order  # noqa: F401
+from .scenarios import builtin_scenarios, random_product_scenario
 from .schema import SchemaError, parse_scenario
 from .spacetime import Frame, IntervalKind, classify, frame_groups
 
@@ -259,150 +248,15 @@ def cmd_check_povm(args, out) -> int:
     return 0 if ok else 1
 
 
-def _demo_eprb(args, out) -> int:
-    print("Singlet pair, one analyzer per side at spacelike events.", file=out)
-    ok = True
-    print("correlation E(a, b) against the -cos(a - b) law:", file=out)
-    for a_deg, b_deg in ((0, 60), (0, 90), (30, 75)):
-        a, b = math.radians(a_deg), math.radians(b_deg)
-        e = correlation(a, b)
-        expected = -math.cos(a - b)
-        ok &= abs(e - expected) <= args.tolerance
-        print(f"  a={a_deg:>3}deg b={b_deg:>3}deg  E={e:+.9f}  -cos={expected:+.9f}", file=out)
-    s = eprb(0.0, math.pi / 3.0)
-    rep = check_order_invariance(s, args.tolerance)
-    ok &= rep.ok
-    print(f"order invariance over {rep.orders_checked} orderings: worst {rep.worst:.3e}", file=out)
-    alts = [
-        LocalIntervention(0, spin_analyzer(0.0)),
-        LocalIntervention(0, spin_analyzer(math.pi / 2.0)),
-        LocalIntervention(0, spin_analyzer(math.pi / 4.0)),
-        LocalIntervention(0, _identity_intervention(2)),
-    ]
-    ns = check_no_signaling(s, "B", alts, args.tolerance, varied="A")
-    ok &= ns.ok
-    bob = marginal(evaluate_in_order(s, ["A", "B"]), "B")
-    print(
-        f"Bob's marginal {{+: {bob['+']:.6f}, -: {bob['-']:.6f}}} is unchanged by "
-        f"Alice's analyzer choice: worst {ns.worst:.3e} over {ns.alternatives_checked} "
-        "interventions",
-        file=out,
-    )
-    s_value = chsh((math.pi / 2.0, 0.0), (math.pi / 4.0, 3.0 * math.pi / 4.0))
-    ok &= abs(s_value - 2.0 * math.sqrt(2.0)) <= 1e-9
-    print(f"CHSH combination at optimal angles: {s_value:.9f} (2*sqrt(2) = {2*math.sqrt(2):.9f})", file=out)
-    print(f"demo checks {'passed' if ok else 'FAILED'}", file=out)
-    return 0 if ok else 1
-
-
-def _demo_counterexample(args, out) -> int:
-    s = noncommuting_counterexample()
-    first = evaluate_in_order(s, ["Z", "X"])
-    second = evaluate_in_order(s, ["X", "Z"])
-    key = (("X", "x+"), ("Z", "z+"))
-    p_zx = first.probabilities[key]
-    p_xz = second.probabilities[key]
-    print("Two spacelike stations measure the SAME qubit along z and along x.", file=out)
-    print(f"  z-first ordering: p(z+, x+) = {p_zx:.6f}", file=out)
-    print(f"  x-first ordering: p(z+, x+) = {p_xz:.6f}", file=out)
-    rep = check_order_invariance(s, args.tolerance)
-    print(
-        f"order-invariance certifier: ok={rep.ok}, worst spread {rep.worst:.6f}",
-        file=out,
-    )
-    if rep.witness is not None:
-        w = rep.witness
-        print(
-            f"  witness record {dict(w.record)}: {w.p_low:.6f} under "
-            f"{' -> '.join(w.order_low)} vs {w.p_high:.6f} under {' -> '.join(w.order_high)}",
-            file=out,
-        )
-    reproduced = (
-        not rep.ok
-        and rep.worst >= 0.25 - args.tolerance
-        and abs(p_zx - 0.5) <= 1e-12
-        and abs(p_xz - 0.25) <= 1e-12
-    )
-    print(
-        "the violation is the point: interventions on one subsystem do not commute, "
-        f"and the certifier flags it ({'reproduced' if reproduced else 'NOT reproduced'})",
-        file=out,
-    )
-    return 0 if reproduced else 1
-
-
-def _demo_dimension_change(args, out) -> int:
-    s = dimension_change_scenario()
-    a_first = evaluate_in_order(s, ["A", "B"])
-    b_first = evaluate_in_order(s, ["B", "A"])
-    ok = True
-    some_record = a_first.records()[0]
-    final_dim = a_first.final_states[some_record].rows
-    print("Both halves of a singlet are teleported into larger systems:", file=out)
-    print("  station A converts its qubit into a 3-level system (4 Bell outcomes)", file=out)
-    print("  station B converts its qubit into a 5-level system", file=out)
-    print("  composite dimension: 4 -> 6 -> 15 when A fires first, 4 -> 10 -> 15 when B does", file=out)
-    ok &= final_dim == 15
-    print(f"  final states are {final_dim}-dimensional for every record", file=out)
-    uniform = all(
-        abs(p - 1.0 / 16.0) <= 1e-12 for p in a_first.probabilities.values()
-    )
-    ok &= uniform and len(a_first.probabilities) == 16
-    print(
-        f"  {len(a_first.probabilities)} records, each with probability 1/16: {uniform}",
-        file=out,
-    )
-    rep = check_order_invariance(s, args.tolerance)
-    ok &= rep.ok
-    print(f"order invariance across orderings: worst {rep.worst:.3e}", file=out)
-    worst_states = 0.0
-    for rec in a_first.records():
-        worst_states = max(
-            worst_states,
-            max_abs_diff(a_first.final_states[rec], b_first.final_states[rec]),
-        )
-    ok &= worst_states <= args.tolerance
-    print(f"final unnormalized states agree across orderings to {worst_states:.3e}", file=out)
-    iv = s.stations[0].resolve({})
-    branches = [o.kraus[0] for o in iv.outcomes]
-    branch_spread = max(max_abs_diff(branches[0], k) for k in branches[1:])
-    v = CMatrix(2.0 * branches[0].array)
-    gram = matmul(dagger(v), v)
-    dev = deviation(gram.array)
-    print(
-        "  all four corrected branches equal the same half-isometry "
-        f"(spread {branch_spread:.3e}); V = 2*branch has max|V*V - I| = {dev:.3e}",
-        file=out,
-    )
-    ok &= dev <= args.tolerance and branch_spread <= args.tolerance
-    print(f"demo checks {'passed' if ok else 'FAILED'}", file=out)
-    return 0 if ok else 1
-
-
-# Keyed by the built-in scenario names, which are also the demo names.
-_DEMOS = {
-    "eprb": _demo_eprb,
-    "counterexample": _demo_counterexample,
-    "dimension_change": _demo_dimension_change,
-}
-
-
-def cmd_demo(args, out) -> int:
-    return _DEMOS[args.name](args, out)
-
-
-def _builtin_name(text: str) -> str:
-    return text.replace("-", "_")
-
-
 def _scenario(text: str) -> str | Path:
     """A built-in name, normalized, or the path of an existing regular file."""
-    if _builtin_name(text) in _DEMOS:
-        return _builtin_name(text)
+    name, names = text.replace("-", "_"), builtin_scenarios()
+    if name in names:
+        return name
     if Path(text).is_file():
         return Path(text)
     raise argparse.ArgumentTypeError(
-        f"{text!r} is neither a built-in scenario ({', '.join(_DEMOS)}) nor an existing file"
+        f"{text!r} is neither a built-in scenario ({', '.join(names)}) nor an existing file"
     )
 
 
@@ -481,10 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_povm = sub.add_parser("check-povm", help="validate completeness of every station")
     add_common(p_povm)
 
-    p_demo = sub.add_parser("demo", help="narrated run of a built-in scenario")
-    p_demo.add_argument("name", type=_builtin_name, choices=tuple(_DEMOS))
-    p_demo.add_argument("--tolerance", type=_tolerance, default=1e-9)
-
     return parser
 
 
@@ -493,7 +343,6 @@ _COMMANDS = {
     "check-invariance": cmd_check_invariance,
     "check-no-signaling": cmd_check_no_signaling,
     "check-povm": cmd_check_povm,
-    "demo": cmd_demo,
 }
 
 

@@ -26,7 +26,8 @@ Two certifiers operate on top of the evaluator:
   across orderings.
 * ``check_no_signaling`` replaces one station's intervention by
   alternatives and reports the worst change in a spacelike-separated
-  station's marginal distribution.
+  station's marginal distribution, in an ordering that fires the varied
+  station before the target.
 """
 
 from __future__ import annotations
@@ -45,17 +46,18 @@ from . import tolerance
 from .linalg import CMatrix, DimensionError, deviation, trace
 from .intervention import Intervention, LocalIntervention, _factor_sizes, _trace
 from .intervention import _branches, _check_outcomes, _first_outside, _outcome_probabilities
-# Not called here (the evaluator contracts Kraus stacks on factors); bound
-# only because the benchmark's tracer, bench/tracer.py, rebinds these names.
+# Not called here (the evaluator contracts Kraus stacks on factors, and a
+# scenario closes its causal order with ``_causal_pasts``); bound only
+# because the benchmark's tracer, bench/tracer.py, rebinds these names.
 from .intervention import apply, embed  # noqa: F401
+from .spacetime import causal_order  # noqa: F401
 from .spacetime import (
     Event,
     Frame,
     IntervalKind,
     TieReport,
-    causal_order,
+    _causal_pasts,
     classify,
-    direct_predecessors,
     frame_ordering,
     linear_extensions,
 )
@@ -311,13 +313,19 @@ class Scenario:
         return v
 
     @cached_property
+    def _pasts(self) -> tuple[dict[str, set[str]], dict[str, list[str]]]:
+        """Each station's causal past and its direct predecessors, from one closing pass."""
+        return _causal_pasts(self.events())
+
+    @cached_property
     def _causal(self) -> frozenset[tuple[str, str]]:
-        return frozenset(causal_order(self.events()))
+        """The causal order: pairs (a, b) with b in a's future, as ``causal_order`` gives it."""
+        return frozenset((a, b) for b, past in self._pasts[0].items() for a in past)
 
     @cached_property
     def _covering(self) -> list[tuple[str, str]]:
         """The covering pairs of ``_causal``: each station b with each direct predecessor a."""
-        return [(a, b) for b, direct in direct_predecessors(self.events()).items() for a in direct]
+        return [(a, b) for b, direct in self._pasts[1].items() for a in direct]
 
     @cached_property
     def _by_id(self) -> dict[str, Station]:
@@ -443,19 +451,18 @@ class _Level:
         return hit
 
     def split(self, key: np.ndarray) -> list[tuple[np.ndarray, _Level]]:
-        """Sub-batches of branches sharing a row of ``key`` (one per branch), first seen first."""
+        """Sub-batches of branches sharing a row of ``key`` (1-D: one column), first seen first."""
         if (key == key[0]).all():
             return [(key[0], self)]
-        _, first, group = np.unique(key, axis=0, return_index=True, return_inverse=True)
-        group = group.reshape(-1)
+        _, group = _unique_rows(key.reshape(len(key), -1))
         parts = []
-        for i in np.sort(first):
-            rows = np.flatnonzero(group == group[i])
+        for g in dict.fromkeys(group.tolist()):
+            rows = np.flatnonzero(group == g)
             part = replace(
                 self, v=self.v[rows], tr=self.tr[rows], dims=self.dims[rows], idx=self.idx[rows],
                 complete=False,
             )
-            parts.append((key[i], part))
+            parts.append((key[rows[0]], part))
         return parts
 
     def records(self) -> list[Record]:
@@ -796,10 +803,7 @@ def evaluate_in_order(s: Scenario, order: Sequence[str]) -> EvaluationResult:
     so no final state is built; the result builds them on first read of
     ``final_states``. It is ``evaluate_orderings`` on one ordering.
     """
-    order = tuple(order)
-    _require_admissible(s, order)
-    (parts,) = _walk(s, [order])
-    return EvaluationResult(ordering=order, probabilities=_probabilities(s, parts), scenario=s)
+    return evaluate_orderings(s, [order])[0]
 
 
 def evaluate_in_frame(s: Scenario, f: Frame) -> EvaluationResult:
@@ -1074,6 +1078,7 @@ class NoSignalingReport:
     target: str
     varied: str
     alternatives_checked: int
+    ordering: tuple[str, ...]
     witness: NoSignalingWitness | None = None
 
     def as_dict(self) -> dict:
@@ -1083,13 +1088,20 @@ class NoSignalingReport:
             "target": self.target,
             "varied": self.varied,
             "alternatives_checked": self.alternatives_checked,
+            "ordering": list(self.ordering),
             "witness": None if self.witness is None else asdict(self.witness),
         }
 
 
-def _chronological_ids(s: Scenario) -> list[str]:
-    # Time-sorted station ids; always a linear extension of the causal order.
-    return [st.id for st in sorted(s.stations, key=lambda st: (st.event.t, st.id))]
+def _varied_first_ids(s: Scenario, varied: str) -> tuple[str, ...]:
+    """Station ids in time order, but ``varied`` and its causal past first.
+
+    That head is a down-set of the causal order, so the whole is a linear
+    extension, and every station spacelike to ``varied`` fires after it.
+    """
+    head = s._pasts[0][varied] | {varied}
+    by_time = sorted(s.stations, key=lambda st: (st.id not in head, st.event.t, st.id))
+    return tuple(st.id for st in by_time)
 
 
 def _infer_varied(s: Scenario, target: str, alternatives: Sequence[LocalIntervention]) -> str:
@@ -1122,14 +1134,15 @@ def check_no_signaling(
 
     Replaces the varied station's intervention by each alternative in
     turn (the original is always included), evaluates in one admissible
-    ordering, and reports the worst change of any entry of the
-    ``target`` station's marginal distribution; when the check fails, the
-    witness names that entry and the two candidates realizing it. The two
-    stations must be
-    mutually spacelike; each alternative must act on the varied station's
-    own subsystem. When ``varied`` is omitted it is inferred from the
-    subsystem the alternatives address, provided exactly one
-    non-target station acts there.
+    ordering that fires the varied station before the target
+    (``_varied_first_ids``, reported as ``ordering``), and reports the
+    worst change of any entry of the ``target`` station's marginal
+    distribution; when the check fails, the witness names that entry and
+    the two candidates realizing it. The two stations must be mutually
+    spacelike; each alternative must act on the varied station's own
+    subsystem. When ``varied`` is omitted it is inferred from the
+    subsystem the alternatives address, provided exactly one non-target
+    station acts there.
     """
     if varied is None:
         varied = _infer_varied(s, target, alternatives)
@@ -1151,7 +1164,7 @@ def check_no_signaling(
                 f"{varied!r} acts on subsystem {v_st.subsystem}"
             )
 
-    order = _chronological_ids(s)
+    order = _varied_first_ids(s, varied)
     # The original candidate is s itself; each alternative is s with one station swapped.
     variants = [s, *(s._with_station(varied, alt) for alt in alternatives)]
     marginals = [marginal(evaluate_in_order(v, order), target) for v in variants]
@@ -1164,6 +1177,7 @@ def check_no_signaling(
         target=target,
         varied=varied,
         alternatives_checked=len(variants),
+        ordering=order,
         witness=None if ok or witness is None else NoSignalingWitness(*witness),
     )
 

@@ -184,23 +184,9 @@ def test_check_povm_flags_incomplete_kraus(tmp_path, capsys):
     assert "completeness" in err.lower()
 
 
-def test_demo_commands(capsys):
-    code, out, _ = run(capsys, "demo", "eprb")
-    assert code == 0
-    assert "CHSH" in out
-    code, out, _ = run(capsys, "demo", "counterexample")
-    assert code == 0
-    assert "reproduced" in out
-    code, out, _ = run(capsys, "demo", "dimension-change")
-    assert code == 0
-    assert "15-dimensional" in out
-
-
-def test_unknown_scenario_and_demo_rejected(capsys):
+def test_unknown_scenario_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["simulate", "nonsense-name"])
-    with pytest.raises(SystemExit):
-        main(["demo", "nonsense-name"])
 
 
 def test_velocity_and_tolerance_validation():
@@ -274,9 +260,6 @@ def test_builtin_names_take_dash_or_underscore(name, capsys):
     code, out, _ = run(capsys, "simulate", name, "--format", "csv")
     assert code == 0
     assert out.splitlines()[0] == "A,B,probability"
-    code, out, _ = run(capsys, "demo", name)
-    assert code == 0
-    assert "15-dimensional" in out
 
 
 def identity_chain_file(tmp_path, n):

@@ -525,6 +525,33 @@ def test_no_signaling_witness_names_target_outcome_and_candidates():
     assert check_no_signaling(s, "X", [s.station("Z").local], 1e-9, varied="Z").witness is None
 
 
+def test_no_signaling_fires_the_varied_station_before_the_target():
+    # X fires after Z in time: in time order no choice at X could move Z's marginal.
+    s = noncommuting_counterexample()
+    analyzers = [LocalIntervention(0, spin_analyzer(angle)) for angle in (0.3, 1.0, 2.0)]
+    report = check_no_signaling(s, "Z", analyzers, 1e-9, varied="X")
+    assert not report.ok and report.as_dict()["ordering"] == ["X", "Z"]
+    witness = report.witness
+    assert (witness.label, witness.candidate_low, witness.candidate_high) == ("z+", 0, 1)
+    assert witness.p_low == pytest.approx(0.5, abs=1e-12)
+    # The analyzer at 0.3 leaves |0> along +-0.3, then Z gives z+ with (1 + cos^2 0.3) / 2.
+    assert witness.p_high == pytest.approx((1 + math.cos(0.3) ** 2) / 2, abs=1e-12)
+    report = check_no_signaling(s, "X", analyzers, 1e-9, varied="Z")
+    assert not report.ok and report.ordering == ("Z", "X")
+    # The varied station's causal past still fires before it: P precedes V, T is spacelike to both.
+    chain = Scenario(
+        dims0=(2, 2),
+        rho0=CMatrix(np.eye(4) / 4),
+        stations=(
+            station("P", 0.0, 1.0, 0, z_iv()),
+            station("V", 2.0, 1.0, 0, z_iv()),
+            station("T", 0.5, -3.0, 1, z_iv()),
+        ),
+    )
+    report = check_no_signaling(chain, "T", [LocalIntervention(0, x_iv())], 1e-9, varied="V")
+    assert report.ok and report.ordering == ("P", "V", "T")
+
+
 def test_no_signaling_alternatives_reuse_the_validated_initial_state(monkeypatch):
     s = random_product_scenario(seed=3)
     varied, target = s.stations[0], s.stations[1]
@@ -572,11 +599,14 @@ def test_swapped_station_recomputes_growth_and_checks_history_labels():
 
 def test_causal_order_is_closed_once_per_scenario(monkeypatch):
     closures = []
-    closure = experiment.causal_order
-    monkeypatch.setattr(experiment, "causal_order", lambda events: closures.append(1) or closure(events))
+    closure = experiment._causal_pasts
+    monkeypatch.setattr(experiment, "_causal_pasts", lambda events: closures.append(1) or closure(events))
     s = random_product_scenario(seed=3)
     report = check_order_invariance(s, 1e-9)
     assert report.orders_checked == len(closures) * 24 == 24
+    # The no-signaling check reads the varied station's past from the same closure.
+    varied, target = s.stations[0], s.stations[1]
+    assert check_no_signaling(s, target.id, [varied.local], 1e-9, varied=varied.id).ok
     # causal() hands out a copy the caller may change.
     mine = s.causal()
     mine.add(("x", "y"))

@@ -38,7 +38,7 @@ import math
 import operator
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
-from typing import AbstractSet, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -318,13 +318,8 @@ class Scenario:
         return _causal_pasts(self.events())
 
     @cached_property
-    def _causal(self) -> frozenset[tuple[str, str]]:
-        """The causal order: pairs (a, b) with b in a's future, as ``causal_order`` gives it."""
-        return frozenset((a, b) for b, past in self._pasts[0].items() for a in past)
-
-    @cached_property
     def _covering(self) -> list[tuple[str, str]]:
-        """The covering pairs of ``_causal``: each station b with each direct predecessor a."""
+        """The covering pairs of the causal order: each station b with each direct predecessor a."""
         return [(a, b) for b, direct in self._pasts[1].items() for a in direct]
 
     @cached_property
@@ -341,7 +336,8 @@ class Scenario:
         return [s.event for s in self.stations]
 
     def causal(self) -> set[tuple[str, str]]:
-        return set(self._causal)
+        """The causal order: pairs (a, b) with b in a's future, as ``causal_order`` gives it."""
+        return {(a, b) for b, past in self._pasts[0].items() for a in past}
 
     def _with_station(self, station_id: str, local: LocalIntervention) -> Scenario:
         """This scenario with one station's intervention replaced, rho0 not validated again.
@@ -855,12 +851,12 @@ class InvarianceReport:
         return d
 
 
-def _require_causal_conditions(s: Scenario, causal: AbstractSet[tuple[str, str]]) -> None:
+def _require_causal_conditions(s: Scenario) -> None:
     """Reject outcome-conditioned stations that depend on a station not causally prior."""
     for st in s.stations:
         if isinstance(st.local, ConditionalLocal):
             for dep in st.local.depends_on:
-                if (dep, st.id) not in causal:
+                if dep not in s._pasts[0][st.id]:
                     raise ValueError(
                         f"station {st.id!r} conditions on {dep!r}, which is not "
                         "causally prior; outcome dependence across spacelike "
@@ -868,7 +864,7 @@ def _require_causal_conditions(s: Scenario, causal: AbstractSet[tuple[str, str]]
                     )
 
 
-def _require_order_comparable(s: Scenario, causal: AbstractSet[tuple[str, str]]) -> None:
+def _require_order_comparable(s: Scenario) -> None:
     """Reject scenarios whose dynamics cannot be compared across orderings.
 
     A non-identity evolution from ``after`` to ``before`` (None: the start
@@ -881,14 +877,15 @@ def _require_order_comparable(s: Scenario, causal: AbstractSet[tuple[str, str]])
     carry identity evolution. Outcome-conditioned stations may depend only
     on causally prior stations.
     """
-    _require_causal_conditions(s, causal)
+    _require_causal_conditions(s)
+    past = s._pasts[0]
     for ev in s.evolutions:
         if deviation(ev.matrix.array) <= tolerance.IDENTITY:
             continue
         a, b = ev.after, ev.before
-        # A None end is in no causal pair, so every other station must lie beyond the other end.
-        movable = (None not in (a, b) and (a, b) not in causal) or any(
-            (y, a) not in causal and (b, y) not in causal
+        # A None end precedes and follows nothing, so every other station must lie beyond the other end.
+        movable = (None not in (a, b) and a not in past[b]) or any(
+            y not in past.get(a, ()) and b not in past[y]
             for y in (st.id for st in s.stations)
             if y not in (a, b)
         )
@@ -973,7 +970,7 @@ def check_order_invariance(s: Scenario, tol: float) -> InvarianceReport:
     the orderings holding some record's lowest or highest probability are
     kept, so memory stays bounded whatever their number.
     """
-    _require_order_comparable(s, s._causal)
+    _require_order_comparable(s)
     extensions = linear_extensions(s._covering, s.events())
     table, records, keys = None, None, []
     for chunk in _chunks(s, extensions):
@@ -1082,15 +1079,7 @@ class NoSignalingReport:
     witness: NoSignalingWitness | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "worst": self.worst,
-            "target": self.target,
-            "varied": self.varied,
-            "alternatives_checked": self.alternatives_checked,
-            "ordering": list(self.ordering),
-            "witness": None if self.witness is None else asdict(self.witness),
-        }
+        return {**asdict(self), "ordering": list(self.ordering)}
 
 
 def _varied_first_ids(s: Scenario, varied: str) -> tuple[str, ...]:
@@ -1156,7 +1145,7 @@ def check_no_signaling(
             f"stations {varied!r} and {target!r} are {kind.value}, not spacelike; "
             "the no-signaling claim applies only to spacelike separation"
         )
-    _require_causal_conditions(s, s._causal)
+    _require_causal_conditions(s)
     for alt in alternatives:
         if alt.subsystem != v_st.subsystem:
             raise ValueError(

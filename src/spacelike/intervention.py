@@ -157,7 +157,8 @@ def apply(rho: CMatrix, iv: Intervention, mu: str) -> CMatrix:
 
     The trace of the result is the outcome probability when rho has unit
     trace; more generally branch traces sum to trace(rho) over outcomes,
-    within the intervention's completeness deviation.
+    within the intervention's completeness deviation. A branch trace above
+    trace(rho) times the derived growth is an invariant failure.
     """
     if rho.rows != rho.cols:
         raise DimensionError(f"state must be square, got {rho.rows}x{rho.cols}")
@@ -167,7 +168,10 @@ def apply(rho: CMatrix, iv: Intervention, mu: str) -> CMatrix:
         )
     if deviation(rho.array, rho.array.conj().T) > tolerance.HERMITICITY:
         raise ValueError("state must be Hermitian")
-    return CMatrix(_branch(rho.array, iv, iv.outcome(mu), 1))
+    out = sum(m.array @ rho.array @ m.array.conj().T for m in iv.outcome(mu).kraus)
+    high = float(np.trace(rho.array).real) * tolerance.growth(iv.d_in, iv.deviation)
+    tolerance.check(float(np.trace(out).real), 0.0, high, f"branch trace for outcome {mu!r}")
+    return CMatrix(out)
 
 
 def _factor_sizes(dims: Sequence[int], sub: int, d_in: int) -> tuple[int, int]:
@@ -180,29 +184,6 @@ def _factor_sizes(dims: Sequence[int], sub: int, d_in: int) -> tuple[int, int]:
             f"expects d_in {d_in}"
         )
     return math.prod(dims[:sub]), math.prod(dims[sub + 1 :])
-
-
-def _lift_left(k: np.ndarray, x: np.ndarray, b: int) -> np.ndarray:
-    # (I_b (x) k (x) I_a) @ x without forming the lift: k contracts the middle
-    # index of x's rows, batched over the b leading ones; a is what remains.
-    return (k @ x.reshape(b, k.shape[1], -1)).reshape(-1, x.shape[1])
-
-
-def _branch(rho: np.ndarray, iv: Intervention, o: Outcome, b: int) -> np.ndarray:
-    """Read-only branch state of outcome ``o``, ``iv`` acting after b dimensions.
-
-    With L = I_b (x) A (x) I_a, each Kraus matrix A contributes
-    L rho L^dagger = (L (L rho)^dagger)^dagger: two row contractions and no
-    Kronecker product. The branch trace is bounded by the derived growth.
-    """
-    out = None
-    for m in o.kraus:
-        term = _lift_left(m.array, _lift_left(m.array, rho, b).conj().T, b).conj().T
-        out = term if out is None else out + term
-    high = float(np.trace(rho).real) * tolerance.growth(iv.d_in, iv.deviation)
-    tolerance.check(float(np.trace(out).real), 0.0, high, f"branch trace for outcome {o.label!r}")
-    out.setflags(write=False)
-    return out
 
 
 def _trace(v: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:

@@ -22,7 +22,6 @@ __all__ = [
     "boost",
     "causal_order",
     "classify",
-    "direct_predecessors",
     "frame_groups",
     "frame_ordering",
     "linear_extensions",
@@ -138,16 +137,6 @@ def causal_order(events: list[Event]) -> set[tuple[str, str]]:
     """
     past, _ = _causal_pasts(events)
     return {(a, b) for b, mine in past.items() for a in mine}
-
-
-def direct_predecessors(events: list[Event]) -> dict[str, list[str]]:
-    """Each event's direct causal predecessors: the covering pairs of ``causal_order``.
-
-    An order of the events extends the causal order exactly when it places
-    every event after its direct predecessors.
-    """
-    _, direct = _causal_pasts(events)
-    return direct
 
 
 def frame_groups(events: list[Event], f: Frame) -> list[list[Event]]:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -11,7 +12,7 @@ from spacelike.intervention import Intervention, LocalIntervention, Outcome, ran
 from spacelike.linalg import CMatrix
 from spacelike.schema import serialize_scenario
 from spacelike.scenarios import eprb, spin_analyzer
-from spacelike.spacetime import Event
+from spacelike.spacetime import Event, Frame, frame_groups
 
 
 def run(capsys, *argv):
@@ -246,6 +247,44 @@ def test_check_invariance_refuses_more_than_eight_events(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_simulate_refuses_a_tie_of_more_than_eight_stations(tmp_path, capsys, monkeypatch):
+    # Nine simultaneous stations tie at v = 0 in 9! resolutions, over the limit of 8!.
+    # The stub only counts: an unrefused tie would evaluate all 362,880 of them.
+    from spacelike import cli
+
+    evaluated = []
+    monkeypatch.setattr(cli, "evaluate_orderings", lambda _, orders: evaluated.append(len(orders)) or [])
+    path = tmp_path / "tie9.json"
+    path.write_text(serialize_scenario(identity_scenario(Event(f"S{i}", 0.0, 10.0 * i) for i in range(9))))
+    code, out, err = run(capsys, "simulate", str(path))
+    assert (code, evaluated) == (2, [])
+    assert "more than 40320 orderings (8!), the limit" in err
+    assert "Traceback" not in err
+
+
+def test_simulate_lists_tie_resolutions_in_product_order(capsys, monkeypatch):
+    # Resolutions come in the order of the product of each frame group's
+    # permutations, the last group varying fastest.
+    from spacelike import cli
+
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n = int(rng.integers(1, 7))
+        # Stations 10 apart in x and at most 2 apart in t are mutually spacelike.
+        events = [Event(f"S{i}", float(rng.integers(0, 3)), 10.0 * i) for i in range(n)]
+        s = identity_scenario(events)
+        groups = frame_groups(s.events(), Frame(0.0))
+        expected = [
+            tuple(e.id for group in perm for e in group)
+            for perm in itertools.product(*(itertools.permutations(g) for g in groups))
+        ]
+        listed = []
+        monkeypatch.setattr(cli, "load_scenario", lambda name: s)
+        monkeypatch.setattr(cli, "evaluate_orderings", lambda _, orders: listed.extend(map(tuple, orders)) or [])
+        run(capsys, "simulate", "eprb")
+        assert listed == expected, events
+
+
 def test_check_invariance_certifies_a_nine_station_timelike_chain(tmp_path, capsys):
     # Nine events, but a timelike chain has exactly one ordering.
     path = nine_station_file(tmp_path, lambda sid, i: Event(sid, 2.0 * i, 0.0))
@@ -262,18 +301,20 @@ def test_builtin_names_take_dash_or_underscore(name, capsys):
     assert out.splitlines()[0] == "A,B,probability"
 
 
-def identity_chain_file(tmp_path, n):
-    """n identity stations on one qubit, each in the timelike future of the one before."""
+def identity_scenario(events):
+    """An identity station on one qubit at each event."""
     identity = Intervention(d_in=2, outcomes=(Outcome("id", 2, (CMatrix.identity(2),)),))
-    s = Scenario(
+    return Scenario(
         dims0=(2,),
         rho0=CMatrix(np.eye(2) / 2),
-        stations=tuple(
-            Station(Event(f"S{i}", 2.0 * i, 0.0), LocalIntervention(0, identity)) for i in range(n)
-        ),
+        stations=tuple(Station(e, LocalIntervention(0, identity)) for e in events),
     )
+
+
+def identity_chain_file(tmp_path, n):
+    """n identity stations on one qubit, each in the timelike future of the one before."""
     path = tmp_path / f"chain{n}.json"
-    path.write_text(serialize_scenario(s))
+    path.write_text(serialize_scenario(identity_scenario(Event(f"S{i}", 2.0 * i, 0.0) for i in range(n))))
     return str(path)
 
 

@@ -11,7 +11,7 @@ from spacelike.intervention import (
     Intervention,
     LocalIntervention,
     Outcome,
-    _branch,
+    _branches,
     apply,
     embed,
     povm_elements,
@@ -175,14 +175,24 @@ def two_kraus_intervention(d_in, seed):
     "dims, sub", [((3, 2, 2), 0), ((3, 2, 2), 1), ((3, 2, 2), 2), ((2, 3), 0), ((2, 3), 1)]
 )
 def test_branch_kernel_matches_kron_embedding(dims, sub):
+    # Two branches, each a full-rank factor V (rho = V V^dagger) of width 3; outcome
+    # "p" (d_out 2) is zero-padded to the d_out 3 of "q".
     iv = two_kraus_intervention(dims[sub], seed=30 + sub)
-    rho = random_density(np.random.default_rng(len(dims) + sub), math.prod(dims))
+    b, d, a = math.prod(dims[:sub]), dims[sub], math.prod(dims[sub + 1 :])
+    rng = np.random.default_rng(len(dims) + sub)
+    v = rng.standard_normal((2, b * d * a, 3)) + 1j * rng.standard_normal((2, b * d * a, 3))
+    v /= np.linalg.norm(v, axis=(1, 2), keepdims=True)
+    out = _branches(v.reshape(2, b, d, a, 3), iv)
+    assert out.shape == (2 * len(iv.outcomes), b, 3, a, 3 * 2)
     lifted = embed(LocalIntervention(sub, iv), dims)
-    for o in iv.outcomes:
-        got = _branch(rho.array, iv, o, math.prod(dims[:sub]))
-        want = apply(rho, lifted, o.label)
-        assert got.shape == want.shape == (math.prod(dims) // dims[sub] * o.d_out,) * 2
-        assert max_abs_diff(CMatrix(got), want) <= 1e-12
+    for n, factor in enumerate(v):
+        rho = CMatrix(factor @ factor.conj().T)
+        for i, o in enumerate(iv.outcomes):
+            branch = out[n * len(iv.outcomes) + i]
+            assert not branch[:, o.d_out :].any()
+            got = branch[:, : o.d_out].reshape(b * o.d_out * a, -1)
+            want = apply(rho, lifted, o.label)
+            assert max_abs_diff(CMatrix(got @ got.conj().T), want) <= 1e-12
 
 
 def test_evaluated_chain_matches_explicit_kron_products():

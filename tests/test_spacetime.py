@@ -11,10 +11,10 @@ from spacelike.spacetime import (
     Frame,
     IntervalKind,
     TieReport,
+    _causal_pasts,
     boost,
     causal_order,
     classify,
-    direct_predecessors,
     frame_ordering,
     linear_extensions,
 )
@@ -163,13 +163,13 @@ def test_direct_predecessors_are_the_covering_pairs():
         covering = {
             (a, b) for a, b in order if not any((a, c) in order and (c, b) in order for c in ids)
         }
-        direct = direct_predecessors(events)
+        direct = _causal_pasts(events)[1]
         assert {(a, b) for b, preds in direct.items() for a in preds} == covering
         assert direct.keys() == set(ids)
     scrambled = [Event("b", 2.0, 0.0), Event("n", math.nan, 0.0), Event("a", 0.0, 0.0)]
-    assert direct_predecessors(scrambled) == {"a": [], "b": ["a"], "n": []}
+    assert _causal_pasts(scrambled)[1] == {"a": [], "b": ["a"], "n": []}
     chain = [Event(f"c{i}", 2.0 * i, 0.0) for i in range(5)]
-    assert direct_predecessors(chain) == {"c0": [], **{f"c{i}": [f"c{i - 1}"] for i in range(1, 5)}}
+    assert _causal_pasts(chain)[1] == {"c0": [], **{f"c{i}": [f"c{i - 1}"] for i in range(1, 5)}}
 
 
 def test_causal_order_closes_a_long_chain_in_one_pass():
@@ -300,7 +300,7 @@ def test_linear_extensions_list_equal_the_recursive_enumeration():
         expected = recursive_extensions(order, events)
         assert linear_extensions(order, events) == expected, events
         # The covering pairs alone give the same orderings.
-        direct = direct_predecessors(events)
+        direct = _causal_pasts(events)[1]
         covering = {(a, b) for b, preds in direct.items() for a in preds}
         assert linear_extensions(covering, events) == expected, events
 

@@ -124,24 +124,30 @@ def cmd_simulate(args, out) -> int:
     return 0 if ok else 1
 
 
+def _sweep(reports: list[dict], **counts) -> dict:
+    """A --trials sweep's summary of per-seed reports; the worst seed is the first at the worst."""
+    worst = max(r["worst"] for r in reports)
+    return {
+        "ok": all(r["ok"] for r in reports),
+        "worst": worst,
+        "trials": len(reports),
+        **counts,
+        "failing_seeds": [r["seed"] for r in reports if not r["ok"]],
+        "worst_seed": next(r["seed"] for r in reports if r["worst"] == worst),
+    }
+
+
 def cmd_check_invariance(args, out) -> int:
     if args.trials is not None:
-        reports = []
-        all_ok = True
-        for i in range(args.trials):
-            s = random_product_scenario(seed=args.seed + i)
-            rep = check_order_invariance(s, args.tolerance)
-            reports.append({"seed": args.seed + i, **rep.as_dict()})
-            all_ok &= rep.ok
-        worst = max((r["worst"] for r in reports), default=0.0)
-        _emit_report(
-            {"ok": all_ok, "worst": worst, "trials": len(reports), "reports": reports}
-            if args.format == "json"
-            else {"ok": all_ok, "worst": worst, "trials": len(reports)},
-            args.format,
-            out,
-        )
-        return 0 if all_ok else 1
+        reports = [
+            {"seed": seed, **check_order_invariance(random_product_scenario(seed=seed), args.tolerance).as_dict()}
+            for seed in range(args.seed, args.seed + args.trials)
+        ]
+        doc = _sweep(reports, methods={m: sum(r["method"] == m for r in reports) for m in ("pairwise", "exhaustive")})
+        if args.format == "json":
+            doc["reports"] = reports
+        _emit_report(doc, args.format, out)
+        return 0 if doc["ok"] else 1
     s = load_scenario(args.scenario)
     report = check_order_invariance(s, args.tolerance)
     _emit_report(report.as_dict(), args.format, out)
@@ -198,21 +204,14 @@ def _check_no_signaling_all(s: Scenario, tol: float, seed: int, target: str | No
 
 def cmd_check_no_signaling(args, out) -> int:
     if args.trials is not None:
-        all_ok = True
-        worst = 0.0
-        count = 0
-        for i in range(args.trials):
-            s = random_product_scenario(seed=args.seed + i)
-            for rep in _check_no_signaling_all(s, args.tolerance, args.seed + i, None, None):
-                all_ok &= rep.ok
-                worst = max(worst, rep.worst)
-                count += 1
-        _emit_report(
-            {"ok": all_ok, "worst": worst, "trials": args.trials, "pairs_checked": count},
-            args.format,
-            out,
-        )
-        return 0 if all_ok else 1
+        seeds, count = [], 0
+        for seed in range(args.seed, args.seed + args.trials):
+            reps = _check_no_signaling_all(random_product_scenario(seed=seed), args.tolerance, seed, None, None)
+            seeds.append({"seed": seed, "ok": all(r.ok for r in reps), "worst": max(r.worst for r in reps)})
+            count += len(reps)
+        doc = _sweep(seeds, pairs_checked=count)
+        _emit_report(doc, args.format, out)
+        return 0 if doc["ok"] else 1
     s = load_scenario(args.scenario)
     reports = _check_no_signaling_all(s, args.tolerance, args.seed, args.target, args.varied)
     all_ok = all(r.ok for r in reports)

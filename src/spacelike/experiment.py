@@ -19,11 +19,12 @@ are built only when a caller reads them.
 
 Two certifiers operate on top of the evaluator:
 
-* ``check_order_invariance`` evaluates every admissible chronological
-  ordering (every linear extension of the causal partial order, a
-  strictly stronger set than the frame-realizable ones) in one batched
-  walk per chunk and reports the worst spread of any record probability
-  across orderings.
+* ``check_order_invariance`` reports the worst spread of any record
+  probability across every linear extension of the causal partial order
+  (a strictly stronger set than the frame-realizable orderings). Where
+  causally incomparable stations act on different subsystems and no
+  evolution can move, they differ by swaps of commuting maps, and one is
+  evaluated ("pairwise"); otherwise all are, batched ("exhaustive").
 * ``check_no_signaling`` replaces one station's intervention by
   alternatives and reports the worst change in a spacelike-separated
   station's marginal distribution, in an ordering that fires the varied
@@ -841,6 +842,7 @@ class InvarianceReport:
     worst: float
     orders_checked: int
     witness: InvarianceWitness | None = None
+    method: str = "exhaustive"
 
     def as_dict(self) -> dict:
         d = asdict(self)
@@ -864,7 +866,7 @@ def _require_causal_conditions(s: Scenario) -> None:
                     )
 
 
-def _require_order_comparable(s: Scenario) -> None:
+def _require_order_comparable(s: Scenario) -> bool:
     """Reject scenarios whose dynamics cannot be compared across orderings.
 
     A non-identity evolution from ``after`` to ``before`` (None: the start
@@ -875,13 +877,13 @@ def _require_order_comparable(s: Scenario) -> None:
     would keep the order acyclic, so some linear extension would place y
     inside the segment. Spacelike, reorderable segments must therefore
     carry identity evolution. Outcome-conditioned stations may depend only
-    on causally prior stations.
+    on causally prior stations. Returns whether every evolution, identity
+    within ``tolerance.IDENTITY`` or not, sits at a fixed position.
     """
     _require_causal_conditions(s)
     past = s._pasts[0]
+    fixed = True
     for ev in s.evolutions:
-        if deviation(ev.matrix.array) <= tolerance.IDENTITY:
-            continue
         a, b = ev.after, ev.before
         # A None end precedes and follows nothing, so every other station must lie beyond the other end.
         movable = (None not in (a, b) and a not in past[b]) or any(
@@ -889,13 +891,26 @@ def _require_order_comparable(s: Scenario) -> None:
             for y in (st.id for st in s.stations)
             if y not in (a, b)
         )
-        if movable:
+        fixed &= not movable
+        if movable and deviation(ev.matrix.array) > tolerance.IDENTITY:
             raise ValueError(
                 f"evolution after {a!r} and before {b!r} is order-dependent: the "
                 "segment is reorderable, so its ends are not first, last or adjacent "
                 "in every admissible ordering; a non-identity unitary there makes "
                 "orderings incomparable"
             )
+    return fixed
+
+
+def _factors_disjoint(s: Scenario) -> bool:
+    """Whether the stations of each subsystem form a chain, each in the next one's past in time order."""
+    past, last = s._pasts[0], {}
+    for st in sorted(s.stations, key=lambda st: st.event.t):
+        prev = last.get(st.subsystem)
+        if prev is not None and prev not in past[st.id]:
+            return False
+        last[st.subsystem] = st.id
+    return True
 
 
 def _table(
@@ -961,17 +976,31 @@ def _record(s: Scenario, row: np.ndarray) -> Record:
 def check_order_invariance(s: Scenario, tol: float) -> InvarianceReport:
     """Certify that record probabilities agree across every admissible ordering.
 
-    Validates the scenario, then evaluates it under every linear extension
-    of the causal partial order and reports the maximal spread of any
-    record probability; the witness names a maximal-spread record and the
-    two orderings realizing it when the check fails. The extensions are
-    walked together in chunks, as in ``evaluate_orderings``, and each
-    chunk's probabilities fill a dense table; past the first chunk only
-    the orderings holding some record's lowest or highest probability are
-    kept, so memory stays bounded whatever their number.
+    Validates the scenario and counts the linear extensions of the causal
+    order, the orderings the verdict covers (``orders_checked``). When
+    causally incomparable stations act on different subsystems and every
+    evolution sits at a fixed position (``method`` "pairwise"), adjacent
+    swaps of maps on different tensor factors, which commute, link any two
+    extensions, so every record's unnormalized final state is the same in
+    all: one is evaluated, for its runtime checks, and ``worst`` is 0.0
+    exactly. Otherwise ``_exhaustive`` evaluates them all.
     """
-    _require_order_comparable(s)
+    fixed = _require_order_comparable(s)
     extensions = linear_extensions(s._covering, s.events())
+    if fixed and _factors_disjoint(s):
+        evaluate_in_order(s, extensions[0])
+        return InvarianceReport(True, 0.0, len(extensions), method="pairwise")
+    return _exhaustive(s, tol, extensions)
+
+
+def _exhaustive(s: Scenario, tol: float, extensions: list[tuple[str, ...]]) -> InvarianceReport:
+    """Evaluate every extension and report the worst spread of any record probability.
+
+    The witness names a maximal-spread record and the two orderings
+    realizing it when the check fails. Chunks of extensions are walked
+    together into dense tables, and past the first chunk only each
+    record's extreme orderings are kept, so memory stays bounded.
+    """
     table, records, keys = None, None, []
     for chunk in _chunks(s, extensions):
         for order in chunk:

@@ -179,7 +179,10 @@ def linear_extensions(
 
     Refuses more than MAX_EXTENSIONS (8!) of them: their count grows
     factorially with the number of mutually spacelike events. Such a
-    scenario can still be evaluated one frame at a time.
+    scenario can still be evaluated one frame at a time. The events
+    ready in each round of Kahn's algorithm are mutually unordered, so
+    the product of the rounds' factorials bounds the count from below,
+    and a bound over the limit refuses before any ordering is listed.
     """
     ids = [e.id for e in events]
     if len(set(ids)) != len(ids):
@@ -193,13 +196,20 @@ def linear_extensions(
             succs[at[a]].append(at[b])
             missing[at[b]] += 1
     ready = {k for k, m in enumerate(missing) if not m}
+    bound, left, layer = 1, missing.copy(), list(ready)
+    while layer and bound <= MAX_EXTENSIONS:
+        bound *= math.factorial(min(len(layer), 9))
+        reached = [y for x in layer for y in succs[x]]
+        for y in reached:
+            left[y] -= 1
+        layer = list(dict.fromkeys(y for y in reached if not left[y]))
 
     out: list[tuple[str, ...]] = []
     chosen: list[int] = []
     # Depth-first backtracking with an explicit stack: stack[k] holds the
     # events ready at depth k, in ``ids`` order, and the next one to try.
     # The ready set is the same whenever the search returns to a depth.
-    stack = [[sorted(ready), 0]]
+    stack = [[sorted(ready), 0]] if bound <= MAX_EXTENSIONS else []
     while stack:
         top = stack[-1]
         candidates, k = top
@@ -215,13 +225,9 @@ def linear_extensions(
             stack.append([sorted(ready), 0])
             continue
         if len(chosen) == len(ids):
-            if len(out) == MAX_EXTENSIONS:
-                raise ValueError(
-                    f"{len(ids)} events have more than {MAX_EXTENSIONS} orderings (8!), "
-                    "the limit for enumerating every ordering; evaluate single frames "
-                    "instead (simulate --frame-velocity, evaluate_in_frame)"
-                )
             out.append(tuple(ids[j] for j in chosen))
+            if len(out) > MAX_EXTENSIONS:
+                break
         stack.pop()
         if chosen:
             x = chosen.pop()
@@ -230,4 +236,10 @@ def linear_extensions(
                     ready.remove(y)
                 missing[y] += 1
             ready.add(x)
+    if bound > MAX_EXTENSIONS or len(out) > MAX_EXTENSIONS:
+        raise ValueError(
+            f"{len(ids)} events have more than {MAX_EXTENSIONS} orderings (8!), "
+            "the limit for enumerating every ordering; evaluate single frames "
+            "instead (simulate --frame-velocity, evaluate_in_frame)"
+        )
     return out

@@ -6,12 +6,13 @@ import pytest
 
 import numpy as np
 
+from spacelike import cli
 from spacelike.cli import main
 from spacelike.experiment import ConditionalLocal, Scenario, Station
 from spacelike.intervention import Intervention, LocalIntervention, Outcome, random_intervention
 from spacelike.linalg import CMatrix
 from spacelike.schema import serialize_scenario
-from spacelike.scenarios import eprb, spin_analyzer
+from spacelike.scenarios import eprb, noncommuting_counterexample, random_product_scenario, spin_analyzer
 from spacelike.spacetime import Event, Frame, frame_groups
 
 
@@ -113,6 +114,55 @@ def test_check_invariance_trials(capsys):
     assert doc["ok"] is True
     assert doc["trials"] == 4
     assert doc["worst"] < 1e-9
+
+
+def test_check_invariance_names_its_method_in_every_format(capsys):
+    for name, method in (("eprb", "pairwise"), ("counterexample", "exhaustive")):
+        assert f"method: {method}\n" in run(capsys, "check-invariance", name)[1]
+        assert json.loads(run(capsys, "check-invariance", name, "--format", "json")[1])["method"] == method
+        assert f"method,{method}\n" in run(capsys, "check-invariance", name, "--format", "csv")[1]
+
+
+def sweep_lines(capsys, *argv):
+    """The --trials summary in table, csv and json, each as a dict of its printed values."""
+    table = run(capsys, *argv)[1].splitlines()
+    csv = run(capsys, *argv, "--format", "csv")[1].splitlines()[1:]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    return code, dict(line.split(": ", 1) for line in table), dict(line.split(",", 1) for line in csv), json.loads(out)
+
+
+def test_invariance_sweep_names_failing_and_worst_seeds_and_counts_methods(monkeypatch, capsys):
+    # Seed 5 stands in for a failing scenario: the counterexample, settled by every ordering.
+    monkeypatch.setattr(
+        cli,
+        "random_product_scenario",
+        lambda seed: noncommuting_counterexample() if seed == 5 else random_product_scenario(seed=seed),
+    )
+    code, table, csv, doc = sweep_lines(capsys, "check-invariance", "--trials", "3", "--seed", "4")
+    assert code == 1
+    assert (doc["failing_seeds"], doc["worst_seed"], doc["trials"]) == ([5], 5, 3)
+    assert doc["methods"] == {"pairwise": 2, "exhaustive": 1}
+    assert [r["method"] for r in doc["reports"]] == ["pairwise", "exhaustive", "pairwise"]
+    assert (table["failing_seeds"], table["worst_seed"]) == ("[5]", "5")
+    assert table["methods"] == "{'pairwise': 2, 'exhaustive': 1}"
+    assert (csv["failing_seeds"], csv["worst_seed"]) == ("[5]", "5")
+    assert json.loads(csv["methods"]) == doc["methods"]
+
+
+def test_no_signaling_sweep_names_failing_and_worst_seeds(capsys):
+    # At a tolerance below rounding, a seed fails wherever any pair moved at all.
+    worst = {
+        seed: max(r.worst for r in cli._check_no_signaling_all(random_product_scenario(seed=seed), 1e-300, seed, None, None))
+        for seed in range(3)
+    }
+    failing = [seed for seed, w in worst.items() if w > 1e-300]
+    worst_seed = max(worst, key=lambda seed: (worst[seed], -seed))
+    assert failing
+    code, table, csv, doc = sweep_lines(capsys, "check-no-signaling", "--trials", "3", "--tolerance", "1e-300")
+    assert code == 1
+    assert (doc["failing_seeds"], doc["worst_seed"]) == (failing, worst_seed)
+    for printed in (table, csv):
+        assert (json.loads(printed["failing_seeds"]), int(printed["worst_seed"])) == (failing, worst_seed)
 
 
 def test_check_no_signaling_builtin(capsys):

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spacelike import experiment
-from spacelike.linalg import CMatrix, DimensionError, max_abs_diff, trace
+from spacelike import experiment, tolerance
+from spacelike.linalg import CMatrix, DimensionError, deviation, max_abs_diff, trace
 from spacelike.intervention import (
     Intervention,
     LocalIntervention,
@@ -1165,13 +1165,18 @@ def test_orderings_walked_together_evolve_only_where_their_segment_is():
     assert_leaf_step_matches_state_path(s)
 
 
+def every_ordering(s, tol=1e-9):
+    """The exhaustive walk over every linear extension, whether or not the pairwise certificate holds."""
+    return experiment._exhaustive(s, tol, linear_extensions(s.causal(), s.events()))
+
+
 def test_one_contraction_per_depth_and_station_for_every_ordering(monkeypatch):
     # Four mutually spacelike stations: 24 orderings of 4 stations each would
     # make 96 contractions one ordering at a time; together they make one per
     # (depth, station), four at each of the four depths.
     branches = count_calls(monkeypatch, "_branches")
     leaves = count_calls(monkeypatch, "_outcome_probabilities")
-    report = check_order_invariance(ghz_scenario([0.4, 1.1, 1.8, 2.5]), 1e-9)
+    report = every_ordering(ghz_scenario([0.4, 1.1, 1.8, 2.5]))
     assert report.ok and report.orders_checked == 24
     assert (len(branches), len(leaves)) == (12, 4)
 
@@ -1192,13 +1197,13 @@ def test_chunked_walks_match_one_walk(monkeypatch):
     scenarios = [random_product_scenario(seed=k) for k in range(40)]
     scenarios += [*builtin_scenarios().values(), reordered_conditional_scenario(), flagged]
     whole = [
-        (check_order_invariance(s, 1e-9), evaluate_orderings(s, linear_extensions(s.causal(), s.events())))
+        (every_ordering(s), evaluate_orderings(s, linear_extensions(s.causal(), s.events())))
         for s in scenarios
     ]
     for bound in (1, 2_000):
         monkeypatch.setattr(experiment, "MAX_LEVEL_BYTES", bound)
         for s, (report, results) in zip(scenarios, whole):
-            chunked = check_order_invariance(s, 1e-9)
+            chunked = every_ordering(s)
             assert (chunked.ok, chunked.orders_checked, chunked.witness is None) == (
                 report.ok, report.orders_checked, report.witness is None
             )
@@ -1227,10 +1232,88 @@ def test_chunks_respect_the_level_bound(monkeypatch):
     assert [o for c in chunks for o in c] == orders
     # A level never outgrows the bound it was sized by.
     levels = count_calls(monkeypatch, "_branches")
-    check_order_invariance(s, 1e-9)
+    every_ordering(s)
     assert max(out.nbytes for _, out in levels) <= 5 * per_ordering
     monkeypatch.setattr(experiment, "MAX_LEVEL_BYTES", 1)
     assert [len(c) for c in experiment._chunks(s, orders)] == [1] * 24
+
+
+# ------------------------------------------------------ the pairwise certificate
+
+
+def test_a_certified_scenario_is_evaluated_in_one_ordering(monkeypatch):
+    s = ghz_scenario([0.4, 1.1, 1.8, 2.5])
+    walks = count_calls(monkeypatch, "_walk")
+    report = check_order_invariance(s, 1e-9)
+    assert (report.ok, report.worst, report.orders_checked, report.witness) == (True, 0.0, 24, None)
+    assert report.method == "pairwise" and report.as_dict()["method"] == "pairwise"
+    assert [args[1] for args, _ in walks] == [[linear_extensions(s.causal(), s.events())[0]]]
+    # The one walk keeps the evaluator's runtime checks.
+    qutrit = random_intervention(3, [1, 2], seed=95)
+    bad = Scenario(
+        dims0=(2, 2),
+        rho0=maximally_mixed(4),
+        stations=(station("A", 0.0, 0.0, 0, qutrit), station("B", 0.0, 5.0, 1, z_iv())),
+    )
+    with pytest.raises(DimensionError, match="station 'A'"):
+        check_order_invariance(bad, 1e-9)
+
+
+def test_pairwise_certificate_agrees_with_every_ordering():
+    scenarios = [random_product_scenario(seed=k) for k in range(200)]
+    scenarios += [*builtin_scenarios().values(), reordered_conditional_scenario()]
+    methods = []
+    for s in scenarios:
+        report, full = check_order_invariance(s, 1e-9), every_ordering(s)
+        methods.append(report.method)
+        if report.method == "pairwise":
+            assert (report.ok, report.orders_checked, report.worst) == (full.ok, full.orders_checked, 0.0)
+            assert full.worst <= 1e-12, full
+        else:
+            assert report == full
+    # Only the counterexample shares a subsystem between spacelike stations.
+    assert methods == ["pairwise"] * 201 + ["exhaustive", "pairwise", "pairwise"]
+
+
+def test_scenarios_outside_the_certificate_take_every_ordering():
+    def unitary_iv(u):
+        return Intervention(d_in=2, outcomes=(Outcome("u", 2, (CMatrix(u),)),))
+
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    near_identity = CMatrix(np.diag(np.exp(1j * np.array([1e-13, 0.0, 0.0, 0.0]))))
+    assert 0 < deviation(near_identity.array) <= tolerance.IDENTITY
+    cases = [
+        # Commuting measurements, but on one qubit at spacelike events.
+        Scenario(
+            dims0=(2,),
+            rho0=random_density(2, seed=96),
+            stations=(station("A", 0.0, 0.0, 0, z_iv()), station("B", 0.0, 5.0, 0, z_iv(("u", "d")))),
+        ),
+        # H and X on one qubit: the probabilities agree, the final states do not.
+        Scenario(
+            dims0=(2,),
+            rho0=random_density(2, seed=97),
+            stations=(
+                station("H", 0.0, 0.0, 0, unitary_iv(HADAMARD.array)),
+                station("X", 0.0, 5.0, 0, unitary_iv(flip)),
+            ),
+        ),
+        # An evolution within IDENTITY of I on a reorderable segment.
+        Scenario(
+            dims0=(2, 2),
+            rho0=random_density(4, seed=98),
+            stations=(station("A", 0.0, 0.0, 0, z_iv()), station("B", 0.0, 5.0, 1, x_iv())),
+            evolutions=(Evolution("A", "B", near_identity),),
+        ),
+    ]
+    for s in cases:
+        report = check_order_invariance(s, 1e-9)
+        assert report.method == "exhaustive" and report.ok and report.orders_checked == 2, report
+        assert report == every_ordering(s)
+    report = check_order_invariance(noncommuting_counterexample(), 1e-9)
+    assert (report.method, report.ok) == ("exhaustive", False)
+    assert report.worst == pytest.approx(0.25, abs=1e-12)
+    assert report.witness.record == (("X", "x+"), ("Z", "z+"))
 
 
 def test_a_scenario_without_stations_has_one_empty_record():

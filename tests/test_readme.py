@@ -20,6 +20,7 @@ def test_readme_python_blocks_state_true_values():
     assert ns["lab"].probabilities[(("A", "+"), ("B", "+"))] == pytest.approx(0.125, abs=1e-12)
     assert ns["report"].ok
     assert ns["report"].worst < 1e-9
+    assert (ns["report"].worst, ns["report"].method) == (0.0, "pairwise")
     assert ns["rep"].ok
     assert ns["rep"].worst < 1e-9
     # The last block rebinds s to its one-station scenario.

@@ -327,6 +327,30 @@ def test_linear_extensions_guard_on_event_count():
         linear_extensions(causal_order(events), events)
 
 
+def test_linear_extensions_refuse_wide_antichains_before_listing():
+    # Kahn's first round is the whole antichain: 9! and 30! exceed 8! at once.
+    message = r"more than 40320 orderings \(8!\), the limit"
+    for n in (9, 30):
+        events = [Event(f"e{i}", 0.0, 5.0 * i) for i in range(n)]
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=message):
+                linear_extensions(set(), events)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.01, (n, best)
+    events = [Event(f"e{i}", 0.0, 5.0 * i) for i in range(8)]
+    assert len(linear_extensions(set(), events)) == math.factorial(8)
+
+
+def test_linear_extensions_refuse_past_the_round_bound_while_listing():
+    # Two 10-event chains: the rounds pair them, a bound of 2^10, but they
+    # interleave in C(20, 10) = 184,756 ways.
+    events = [Event(f"{c}{i}", 2.0 * i, x) for i in range(10) for c, x in (("a", 0.0), ("b", 50.0))]
+    with pytest.raises(ValueError, match=r"20 events have more than 40320 orderings"):
+        linear_extensions(causal_order(events), events)
+
+
 def test_event_equality_and_immutability():
     e = Event("a", 1.0, 2.0)
     assert e == Event("a", 1.0, 2.0)

@@ -4,8 +4,8 @@ Subcommands:
 
 * ``simulate``: evaluate a scenario in a chosen frame and print the
   record table. A tie in the frame ordering is not an error: every
-  resolution, up to 8! of them, is evaluated and the spread between
-  them is reported.
+  resolution, up to 8! of them, is evaluated, and the spread between
+  them is reported with a witness when they disagree.
 * ``check-invariance``: run the order-invariance certifier, either on a
   scenario file/built-in or on ``--trials`` random product scenarios.
 * ``check-no-signaling``: run the marginal-invariance certifier over
@@ -34,10 +34,8 @@ from .experiment import (
     check_no_signaling,
     check_order_invariance,
     compare_orderings,
-    evaluate_orderings,
+    evaluate_in_order,
 )
-# Not called here; bound only because the benchmark's tracer, bench/tracer.py, rebinds it.
-from .experiment import evaluate_in_order  # noqa: F401
 from .scenarios import builtin_scenarios, random_product_scenario
 from .schema import SchemaError, parse_scenario
 from .spacetime import Frame, IntervalKind, classify, frame_groups, linear_extensions
@@ -102,15 +100,22 @@ def cmd_simulate(args, out) -> int:
     # Every ordering the frame admits: more than one exactly on a tie.
     groups = frame_groups(s.events(), Frame(args.frame_velocity))
     later = {(a.id, b.id) for g, h in zip(groups, groups[1:]) for a in g for b in h}
-    results = evaluate_orderings(s, linear_extensions(later, [e for g in groups for e in g]))
+    orders = linear_extensions(later, [e for g in groups for e in g])
+    results = [evaluate_in_order(s, order) for order in orders]
     if len(results) == 1:
         _emit_result(results[0], args.format, out)
         return 0
     # Tie: every resolution is evaluated and compared record by record.
     report = compare_orderings(results, args.tolerance)
-    ok, worst = report.ok, report.worst
+    ok, worst, w = report.ok, report.worst, report.witness
     if args.format == "json":
-        doc = {"tie": True, "ok": ok, "worst": worst, "resolutions": [r.as_dict() for r in results]}
+        doc = {
+            "tie": True,
+            "ok": ok,
+            "worst": worst,
+            "witness": report.as_dict()["witness"],
+            "resolutions": [r.as_dict() for r in results],
+        }
         print(json.dumps(doc, indent=2, sort_keys=True), file=out)
     else:
         print(
@@ -121,6 +126,12 @@ def cmd_simulate(args, out) -> int:
             _emit_result(r, args.format, out)
             print("", file=out)
         print(f"worst spread across resolutions: {worst:.3e} (ok: {ok})", file=out)
+        if w is not None:
+            print(
+                f"witness: record {dict(w.record)}: {w.p_low:.12g} in {' -> '.join(w.order_low)}, "
+                f"{w.p_high:.12g} in {' -> '.join(w.order_high)}",
+                file=out,
+            )
     return 0 if ok else 1
 
 

@@ -6,16 +6,12 @@ intervention), and optional unitary evolutions between chain positions.
 Evaluating a scenario under a chronological ordering gives every outcome
 record's probability: the trace of the record's unnormalized final state.
 The evaluator carries a factor V of rho0 = V V^dagger, D x r with
-r = rank(rho0), and walks level by level: all live branches sit in
-stacked arrays, one contraction per station applies its Kraus matrices
-to every branch, and a branch wider than its dimension is recompressed.
-Several orderings are walked together: a prefix they share is evaluated
-once, and the sub-batches of every prefix that fire the same
-intervention at the same depth share one contraction, zero-padded to a
-common shape. The orderings go in consecutive chunks whose levels stay
-within ``MAX_LEVEL_BYTES``. The last station's outcome probabilities
-come from its POVM elements, so the final states, V V^dagger per record,
-are built only when a caller reads them.
+r = rank(rho0), and walks one ordering level by level: all live branches
+sit in stacked arrays, one contraction per station applies its Kraus
+matrices to every branch, and a branch wider than its dimension is
+recompressed. The last station's outcome probabilities come from its
+POVM elements, so the final states, V V^dagger per record, are built
+only when a caller reads them.
 
 Two certifiers operate on top of the evaluator:
 
@@ -24,7 +20,7 @@ Two certifiers operate on top of the evaluator:
   (a strictly stronger set than the frame-realizable orderings). Where
   causally incomparable stations act on different subsystems and no
   evolution can move, they differ by swaps of commuting maps, and one is
-  evaluated ("pairwise"); otherwise all are, batched ("exhaustive").
+  evaluated ("pairwise"); otherwise all are, one at a time ("exhaustive").
 * ``check_no_signaling`` replaces one station's intervention by
   alternatives and reports the worst change in a spacelike-separated
   station's marginal distribution, in an ordering that fires the varied
@@ -79,7 +75,6 @@ __all__ = [
     "compare_orderings",
     "evaluate_in_frame",
     "evaluate_in_order",
-    "evaluate_orderings",
     "marginal",
 ]
 
@@ -87,11 +82,6 @@ __all__ = [
 # (station id, label) pairs sorted by station id so that results from
 # different evaluation orders are directly comparable.
 Record = tuple[tuple[str, str], ...]
-
-# Bound on the bytes of factor arrays one level of the walk holds when it
-# evaluates several orderings together; see ``_chunks``.
-MAX_LEVEL_BYTES = 2**25
-
 
 class StateError(ValueError):
     """The initial state is not a density matrix within ``tolerance.STATE``."""
@@ -390,7 +380,7 @@ class EvaluationResult:
         record's factor V is cut to the record's own factor dimensions.
         """
         states: dict[Record, CMatrix] = {}
-        for lv, _ in _walk(self.scenario, [self.ordering], build=True)[0]:
+        for lv, _ in _walk(self.scenario, self.ordering, build=True):
             for rec, v, dims in zip(lv.records(), lv.v, lv.dims.tolist()):
                 v = v[tuple(map(slice, dims))].reshape(math.prod(dims), -1)
                 state = (v if lv.weights is None else v * lv.weights) @ v.conj().T
@@ -451,10 +441,11 @@ class _Level:
         """Sub-batches of branches sharing a row of ``key`` (1-D: one column), first seen first."""
         if (key == key[0]).all():
             return [(key[0], self)]
-        _, group = _unique_rows(key.reshape(len(key), -1))
+        groups: dict[tuple, list[int]] = {}
+        for row, k in enumerate(map(tuple, key.reshape(len(key), -1).tolist())):
+            groups.setdefault(k, []).append(row)
         parts = []
-        for g in dict.fromkeys(group.tolist()):
-            rows = np.flatnonzero(group == g)
+        for rows in groups.values():
             part = replace(
                 self, v=self.v[rows], tr=self.tr[rows], dims=self.dims[rows], idx=self.idx[rows],
                 complete=False,
@@ -518,94 +509,48 @@ def _resolve(st: Station, lv: _Level) -> list[tuple[_Level, Intervention]]:
     return [(part, st.resolve(part.history(0))) for _, part in lv.split(cases)]
 
 
-def _pad(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """The arrays stacked along their first axis, zero-padded to the largest extent of the rest."""
-    shapes = [a.shape[1:] for a in arrays]
-    if shapes.count(shapes[0]) == len(shapes):
-        return np.concatenate(arrays)
-    out = np.zeros((sum(map(len, arrays)), *map(max, zip(*shapes))), dtype=complex)
-    start = 0
-    for a in arrays:
-        out[(slice(start, start + len(a)), *map(slice, a.shape[1:]))] = a
-        start += len(a)
-    return out
+def _fire(st: Station, lv: _Level, iv: Intervention, leaf: bool) -> tuple[_Level, np.ndarray]:
+    """Fire ``iv`` at ``st`` on every branch of ``lv``: the next level and its branch traces.
 
-
-def _fire(
-    st: Station, parts: Sequence[_Level], iv: Intervention, leaf: bool
-) -> list[tuple[_Level, np.ndarray]]:
-    """Fire ``iv`` at ``st`` on every branch of ``parts``: each part's next level and branch traces.
-
-    One contraction serves all the parts. Several parts are stacked, each
-    zero-padded to the largest padded dims and width among them, with
-    their weights folded into their factors; one part is used as it is.
     Each trace is bounded by its parent's times the derived growth. With
     ``leaf`` the branches are not built: the traces are the outcome
-    probabilities from ``_outcome_probabilities``, and each returned level
-    records the outcomes but keeps its part's factors and traces.
+    probabilities from ``_outcome_probabilities``, and the returned level
+    records the outcomes but keeps the parents' factors and traces.
     """
-    if len(parts) == 1:
-        (lv,) = parts
-        v, parent, dims, idx, weights = lv.v, lv.tr, lv.dims, lv.idx, lv.weights
-    else:
-        v = _pad([p.v if p.weights is None else p.v * np.sqrt(p.weights) for p in parts])
-        parent, dims, idx = (
-            np.concatenate(x) for x in zip(*((p.tr, p.dims, p.idx) for p in parts))
-        )
-        weights = None
     sub, d = st.subsystem, iv.d_in
-    n, nfactors = dims.shape
-    if not (0 <= sub < nfactors and (dims[:, sub] == d).all()):
-        bad = np.flatnonzero(dims[:, sub] != d)[0] if 0 <= sub < nfactors else 0
+    n, nfactors = lv.dims.shape
+    if not (0 <= sub < nfactors and (lv.dims[:, sub] == d).all()):
+        bad = np.flatnonzero(lv.dims[:, sub] != d)[0] if 0 <= sub < nfactors else 0
         try:
-            _factor_sizes(dims[bad].tolist(), sub, d)
+            _factor_sizes(lv.dims[bad].tolist(), sub, d)
         except DimensionError as exc:
             raise DimensionError(f"station {st.id!r} at this point in the chain: {exc}") from exc
-    pdims = v.shape[1:-1]
+    pdims = lv.v.shape[1:-1]
     # Every branch has d on this factor, so its padding beyond d is zero.
-    v = v[(slice(None),) * (sub + 1) + (slice(0, d),)]
+    v = lv.v[(slice(None),) * (sub + 1) + (slice(0, d),)]
     v = v.reshape(n, math.prod(pdims[:sub]), d, math.prod(pdims[sub + 1 :]), -1)
     m = len(iv.outcomes)
-    dims = np.repeat(dims, m, axis=0)
+    dims = np.repeat(lv.dims, m, axis=0)
     dims.reshape(n, m, nfactors)[:, :, sub] = [o.d_out for o in iv.outcomes]
-    next_idx = np.empty((n, m, idx.shape[1] + 1), dtype=int)
-    next_idx[:, :, :-1] = idx[:, None]
-    next_idx[:, :, -1] = np.arange(m)
-    idx = next_idx.reshape(n * m, -1)
+    idx = np.empty((n, m, lv.idx.shape[1] + 1), dtype=int)
+    idx[:, :, :-1] = lv.idx[:, None]
+    idx[:, :, -1] = np.arange(m)
+    idx, fired = idx.reshape(n * m, -1), (*lv.fired, (st.id, iv))
     if leaf:
         tr = _outcome_probabilities(v, iv)
-        _check_outcomes(tr, parent, iv)
-    else:
-        out = _branches(v, iv)
+        _check_outcomes(tr, lv.tr, iv)
+        return _Level(lv.v, lv.tr, dims, idx, lv.weights, fired, lv.complete), tr
+    out = _branches(v, iv)
+    weights = None if lv.weights is None else np.repeat(lv.weights, out.shape[-1] // v.shape[-1])
+    tr = _trace(out, weights)
+    _check_outcomes(tr, lv.tr, iv)
+    shape = (n * m, *pdims[:sub], out.shape[2], *pdims[sub + 1 :])
+    size = math.prod(shape[1:])
+    if out.shape[-1] > size:
         if weights is not None:
-            weights = np.repeat(weights, out.shape[-1] // v.shape[-1])
-        tr = _trace(out, weights)
-        _check_outcomes(tr, parent, iv)
-        shape = (n * m, *pdims[:sub], out.shape[2], *pdims[sub + 1 :])
-        size = math.prod(shape[1:])
-        if out.shape[-1] > size:
-            if weights is not None:
-                out = out * np.sqrt(weights)
-            out, weights = _recompress(out.reshape(n * m, size, -1)), None
-        out = out.reshape(*shape, -1)
-    if len(parts) == 1:
-        (p,) = parts
-        fired = (*p.fired, (st.id, iv))
-        if leaf:
-            return [(_Level(p.v, p.tr, dims, idx, p.weights, fired, p.complete), tr)]
-        return [(_Level(out, tr, dims, idx, weights, fired, p.complete), tr)]
-    levels = []
-    start = 0
-    for p in parts:
-        rows = slice(start, start + len(p.tr) * m)
-        start = rows.stop
-        fired = (*p.fired, (st.id, iv))
-        if leaf:
-            lv = _Level(p.v, p.tr, dims[rows], idx[rows], p.weights, fired, p.complete)
-        else:
-            lv = _Level(out[rows], tr[rows], dims[rows], idx[rows], weights, fired, p.complete)
-        levels.append((lv, tr[rows]))
-    return levels
+            out = out * np.sqrt(weights)
+        out, weights = _recompress(out.reshape(n * m, size, -1)), None
+    return _Level(out.reshape(*shape, -1), tr, dims, idx, weights, fired, lv.complete), tr
 
 
 def _recompress(v: np.ndarray) -> np.ndarray:
@@ -614,131 +559,54 @@ def _recompress(v: np.ndarray) -> np.ndarray:
     return r.conj().transpose(0, 2, 1)
 
 
-def _walk(
-    s: Scenario, orders: Sequence[tuple[str, ...]], build: bool = False
-) -> list[list[tuple[_Level, np.ndarray]]]:
-    """Each ordering's last sub-batches of branches and their traces, all orderings walked at once.
+def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[tuple[_Level, np.ndarray]]:
+    """The last sub-batches of branches of one ordering, and their traces.
 
     The walk starts from the scenario's factor V of rho0 and goes through
-    the orderings one depth at a time. At each depth every live node is
-    one prefix shared by one or more orderings, holding its live branches
-    as sub-batches (``_Level``); a node branches where its orderings'
-    next stations differ. Each node's sub-batches pass the evolution into
-    their next station and resolve the intervention it fires there; then
-    all sub-batches that fire the same intervention at the same station,
-    whatever their prefix, are contracted at once (``_fire``): its Kraus
-    stack gives every branch's outcome branches (``_branches``), an
-    evolution U maps each V to U V, and a record's probability is
+    the ordering one station at a time, carrying each sub-batch of live
+    branches as one ``_Level``: at a station, one contraction of its Kraus
+    stack gives every branch's outcome branches (``_fire``, ``_branches``),
+    an evolution U maps each V to U V, and a record's probability is
     ||V||_F^2. A branch whose width would exceed its dimension is
-    recompressed by QR. Branches of one prefix split into sub-batches only
-    where a conditional station's case or a history-keyed evolution
-    differs between them. The last station's outcome probabilities come
-    from its POVM elements on the reduced states (``_outcome_probabilities``)
-    and its branches are not built, unless an evolution follows that
-    station in its ordering.
+    recompressed by QR. Branches split into sub-batches only where a
+    conditional station's case or a history-keyed evolution differs
+    between them. The last station's outcome probabilities come from its
+    POVM elements on the reduced states (``_outcome_probabilities``) and
+    its branches are not built, unless an evolution follows that station.
 
     With ``build`` every branch is built, and the walk starts from rho0's
     eigenvectors weighted by their eigenvalues, so a diagonal rho0 passes
     through identities exactly; weights are folded into V if it is
-    recompressed or stacked with other sub-batches.
+    recompressed.
 
-    Memory: a level holds, for each prefix, prod(outcomes of the stations
-    fired so far) x D x width entries, D the padded dimension and width at
-    most D: 0.5 MB for an 8-qubit GHZ state, 8 MB for 10 qubits. The
-    callers walk the orderings in chunks (``_chunks``) that keep a level
-    within ``MAX_LEVEL_BYTES``.
+    Memory: a level holds prod(outcomes of the stations fired so far) x D
+    x width entries, D the padded dimension and width at most D: 0.5 MB
+    for an 8-qubit GHZ state, 8 MB for 10 qubits.
     """
     v0, weights = s._eigen if build else (s._factor, None)
-    root = _Level(
-        v0.reshape(1, *s.dims0, v0.shape[1]),
-        _trace(v0[None], weights),
-        np.array([s.dims0]),
-        np.empty((1, 0), dtype=int),
-        weights,
-    )
-    depth = len(s.stations)
+    levels = [
+        _Level(
+            v0.reshape(1, *s.dims0, v0.shape[1]),
+            _trace(v0[None], weights),
+            np.array([s.dims0]),
+            np.empty((1, 0), dtype=int),
+            weights,
+        )
+    ]
     # Stations an evolution follows at the end of the chain: their branches are built.
     ends = {ev.after for ev in s.evolutions if ev.before is None}
-    finals: list = [None] * len(orders)
-    # A node: the orderings sharing one prefix, and that prefix's sub-batches.
-    nodes = [(range(len(orders)), [root])] if orders else []
-    for j in range(depth):
-        leaf = j == depth - 1 and not build
-        # (station, intervention, leaf) -> its sub-batches, and the output slot of each.
-        fires: dict[tuple, tuple[Station, Intervention, bool, list, list]] = {}
-        children = []
-        for members, levels in nodes:
-            if len(members) == 1:
-                branches = ((orders[members[0]][j], members),)
-            else:
-                by_station: dict[str, list[int]] = {}
-                for i in members:
-                    by_station.setdefault(orders[i][j], []).append(i)
-                branches = by_station.items()
-            for cur, group in branches:
-                live = levels
-                if s.evolutions:
-                    prev = orders[group[0]][j - 1] if j else None
-                    live = [out for lv in levels for out in _evolve(s, lv, prev, cur)]
-                st = s._by_id[cur]
-                last = leaf and cur not in ends
-                outs: list = []
-                children.append((group, outs, last))
-                for lv in live:
-                    for part, iv in _resolve(st, lv):
-                        entry = fires.get((cur, id(iv), last))
-                        if entry is None:
-                            entry = fires[cur, id(iv), last] = (st, iv, last, [], [])
-                        entry[3].append((outs, len(outs)))
-                        entry[4].append(part)
-                        outs.append(None)
-        for st, iv, last, slots, batch in fires.values():
-            for (outs, k), out in zip(slots, _fire(st, batch, iv, last)):
-                outs[k] = out
-        nodes = []
-        for group, outs, last in children:
-            if last:
-                for i in group:
-                    finals[i] = outs
-            else:
-                nodes.append((group, [lv for lv, _ in outs]))
-    # Past the last station: every node left is one ordering (or copies of it).
-    for members, levels in nodes:
-        prev = orders[members[0]][-1] if depth else None
-        levels = [out for lv in levels for out in _evolve(s, lv, prev, None)]
-        for i in members:
-            finals[i] = [(lv, lv.tr) for lv in levels]
-    return finals
-
-
-def _level_bytes(s: Scenario) -> int:
-    """Bound on the bytes of one ordering's factors at any level of ``_walk``.
-
-    Branches are at most the product of every station's largest outcome
-    count; a factor's padded dimension is at most the largest it takes;
-    a width is at most rank(rho0) times the product of the largest Kraus
-    counts, or the padded dimension once recompressed.
-    """
-    branches, kraus, dims = 1, 1, list(s.dims0)
-    for st in s.stations:
-        outcomes = [o for iv in st.interventions().values() for o in iv.outcomes]
-        branches *= max(len(iv.outcomes) for iv in st.interventions().values())
-        kraus *= max(len(o.kraus) for o in outcomes)
-        if st.subsystem < len(dims):
-            dims[st.subsystem] = max(dims[st.subsystem], *(o.d_out for o in outcomes))
-    size = math.prod(dims)
-    return 16 * branches * size * min(size, s._factor.shape[1] * kraus)
-
-
-def _chunks(s: Scenario, orders: list[tuple[str, ...]]) -> list[list[tuple[str, ...]]]:
-    """Consecutive runs of ``orders`` for ``_walk`` to take together within MAX_LEVEL_BYTES.
-
-    A run holds at least one ordering, however large its levels.
-    """
-    if len(orders) <= 1:
-        return [orders]
-    size = max(1, MAX_LEVEL_BYTES // _level_bytes(s))
-    return [orders[i : i + size] for i in range(0, len(orders), size)]
+    leaf_at = -1 if build or (order and order[-1] in ends) else len(order) - 1
+    for j, cur in enumerate((*order, None)):
+        if s.evolutions:
+            prev = order[j - 1] if j else None
+            levels = [out for lv in levels for out in _evolve(s, lv, prev, cur)]
+        if cur is None:
+            return [(lv, lv.tr) for lv in levels]
+        st = s._by_id[cur]
+        fired = [_fire(st, part, iv, j == leaf_at) for lv in levels for part, iv in _resolve(st, lv)]
+        if j == leaf_at:
+            return fired
+        levels = [lv for lv, _ in fired]
 
 
 def _require_admissible(s: Scenario, order: tuple[str, ...]) -> None:
@@ -765,24 +633,6 @@ def _probabilities(s: Scenario, parts: list[tuple[_Level, np.ndarray]]) -> dict[
     return probabilities
 
 
-def evaluate_orderings(s: Scenario, orders: Sequence[Sequence[str]]) -> list[EvaluationResult]:
-    """Evaluate every outcome record under each of several chronological orderings.
-
-    Each result is the one ``evaluate_in_order`` gives for its ordering;
-    the orderings are walked together, in chunks, so that prefixes they
-    share are evaluated once and each station's contraction serves every
-    prefix that fires it at the same depth.
-    """
-    orders = [tuple(order) for order in orders]
-    for order in orders:
-        _require_admissible(s, order)
-    return [
-        EvaluationResult(ordering=order, probabilities=_probabilities(s, parts), scenario=s)
-        for chunk in _chunks(s, orders)
-        for order, parts in zip(chunk, _walk(s, chunk))
-    ]
-
-
 def evaluate_in_order(s: Scenario, order: Sequence[str]) -> EvaluationResult:
     """Evaluate every outcome record under one chronological ordering.
 
@@ -798,9 +648,11 @@ def evaluate_in_order(s: Scenario, order: Sequence[str]) -> EvaluationResult:
     no evolution follows it, each outcome's probability is Tr(E rho_red)
     from its POVM element E and the state reduced to the station's factor,
     so no final state is built; the result builds them on first read of
-    ``final_states``. It is ``evaluate_orderings`` on one ordering.
+    ``final_states``.
     """
-    return evaluate_orderings(s, [order])[0]
+    order = tuple(order)
+    _require_admissible(s, order)
+    return EvaluationResult(ordering=order, probabilities=_probabilities(s, _walk(s, order)), scenario=s)
 
 
 def evaluate_in_frame(s: Scenario, f: Frame) -> EvaluationResult:
@@ -913,66 +765,6 @@ def _factors_disjoint(s: Scenario) -> bool:
     return True
 
 
-def _table(
-    s: Scenario, finals: list[list[tuple[_Level, np.ndarray]]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each ordering's record probabilities as one row of a dense table, and the records.
-
-    A record is a row of label indices, one column per station in id
-    order, each label numbered in sorted order, so sorted rows are sorted
-    records. Returns the table and its sorted records; a record missing
-    from an ordering has probability 0. Every probability is checked
-    against its bound and every ordering's sum against the sum's.
-    """
-    ids = sorted(s._by_id)
-    column = {sid: j for j, sid in enumerate(ids)}
-    labels = {sid: sorted(s.station(sid).possible_labels()) for sid in ids}
-    numbers: dict[tuple[str, int], np.ndarray] = {}
-    rows, values, counts = [], [], []
-    for parts in finals:
-        counts.append(sum(len(tr) for _, tr in parts))
-        for lv, tr in parts:
-            row = np.empty((len(tr), len(ids)), dtype=int)
-            for (sid, iv), k in zip(lv.fired, lv.idx.T):
-                lut = numbers.get((sid, id(iv)))
-                if lut is None:
-                    lut = np.array([labels[sid].index(x) for x in iv.labels()])
-                    numbers[sid, id(iv)] = lut
-                row[:, column[sid]] = lut[k]
-            rows.append(row)
-            values.append(tr)
-    records, where = _unique_rows(np.concatenate(rows))
-    values = np.concatenate(values)
-    if (i := _first_outside(values, s.growth)) is not None:
-        record = _record(s, records[where[i]])
-        tolerance.check(float(values[i]), 0.0, s.growth, f"probability of record {record}")
-    table = np.zeros((len(finals), len(records)))
-    table[np.repeat(np.arange(len(finals)), counts), where] = values
-    for total in table.sum(axis=1).tolist():
-        tolerance.check(total, 2.0 - s.growth, s.growth, "sum of record probabilities")
-    return table, records
-
-
-def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows in lexicographic order, and where each row of ``rows`` went."""
-    # Without columns (no stations) every row is the same.
-    order = np.lexsort(rows.T[::-1]) if rows.size else np.arange(len(rows))
-    ranked = rows[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    where = np.empty(len(rows), dtype=int)
-    where[order] = np.cumsum(first) - 1
-    return ranked[first], where
-
-
-def _record(s: Scenario, row: np.ndarray) -> Record:
-    """The record a row of label indices stands for (see ``_table``)."""
-    ids = sorted(s._by_id)
-    return tuple(
-        (sid, sorted(s.station(sid).possible_labels())[k]) for sid, k in zip(ids, row.tolist())
-    )
-
-
 def check_order_invariance(s: Scenario, tol: float) -> InvarianceReport:
     """Certify that record probabilities agree across every admissible ordering.
 
@@ -997,35 +789,22 @@ def _exhaustive(s: Scenario, tol: float, extensions: list[tuple[str, ...]]) -> I
     """Evaluate every extension and report the worst spread of any record probability.
 
     The witness names a maximal-spread record and the two orderings
-    realizing it when the check fails. Chunks of extensions are walked
-    together into dense tables, and past the first chunk only each
-    record's extreme orderings are kept, so memory stays bounded.
+    realizing it when the check fails. Extensions are evaluated one at a
+    time, and whenever the kept results double, only those holding some
+    record's least or greatest (probability, ordering) are kept: the
+    worst spread and the witness are the same as over every result, and
+    memory grows with the records, not the orderings.
     """
-    table, records, keys = None, None, []
-    for chunk in _chunks(s, extensions):
-        for order in chunk:
-            _require_admissible(s, order)
-        more, more_records = _table(s, _walk(s, chunk))
-        if table is None:
-            table, records, keys = more, more_records, chunk
-            continue
-        both, where = _unique_rows(np.concatenate([records, more_records]))
-        merged = np.zeros((len(table) + len(more), len(both)))
-        merged[: len(table), where[: len(records)]] = table
-        merged[len(table) :, where[len(records) :]] = more
-        keys = keys + chunk
-        kept = np.unique(np.concatenate(_extremes(merged, keys)))
-        table, records, keys = merged[kept], both, [keys[i] for i in kept]
-    worst, witness = _worst_spread(table, records, keys)
-    ok = worst <= tol
-    return InvarianceReport(
-        ok=ok,
-        worst=worst,
-        orders_checked=len(extensions),
-        witness=None
-        if ok or witness is None
-        else InvarianceWitness(_record(s, witness[0]), *witness[1:]),
-    )
+    kept: list[EvaluationResult] = []
+    bound = 1
+    for order in extensions:
+        kept.append(evaluate_in_order(s, order))
+        if len(kept) >= 2 * bound:
+            table, _ = _dense([r.probabilities for r in kept])
+            low, high = _extremes(table, [r.ordering for r in kept])
+            kept = [kept[i] for i in sorted({*low.tolist(), *high.tolist()})]
+            bound = len(kept)
+    return replace(compare_orderings(kept, tol), orders_checked=len(extensions))
 
 
 def _dense(dists: Sequence[Mapping]) -> tuple[np.ndarray, list]:
@@ -1058,9 +837,8 @@ def _worst_spread(
     spread = table.max(axis=0) - table.min(axis=0)
     worst = float(spread.max())
     e = int(np.argmax(spread >= worst - tolerance.FLOOR))
-    values = list(zip(table[:, e].tolist(), keys))
-    (p_low, low), (p_high, high) = min(values), max(values)
-    return worst, (entries[e], low, high, p_low, p_high)
+    (low,), (high,) = _extremes(table[:, e : e + 1], keys)
+    return worst, (entries[e], keys[low], keys[high], float(table[low, e]), float(table[high, e]))
 
 
 def compare_orderings(results: Sequence[EvaluationResult], tol: float) -> InvarianceReport:
@@ -1123,8 +901,6 @@ def _varied_first_ids(s: Scenario, varied: str) -> tuple[str, ...]:
 
 
 def _infer_varied(s: Scenario, target: str, alternatives: Sequence[LocalIntervention]) -> str:
-    if not alternatives:
-        raise ValueError("cannot infer the varied station from an empty alternatives list")
     subsystems = {alt.subsystem for alt in alternatives}
     if len(subsystems) != 1:
         raise ValueError(
@@ -1162,6 +938,8 @@ def check_no_signaling(
     subsystem the alternatives address, provided exactly one non-target
     station acts there.
     """
+    if not alternatives:
+        raise ValueError("alternatives must not be empty: there is nothing to compare the original with")
     if varied is None:
         varied = _infer_varied(s, target, alternatives)
     if target == varied:

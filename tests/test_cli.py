@@ -8,7 +8,7 @@ import numpy as np
 
 from spacelike import cli
 from spacelike.cli import main
-from spacelike.experiment import ConditionalLocal, Scenario, Station
+from spacelike.experiment import ConditionalLocal, EvaluationResult, Scenario, Station
 from spacelike.intervention import Intervention, LocalIntervention, Outcome, random_intervention
 from spacelike.linalg import CMatrix
 from spacelike.schema import serialize_scenario
@@ -74,7 +74,7 @@ def test_simulate_reports_and_compares_tie(tmp_path, capsys):
     assert len(doc["resolutions"]) == 2
 
 
-def test_simulate_evaluates_every_tie_resolution_in_one_walk(tmp_path, capsys, monkeypatch):
+def test_simulate_evaluates_every_tie_resolution_once(tmp_path, capsys, monkeypatch):
     from spacelike import cli
 
     stations = tuple(
@@ -87,13 +87,35 @@ def test_simulate_evaluates_every_tie_resolution_in_one_walk(tmp_path, capsys, m
     path = tmp_path / "tie3.json"
     path.write_text(serialize_scenario(tied))
     calls = []
-    walk = cli.evaluate_orderings
-    monkeypatch.setattr(cli, "evaluate_orderings", lambda s, orders: calls.append(orders) or walk(s, orders))
+    evaluate = cli.evaluate_in_order
+    monkeypatch.setattr(cli, "evaluate_in_order", lambda s, order: calls.append(order) or evaluate(s, order))
     code, out, _ = run(capsys, "simulate", str(path), "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert doc["tie"] is True and doc["ok"] is True and len(doc["resolutions"]) == 6
-    assert len(calls) == 1 and len(calls[0]) == 6
+    assert [r["ordering"] for r in doc["resolutions"]] == [list(order) for order in calls]
+    assert len(set(calls)) == 6
+
+
+def test_simulate_names_the_tie_witness_in_every_format(capsys):
+    # At v = -0.25 the counterexample's X and Z share a boosted time; the two
+    # resolutions give the record (x+, z+) 0.25 and 0.5.
+    code, out, _ = run(capsys, "simulate", "counterexample", "--frame-velocity", "-0.25", "--format", "json")
+    assert code == 1
+    doc = json.loads(out)
+    assert (doc["tie"], doc["ok"]) == (True, False)
+    assert doc["worst"] == pytest.approx(0.25, abs=1e-12)
+    witness = doc["witness"]
+    assert witness["record"] == {"X": "x+", "Z": "z+"}
+    assert (witness["order_low"], witness["order_high"]) == (["X", "Z"], ["Z", "X"])
+    assert (witness["p_low"], witness["p_high"]) == pytest.approx((0.25, 0.5), abs=1e-12)
+    line = "witness: record {'X': 'x+', 'Z': 'z+'}: 0.25 in X -> Z, 0.5 in Z -> X"
+    for fmt in ("table", "csv"):
+        code, out, _ = run(capsys, "simulate", "counterexample", "--frame-velocity", "-0.25", "--format", fmt)
+        assert code == 1 and line in out.splitlines(), out
+    # A tie whose resolutions agree has no witness.
+    code, out, _ = run(capsys, "simulate", "counterexample", "--frame-velocity", "-0.25", "--tolerance", "0.5")
+    assert code == 0 and "witness" not in out
 
 
 def test_check_invariance_exit_codes(capsys):
@@ -303,7 +325,7 @@ def test_simulate_refuses_a_tie_of_more_than_eight_stations(tmp_path, capsys, mo
     from spacelike import cli
 
     evaluated = []
-    monkeypatch.setattr(cli, "evaluate_orderings", lambda _, orders: evaluated.append(len(orders)) or [])
+    monkeypatch.setattr(cli, "evaluate_in_order", lambda _, order: evaluated.append(order))
     path = tmp_path / "tie9.json"
     path.write_text(serialize_scenario(identity_scenario(Event(f"S{i}", 0.0, 10.0 * i) for i in range(9))))
     code, out, err = run(capsys, "simulate", str(path))
@@ -330,7 +352,9 @@ def test_simulate_lists_tie_resolutions_in_product_order(capsys, monkeypatch):
         ]
         listed = []
         monkeypatch.setattr(cli, "load_scenario", lambda name: s)
-        monkeypatch.setattr(cli, "evaluate_orderings", lambda _, orders: listed.extend(map(tuple, orders)) or [])
+        monkeypatch.setattr(
+            cli, "evaluate_in_order", lambda s, order: listed.append(tuple(order)) or EvaluationResult(tuple(order), {}, s)
+        )
         run(capsys, "simulate", "eprb")
         assert listed == expected, events
 

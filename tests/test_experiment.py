@@ -24,7 +24,6 @@ from spacelike.experiment import (
     check_order_invariance,
     evaluate_in_frame,
     evaluate_in_order,
-    evaluate_orderings,
     marginal,
 )
 from spacelike.scenarios import (
@@ -651,6 +650,14 @@ def test_no_signaling_rejects_wrong_subsystem_alternative():
         check_no_signaling(s, "B", [LocalIntervention(1, identity_iv())], 1e-9, varied="A")
 
 
+def test_no_signaling_rejects_empty_alternatives_whatever_the_varied_station():
+    # With nothing to compare the original with, no verdict can be given.
+    s = eprb(0.0, math.pi / 3.0)
+    for varied in (None, "A"):
+        with pytest.raises(ValueError, match="alternatives must not be empty"):
+            check_no_signaling(s, "B", [], 1e-9, varied=varied)
+
+
 def test_no_signaling_inference_requires_unambiguous_station():
     s = eprb(0.0, 1.0)
     with pytest.raises(ValueError, match="empty"):
@@ -731,21 +738,17 @@ def assert_leaf_step_matches_state_path(s, orders=None, final_states=True):
     """Probabilities and final states equal the reference recursion's within 1e-12.
 
     The probabilities come from the batched factor walk and, at the last
-    station, from the POVM leaf step, both one ordering at a time and for
-    every ordering in one call; the final states from the same walk with
-    every branch built.
+    station, from the POVM leaf step; the final states from the same walk
+    with every branch built.
     """
     lifted = {}
     orders = orders or linear_extensions(s.causal(), s.events())
-    together = evaluate_orderings(s, orders)
-    assert [r.ordering for r in together] == [tuple(order) for order in orders]
-    for order, batched in zip(orders, together):
+    for order in orders:
         want = reference_final_states(s, order, lifted)
         result = evaluate_in_order(s, order)
-        assert result.probabilities.keys() == batched.probabilities.keys() == want.keys(), order
+        assert result.probabilities.keys() == want.keys(), order
         for rec, state in want.items():
             assert abs(result.probabilities[rec] - trace(state).real) <= 1e-12, (order, rec)
-            assert abs(batched.probabilities[rec] - result.probabilities[rec]) <= 1e-12, (order, rec)
         if final_states:
             got = result.final_states
             for rec, state in want.items():
@@ -1101,7 +1104,7 @@ def test_invariance_witness_takes_the_first_record_within_rounding_of_the_worst(
     assert (report.witness.order_low, report.witness.order_high) == (("B", "A"), ("A", "B"))
 
 
-# ---------------------------------------------------- orderings walked together
+# ------------------------------------------ several orderings of one scenario
 
 
 def reordered_conditional_scenario():
@@ -1170,20 +1173,24 @@ def every_ordering(s, tol=1e-9):
     return experiment._exhaustive(s, tol, linear_extensions(s.causal(), s.events()))
 
 
-def test_one_contraction_per_depth_and_station_for_every_ordering(monkeypatch):
-    # Four mutually spacelike stations: 24 orderings of 4 stations each would
-    # make 96 contractions one ordering at a time; together they make one per
-    # (depth, station), four at each of the four depths.
-    branches = count_calls(monkeypatch, "_branches")
-    leaves = count_calls(monkeypatch, "_outcome_probabilities")
-    report = every_ordering(ghz_scenario([0.4, 1.1, 1.8, 2.5]))
-    assert report.ok and report.orders_checked == 24
-    assert (len(branches), len(leaves)) == (12, 4)
+def same_qubit_antichain(n):
+    """n mutually spacelike two-outcome stations on one qubit: n! orderings that disagree."""
+    return Scenario(
+        dims0=(2,),
+        rho0=random_density(2, seed=73),
+        stations=tuple(
+            station(f"S{i}", 0.1 * i, 10.0 * i, 0, random_intervention(2, [2, 2], seed=74 + i))
+            for i in range(n)
+        ),
+    )
 
 
-def test_chunked_walks_match_one_walk(monkeypatch):
+def test_exhaustive_matches_a_comparison_of_every_ordering():
+    # The exhaustive walk keeps only each record's extreme orderings; its
+    # verdict and witness must be the ones every ordering's result gives.
     # Four stations, one pair of them noncommuting on one qubit: a spread of
-    # 0.25, ties between orderings and witnesses that chunking must keep.
+    # 0.25 and ties between orderings. Six on one qubit: 720 orderings, pruned
+    # many times.
     pair = noncommuting_counterexample()
     flagged = Scenario(
         dims0=(2, 2, 3),
@@ -1196,46 +1203,17 @@ def test_chunked_walks_match_one_walk(monkeypatch):
     )
     scenarios = [random_product_scenario(seed=k) for k in range(40)]
     scenarios += [*builtin_scenarios().values(), reordered_conditional_scenario(), flagged]
-    whole = [
-        (every_ordering(s), evaluate_orderings(s, linear_extensions(s.causal(), s.events())))
-        for s in scenarios
-    ]
-    for bound in (1, 2_000):
-        monkeypatch.setattr(experiment, "MAX_LEVEL_BYTES", bound)
-        for s, (report, results) in zip(scenarios, whole):
-            chunked = every_ordering(s)
-            assert (chunked.ok, chunked.orders_checked, chunked.witness is None) == (
-                report.ok, report.orders_checked, report.witness is None
-            )
-            assert abs(chunked.worst - report.worst) <= 1e-15
-            if report.witness is not None:
-                w, v = chunked.witness, report.witness
-                assert (w.record, w.order_low, w.order_high) == (v.record, v.order_low, v.order_high)
-                assert abs(w.p_low - v.p_low) <= 1e-15 and abs(w.p_high - v.p_high) <= 1e-15
-            for a, b in zip(evaluate_orderings(s, [r.ordering for r in results]), results):
-                assert a.ordering == b.ordering and a.probabilities.keys() == b.probabilities.keys()
-                for rec, p in b.probabilities.items():
-                    assert abs(a.probabilities[rec] - p) <= 1e-12
-    report = whole[-1][0]
-    assert not report.ok and report.worst > 0.1
-    # The witness follows the rule over every ordering's probabilities at once.
-    assert report.witness == experiment.compare_orderings(whole[-1][1], 1e-9).witness
-
-
-def test_chunks_respect_the_level_bound(monkeypatch):
-    s = random_product_scenario(seed=3)
-    orders = linear_extensions(s.causal(), s.events())
-    per_ordering = experiment._level_bytes(s)
-    monkeypatch.setattr(experiment, "MAX_LEVEL_BYTES", 5 * per_ordering)
-    chunks = experiment._chunks(s, orders)
-    assert [len(c) for c in chunks] == [5, 5, 5, 5, 4]
-    assert [o for c in chunks for o in c] == orders
-    # A level never outgrows the bound it was sized by.
-    levels = count_calls(monkeypatch, "_branches")
-    every_ordering(s)
-    assert max(out.nbytes for _, out in levels) <= 5 * per_ordering
-    monkeypatch.setattr(experiment, "MAX_LEVEL_BYTES", 1)
-    assert [len(c) for c in experiment._chunks(s, orders)] == [1] * 24
+    scenarios.append(same_qubit_antichain(6))
+    reports = []
+    for s in scenarios:
+        extensions = linear_extensions(s.causal(), s.events())
+        report = every_ordering(s)
+        want = experiment.compare_orderings([evaluate_in_order(s, o) for o in extensions], 1e-9)
+        assert (report.ok, report.worst, report.witness) == (want.ok, want.worst, want.witness)
+        assert report.orders_checked == len(extensions)
+        reports.append(report)
+    assert len(extensions) == 720
+    assert all(not r.ok and r.worst > 0.1 for r in reports[-2:]), reports[-2:]
 
 
 # ------------------------------------------------------ the pairwise certificate
@@ -1247,7 +1225,7 @@ def test_a_certified_scenario_is_evaluated_in_one_ordering(monkeypatch):
     report = check_order_invariance(s, 1e-9)
     assert (report.ok, report.worst, report.orders_checked, report.witness) == (True, 0.0, 24, None)
     assert report.method == "pairwise" and report.as_dict()["method"] == "pairwise"
-    assert [args[1] for args, _ in walks] == [[linear_extensions(s.causal(), s.events())[0]]]
+    assert [args[1] for args, _ in walks] == [linear_extensions(s.causal(), s.events())[0]]
     # The one walk keeps the evaluator's runtime checks.
     qutrit = random_intervention(3, [1, 2], seed=95)
     bad = Scenario(
@@ -1320,7 +1298,7 @@ def test_a_scenario_without_stations_has_one_empty_record():
     s = Scenario(dims0=(2,), rho0=maximally_mixed(), stations=())
     report = check_order_invariance(s, 1e-9)
     assert report.ok and report.orders_checked == 1 and report.worst == 0.0
-    assert [r.probabilities for r in evaluate_orderings(s, [[], []])] == [{(): pytest.approx(1.0)}] * 2
+    assert evaluate_in_order(s, []).probabilities == {(): pytest.approx(1.0)}
 
 
 def closure_admits(s, order):

@@ -20,7 +20,8 @@ Two certifiers operate on top of the evaluator:
   (a strictly stronger set than the frame-realizable orderings). Where
   causally incomparable stations act on different subsystems and no
   evolution can move, they differ by swaps of commuting maps, and one is
-  evaluated ("pairwise"); otherwise all are, one at a time ("exhaustive").
+  evaluated ("pairwise"); otherwise all are, one at a time, and each
+  record keeps only its least and greatest probability ("exhaustive").
 * ``check_no_signaling`` replaces one station's intervention by
   alternatives and reports the worst change in a spacelike-separated
   station's marginal distribution, in an ordering that fires the varied
@@ -35,7 +36,7 @@ import math
 import operator
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -325,10 +326,6 @@ class Scenario:
 
     def events(self) -> list[Event]:
         return [s.event for s in self.stations]
-
-    def causal(self) -> set[tuple[str, str]]:
-        """The causal order: pairs (a, b) with b in a's future, as ``causal_order`` gives it."""
-        return {(a, b) for b, past in self._pasts[0].items() for a in past}
 
     def _with_station(self, station_id: str, local: LocalIntervention) -> Scenario:
         """This scenario with one station's intervention replaced, rho0 not validated again.
@@ -775,87 +772,69 @@ def check_order_invariance(s: Scenario, tol: float) -> InvarianceReport:
     swaps of maps on different tensor factors, which commute, link any two
     extensions, so every record's unnormalized final state is the same in
     all: one is evaluated, for its runtime checks, and ``worst`` is 0.0
-    exactly. Otherwise ``_exhaustive`` evaluates them all.
+    exactly. Otherwise every extension is evaluated, one at a time, and
+    ``compare_orderings`` reads the results as they come, so memory grows
+    with the records, not with the orderings.
     """
     fixed = _require_order_comparable(s)
     extensions = linear_extensions(s._covering, s.events())
     if fixed and _factors_disjoint(s):
         evaluate_in_order(s, extensions[0])
         return InvarianceReport(True, 0.0, len(extensions), method="pairwise")
-    return _exhaustive(s, tol, extensions)
+    return compare_orderings((evaluate_in_order(s, o) for o in extensions), tol)
 
 
-def _exhaustive(s: Scenario, tol: float, extensions: list[tuple[str, ...]]) -> InvarianceReport:
-    """Evaluate every extension and report the worst spread of any record probability.
+def _spread(keyed: Iterable[tuple[object, Mapping]]) -> tuple[float, tuple | None, int]:
+    """Worst spread of any entry across distributions, its witness, and how many were read.
 
-    The witness names a maximal-spread record and the two orderings
-    realizing it when the check fails. Extensions are evaluated one at a
-    time, and whenever the kept results double, only those holding some
-    record's least or greatest (probability, ordering) are kept: the
-    worst spread and the witness are the same as over every result, and
-    memory grows with the records, not the orderings.
+    ``keyed`` yields (key, distribution) pairs and is read once; each
+    entry keeps only its least and greatest (p, key), and an entry
+    missing from a distribution counts as p = 0 there. The witness (entry,
+    key low, key high, p low, p high) is the first entry in sorted order
+    whose spread is within ``tolerance.FLOOR`` of the worst, so rounding
+    cannot pick it; None when there are no entries.
     """
-    kept: list[EvaluationResult] = []
-    bound = 1
-    for order in extensions:
-        kept.append(evaluate_in_order(s, order))
-        if len(kept) >= 2 * bound:
-            table, _ = _dense([r.probabilities for r in kept])
-            low, high = _extremes(table, [r.ordering for r in kept])
-            kept = [kept[i] for i in sorted({*low.tolist(), *high.tolist()})]
-            bound = len(kept)
-    return replace(compare_orderings(kept, tol), orders_checked=len(extensions))
+    ends: dict = {}
+    n = 0
+    for key, dist in keyed:
+        absent = dict.fromkeys(ends.keys() - dist.keys(), 0.0)
+        for entry, p in itertools.chain(dist.items(), absent.items()):
+            pk = (p, key)
+            if entry not in ends:
+                # Missing from every earlier distribution: 0 at the least and the greatest key.
+                ends[entry] = [(0.0, least), (0.0, greatest)] if n else [pk, pk]
+            extremes = ends[entry]
+            if pk < extremes[0]:
+                extremes[0] = pk
+            if pk > extremes[1]:
+                extremes[1] = pk
+        least, greatest = (min(least, key), max(greatest, key)) if n else (key, key)
+        n += 1
+    if not ends:
+        return 0.0, None, n
+    spread = {entry: high[0] - low[0] for entry, (low, high) in ends.items()}
+    worst = max(spread.values())
+    entry = next(e for e in sorted(ends) if spread[e] >= worst - tolerance.FLOOR)
+    (p_low, key_low), (p_high, key_high) = ends[entry]
+    return worst, (entry, key_low, key_high, p_low, p_high), n
 
 
-def _dense(dists: Sequence[Mapping]) -> tuple[np.ndarray, list]:
-    """The distributions as rows of a table over their sorted entries; a missing entry is 0."""
-    entries = sorted(set().union(*dists))
-    return np.array([[d.get(entry, 0.0) for entry in entries] for d in dists]), entries
-
-
-def _extremes(table: np.ndarray, keys: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """Each column's row of least and of greatest (value, key), rows named by ``keys``."""
-    by_key = np.array(sorted(range(len(keys)), key=keys.__getitem__))
-    ranked = table[by_key]
-    return by_key[ranked.argmin(axis=0)], by_key[::-1][ranked[::-1].argmax(axis=0)]
-
-
-def _worst_spread(
-    table: np.ndarray, entries: Sequence, keys: Sequence
-) -> tuple[float, tuple | None]:
-    """Worst spread of any entry across distributions, and its witness.
-
-    ``table`` holds one distribution per row and one entry per column,
-    ``entries`` names the columns in sorted order and ``keys`` the rows.
-    The witness (entry, key low, key high, p low, p high) is the first
-    entry whose spread is within ``tolerance.FLOOR`` of the worst, so
-    rounding cannot pick it, with (p low, key low) and (p high, key high)
-    its least and greatest (p, key); None when there are no entries.
-    """
-    if not table.size:
-        return 0.0, None
-    spread = table.max(axis=0) - table.min(axis=0)
-    worst = float(spread.max())
-    e = int(np.argmax(spread >= worst - tolerance.FLOOR))
-    (low,), (high,) = _extremes(table[:, e : e + 1], keys)
-    return worst, (entries[e], keys[low], keys[high], float(table[low, e]), float(table[high, e]))
-
-
-def compare_orderings(results: Sequence[EvaluationResult], tol: float) -> InvarianceReport:
+def compare_orderings(results: Iterable[EvaluationResult], tol: float) -> InvarianceReport:
     """Worst spread of any record probability across evaluations of one scenario.
 
-    A record missing from an evaluation counts as probability 0; when the
-    spread exceeds ``tol``, the witness names the first record whose spread
-    is within ``tolerance.FLOOR`` of the worst and the two orderings
-    realizing it.
+    ``results`` is read once, so it may be a generator: only each
+    record's least and greatest (probability, ordering) are kept, and
+    ``orders_checked`` counts the results read. A record missing from an
+    evaluation counts as probability 0; when the spread exceeds ``tol``,
+    the witness names the first record whose spread is within
+    ``tolerance.FLOOR`` of the worst and the two orderings realizing it.
     """
-    table, records = _dense([r.probabilities for r in results])
-    worst, witness = _worst_spread(table, records, [r.ordering for r in results])
+    worst, witness, n = _spread((r.ordering, r.probabilities) for r in results)
     ok = worst <= tol
     return InvarianceReport(
         ok=ok,
         worst=worst,
-        orders_checked=len(results),
+        orders_checked=n,
         witness=None if ok or witness is None else InvarianceWitness(*witness),
     )
 
@@ -964,8 +943,7 @@ def check_no_signaling(
     # The original candidate is s itself; each alternative is s with one station swapped.
     variants = [s, *(s._with_station(varied, alt) for alt in alternatives)]
     marginals = [marginal(evaluate_in_order(v, order), target) for v in variants]
-    table, labels = _dense(marginals)
-    worst, witness = _worst_spread(table, labels, range(len(marginals)))
+    worst, witness, _ = _spread(enumerate(marginals))
     ok = worst <= tol
     return NoSignalingReport(
         ok=ok,

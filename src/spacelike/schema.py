@@ -72,9 +72,13 @@ def _require_list(value: Any, path: str) -> list:
 def _require_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected a number, got {type(value).__name__}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        raise SchemaError(path, "expected a finite number, got an integer beyond float range") from None
+    if not math.isfinite(number):
         raise SchemaError(path, f"expected a finite number, got {value}")
-    return float(value)
+    return number
 
 
 def _require_int(value: Any, path: str, minimum: int = 1) -> int:

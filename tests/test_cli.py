@@ -295,6 +295,16 @@ def test_bad_input_exits_2(argv, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_an_integer_beyond_float_range_exits_2(tmp_path, capsys):
+    doc = json.loads(serialize_scenario(eprb(0.0, 1.0)))
+    doc["stations"][0]["event"]["t"] = 10**400
+    path = tmp_path / "huge_t.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "simulate", str(path))
+    assert code == 2
+    assert "$.stations[0].event.t" in err and "Traceback" not in err
+
+
 def nine_station_file(tmp_path, event):
     """Nine stations on a three-qubit product state, station i at ``event(i)`` on qubit i % 3."""
     s = Scenario(

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -33,7 +34,7 @@ from spacelike.scenarios import (
     random_product_scenario,
     spin_analyzer,
 )
-from spacelike.spacetime import Event, Frame, linear_extensions
+from spacelike.spacetime import Event, Frame, causal_order, linear_extensions
 
 P0 = CMatrix(np.diag([1.0, 0.0]).astype(complex))
 P1 = CMatrix(np.diag([0.0, 1.0]).astype(complex))
@@ -607,10 +608,7 @@ def test_causal_order_is_closed_once_per_scenario(monkeypatch):
     # The no-signaling check reads the varied station's past from the same closure.
     varied, target = s.stations[0], s.stations[1]
     assert check_no_signaling(s, target.id, [varied.local], 1e-9, varied=varied.id).ok
-    # causal() hands out a copy the caller may change.
-    mine = s.causal()
-    mine.add(("x", "y"))
-    assert ("x", "y") not in s.causal() and len(closures) == 1
+    assert len(closures) == 1
 
 
 def test_a_1100_station_chain_certifies_and_evaluates_within_45_mb():
@@ -742,7 +740,7 @@ def assert_leaf_step_matches_state_path(s, orders=None, final_states=True):
     with every branch built.
     """
     lifted = {}
-    orders = orders or linear_extensions(s.causal(), s.events())
+    orders = orders or linear_extensions(s._covering, s.events())
     for order in orders:
         want = reference_final_states(s, order, lifted)
         result = evaluate_in_order(s, order)
@@ -1042,8 +1040,7 @@ def test_evolution_rule_equals_the_extension_scan():
                 for i in range(n)
             ),
         )
-        causal = s.causal()
-        extensions = linear_extensions(causal, s.events())
+        extensions = linear_extensions(s._covering, s.events())
         ends = [None, *(st.id for st in s.stations)]
         for after in ends:
             for before in ends:
@@ -1078,17 +1075,36 @@ def test_invariance_witness_breaks_ties_by_ordering():
         assert (w.order_high, w.p_high) == (("B", "A", "C"), 0.5)
 
 
-def test_chunk_reduction_keeps_each_records_witness_orderings():
-    # Per column, the least and greatest (value, key), as the witness rule picks them.
+def test_spread_keeps_each_entrys_least_and_greatest_value_and_key():
+    # Per column, the least and greatest (value, key), as the witness rule picks them;
+    # the zeros of every other row are left out of its distribution and count as 0.
     rng = np.random.default_rng(90)
     keys = sorted({tuple(rng.permutation(5).tolist()) for _ in range(40)})
     rng.shuffle(keys)
     table = rng.integers(0, 3, size=(len(keys), 6)).astype(float)
-    low, high = experiment._extremes(table, keys)
     for e in range(table.shape[1]):
-        values = list(zip(table[:, e].tolist(), keys))
-        assert (table[low[e], e], keys[low[e]]) == min(values)
-        assert (table[high[e], e], keys[high[e]]) == max(values)
+        column = table[:, e].tolist()
+        dists = [{"e": p} if p or i % 2 else {} for i, p in enumerate(column)]
+        worst, (entry, key_low, key_high, p_low, p_high), n = experiment._spread(zip(keys, dists))
+        values = list(zip(column, keys))
+        assert (p_low, key_low) == min(values) and (p_high, key_high) == max(values)
+        assert (entry, worst, n) == ("e", max(column) - min(column), len(keys))
+
+
+def test_a_record_missing_from_some_results_counts_as_zero_at_its_extreme_orderings():
+    # Orderings a < b < ... < f, read c, a, f, d, b, e; the record is present only in b,
+    # so its zeros sit at the four orderings read before it first appears and at e.
+    a, b, c, d, e, f = itertools.permutations("ABC")
+    read = (c, a, f, d, b, e)
+    rec, other = (("A", "a0"),), (("A", "a1"),)
+    probabilities = [{other: 0.5, rec: 0.5} if o == b else {other: 1.0} for o in read]
+    results = [experiment.EvaluationResult(o, p, scenario=None) for o, p in zip(read, probabilities)]
+    report = experiment.compare_orderings(iter(results), 1e-9)
+    assert (report.worst, report.orders_checked) == (0.5, 6)
+    assert report.witness == experiment.InvarianceWitness(rec, a, b, 0.0, 0.5)
+    # Mirrored, the greatest (0, ordering) is the greatest ordering missing it.
+    negated = [{entry: -p for entry, p in dist.items()} for dist in probabilities]
+    assert experiment._spread(zip(read, negated)) == (0.5, (rec, b, f, -0.5, 0.0), 6)
 
 
 def test_invariance_witness_takes_the_first_record_within_rounding_of_the_worst():
@@ -1145,7 +1161,7 @@ def reordered_conditional_scenario():
 
 def test_orderings_walked_together_through_conditions_and_keyed_evolutions():
     s = reordered_conditional_scenario()
-    assert len(linear_extensions(s.causal(), s.events())) == 6
+    assert len(linear_extensions(s._covering, s.events())) == 6
     assert_leaf_step_matches_state_path(s)
     report = check_order_invariance(s, 1e-9)
     assert report.ok and report.orders_checked == 6, report
@@ -1164,13 +1180,14 @@ def test_orderings_walked_together_evolve_only_where_their_segment_is():
         ),
         evolutions=(Evolution("A", "B", haar_unitary(8, seed=70)),),
     )
-    assert len(linear_extensions(s.causal(), s.events())) == 6
+    assert len(linear_extensions(s._covering, s.events())) == 6
     assert_leaf_step_matches_state_path(s)
 
 
 def every_ordering(s, tol=1e-9):
     """The exhaustive walk over every linear extension, whether or not the pairwise certificate holds."""
-    return experiment._exhaustive(s, tol, linear_extensions(s.causal(), s.events()))
+    extensions = linear_extensions(s._covering, s.events())
+    return experiment.compare_orderings((evaluate_in_order(s, o) for o in extensions), tol)
 
 
 def same_qubit_antichain(n):
@@ -1185,12 +1202,24 @@ def same_qubit_antichain(n):
     )
 
 
+def dense_spread(results):
+    """Reference: worst spread and witness from a table of every result, missing records 0."""
+    records = sorted(set().union(*(r.probabilities for r in results)))
+    table = np.array([[r.probabilities.get(rec, 0.0) for rec in records] for r in results])
+    spread = table.max(axis=0) - table.min(axis=0)
+    worst = float(spread.max())
+    e = int(np.argmax(spread >= worst - tolerance.FLOOR))
+    column = [(p, r.ordering) for p, r in zip(table[:, e].tolist(), results)]
+    (p_low, low), (p_high, high) = min(column), max(column)
+    return worst, experiment.InvarianceWitness(records[e], low, high, p_low, p_high)
+
+
 def test_exhaustive_matches_a_comparison_of_every_ordering():
     # The exhaustive walk keeps only each record's extreme orderings; its
-    # verdict and witness must be the ones every ordering's result gives.
-    # Four stations, one pair of them noncommuting on one qubit: a spread of
-    # 0.25 and ties between orderings. Six on one qubit: 720 orderings, pruned
-    # many times.
+    # verdict and witness must be the ones a table of every ordering's result
+    # gives. Four stations, one pair of them noncommuting on one qubit: a
+    # spread of 0.25 and ties between orderings. Six on one qubit: 720
+    # orderings.
     pair = noncommuting_counterexample()
     flagged = Scenario(
         dims0=(2, 2, 3),
@@ -1206,10 +1235,11 @@ def test_exhaustive_matches_a_comparison_of_every_ordering():
     scenarios.append(same_qubit_antichain(6))
     reports = []
     for s in scenarios:
-        extensions = linear_extensions(s.causal(), s.events())
+        extensions = linear_extensions(s._covering, s.events())
         report = every_ordering(s)
-        want = experiment.compare_orderings([evaluate_in_order(s, o) for o in extensions], 1e-9)
-        assert (report.ok, report.worst, report.witness) == (want.ok, want.worst, want.witness)
+        worst, witness = dense_spread([evaluate_in_order(s, o) for o in extensions])
+        ok = worst <= 1e-9
+        assert (report.ok, report.worst, report.witness) == (ok, worst, None if ok else witness)
         assert report.orders_checked == len(extensions)
         reports.append(report)
     assert len(extensions) == 720
@@ -1225,7 +1255,7 @@ def test_a_certified_scenario_is_evaluated_in_one_ordering(monkeypatch):
     report = check_order_invariance(s, 1e-9)
     assert (report.ok, report.worst, report.orders_checked, report.witness) == (True, 0.0, 24, None)
     assert report.method == "pairwise" and report.as_dict()["method"] == "pairwise"
-    assert [args[1] for args, _ in walks] == [linear_extensions(s.causal(), s.events())[0]]
+    assert [args[1] for args, _ in walks] == [linear_extensions(s._covering, s.events())[0]]
     # The one walk keeps the evaluator's runtime checks.
     qutrit = random_intervention(3, [1, 2], seed=95)
     bad = Scenario(
@@ -1304,7 +1334,7 @@ def test_a_scenario_without_stations_has_one_empty_record():
 def closure_admits(s, order):
     """Reference: the ordering places every pair of the closed causal order in order."""
     pos = {sid: i for i, sid in enumerate(order)}
-    return all(pos[a] < pos[b] for a, b in s.causal())
+    return all(pos[a] < pos[b] for a, b in causal_order(s.events()))
 
 
 def test_admissibility_from_direct_predecessors_equals_the_closure_check():

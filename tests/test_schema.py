@@ -162,6 +162,20 @@ def test_non_finite_entries_rejected():
         parse_scenario(text)
 
 
+def test_integers_beyond_float_range_rejected_with_their_path():
+    # float() of such an integer overflows; it must be a schema error, not an OverflowError.
+    huge = "1" + "0" * 400
+    doc = valid_doc()
+    doc["stations"][0]["event"]["t"] = 0
+    text = json.dumps(doc).replace('"t": 0', f'"t": {huge}', 1)
+    with pytest.raises(SchemaError, match=r"stations\[0\]\.event\.t: .*finite") as exc:
+        parse_scenario(text)
+    assert exc.value.path == "$.stations[0].event.t"
+    text = json.dumps(valid_doc()).replace("[0.5, 0.0]", f"[0.5, -{huge}]", 1)
+    with pytest.raises(SchemaError, match=r"rho0\[0\]\[1\]: .*finite"):
+        parse_scenario(text)
+
+
 def test_station_requires_exactly_one_intervention_form():
     doc = valid_doc()
     doc["stations"][0]["depends_on"] = ["A"]

@@ -17,7 +17,7 @@ from spacelike.cli import main
 from spacelike.experiment import StateError, check_order_invariance, evaluate_in_order
 from spacelike.scenarios import spin_analyzer
 from spacelike.schema import SchemaError, parse_scenario
-from spacelike.spacetime import linear_extensions
+from spacelike.spacetime import causal_order, linear_extensions
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SHIPPED = {p.name: json.loads(p.read_text()) for p in sorted(SCENARIO_DIR.glob("*.json"))}
@@ -100,7 +100,7 @@ def test_rho0_eigenvalues_at_both_cutoffs_evaluate_under_every_ordering():
     assert s._factor.shape == (d, 2)
     report = check_order_invariance(s, 1e-9)
     assert report.ok and report.orders_checked == 3
-    for order in linear_extensions(s.causal(), s.events()):
+    for order in linear_extensions(causal_order(s.events()), s.events()):
         total = sum(evaluate_in_order(s, order).probabilities.values())
         assert abs(total - 1.0) <= tolerance.FLOOR
 

@@ -193,6 +193,12 @@ def _histories_compatible(h1: Mapping[str, str], h2: Mapping[str, str]) -> bool:
     return all(h1[k] == h2[k] for k in h1.keys() & h2.keys())
 
 
+def _require_history_label(st: Station, label: str) -> None:
+    """Reject an evolution-history label that ``st`` can never record."""
+    if label not in st.possible_labels():
+        raise ValueError(f"evolution history names outcome {label!r} unknown to station {st.id!r}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Initial state, stations, and inter-station evolutions.
@@ -249,11 +255,7 @@ class Scenario:
             for k, v in ev.history.items():
                 if k not in known:
                     raise ValueError(f"evolution history references unknown station {k!r}")
-                labels = self.station(k).possible_labels()
-                if v not in labels:
-                    raise ValueError(
-                        f"evolution history names outcome {v!r} unknown to station {k!r}"
-                    )
+                _require_history_label(self.station(k), v)
             m = ev.matrix
             if m.rows != m.cols:
                 raise DimensionError("evolution matrices must be square")
@@ -292,19 +294,6 @@ class Scenario:
         return q, w
 
     @cached_property
-    def _factor(self) -> np.ndarray:
-        """Read-only factor V of rho0 = V V^dagger, D x rank, for the evaluator.
-
-        V's columns are rho0's eigenvectors scaled by the square roots of
-        their eigenvalues, less those dropped by ``_eigen``. It depends on
-        rho0 alone.
-        """
-        q, w = self._eigen
-        v = q * np.sqrt(w)
-        v.setflags(write=False)
-        return v
-
-    @cached_property
     def _pasts(self) -> tuple[dict[str, set[str]], dict[str, list[str]]]:
         """Each station's causal past and its direct predecessors, from one closing pass."""
         return _causal_pasts(self.events())
@@ -330,18 +319,15 @@ class Scenario:
     def _with_station(self, station_id: str, local: LocalIntervention) -> Scenario:
         """This scenario with one station's intervention replaced, rho0 not validated again.
 
-        The copy keeps rho0's factor and the causal order with its covering
-        pairs, which do not depend on the intervention, and recomputes
-        ``growth`` and the evolution-history labels that name the station.
+        The copy shares ``_eigen`` and ``_covering``, which do not depend on
+        the intervention, and recomputes ``growth`` and the evolution-history
+        labels that name the station.
         """
         new = Station(self.station(station_id).event, local)
         for ev in self.evolutions:
-            v = ev.history.get(station_id)
-            if v is not None and v not in new.possible_labels():
-                raise ValueError(
-                    f"evolution history names outcome {v!r} unknown to station {station_id!r}"
-                )
-        self._factor, self._covering  # computed here, once, so that every copy shares them
+            if station_id in ev.history:
+                _require_history_label(new, ev.history[station_id])
+        self._eigen, self._covering  # computed here, once, so that every copy shares them
         s = copy.copy(self)
         s.__dict__.pop("_by_id", None)
         object.__setattr__(
@@ -373,11 +359,11 @@ class EvaluationResult:
     def final_states(self) -> dict[Record, CMatrix]:
         """Unnormalized final state V V^dagger of every record; its trace is its probability.
 
-        The walk runs again with the last-station shortcut off, and each
-        record's factor V is cut to the record's own factor dimensions.
+        The walk runs again with ``build`` on, so it ends in no leaf level,
+        and each row of a level's V is cut to its record's factor dimensions.
         """
         states: dict[Record, CMatrix] = {}
-        for lv, _ in _walk(self.scenario, self.ordering, build=True):
+        for lv in _walk(self.scenario, self.ordering, build=True):
             for rec, v, dims in zip(lv.records(), lv.v, lv.dims.tolist()):
                 v = v[tuple(map(slice, dims))].reshape(math.prod(dims), -1)
                 state = (v if lv.weights is None else v * lv.weights) @ v.conj().T
@@ -408,17 +394,16 @@ class _Level:
     for all ones. ``tr`` holds each branch's trace, ``dims`` (branch,
     factor) its actual factor dimensions and ``idx`` (branch, station) the
     outcome it took at each station of ``fired``, which lists the stations
-    fired so far with the intervention each fired. ``complete``: the rows
-    are every combination of those outcomes, in order.
+    fired so far with the intervention each fired. A leaf level (see
+    ``_fire``) has ``v`` None and its outcome probabilities in ``tr``.
     """
 
-    v: np.ndarray
+    v: np.ndarray | None
     tr: np.ndarray
     dims: np.ndarray
     idx: np.ndarray
     weights: np.ndarray | None = None
     fired: tuple[tuple[str, Intervention], ...] = ()
-    complete: bool = True
 
     def history(self, row: int) -> dict[str, str]:
         return {sid: iv.outcomes[i].label for (sid, iv), i in zip(self.fired, self.idx[row])}
@@ -443,10 +428,7 @@ class _Level:
             groups.setdefault(k, []).append(row)
         parts = []
         for rows in groups.values():
-            part = replace(
-                self, v=self.v[rows], tr=self.tr[rows], dims=self.dims[rows], idx=self.idx[rows],
-                complete=False,
-            )
+            part = replace(self, v=self.v[rows], tr=self.tr[rows], dims=self.dims[rows], idx=self.idx[rows])
             parts.append((key[rows[0]], part))
         return parts
 
@@ -454,7 +436,8 @@ class _Level:
         """Each branch's record: its outcome labels keyed by station id, sorted by id."""
         pairs = [[(sid, o.label) for o in iv.outcomes] for sid, iv in self.fired]
         by_id = sorted(range(len(pairs)), key=lambda j: self.fired[j][0])
-        if not self.complete:
+        # Unsplit, the rows are every outcome combination in order; a split keeps a strict subset.
+        if len(self.idx) != math.prod(map(len, pairs)):
             return [tuple(pairs[j][row[j]] for j in by_id) for row in self.idx.tolist()]
         rows = itertools.product(*pairs)
         return list(map(operator.itemgetter(*by_id), rows) if len(by_id) > 1 else rows)
@@ -506,13 +489,13 @@ def _resolve(st: Station, lv: _Level) -> list[tuple[_Level, Intervention]]:
     return [(part, st.resolve(part.history(0))) for _, part in lv.split(cases)]
 
 
-def _fire(st: Station, lv: _Level, iv: Intervention, leaf: bool) -> tuple[_Level, np.ndarray]:
-    """Fire ``iv`` at ``st`` on every branch of ``lv``: the next level and its branch traces.
+def _fire(st: Station, lv: _Level, iv: Intervention, leaf: bool) -> _Level:
+    """Fire ``iv`` at ``st`` on every branch of ``lv``: the next level.
 
-    Each trace is bounded by its parent's times the derived growth. With
-    ``leaf`` the branches are not built: the traces are the outcome
-    probabilities from ``_outcome_probabilities``, and the returned level
-    records the outcomes but keeps the parents' factors and traces.
+    Each branch trace is bounded by its parent's times the derived growth.
+    With ``leaf`` the branches are not built: the level's ``tr`` holds the
+    outcome probabilities from ``_outcome_probabilities`` and its ``v`` is
+    None.
     """
     sub, d = st.subsystem, iv.d_in
     n, nfactors = lv.dims.shape
@@ -536,7 +519,7 @@ def _fire(st: Station, lv: _Level, iv: Intervention, leaf: bool) -> tuple[_Level
     if leaf:
         tr = _outcome_probabilities(v, iv)
         _check_outcomes(tr, lv.tr, iv)
-        return _Level(lv.v, lv.tr, dims, idx, lv.weights, fired, lv.complete), tr
+        return _Level(None, tr, dims, idx, fired=fired)
     out = _branches(v, iv)
     weights = None if lv.weights is None else np.repeat(lv.weights, out.shape[-1] // v.shape[-1])
     tr = _trace(out, weights)
@@ -547,7 +530,7 @@ def _fire(st: Station, lv: _Level, iv: Intervention, leaf: bool) -> tuple[_Level
         if weights is not None:
             out = out * np.sqrt(weights)
         out, weights = _recompress(out.reshape(n * m, size, -1)), None
-    return _Level(out.reshape(*shape, -1), tr, dims, idx, weights, fired, lv.complete), tr
+    return _Level(out.reshape(*shape, -1), tr, dims, idx, weights, fired)
 
 
 def _recompress(v: np.ndarray) -> np.ndarray:
@@ -556,20 +539,22 @@ def _recompress(v: np.ndarray) -> np.ndarray:
     return r.conj().transpose(0, 2, 1)
 
 
-def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[tuple[_Level, np.ndarray]]:
-    """The last sub-batches of branches of one ordering, and their traces.
+def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[_Level]:
+    """The last sub-batches of branches of one ordering; each level's ``tr`` is its probabilities.
 
-    The walk starts from the scenario's factor V of rho0 and goes through
-    the ordering one station at a time, carrying each sub-batch of live
-    branches as one ``_Level``: at a station, one contraction of its Kraus
-    stack gives every branch's outcome branches (``_fire``, ``_branches``),
-    an evolution U maps each V to U V, and a record's probability is
-    ||V||_F^2. A branch whose width would exceed its dimension is
-    recompressed by QR. Branches split into sub-batches only where a
-    conditional station's case or a history-keyed evolution differs
-    between them. The last station's outcome probabilities come from its
-    POVM elements on the reduced states (``_outcome_probabilities``) and
-    its branches are not built, unless an evolution follows that station.
+    The walk starts from a factor V of rho0, the eigenvectors of
+    ``Scenario._eigen`` scaled by the roots of their eigenvalues, and goes
+    through the ordering one station at a time, carrying each sub-batch of
+    live branches as one ``_Level``: at a station, one contraction of its
+    Kraus stack gives every branch's outcome branches (``_fire``,
+    ``_branches``), an evolution U maps each V to U V, and a record's
+    probability is ||V||_F^2. A branch whose width would exceed its
+    dimension is recompressed by QR. Branches split into sub-batches only
+    where a conditional station's case or a history-keyed evolution
+    differs between them. The last station's outcome probabilities come
+    from its POVM elements on the reduced states
+    (``_outcome_probabilities``) in a leaf level, whose branches are not
+    built, unless an evolution follows that station.
 
     With ``build`` every branch is built, and the walk starts from rho0's
     eigenvectors weighted by their eigenvalues, so a diagonal rho0 passes
@@ -580,7 +565,8 @@ def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[tupl
     x width entries, D the padded dimension and width at most D: 0.5 MB
     for an 8-qubit GHZ state, 8 MB for 10 qubits.
     """
-    v0, weights = s._eigen if build else (s._factor, None)
+    q, w = s._eigen
+    v0, weights = (q, w) if build else (q * np.sqrt(w), None)
     levels = [
         _Level(
             v0.reshape(1, *s.dims0, v0.shape[1]),
@@ -598,12 +584,11 @@ def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[tupl
             prev = order[j - 1] if j else None
             levels = [out for lv in levels for out in _evolve(s, lv, prev, cur)]
         if cur is None:
-            return [(lv, lv.tr) for lv in levels]
+            return levels
         st = s._by_id[cur]
-        fired = [_fire(st, part, iv, j == leaf_at) for lv in levels for part, iv in _resolve(st, lv)]
+        levels = [_fire(st, part, iv, j == leaf_at) for lv in levels for part, iv in _resolve(st, lv)]
         if j == leaf_at:
-            return fired
-        levels = [lv for lv, _ in fired]
+            return levels
 
 
 def _require_admissible(s: Scenario, order: tuple[str, ...]) -> None:
@@ -617,14 +602,14 @@ def _require_admissible(s: Scenario, order: tuple[str, ...]) -> None:
                 raise ValueError(f"order places {a!r} after {b!r}, violating their causal order")
 
 
-def _probabilities(s: Scenario, parts: list[tuple[_Level, np.ndarray]]) -> dict[Record, float]:
+def _probabilities(s: Scenario, levels: list[_Level]) -> dict[Record, float]:
     """One ordering's record probabilities from its last sub-batches, each within its bound."""
     probabilities: dict[Record, float] = {}
-    for lv, tr in parts:
+    for lv in levels:
         records = lv.records()
-        if (i := _first_outside(tr, s.growth)) is not None:
-            tolerance.check(float(tr[i]), 0.0, s.growth, f"probability of record {records[i]}")
-        probabilities.update(zip(records, tr.tolist()))
+        if (i := _first_outside(lv.tr, s.growth)) is not None:
+            tolerance.check(float(lv.tr[i]), 0.0, s.growth, f"probability of record {records[i]}")
+        probabilities.update(zip(records, lv.tr.tolist()))
     total = sum(probabilities.values())
     tolerance.check(total, 2.0 - s.growth, s.growth, "sum of record probabilities")
     return probabilities

@@ -228,6 +228,9 @@ def parse_scenario(data: bytes | str) -> Scenario:
         root = json.loads(data)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:
+        # Nesting past the recursion limit, or an integer literal past int's digit limit.
+        raise SchemaError("$", f"unreadable JSON: {exc}") from exc
     obj = _require_object(root, "$", {"dims", "rho0", "stations"}, {"evolutions"})
     dims = tuple(
         _require_int(d, f"$.dims[{i}]") for i, d in enumerate(_require_list(obj["dims"], "$.dims"))

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import sys
 
 import pytest
 
@@ -303,6 +304,24 @@ def test_an_integer_beyond_float_range_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "simulate", str(path))
     assert code == 2
     assert "$.stations[0].event.t" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100_000 + "]" * 100_000,
+        serialize_scenario(eprb(0.0, 1.0)).replace('"t": 0.0', '"t": ' + "1" * 5000, 1),
+    ],
+    ids=["nested", "digits"],
+)
+def test_unreadable_json_exits_2_naming_the_root(text, tmp_path, capsys):
+    if "1" * 5000 in text and not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("no integer digit limit")
+    path = tmp_path / "unreadable.json"
+    path.write_text(text)
+    code, _, err = run(capsys, "simulate", str(path))
+    assert code == 2
+    assert err.startswith("scenario validation failed: $:") and "Traceback" not in err
 
 
 def nine_station_file(tmp_path, event):

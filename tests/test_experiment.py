@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spacelike import experiment, tolerance
+from spacelike import cli, experiment, tolerance
 from spacelike.linalg import CMatrix, DimensionError, deviation, max_abs_diff, trace
 from spacelike.intervention import (
     Intervention,
@@ -664,6 +664,31 @@ def test_no_signaling_inference_requires_unambiguous_station():
     assert report.varied == "A"
 
 
+def test_no_signaling_rejects_ill_posed_arguments():
+    s = eprb(0.0, 1.0)
+    crowded = Scenario(
+        dims0=s.dims0, rho0=s.rho0, stations=(*s.stations, station("A2", 0.0, -5.0, 0, z_iv()))
+    )
+    cases = [
+        (s, dict(target="A", varied="A"), [LocalIntervention(0, identity_iv())], "must differ"),
+        (s, dict(target="B"), [LocalIntervention(0, z_iv()), LocalIntervention(1, z_iv())], "several subsystems"),
+        (crowded, dict(target="B"), [LocalIntervention(0, identity_iv())], "2 non-target stations"),
+    ]
+    for scenario, names, alternatives, message in cases:
+        with pytest.raises(ValueError, match=message):
+            check_no_signaling(scenario, alternatives=alternatives, tol=1e-9, **names)
+
+
+def test_a_broken_runtime_invariant_is_reported_not_returned(monkeypatch, capsys):
+    # Doubling every branch factor quadruples its trace, past any derived bound.
+    kernel = experiment._branches
+    monkeypatch.setattr(experiment, "_branches", lambda v, iv: 2 * kernel(v, iv))
+    with pytest.raises(ValueError, match="branch trace for outcome '\\+'.*internal invariant failure"):
+        evaluate_in_order(eprb(0.0, 1.0), ["A", "B"])
+    assert cli.main(["simulate", "eprb"]) == 2
+    assert "internal invariant failure" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------- cross checks
 
 
@@ -732,17 +757,21 @@ def reference_final_states(s, order, lifted=None):
     return states
 
 
-def assert_leaf_step_matches_state_path(s, orders=None, final_states=True):
+def assert_leaf_step_matches_state_path(s, orders=None, final_states=True, one_reference=False):
     """Probabilities and final states equal the reference recursion's within 1e-12.
 
     The probabilities come from the batched factor walk and, at the last
     station, from the POVM leaf step; the final states from the same walk
-    with every branch built.
+    with every branch built. With ``one_reference``, for scenarios whose
+    final states are the same in every ordering, the reference recursion
+    runs once, in the first ordering, and every ordering is compared with it.
     """
     lifted = {}
     orders = orders or linear_extensions(s._covering, s.events())
+    want = None
     for order in orders:
-        want = reference_final_states(s, order, lifted)
+        if want is None or not one_reference:
+            want = reference_final_states(s, order, lifted)
         result = evaluate_in_order(s, order)
         assert result.probabilities.keys() == want.keys(), order
         for rec, state in want.items():
@@ -768,8 +797,10 @@ def haar_unitary(d, seed):
 
 
 def test_leaf_step_matches_state_path_on_random_products():
+    # Each station acts on its own factor, with no evolution or condition, so
+    # every record's final state is the same in every ordering.
     for k in range(200):
-        assert_leaf_step_matches_state_path(random_product_scenario(seed=k))
+        assert_leaf_step_matches_state_path(random_product_scenario(seed=k), one_reference=True)
 
 
 def test_leaf_step_matches_state_path_on_builtins():
@@ -824,7 +855,7 @@ def test_factor_path_matches_state_path_on_a_mixed_two_kraus_scenario(monkeypatc
     recompressed = count_calls(monkeypatch, "_recompress")
     s = middle_factor_scenario(random_density(18, seed=5, rank=3))
     assert_leaf_step_matches_state_path(s)
-    assert s._factor.shape == (18, 3)
+    assert s._eigen[0].shape == (18, 3)
     assert branches and not recompressed
     for _, out in branches:
         n, b, d_out, a, width = out.shape

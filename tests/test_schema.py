@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,68 @@ def test_scenario_level_invariants_surface_as_schema_errors():
     ]
     with pytest.raises(SchemaError, match="unitary"):
         parse_scenario(json.dumps(doc))
+
+
+def conditional_doc():
+    """``valid_doc`` and a second station B that fires A's intervention whatever A recorded."""
+    doc = valid_doc()
+    iv = doc["stations"][0]["intervention"]
+    doc["stations"].append(
+        {
+            "event": {"id": "B", "t": 1.0, "x": 0.0},
+            "subsystem": 0,
+            "depends_on": ["A"],
+            "cases": [{"when": ["up"], "intervention": iv}, {"when": ["down"], "intervention": iv}],
+        }
+    )
+    return doc
+
+
+def test_conditional_doc_is_valid():
+    assert len(parse_scenario(json.dumps(conditional_doc())).stations) == 2
+
+
+IDENTITY = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "path, mutate",
+    [
+        ("$.stations[0].intervention.d_in", lambda d: d["stations"][0]["intervention"].update(d_in=0)),
+        ("$.stations[0].intervention.outcomes", lambda d: d["stations"][0]["intervention"].update(outcomes=[])),
+        (
+            "$.stations[0].intervention.outcomes[0].kraus",
+            lambda d: d["stations"][0]["intervention"]["outcomes"][0].update(kraus=[]),
+        ),
+        ("$.stations[1].cases[1]", lambda d: d["stations"][1]["cases"][1].update(when=["up"])),
+        ("$.stations[1]", lambda d: d["stations"][1].update(depends_on=[])),
+        (
+            "$.evolutions[0].history",
+            lambda d: d.update(evolutions=[{"after": "A", "history": ["A"], "matrix": IDENTITY}]),
+        ),
+        ("$.dims", lambda d: d.update(dims=[])),
+    ],
+)
+def test_rejection_names_the_field(path, mutate):
+    doc = conditional_doc()
+    mutate(doc)
+    with pytest.raises(SchemaError) as exc:
+        parse_scenario(json.dumps(doc))
+    assert exc.value.path == path
+
+
+def test_nesting_past_the_recursion_limit_is_a_schema_error():
+    with pytest.raises(SchemaError) as exc:
+        parse_scenario("[" * 100_000 + "]" * 100_000)
+    assert exc.value.path == "$"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")
+def test_an_integer_literal_past_the_digit_limit_is_a_schema_error():
+    text = json.dumps(valid_doc()).replace('"t": 0.0', '"t": ' + "1" * 5000, 1)
+    with pytest.raises(SchemaError, match="digits") as exc:
+        parse_scenario(text)
+    assert exc.value.path == "$"
 
 
 def test_utf8_and_bytes_input():

@@ -97,7 +97,7 @@ def test_rho0_eigenvalues_at_both_cutoffs_evaluate_under_every_ordering():
         Station(Event("C", 3.0, 0.0), LocalIntervention(0, spin_analyzer(2.2))),
     )
     s = Scenario(dims0=(2, 2), rho0=rho0, stations=stations)
-    assert s._factor.shape == (d, 2)
+    assert s._eigen[0].shape == (d, 2)
     report = check_order_invariance(s, 1e-9)
     assert report.ok and report.orders_checked == 3
     for order in linear_extensions(causal_order(s.events()), s.events()):

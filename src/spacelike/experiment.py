@@ -6,12 +6,12 @@ intervention), and optional unitary evolutions between chain positions.
 Evaluating a scenario under a chronological ordering gives every outcome
 record's probability: the trace of the record's unnormalized final state.
 The evaluator carries a factor V of rho0 = V V^dagger, D x r with
-r = rank(rho0), and walks one ordering level by level: all live branches
-sit in stacked arrays, one contraction per station applies its Kraus
-matrices to every branch, and a branch wider than its dimension is
-recompressed. The last station's outcome probabilities come from its
-POVM elements, so the final states, V V^dagger per record, are built
-only when a caller reads them.
+r = rank(rho0), found in its pivoted range, and walks one ordering level
+by level: all live branches sit in stacked arrays, one contraction per
+station applies its Kraus matrices to every branch, and a branch wider
+than its dimension is recompressed. The last station's outcome
+probabilities come from its POVM elements, so the final states,
+V V^dagger per record, are built only when a caller reads them.
 
 Two certifiers operate on top of the evaluator:
 
@@ -199,6 +199,28 @@ def _require_history_label(st: Station, label: str) -> None:
         raise ValueError(f"evolution history names outcome {label!r} unknown to station {st.id!r}")
 
 
+def _range_basis(h: np.ndarray, floor: float) -> np.ndarray | None:
+    """Orthonormal columns spanning Hermitian h's range, or None where eigh(h) costs no more.
+
+    A partial Cholesky factor of h, pivoted on the largest residual diagonal
+    entry until none exceeds ``floor`` (None for D <= 16 or past D / 2 pivots),
+    goes through QR with its pivot rows first: a diagonal h gives unit vectors exactly.
+    """
+    if len(h) <= 16:
+        return None
+    diag, rows, pivots = h.diagonal().real.copy(), np.empty((len(h) // 2, len(h)), complex), []
+    while diag.max() > floor:
+        if len(pivots) == len(rows):
+            return None
+        k, p = len(pivots), int(np.argmax(diag))
+        c = rows[k] = (h[:, p] - rows[:k].T @ rows[:k, p].conj()) / math.sqrt(diag[p])
+        diag -= c.real**2 + c.imag**2
+        diag[p] = 0.0
+        pivots.append(p)
+    perm = np.concatenate([pivots, np.delete(np.arange(len(h)), pivots)])
+    return np.linalg.qr(rows[: len(pivots), perm].T)[0][np.argsort(perm)]
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Initial state, stations, and inter-station evolutions.
@@ -280,15 +302,19 @@ class Scenario:
 
     @cached_property
     def _eigen(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only eigenvectors (as columns) and eigenvalues of rho0's Hermitian part.
+        """Read-only eigenpairs of rho0's Hermitian part h: vectors as columns, values > cutoff.
 
-        Eigenvalues at or below ``tolerance.rank_cutoff`` are dropped with
-        their eigenvectors.
+        Rayleigh-Ritz in ``_range_basis``, pivoted to a diagonal of cutoff / D (a PSD
+        residual is then within the cutoff), is kept if it reproduces h within
+        ``tolerance.rank_cutoff`` in Frobenius norm; else the identity basis gives eigh(h).
         """
-        rho = self.rho0.array
-        w, q = np.linalg.eigh((rho + rho.conj().T) / 2)
-        keep = w > tolerance.rank_cutoff(self.rho0.rows)
-        q, w = q[:, keep], w[keep]
+        h = (self.rho0.array + self.rho0.array.conj().T) / 2
+        cutoff = tolerance.rank_cutoff(len(h))
+        for basis in (_range_basis(h, cutoff / len(h)), None):
+            w, u = np.linalg.eigh(h if basis is None else basis.conj().T @ h @ basis)
+            q, w = (u if basis is None else basis @ u)[:, w > cutoff], w[w > cutoff]
+            if basis is None or np.linalg.norm(h - (q * w) @ q.conj().T) <= cutoff:
+                break
         q.setflags(write=False)
         w.setflags(write=False)
         return q, w
@@ -542,7 +568,7 @@ def _recompress(v: np.ndarray) -> np.ndarray:
 def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[_Level]:
     """The last sub-batches of branches of one ordering; each level's ``tr`` is its probabilities.
 
-    The walk starts from a factor V of rho0, the eigenvectors of
+    The walk starts from a factor V of rho0, the certified eigenvectors of
     ``Scenario._eigen`` scaled by the roots of their eigenvalues, and goes
     through the ordering one station at a time, carrying each sub-batch of
     live branches as one ``_Level``: at a station, one contraction of its
@@ -557,9 +583,9 @@ def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[_Lev
     built, unless an evolution follows that station.
 
     With ``build`` every branch is built, and the walk starts from rho0's
-    eigenvectors weighted by their eigenvalues, so a diagonal rho0 passes
-    through identities exactly; weights are folded into V if it is
-    recompressed.
+    eigenvectors weighted by their eigenvalues; those of a diagonal rho0 are
+    unit vectors and its diagonal entries exactly, so it passes through
+    identities exactly. Weights are folded into V if it is recompressed.
 
     Memory: a level holds prod(outcomes of the stations fired so far) x D
     x width entries, D the padded dimension and width at most D: 0.5 MB

@@ -13,9 +13,9 @@ raises ValueError.
   with a shift of STATE / D, negative eigenvalues of total mass below
   STATE; float rounding adds far less than STATE to a trace. ``FLOOR``
   covers all three.
-* When the evaluator walks a factor V of rho0 (rho0 ~ V V^dagger), V
-  drops every eigenvalue at or below ``rank_cutoff(D)``; the dropped
-  mass, of either sign, takes the place of the negative mass.
+* When the evaluator walks a factor V of rho0 (rho0 ~ V V^dagger), what
+  V leaves out has trace at most STATE in size (``rank_cutoff``), of
+  either sign, and takes the place of the negative mass.
 """
 
 TIE = 1e-12  # boosted times this close are a tie, reported rather than broken
@@ -35,11 +35,14 @@ def growth(d: int, deviation: float) -> float:
 def rank_cutoff(d: int) -> float:
     """Largest eigenvalue of a d x d rho0 dropped from its factor V (rho0 ~ V V^dagger).
 
-    Every dropped eigenvalue lies in [-STATE / d, STATE / d] (the positivity
-    check bounds the negative ones) and at most d are dropped, so the
-    dropped mass is at most STATE in size. tr V V^dagger is then within
-    2 STATE of 1 for a rho0 accepted at |tr - 1| <= STATE, and ``FLOOR`` =
-    3 STATE covers both with room for rounding.
+    With h rho0's Hermitian part and R = h - V V^dagger, either V comes from
+    a basis of h's range, certified by ||R||_F <= rank_cutoff(d), so by Weyl
+    every eigenvalue it leaves out lies within rank_cutoff(d) of 0 and
+    |tr R| <= sqrt(d) ||R||_F <= STATE; or V comes from eigh(h), whose at
+    most d dropped eigenvalues lie in [-STATE / d, STATE / d] (the positivity
+    check bounds the negative ones), so |tr R| <= STATE. tr V V^dagger is
+    then within 2 STATE of 1 for a rho0 accepted at |tr - 1| <= STATE, and
+    ``FLOOR`` = 3 STATE covers both with room for rounding.
     """
     return STATE / d
 

@@ -145,6 +145,19 @@ def test_single_identity_station():
     assert max_abs_diff(result.final_states[(("A", "id"),)], rho) == 0.0
 
 
+@pytest.mark.parametrize("qubits", [3, 5])
+def test_diagonal_mixed_state_passes_identity_stations_exactly(qubits):
+    # Distinct weights, scattered so that the factor's pivot order is not the index order.
+    weights = np.zeros(2**qubits)
+    weights[[3, 5, 1, 6]] = [0.5, 0.25, 0.15625, 0.09375]
+    rho = CMatrix(np.diag(weights).astype(complex))
+    stations = tuple(station(f"I{i}", 0.0, 2.0 * i, i, identity_iv()) for i in range(qubits))
+    s = Scenario(dims0=(2,) * qubits, rho0=rho, stations=stations)
+    result = evaluate_in_order(s, [st.id for st in stations])
+    (state,) = result.final_states.values()
+    assert max_abs_diff(state, rho) == 0.0
+
+
 def test_order_must_be_a_permutation():
     s = timelike_chain_scenario()
     with pytest.raises(ValueError, match="permutation"):
@@ -924,6 +937,25 @@ def test_ten_qubit_ghz_meets_the_closed_form_in_two_orderings():
     assert forward.probabilities.keys() == backward.probabilities.keys()
     for rec, p in forward.probabilities.items():
         assert abs(p - backward.probabilities[rec]) <= 1e-12
+
+
+@pytest.mark.parametrize("qubits", [8, 10])
+def test_pure_ghz_factor_decomposes_no_full_size_matrix(monkeypatch, qubits):
+    # rho0's factor comes from its one-column range: no D x D eigh or QR.
+    decomposed = []
+    for name in ("eigh", "qr"):
+        kernel = getattr(np.linalg, name)
+
+        def spy(a, *args, _kernel=kernel, **kwargs):
+            decomposed.append(a.shape[-2:])
+            return _kernel(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    s = ghz_scenario([0.3 + 0.55 * i for i in range(qubits)])
+    evaluate_in_order(s, [st.id for st in s.stations])
+    d = 2**qubits
+    assert decomposed and (d, d) not in decomposed
+    assert s._eigen[0].shape == (d, 1)
 
 
 def test_leaf_step_matches_state_path_on_a_conditional_last_station():

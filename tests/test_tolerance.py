@@ -105,6 +105,92 @@ def test_rho0_eigenvalues_at_both_cutoffs_evaluate_under_every_ordering():
         assert abs(total - 1.0) <= tolerance.FLOOR
 
 
+def spectrum_state(d, rank, small=(), seed=0):
+    """A d x d rho0 of trace 1: ``rank`` seeded weights, then ``small`` (in units of
+    ``rank_cutoff(d)``), then zeros, in a seeded random eigenbasis (none if seed is None)."""
+    rng = np.random.default_rng(seed)
+    eigenvalues = np.zeros(d)
+    tail = np.asarray(small, dtype=float) * tolerance.rank_cutoff(d)
+    eigenvalues[rank : rank + len(tail)] = tail
+    bulk = rng.uniform(0.1, 1.0, rank)
+    eigenvalues[:rank] = bulk / bulk.sum() * (1.0 - tail.sum())
+    if seed is None:
+        return np.diag(eigenvalues).astype(complex)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return (q * eigenvalues) @ q.conj().T
+
+
+NEAR_CUTOFF = (-0.9, -0.4, 0.3, 0.6, 1.6, 2.5, 4.0)
+
+
+@pytest.mark.parametrize(
+    "d, rank, small, seed",
+    [
+        *((d, 1, (), d) for d in (2, 9, 64, 256)),  # pure; D <= 16 goes straight to eigh
+        (32, 3, (), 1),
+        (27, 9, (), 2),
+        (8, 8, (), 3),  # full rank
+        (27, 27, (), 4),
+        (8, 3, (), None),  # diagonal
+        (64, 5, (), None),
+        (32, 2, NEAR_CUTOFF, 5),
+        (64, 3, NEAR_CUTOFF * 3, 6),
+        (64, 1, (0.99,) * 40, 7),
+        (32, 2, (0.3, 1.6, 2.5, 4.0), 9),  # certified, dropping 0.3 cutoffs
+        (64, 2, (-0.4, 0.3, 1.6, 2.5, 4.0), 10),
+    ],
+)
+def test_rho0_factor_matches_eigh(d, rank, small, seed):
+    rho0 = spectrum_state(d, rank, small, seed)
+    s = Scenario(dims0=(d,), rho0=CMatrix(rho0), stations=())
+    q, w = s._eigen
+    h = (rho0 + rho0.conj().T) / 2
+    cutoff = tolerance.rank_cutoff(d)
+    assert q.shape == (d, len(w)) and np.all(w > cutoff)
+    assert np.abs(q.conj().T @ q - np.eye(len(w))).max() <= 1e-13
+    assert abs(np.trace(h).real - w.sum()) <= tolerance.STATE
+    # Certified: within the cutoff; eigh's dropped eigenvalues: within sqrt(d) cutoffs.
+    assert np.linalg.norm(h - (q * w) @ q.conj().T) <= math.sqrt(d) * cutoff
+    if seed is None:
+        assert np.array_equal((q * w) @ q.conj().T, h)
+    reference = np.linalg.eigvalsh(h)
+    if np.all(np.abs(reference - cutoff) > cutoff / 2):  # away from the boundary
+        kept = reference[reference > cutoff]
+        assert len(w) == len(kept)
+        assert np.abs(w - kept).max() <= 1e-13
+
+
+@pytest.mark.parametrize("small, calls", [(29, 1), (3, 2)], ids=["pivot-budget", "certificate"])
+def test_rho0_factor_falls_back_to_eigh_below_the_cutoff(monkeypatch, small, calls):
+    # Eigenvalues just below the cutoff: too many to pivot past within D / 2
+    # pivots, or too much dropped mass for the certificate; either way the
+    # factor is eigh(h), which drops them.
+    d = 32
+    decomposed = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        decomposed.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    stations = (
+        Station(Event("A", 0.0, 0.0), LocalIntervention(0, spin_analyzer(0.4))),
+        Station(Event("B", 0.1, 10.0), LocalIntervention(1, spin_analyzer(1.3))),
+        Station(Event("C", 3.0, 0.0), LocalIntervention(0, spin_analyzer(2.2))),
+        Station(Event("E", 0.2, -10.0), LocalIntervention(4, spin_analyzer(0.9))),
+    )
+    rho0 = spectrum_state(d, 2, (0.99,) * small, seed=8)
+    s = Scenario(dims0=(2,) * 5, rho0=CMatrix(rho0), stations=stations)
+    assert s._eigen[0].shape == (d, 2)
+    assert len(decomposed) == calls and decomposed[-1] == (d, d)
+    report = check_order_invariance(s, 1e-9)
+    assert report.ok
+    for order in linear_extensions(causal_order(s.events()), s.events()):
+        total = sum(evaluate_in_order(s, order).probabilities.values())
+        assert abs(total - 1.0) <= tolerance.FLOOR
+
+
 def test_simulate_three_station_tie_evaluates_every_resolution(tmp_path, capsys):
     rho0 = np.zeros((8, 8))
     rho0[0, 0] = 1.0

@@ -6,8 +6,9 @@ intervention), and optional unitary evolutions between chain positions.
 Evaluating a scenario under a chronological ordering gives every outcome
 record's probability: the trace of the record's unnormalized final state.
 The evaluator carries a factor V of rho0 = V V^dagger, D x r with
-r = rank(rho0), found in its pivoted range, and walks one ordering level
-by level: all live branches sit in stacked arrays, one contraction per
+r = rank(rho0), found when the scenario is built by the one decomposition
+that also checks rho0's positivity, and walks one ordering level by
+level: all live branches sit in stacked arrays, one contraction per
 station applies its Kraus matrices to every branch, and a branch wider
 than its dimension is recompressed. The last station's outcome
 probabilities come from its POVM elements, so the final states,
@@ -189,10 +190,6 @@ class Evolution:
         return all(history.get(k) == v for k, v in self.history.items())
 
 
-def _histories_compatible(h1: Mapping[str, str], h2: Mapping[str, str]) -> bool:
-    return all(h1[k] == h2[k] for k in h1.keys() & h2.keys())
-
-
 def _require_history_label(st: Station, label: str) -> None:
     """Reject an evolution-history label that ``st`` can never record."""
     if label not in st.possible_labels():
@@ -221,13 +218,46 @@ def _range_basis(h: np.ndarray, floor: float) -> np.ndarray | None:
     return np.linalg.qr(rows[: len(pivots), perm].T)[0][np.argsort(perm)]
 
 
+def _factor(rho: np.ndarray, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigenpairs of rho0's Hermitian part h, vectors as columns, values > cutoff.
+
+    Rayleigh-Ritz in ``_range_basis``, pivoted to a diagonal of cutoff / D, is
+    kept if it reproduces h within the cutoff, ``tolerance.rank_cutoff``, in
+    Frobenius norm: by Weyl no eigenvalue of h is then below -cutoff. Else
+    eigh(h) gives them, and raises StateError on an eigenvalue below -cutoff.
+    """
+    h = rho + adj
+    h *= 0.5
+    cutoff = tolerance.rank_cutoff(len(h))
+    basis = _range_basis(h, cutoff / len(h))
+    if basis is not None:
+        w, u = np.linalg.eigh(basis.conj().T @ h @ basis)
+        q, w = (basis @ u)[:, w > cutoff], w[w > cutoff]
+        residual = (q * w) @ q.conj().T
+        residual -= h
+        if np.linalg.norm(residual) > cutoff:
+            basis = None
+    if basis is None:
+        w, u = np.linalg.eigh(h)
+        if w[0] < -cutoff:
+            raise StateError("initial state must be positive semidefinite")
+        q, w = u[:, w > cutoff], w[w > cutoff]
+    q.setflags(write=False)
+    w.setflags(write=False)
+    return q, w
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Initial state, stations, and inter-station evolutions.
 
-    ``growth`` bounds how much the whole chain can raise a trace: the
-    product of ``tolerance.growth`` over every station's worst
-    intervention and every evolution.
+    Building one validates it and derives, once, all that evaluation reads:
+    ``growth``, the product of ``tolerance.growth`` over every station's worst
+    intervention and every evolution (``_evolution_growth``), bounds how much
+    the chain can raise a trace; ``_eigen`` holds rho0's eigenpairs from
+    ``_factor``, which also checks positivity; ``_by_id`` the stations by id;
+    ``_pasts`` each one's causal past and direct predecessors; ``_covering``
+    the covering pairs (a, b) of that order.
     """
 
     dims0: tuple[int, ...]
@@ -236,11 +266,14 @@ class Scenario:
     evolutions: tuple[Evolution, ...] = ()
     growth: float = field(init=False, repr=False, compare=False)
     _evolution_growth: float = field(init=False, repr=False, compare=False)
+    _eigen: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    _by_id: dict[str, Station] = field(init=False, repr=False, compare=False)
+    _pasts: tuple[dict[str, set[str]], dict[str, list[str]]] = field(init=False, repr=False, compare=False)
+    _covering: list[tuple[str, str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "dims0", tuple(self.dims0))
-        object.__setattr__(self, "stations", tuple(self.stations))
-        object.__setattr__(self, "evolutions", tuple(self.evolutions))
+        for name in ("dims0", "stations", "evolutions"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if any(d < 1 for d in self.dims0):
             raise ValueError(f"subsystem dimensions must be positive, got {self.dims0}")
         total = math.prod(self.dims0)
@@ -255,27 +288,31 @@ class Scenario:
             raise StateError(f"initial state trace must be 1, got {tr}")
         if deviation(rho, adj) > tolerance.STATE:
             raise StateError("initial state must be Hermitian")
-        # rho + rho^dagger + 2 (STATE / total) I has a Cholesky factor iff no eigenvalue
-        # of rho's Hermitian part lies below -STATE / total; far cheaper than eigvalsh.
-        shifted = rho + adj
-        shifted.flat[:: total + 1] += 2 * tolerance.STATE / total
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            raise StateError("initial state must be positive semidefinite") from None
+        object.__setattr__(self, "_eigen", _factor(rho, adj))
         ids = [s.id for s in self.stations]
         if len(set(ids)) != len(ids):
             raise ValueError(f"station ids must be unique, got {ids}")
-        known = set(ids)
-        growth = 1.0
+        object.__setattr__(self, "_by_id", dict(zip(ids, self.stations)))
+        object.__setattr__(self, "_pasts", _causal_pasts(self.events()))
+        object.__setattr__(self, "_covering", [(a, b) for b, pre in self._pasts[1].items() for a in pre])
+        growth, past = 1.0, self._pasts[0]
         for ev in self.evolutions:
             for end in (ev.after, ev.before):
-                if end is not None and end not in known:
+                if end is not None and end not in self._by_id:
                     raise ValueError(f"evolution references unknown station {end!r}")
             if ev.after is None and ev.before is None:
                 raise ValueError("evolution must attach to at least one station")
+            a, b = ev.after, ev.before
+            # Some ordering puts a right before b iff b is not before a and no station lies between.
+            if a == b or b in past.get(a, ()) or any(
+                a is None or a in past[y] for y in (past if b is None else past[b])
+            ):
+                raise ValueError(
+                    f"evolution after {a!r} and before {b!r} fits no admissible ordering: "
+                    "none puts its ends next to each other, so it would never apply"
+                )
             for k, v in ev.history.items():
-                if k not in known:
+                if k not in self._by_id:
                     raise ValueError(f"evolution history references unknown station {k!r}")
                 _require_history_label(self.station(k), v)
             m = ev.matrix
@@ -292,46 +329,13 @@ class Scenario:
         object.__setattr__(self, "growth", self._station_growth() * growth)
         for i, e1 in enumerate(self.evolutions):
             for e2 in self.evolutions[i + 1 :]:
-                if (e1.after, e1.before) == (e2.after, e2.before) and _histories_compatible(
-                    e1.history, e2.history
+                if (e1.after, e1.before) == (e2.after, e2.before) and all(
+                    e1.history[k] == e2.history[k] for k in e1.history.keys() & e2.history.keys()
                 ):
                     raise ValueError(
                         f"evolutions between {e1.after!r} and {e1.before!r} have "
                         "overlapping history conditions; matches must be unambiguous"
                     )
-
-    @cached_property
-    def _eigen(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only eigenpairs of rho0's Hermitian part h: vectors as columns, values > cutoff.
-
-        Rayleigh-Ritz in ``_range_basis``, pivoted to a diagonal of cutoff / D (a PSD
-        residual is then within the cutoff), is kept if it reproduces h within
-        ``tolerance.rank_cutoff`` in Frobenius norm; else the identity basis gives eigh(h).
-        """
-        h = (self.rho0.array + self.rho0.array.conj().T) / 2
-        cutoff = tolerance.rank_cutoff(len(h))
-        for basis in (_range_basis(h, cutoff / len(h)), None):
-            w, u = np.linalg.eigh(h if basis is None else basis.conj().T @ h @ basis)
-            q, w = (u if basis is None else basis @ u)[:, w > cutoff], w[w > cutoff]
-            if basis is None or np.linalg.norm(h - (q * w) @ q.conj().T) <= cutoff:
-                break
-        q.setflags(write=False)
-        w.setflags(write=False)
-        return q, w
-
-    @cached_property
-    def _pasts(self) -> tuple[dict[str, set[str]], dict[str, list[str]]]:
-        """Each station's causal past and its direct predecessors, from one closing pass."""
-        return _causal_pasts(self.events())
-
-    @cached_property
-    def _covering(self) -> list[tuple[str, str]]:
-        """The covering pairs of the causal order: each station b with each direct predecessor a."""
-        return [(a, b) for b, direct in self._pasts[1].items() for a in direct]
-
-    @cached_property
-    def _by_id(self) -> dict[str, Station]:
-        return {st.id: st for st in self.stations}
 
     def station(self, station_id: str) -> Station:
         try:
@@ -343,22 +347,19 @@ class Scenario:
         return [s.event for s in self.stations]
 
     def _with_station(self, station_id: str, local: LocalIntervention) -> Scenario:
-        """This scenario with one station's intervention replaced, rho0 not validated again.
+        """This scenario with one station's intervention replaced, nothing decomposed again.
 
-        The copy shares ``_eigen`` and ``_covering``, which do not depend on
-        the intervention, and recomputes ``growth`` and the evolution-history
-        labels that name the station.
+        The copy shares every derived field that does not depend on the
+        intervention, and replaces ``stations``, ``_by_id`` and ``growth``
+        after checking the evolution-history labels that name the station.
         """
         new = Station(self.station(station_id).event, local)
         for ev in self.evolutions:
             if station_id in ev.history:
                 _require_history_label(new, ev.history[station_id])
-        self._eigen, self._covering  # computed here, once, so that every copy shares them
         s = copy.copy(self)
-        s.__dict__.pop("_by_id", None)
-        object.__setattr__(
-            s, "stations", tuple(new if st.id == station_id else st for st in self.stations)
-        )
+        object.__setattr__(s, "stations", tuple(new if st.id == station_id else st for st in self.stations))
+        object.__setattr__(s, "_by_id", {**self._by_id, station_id: new})
         object.__setattr__(s, "growth", s._station_growth() * self._evolution_growth)
         return s
 
@@ -568,8 +569,8 @@ def _recompress(v: np.ndarray) -> np.ndarray:
 def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[_Level]:
     """The last sub-batches of branches of one ordering; each level's ``tr`` is its probabilities.
 
-    The walk starts from a factor V of rho0, the certified eigenvectors of
-    ``Scenario._eigen`` scaled by the roots of their eigenvalues, and goes
+    The walk starts from a factor V of rho0, the eigenvectors the scenario
+    found when built (``_eigen``) scaled by the roots of their eigenvalues, and goes
     through the ordering one station at a time, carrying each sub-batch of
     live branches as one ``_Level``: at a station, one contraction of its
     Kraus stack gives every branch's outcome branches (``_fire``,

@@ -9,13 +9,11 @@ raises ValueError.
   an intervention accepted at completeness deviation delta (largest entry
   of sum A^dagger A - I), or an evolution at unitarity deviation delta,
   multiplies a trace by at most ``growth(d, delta)`` = 1 + d * delta.
-* rho0 is accepted with |tr - 1| <= STATE and, as positivity is checked
-  with a shift of STATE / D, negative eigenvalues of total mass below
-  STATE; float rounding adds far less than STATE to a trace. ``FLOOR``
-  covers all three.
-* When the evaluator walks a factor V of rho0 (rho0 ~ V V^dagger), what
-  V leaves out has trace at most STATE in size (``rank_cutoff``), of
-  either sign, and takes the place of the negative mass.
+* rho0 is accepted with |tr - 1| <= STATE and no eigenvalue below
+  -STATE / D, checked by the one decomposition that gives the evaluator
+  its factor V (rho0 ~ V V^dagger); what V leaves out has trace at most
+  STATE in size (``rank_cutoff``), of either sign, and float rounding
+  adds far less than STATE to a trace. ``FLOOR`` covers all three.
 """
 
 TIE = 1e-12  # boosted times this close are a tie, reported rather than broken
@@ -33,16 +31,15 @@ def growth(d: int, deviation: float) -> float:
 
 
 def rank_cutoff(d: int) -> float:
-    """Largest eigenvalue of a d x d rho0 dropped from its factor V (rho0 ~ V V^dagger).
+    """Largest eigenvalue of a d x d rho0 dropped from its factor V, and the most negative accepted.
 
     With h rho0's Hermitian part and R = h - V V^dagger, either V comes from
     a basis of h's range, certified by ||R||_F <= rank_cutoff(d), so by Weyl
-    every eigenvalue it leaves out lies within rank_cutoff(d) of 0 and
-    |tr R| <= sqrt(d) ||R||_F <= STATE; or V comes from eigh(h), whose at
-    most d dropped eigenvalues lie in [-STATE / d, STATE / d] (the positivity
-    check bounds the negative ones), so |tr R| <= STATE. tr V V^dagger is
-    then within 2 STATE of 1 for a rho0 accepted at |tr - 1| <= STATE, and
-    ``FLOOR`` = 3 STATE covers both with room for rounding.
+    no eigenvalue of h lies below -rank_cutoff(d), and |tr R| <= sqrt(d)
+    ||R||_F <= STATE; or V comes from eigh(h), which rejects h below that and
+    drops at most d eigenvalues in [-STATE / d, STATE / d], so |tr R| <= STATE.
+    tr V V^dagger is then within 2 STATE of 1 for a rho0 accepted at
+    |tr - 1| <= STATE, and ``FLOOR`` = 3 STATE covers both with rounding.
     """
     return STATE / d
 

@@ -306,6 +306,28 @@ def test_an_integer_beyond_float_range_exits_2(tmp_path, capsys):
     assert "$.stations[0].event.t" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("after, before", [("A", "A"), ("C", "A"), ("A", "C")])
+def test_an_evolution_no_ordering_can_place_exits_2(after, before, tmp_path, capsys):
+    # B lies between A and C on one qubit, so no ordering puts these ends next to each other.
+    z = spin_analyzer(0.0)
+    chain = Scenario(
+        dims0=(2,),
+        rho0=CMatrix(np.diag([1.0, 0.0]).astype(complex)),
+        stations=tuple(
+            Station(Event(sid, 2.0 * i, 0.0), LocalIntervention(0, z)) for i, sid in enumerate("ABC")
+        ),
+    )
+    doc = json.loads(serialize_scenario(chain))
+    x = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
+    doc["evolutions"] = [{"after": after, "before": before, "matrix": x}]
+    path = tmp_path / "unplaceable.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "simulate", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("scenario validation failed: $:") and "Traceback" not in err
+    assert "fits no admissible ordering" in err
+
+
 @pytest.mark.parametrize(
     "text",
     [

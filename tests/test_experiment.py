@@ -114,6 +114,29 @@ def test_scenario_validates_evolutions():
         )
 
 
+PAULI_X = CMatrix(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+
+
+def z_chain(evolutions=()):
+    """A, B and C measure z at t = 0, 2, 4 on one qubit prepared in |0>: B lies between A and C."""
+    return Scenario(
+        dims0=(2,),
+        rho0=P0,
+        stations=tuple(station(sid, 2.0 * i, 0.0, 0, z_iv()) for i, sid in enumerate("ABC")),
+        evolutions=evolutions,
+    )
+
+
+@pytest.mark.parametrize(
+    "after, before", [("A", "A"), ("C", "A"), ("A", "C"), (None, "B"), ("B", None)]
+)
+def test_scenario_rejects_evolutions_no_ordering_can_place(after, before):
+    # No ordering of the chain puts these ends next to each other, so every
+    # evaluator would silently ignore the evolution.
+    with pytest.raises(ValueError, match="fits no admissible ordering"):
+        z_chain((Evolution(after, before, PAULI_X),))
+
+
 def test_scenario_rejects_ambiguous_evolution_histories():
     stations = (station("P", 0.0, 0.0, 0, z_iv()), station("Q", 2.0, 0.0, 0, x_iv()))
     e1 = Evolution("P", "Q", CMatrix.identity(2), history={})
@@ -584,8 +607,8 @@ def test_no_signaling_alternatives_reuse_the_validated_initial_state(monkeypatch
         monkeypatch.setattr(np.linalg, name, counted)
     report = check_no_signaling(s, target.id, alternatives, 1e-9, varied=varied.id)
     assert report.ok and report.alternatives_checked == 4
-    # rho0 was validated when s was built; its factor is computed once and shared.
-    assert calls == {"cholesky": 0, "eigh": 1}
+    # rho0 was factored when s was built; the check decomposes nothing and the copies share it.
+    assert calls == {"cholesky": 0, "eigh": 0}
 
 
 def test_swapped_station_recomputes_growth_and_checks_history_labels():
@@ -625,15 +648,16 @@ def test_causal_order_is_closed_once_per_scenario(monkeypatch):
 
 
 def test_a_1100_station_chain_certifies_and_evaluates_within_45_mb():
-    # The causal order is held once, as each station's past; this chain's
-    # 604,450 pairs held again as a set of tuples would take some 75 MB.
-    s = Scenario(
-        dims0=(2,),
-        rho0=maximally_mixed(),
-        stations=tuple(station(f"c{i}", 2.0 * i, 0.0, 0, identity_iv()) for i in range(1100)),
-    )
+    # The causal order is held once, as each station's past, closed when the
+    # scenario is built; this chain's 604,450 pairs held again as a set of
+    # tuples would take some 75 MB.
     tracemalloc.start()
     try:
+        s = Scenario(
+            dims0=(2,),
+            rho0=maximally_mixed(),
+            stations=tuple(station(f"c{i}", 2.0 * i, 0.0, 0, identity_iv()) for i in range(1100)),
+        )
         assert check_order_invariance(s, 1e-9).orders_checked == 1
         assert list(evaluate_in_frame(s, Frame(0.0)).probabilities.values()) == [pytest.approx(1.0)]
         peak = tracemalloc.get_traced_memory()[1]
@@ -1079,18 +1103,24 @@ def test_final_states_are_built_on_first_read_only(monkeypatch):
 # ------------------------------------------------------------ ordering layer
 
 
+def adjacent(ext, after, before):
+    """Whether one linear extension puts ``after`` right before ``before`` (None: the start or end)."""
+    if after is None:
+        return ext[0] == before
+    if before is None:
+        return ext[-1] == after
+    i = ext.index(after)
+    return i + 1 < len(ext) and ext[i + 1] == before
+
+
 def extension_scan_admits(extensions, after, before):
     """Reference: the evolution keeps its chain position in every linear extension."""
-    if after is None:
-        return all(ext[0] == before for ext in extensions)
-    if before is None:
-        return all(ext[-1] == after for ext in extensions)
-    return all(ext.index(before) == ext.index(after) + 1 for ext in extensions)
+    return all(adjacent(ext, after, before) for ext in extensions)
 
 
 def test_evolution_rule_equals_the_extension_scan():
     rng = np.random.default_rng(40)
-    verdicts = {True: 0, False: 0}
+    verdicts, unplaceable = {True: 0, False: 0}, 0
     for _ in range(1000):
         n = int(rng.integers(1, 7))
         # A narrow x range makes most pairs timelike, so some evolutions are admissible.
@@ -1109,22 +1139,29 @@ def test_evolution_rule_equals_the_extension_scan():
             for before in ends:
                 if after is None and before is None:
                     continue
-                probe = Scenario(
-                    dims0=s.dims0,
-                    rho0=s.rho0,
-                    stations=s.stations,
-                    evolutions=(Evolution(after, before, HADAMARD),),
-                )
                 expected = extension_scan_admits(extensions, after, before)
+                placeable = any(adjacent(ext, after, before) for ext in extensions)
                 try:
+                    probe = Scenario(
+                        dims0=s.dims0,
+                        rho0=s.rho0,
+                        stations=s.stations,
+                        evolutions=(Evolution(after, before, HADAMARD),),
+                    )
+                    assert placeable, (s.events(), after, before)
                     experiment._require_order_comparable(probe)
                     admitted = True
                 except ValueError as exc:
-                    assert "not first" in str(exc) and "reorderable" in str(exc)
+                    if "fits no admissible ordering" in str(exc):
+                        assert not placeable, (s.events(), after, before)
+                        unplaceable += 1
+                    else:
+                        assert "not first" in str(exc) and "reorderable" in str(exc)
                     admitted = False
                 assert admitted == expected, (s.events(), after, before)
                 verdicts[admitted] += 1
     assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
+    assert 100 < unplaceable < verdicts[False], unplaceable
 
 
 def test_invariance_witness_breaks_ties_by_ordering():

@@ -80,6 +80,74 @@ def test_non_psd_rho0_rejected_by_scenario_and_schema():
         parse_scenario(json.dumps(doc))
 
 
+def shifted_cholesky_accepts(rho0):
+    """The positivity rule the factor replaced: 2 (h + STATE / D I) has a Cholesky factor."""
+    d = len(rho0)
+    shifted = rho0 + rho0.conj().T
+    shifted.flat[:: d + 1] += 2 * tolerance.STATE / d
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def test_positivity_verdict_equals_the_shifted_cholesky_rule():
+    # One eigenvalue placed from -3 to +0.5 cutoffs, 2% either side of
+    # -STATE / D included, at sizes on both sides of the eigh-only D <= 16.
+    verdicts = {True: 0, False: 0}
+    for d in (2, 3, 9, 16, 17, 32, 64, 128, 256):
+        for k, small in enumerate((-3.0, -2.0, -1.5, -1.02, -0.98, -0.5, 0.0, 0.5)):
+            for rank, seed in ((1, None), (1, 100 * d + k), (min(d - 1, 4), 200 * d + k)):
+                rho0 = spectrum_state(d, rank, (small,), seed)
+                try:
+                    Scenario(dims0=(d,), rho0=CMatrix(rho0), stations=())
+                    accepted = True
+                except StateError as exc:
+                    assert str(exc) == "initial state must be positive semidefinite"
+                    accepted = False
+                assert accepted == shifted_cholesky_accepts(rho0), (d, small, rank, seed)
+                verdicts[accepted] += 1
+    assert verdicts[True] > 90 and verdicts[False] > 90, verdicts
+
+
+def test_building_a_scenario_calls_no_cholesky(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.cholesky called")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    for d, rank, small in ((2, 1, ()), (4, 4, ()), (32, 2, (-0.5,)), (64, 3, ()), (256, 1, ())):
+        Scenario(dims0=(d,), rho0=CMatrix(spectrum_state(d, rank, small, seed=d)), stations=())
+    with pytest.raises(StateError, match="positive semidefinite"):
+        Scenario(dims0=(32,), rho0=CMatrix(spectrum_state(32, 2, (-2.0,), seed=1)), stations=())
+    for doc in SHIPPED.values():
+        parse_scenario(json.dumps(doc))
+
+
+def test_a_negative_eigenvalue_past_the_certificate_is_rejected_by_eigh(monkeypatch):
+    # D = 32 with one eigenvalue at -2 cutoffs: the range basis leaves it out,
+    # so the certificate fails, and eigh of the whole state finds it.
+    d = 32
+    decomposed = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        decomposed.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    rho0 = spectrum_state(d, 3, (-2.0,), seed=11)
+    assert np.linalg.eigvalsh(rho0)[0] == pytest.approx(-2 * tolerance.rank_cutoff(d), rel=1e-3)
+    decomposed.clear()
+    with pytest.raises(StateError, match="positive semidefinite"):
+        Scenario(dims0=(d,), rho0=CMatrix(rho0), stations=())
+    assert decomposed == [(3, 3), (d, d)]
+    stations = tuple((sid, 0.0, 2.0 * i) for i, sid in enumerate("ABCDE"))
+    doc = qubit_file(rho0, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), stations)
+    with pytest.raises(SchemaError, match=r"\$\.rho0.*positive semidefinite"):
+        parse_scenario(json.dumps(doc))
+
+
 def test_rho0_eigenvalues_at_both_cutoffs_evaluate_under_every_ordering():
     # One eigenvalue inside the positivity shift, one just below the factor's
     # rank cutoff and the trace at the edge of STATE: the factor drops both

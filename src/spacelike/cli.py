@@ -36,15 +36,15 @@ from .experiment import (
     compare_orderings,
     evaluate_in_order,
 )
-from .scenarios import builtin_scenarios, random_product_scenario
+from .scenarios import _BUILTINS, random_product_scenario
 from .schema import SchemaError, parse_scenario
 from .spacetime import Frame, IntervalKind, classify, frame_groups, linear_extensions
 
 def load_scenario(name_or_path: str | Path) -> Scenario:
-    """The built-in scenario of a ``_scenario`` key, or the parsed file at a path."""
+    """The built-in scenario of a ``_scenario`` key, built alone, or the parsed file at a path."""
     if isinstance(name_or_path, Path):
         return parse_scenario(name_or_path.read_bytes())
-    return builtin_scenarios()[name_or_path]
+    return _BUILTINS[name_or_path]()
 
 
 def _records_rows(result: EvaluationResult) -> tuple[list[str], list[list[str]]]:
@@ -255,13 +255,13 @@ def cmd_check_povm(args, out) -> int:
 
 def _scenario(text: str) -> str | Path:
     """A built-in name, normalized, or the path of an existing regular file."""
-    name, names = text.replace("-", "_"), builtin_scenarios()
-    if name in names:
+    name = text.replace("-", "_")
+    if name in _BUILTINS:
         return name
     if Path(text).is_file():
         return Path(text)
     raise argparse.ArgumentTypeError(
-        f"{text!r} is neither a built-in scenario ({', '.join(names)}) nor an existing file"
+        f"{text!r} is neither a built-in scenario ({', '.join(_BUILTINS)}) nor an existing file"
     )
 
 

@@ -200,13 +200,17 @@ def _range_basis(h: np.ndarray, floor: float) -> np.ndarray | None:
     """Orthonormal columns spanning Hermitian h's range, or None where eigh(h) costs no more.
 
     A partial Cholesky factor of h, pivoted on the largest residual diagonal
-    entry until none exceeds ``floor`` (None for D <= 16 or past D / 2 pivots),
-    goes through QR with its pivot rows first: a diagonal h gives unit vectors exactly.
+    entry until none exceeds ``floor`` or the rounding of that entry (None
+    for D <= 16 or past D / 2 pivots), goes through QR with its pivot rows
+    first: a diagonal h gives unit vectors exactly. Each of k updates of the
+    residual diagonal rounds by about an ulp of h's largest diagonal entry,
+    so k + 2 of them is its rounding; a floor below it would pivot on noise.
     """
     if len(h) <= 16:
         return None
     diag, rows, pivots = h.diagonal().real.copy(), np.empty((len(h) // 2, len(h)), complex), []
-    while diag.max() > floor:
+    ulp = tolerance.EPS * diag.max()
+    while diag.max() > max(floor, (len(pivots) + 2) * ulp):
         if len(pivots) == len(rows):
             return None
         k, p = len(pivots), int(np.argmax(diag))
@@ -365,7 +369,7 @@ class Scenario:
 
     def _station_growth(self) -> float:
         return math.prod(
-            max(tolerance.growth(iv.d_in, iv.deviation) for iv in st.interventions().values())
+            max(iv.growth for iv in st.interventions().values())
             for st in self.stations
         )
 
@@ -419,7 +423,8 @@ class _Level:
     V, zero past a branch's own dimension of a factor and past its own
     width; its state is V diag(weights) V^dagger, with ``weights`` None
     for all ones. ``tr`` holds each branch's trace, ``dims`` (branch,
-    factor) its actual factor dimensions and ``idx`` (branch, station) the
+    factor) its actual factor dimensions (a spent factor's: its roots'
+    padded rank, see ``_fire``) and ``idx`` (branch, station) the
     outcome it took at each station of ``fired``, which lists the stations
     fired so far with the intervention each fired. A leaf level (see
     ``_fire``) has ``v`` None and its outcome probabilities in ``tr``.
@@ -516,11 +521,15 @@ def _resolve(st: Station, lv: _Level) -> list[tuple[_Level, Intervention]]:
     return [(part, st.resolve(part.history(0))) for _, part in lv.split(cases)]
 
 
-def _fire(st: Station, lv: _Level, iv: Intervention, leaf: bool) -> _Level:
+def _fire(st: Station, lv: _Level, iv: Intervention, spent: bool, leaf: bool) -> _Level:
     """Fire ``iv`` at ``st`` on every branch of ``lv``: the next level.
 
     Each branch trace is bounded by its parent's times the derived growth.
-    With ``leaf`` the branches are not built: the level's ``tr`` holds the
+    A ``spent`` station, one after which nothing acts on its factor, fires
+    through ``iv``'s POVM roots instead of its Kraus stack, so each branch
+    keeps only its outcome's rank on that factor, not d_out rows per Kraus
+    matrix; ``dims`` then records the roots' padded rank there. With
+    ``leaf`` the branches are not built: the level's ``tr`` holds the
     outcome probabilities from ``_outcome_probabilities`` and its ``v`` is
     None.
     """
@@ -537,8 +546,9 @@ def _fire(st: Station, lv: _Level, iv: Intervention, leaf: bool) -> _Level:
     v = lv.v[(slice(None),) * (sub + 1) + (slice(0, d),)]
     v = v.reshape(n, math.prod(pdims[:sub]), d, math.prod(pdims[sub + 1 :]), -1)
     m = len(iv.outcomes)
+    stack = iv._povm_roots if spent else iv._kraus_stack
     dims = np.repeat(lv.dims, m, axis=0)
-    dims.reshape(n, m, nfactors)[:, :, sub] = [o.d_out for o in iv.outcomes]
+    dims.reshape(n, m, nfactors)[:, :, sub] = stack.shape[2] if spent else [o.d_out for o in iv.outcomes]
     idx = np.empty((n, m, lv.idx.shape[1] + 1), dtype=int)
     idx[:, :, :-1] = lv.idx[:, None]
     idx[:, :, -1] = np.arange(m)
@@ -547,7 +557,7 @@ def _fire(st: Station, lv: _Level, iv: Intervention, leaf: bool) -> _Level:
         tr = _outcome_probabilities(v, iv)
         _check_outcomes(tr, lv.tr, iv)
         return _Level(None, tr, dims, idx, fired=fired)
-    out = _branches(v, iv)
+    out = _branches(v, stack)
     weights = None if lv.weights is None else np.repeat(lv.weights, out.shape[-1] // v.shape[-1])
     tr = _trace(out, weights)
     _check_outcomes(tr, lv.tr, iv)
@@ -575,7 +585,12 @@ def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[_Lev
     live branches as one ``_Level``: at a station, one contraction of its
     Kraus stack gives every branch's outcome branches (``_fire``,
     ``_branches``), an evolution U maps each V to U V, and a record's
-    probability is ||V||_F^2. A branch whose width would exceed its
+    probability is ||V||_F^2. A station that is the last in the ordering to
+    act on its factor, with no evolution at any later chain position, is
+    spent: only its POVM elements E matter to what follows, so it fires
+    through their roots F (F^dagger F = E), and the factor keeps each
+    outcome's rank, 1 for a projective measurement, instead of its d_out
+    rows per Kraus matrix. A branch whose width would exceed its
     dimension is recompressed by QR. Branches split into sub-batches only
     where a conditional station's case or a history-keyed evolution
     differs between them. The last station's outcome probabilities come
@@ -583,14 +598,17 @@ def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[_Lev
     (``_outcome_probabilities``) in a leaf level, whose branches are not
     built, unless an evolution follows that station.
 
-    With ``build`` every branch is built, and the walk starts from rho0's
-    eigenvectors weighted by their eigenvalues; those of a diagonal rho0 are
-    unit vectors and its diagonal entries exactly, so it passes through
-    identities exactly. Weights are folded into V if it is recompressed.
+    With ``build`` every branch is built, through Kraus stacks only, and the
+    walk starts from rho0's eigenvectors weighted by their eigenvalues; those
+    of a diagonal rho0 are unit vectors and its diagonal entries exactly, so
+    it passes through identities exactly. Weights are folded into V if it is
+    recompressed.
 
     Memory: a level holds prod(outcomes of the stations fired so far) x D
-    x width entries, D the padded dimension and width at most D: 0.5 MB
-    for an 8-qubit GHZ state, 8 MB for 10 qubits.
+    x width entries, D the padded dimension and width at most D. Spent
+    factors shrink D to the product of the roots' ranks and the unspent
+    factors, so a GHZ state measured one qubit per station never holds more
+    than 2^n entries per level: 4 kB for 8 qubits, 16 kB for 10.
     """
     q, w = s._eigen
     v0, weights = (q, w) if build else (q * np.sqrt(w), None)
@@ -603,9 +621,16 @@ def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[_Lev
             weights,
         )
     ]
-    # Stations an evolution follows at the end of the chain: their branches are built.
-    ends = {ev.after for ev in s.evolutions if ev.before is None}
-    leaf_at = -1 if build or (order and order[-1] in ends) else len(order) - 1
+    # Chain position i lies between order[i - 1] and order[i]. A station last
+    # on its factor and at or after the last position an evolution acts at is spent.
+    pairs = {(ev.after, ev.before) for ev in s.evolutions}
+    steps = enumerate(zip((None, *order), (*order, None)))
+    start = max((i for i, pair in steps if pair in pairs), default=0)
+    last = {s._by_id[sid].subsystem: j for j, sid in enumerate(order)}
+    spent = set() if build else {j for j in last.values() if j >= start}
+    # The last station, when spent, is a leaf: its branches are not built.
+    leaf_at = len(order) - 1 if len(order) - 1 in spent else -1
+    spent.discard(leaf_at)
     for j, cur in enumerate((*order, None)):
         if s.evolutions:
             prev = order[j - 1] if j else None
@@ -613,7 +638,9 @@ def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[_Lev
         if cur is None:
             return levels
         st = s._by_id[cur]
-        levels = [_fire(st, part, iv, j == leaf_at) for lv in levels for part, iv in _resolve(st, lv)]
+        levels = [
+            _fire(st, part, iv, j in spent, j == leaf_at) for lv in levels for part, iv in _resolve(st, lv)
+        ]
         if j == leaf_at:
             return levels
 

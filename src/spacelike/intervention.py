@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -72,15 +71,25 @@ class Intervention:
         d_in identity within ``tolerance.COMPLETENESS``; the measured
         deviation is kept in ``deviation``.
 
-    ``povm`` holds each outcome's POVM element E = sum_m A_m^dagger A_m, in
-    outcome order, as one read-only (outcomes, d_in, d_in) array.
-    ``_kraus_stack`` holds the Kraus matrices, built on first use.
+    Every other field is derived once, here, as a read-only array:
+    ``_kraus_stack`` holds the Kraus matrices, zero-padded to (outcomes,
+    Kraus, d_out max, d_in); ``povm`` each outcome's POVM element
+    E = sum_m A_m^dagger A_m, in outcome order, as (outcomes, d_in, d_in),
+    from one contraction of that stack; ``_povm_roots`` a root F of each,
+    F^dagger F = E, from one eigh of ``povm``: the rows sqrt(lambda) u^dagger
+    of E's eigenpairs above ``tolerance.root_cutoff``, largest first,
+    zero-padded to (outcomes, 1, largest rank, d_in). ``growth`` bounds how
+    much firing either stack can raise a trace: ``tolerance.growth`` at the
+    deviation plus the absolute sum of the eigenvalues the roots drop.
     """
 
     d_in: int
     outcomes: tuple[Outcome, ...]
     deviation: float = field(init=False, repr=False, compare=False)
+    growth: float = field(init=False, repr=False, compare=False)
     povm: np.ndarray = field(init=False, repr=False, compare=False)
+    _kraus_stack: np.ndarray = field(init=False, repr=False, compare=False)
+    _povm_roots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "outcomes", tuple(self.outcomes))
@@ -91,44 +100,40 @@ class Intervention:
         labels = [o.label for o in self.outcomes]
         if len(set(labels)) != len(labels):
             raise ValueError(f"outcome labels must be distinct, got {labels}")
-        for o in self.outcomes:
-            for k, m in enumerate(o.kraus):
-                if m.shape != (o.d_out, self.d_in):
-                    raise DimensionError(
-                        f"outcome {o.label!r} Kraus[{k}] is {m.rows}x{m.cols}, "
-                        f"expected {o.d_out}x{self.d_in}"
-                    )
-        products = ([m.array.conj().T @ m.array for m in o.kraus] for o in self.outcomes)
-        elements = [sum(rest, first) for first, *rest in products]
-        povm = np.array(elements)
-        povm.setflags(write=False)
-        worst = deviation(sum(elements))
-        if worst > tolerance.COMPLETENESS:
-            raise CompletenessError(
-                f"Kraus completeness violated: sum of A^dagger A deviates from the "
-                f"{self.d_in}-dim identity by {worst:.3e} (tolerance {tolerance.COMPLETENESS})",
-                worst,
-            )
-        object.__setattr__(self, "deviation", worst)
-        object.__setattr__(self, "povm", povm)
-
-    @cached_property
-    def _kraus_stack(self) -> np.ndarray:
-        """Read-only (outcomes, Kraus, d_out max, d_in) array of the Kraus matrices, zero-padded."""
+        m, d = len(self.outcomes), self.d_in
         stack = np.zeros(
-            (
-                len(self.outcomes),
-                max(len(o.kraus) for o in self.outcomes),
-                max(o.d_out for o in self.outcomes),
-                self.d_in,
-            ),
+            (m, max(len(o.kraus) for o in self.outcomes), max(o.d_out for o in self.outcomes), d),
             dtype=complex,
         )
         for i, o in enumerate(self.outcomes):
-            for k, m in enumerate(o.kraus):
-                stack[i, k, : o.d_out] = m.array
-        stack.setflags(write=False)
-        return stack
+            for k, a in enumerate(o.kraus):
+                if a.shape != (o.d_out, d):
+                    raise DimensionError(
+                        f"outcome {o.label!r} Kraus[{k}] is {a.rows}x{a.cols}, "
+                        f"expected {o.d_out}x{d}"
+                    )
+                stack[i, k, : o.d_out] = a.array
+        rows = stack.reshape(m, -1, d)
+        povm = rows.conj().transpose(0, 2, 1) @ rows
+        worst = deviation(povm.sum(axis=0))
+        if worst > tolerance.COMPLETENESS:
+            raise CompletenessError(
+                f"Kraus completeness violated: sum of A^dagger A deviates from the "
+                f"{d}-dim identity by {worst:.3e} (tolerance {tolerance.COMPLETENESS})",
+                worst,
+            )
+        w, u = np.linalg.eigh(povm)
+        kept = w > tolerance.root_cutoff(d)
+        # eigh sorts ascending, so each outcome's kept eigenpairs lie among its last ``rank``.
+        rank = kept.sum(axis=1).max()
+        top = slice(None, -rank - 1, -1)
+        roots = np.sqrt(np.where(kept, w, 0.0)[:, top, None]) * u[:, :, top].conj().transpose(0, 2, 1)
+        roots = np.ascontiguousarray(roots[:, None])
+        for name, value in (("_kraus_stack", stack), ("povm", povm), ("_povm_roots", roots)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "deviation", worst)
+        object.__setattr__(self, "growth", tolerance.growth(d, worst + float(np.abs(w[~kept]).sum())))
 
     def labels(self) -> tuple[str, ...]:
         return tuple(o.label for o in self.outcomes)
@@ -169,7 +174,7 @@ def apply(rho: CMatrix, iv: Intervention, mu: str) -> CMatrix:
     if deviation(rho.array, rho.array.conj().T) > tolerance.HERMITICITY:
         raise ValueError("state must be Hermitian")
     out = sum(m.array @ rho.array @ m.array.conj().T for m in iv.outcome(mu).kraus)
-    high = float(np.trace(rho.array).real) * tolerance.growth(iv.d_in, iv.deviation)
+    high = float(np.trace(rho.array).real) * iv.growth
     tolerance.check(float(np.trace(out).real), 0.0, high, f"branch trace for outcome {mu!r}")
     return CMatrix(out)
 
@@ -214,29 +219,31 @@ def _check_outcomes(traces: np.ndarray, parent: np.ndarray, iv: Intervention) ->
     ``traces`` is outcome-minor, ``parent`` holds one trace per parent.
     """
     m = len(iv.outcomes)
-    high = parent * tolerance.growth(iv.d_in, iv.deviation)
+    high = parent * iv.growth
     if (i := _first_outside(traces.reshape(-1, m), high[:, None])) is not None:
         label = iv.outcomes[i % m].label
         what = f"branch trace for outcome {label!r}"
         tolerance.check(float(traces[i]), 0.0, float(high[i // m]), what)
 
 
-def _branches(v: np.ndarray, iv: Intervention) -> np.ndarray:
+def _branches(v: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """Factors of every outcome's branch of every branch in ``v``, in one contraction.
 
     ``v`` is (branch n, b, d_in, a, width w), each branch's factor V with
-    ``iv`` acting on its middle index after b dimensions. Outcome o's
-    branch factor is [L_1 V, ..., L_k V] with L = I_b (x) A (x) I_a: the
-    zero-padded Kraus stack (outcomes m, Kraus K, d_out max, d_in)
-    contracts d_in once for all of them. Returns (n * m, b, d_out max, a,
-    w * K), outcome-minor; column j * K + k holds Kraus matrix k on V's
+    the intervention acting on its middle index after b dimensions.
+    ``stack`` is (outcomes m, K, rows, d_in), zero-padded: the intervention's
+    ``_kraus_stack``, or its ``_povm_roots`` (K = 1) where no later map acts
+    on the factor, so only F^dagger F = E matters. Outcome o's branch factor
+    is [L_1 V, ..., L_K V] with L = I_b (x) A (x) I_a, A the stack's matrices
+    of o; one product contracts d_in for all of them. Returns (n * m, b,
+    rows, a, w * K), outcome-minor; column j * K + k holds matrix k on V's
     column j.
     """
     n, b, d, a, w = v.shape
-    m, k, d_out, _ = iv._kraus_stack.shape
+    m, k, rows_out, _ = stack.shape
     rows = v.transpose(2, 0, 1, 3, 4).reshape(d, -1)
-    out = (iv._kraus_stack.reshape(m * k * d_out, d) @ rows).reshape(m, k, d_out, n, b, a, w)
-    return out.transpose(3, 0, 4, 2, 5, 6, 1).reshape(n * m, b, d_out, a, w * k)
+    out = (stack.reshape(m * k * rows_out, d) @ rows).reshape(m, k, rows_out, n, b, a, w)
+    return out.transpose(3, 0, 4, 2, 5, 6, 1).reshape(n * m, b, rows_out, a, w * k)
 
 
 def _outcome_probabilities(v: np.ndarray, iv: Intervention) -> np.ndarray:

@@ -233,13 +233,18 @@ def random_product_scenario(seed: int) -> Scenario:
     return Scenario(dims0=dims, rho0=rho0, stations=tuple(stations))
 
 
+# The builder of each named scenario shipped with the package, keyed by file
+# stem; each looks its generator up when called, so a rebound one is used.
+_BUILTINS = {
+    "eprb": lambda: eprb(0.0, math.pi / 3.0),
+    "counterexample": lambda: noncommuting_counterexample(),
+    "dimension_change": lambda: dimension_change_scenario(),
+}
+
+
 def builtin_scenarios() -> dict[str, Scenario]:
     """The named scenarios shipped with the package, keyed by file stem."""
-    return {
-        "eprb": eprb(0.0, math.pi / 3.0),
-        "counterexample": noncommuting_counterexample(),
-        "dimension_change": dimension_change_scenario(),
-    }
+    return {name: build() for name, build in _BUILTINS.items()}
 
 
 def export_builtin_scenarios(directory) -> list:

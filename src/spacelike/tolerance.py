@@ -14,7 +14,18 @@ raises ValueError.
   its factor V (rho0 ~ V V^dagger); what V leaves out has trace at most
   STATE in size (``rank_cutoff``), of either sign, and float rounding
   adds far less than STATE to a trace. ``FLOOR`` covers all three.
+* A station that no later station or evolution acts on fires through a
+  root F of each POVM element E (F^dagger F = E) that drops E's eigenvalues
+  at or below ``root_cutoff``. The dropped ones change the sum of
+  F^dagger F over outcomes by at most their absolute sum in any entry, so
+  ``Intervention.growth`` is ``growth`` at the completeness deviation plus
+  that sum: the bound covers the roots as well as the Kraus matrices, and
+  composes, by product, over any number of such stations.
 """
+
+import sys
+
+EPS = sys.float_info.epsilon  # 2^-52, the relative rounding of one float operation
 
 TIE = 1e-12  # boosted times this close are a tie, reported rather than broken
 COMPLETENESS = 1e-9  # largest entry of sum A^dagger A - I of an intervention
@@ -42,6 +53,18 @@ def rank_cutoff(d: int) -> float:
     |tr - 1| <= STATE, and ``FLOOR`` = 3 STATE covers both with rounding.
     """
     return STATE / d
+
+
+def root_cutoff(d: int) -> float:
+    """Largest eigenvalue of a d x d POVM element E dropped from its root.
+
+    eigh's eigenvalues are exact for a matrix within a small multiple of
+    EPS ||E|| of E, and ||E|| <= 1 up to the completeness deviation, so one
+    at or below d EPS is rounding of a zero one (measured: at most 0.73 d
+    EPS from 0 over 3,000 seeded random interventions). The dropped mass
+    enters ``Intervention.growth``, so no runtime bound rests on this value.
+    """
+    return d * EPS
 
 
 def check(value: float, low: float, high: float, what: str) -> float:

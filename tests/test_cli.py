@@ -7,7 +7,7 @@ import pytest
 
 import numpy as np
 
-from spacelike import cli
+from spacelike import cli, scenarios
 from spacelike.cli import main
 from spacelike.experiment import ConditionalLocal, EvaluationResult, Scenario, Station
 from spacelike.intervention import Intervention, LocalIntervention, Outcome, random_intervention
@@ -76,7 +76,7 @@ def test_simulate_reports_and_compares_tie(tmp_path, capsys):
 
 
 def test_simulate_evaluates_every_tie_resolution_once(tmp_path, capsys, monkeypatch):
-    from spacelike import cli
+    from spacelike import cli, scenarios
 
     stations = tuple(
         Station(Event(sid, 0.0, 2.0 * i), LocalIntervention(i, spin_analyzer(0.3 + i)))
@@ -373,7 +373,7 @@ def test_check_invariance_refuses_more_than_eight_events(tmp_path, capsys):
 def test_simulate_refuses_a_tie_of_more_than_eight_stations(tmp_path, capsys, monkeypatch):
     # Nine simultaneous stations tie at v = 0 in 9! resolutions, over the limit of 8!.
     # The stub only counts: an unrefused tie would evaluate all 362,880 of them.
-    from spacelike import cli
+    from spacelike import cli, scenarios
 
     evaluated = []
     monkeypatch.setattr(cli, "evaluate_in_order", lambda _, order: evaluated.append(order))
@@ -388,7 +388,7 @@ def test_simulate_refuses_a_tie_of_more_than_eight_stations(tmp_path, capsys, mo
 def test_simulate_lists_tie_resolutions_in_product_order(capsys, monkeypatch):
     # Resolutions come in the order of the product of each frame group's
     # permutations, the last group varying fastest.
-    from spacelike import cli
+    from spacelike import cli, scenarios
 
     rng = np.random.default_rng(17)
     for _ in range(200):
@@ -424,6 +424,20 @@ def test_builtin_names_take_dash_or_underscore(name, capsys):
     code, out, _ = run(capsys, "simulate", name, "--format", "csv")
     assert code == 0
     assert out.splitlines()[0] == "A,B,probability"
+
+
+def test_the_cli_builds_only_the_scenario_it_loads(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "eprb.json"
+    path.write_text(serialize_scenario(eprb(0.0, 1.0)))
+    built = []
+    for name in ("eprb", "noncommuting_counterexample", "dimension_change_scenario"):
+        builder = getattr(scenarios, name)
+        monkeypatch.setattr(scenarios, name, lambda *args, _b=builder, _n=name: built.append(_n) or _b(*args))
+    assert run(capsys, "check-povm", "dimension-change")[0] == 0
+    assert built == ["dimension_change_scenario"]
+    built.clear()
+    assert run(capsys, "check-povm", str(path))[0] == 0
+    assert built == []
 
 
 def identity_scenario(events):

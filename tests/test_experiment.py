@@ -1100,6 +1100,104 @@ def test_final_states_are_built_on_first_read_only(monkeypatch):
     assert len(built) == len(states)
 
 
+# ----------------------------------------------------------- spent stations
+
+
+def assert_spent_walk_matches_built_walk(s, orders=None):
+    """Probabilities equal the traces of the walk that builds every branch, within 1e-12.
+
+    ``evaluate_in_order`` fires each spent station through its POVM roots;
+    the walk with ``build`` on, from whose last levels ``final_states`` is
+    read, fires every station through its Kraus stack. Its levels' ``tr``
+    are those final states' traces, read without forming a D x D state.
+    """
+    for order in orders or linear_extensions(s._covering, s.events()):
+        got = evaluate_in_order(s, order).probabilities
+        want = {
+            rec: tr
+            for lv in experiment._walk(s, tuple(order), build=True)
+            for rec, tr in zip(lv.records(), lv.tr.tolist())
+        }
+        assert got.keys() == want.keys(), order
+        for rec, p in want.items():
+            assert abs(got[rec] - p) <= 1e-12, (order, rec)
+
+
+def test_spent_walk_matches_built_walk_on_random_products():
+    for k in range(200):
+        assert_spent_walk_matches_built_walk(random_product_scenario(seed=k))
+
+
+def test_spent_walk_matches_built_walk_on_builtins(monkeypatch):
+    # dimension_change teleports qubits into d_out 3 and 5: its roots have rank 2.
+    for s in builtin_scenarios().values():
+        assert_spent_walk_matches_built_walk(s)
+    branches = count_calls(monkeypatch, "_branches")
+    for order in (["A", "B"], ["B", "A"]):
+        branches.clear()
+        evaluate_in_order(builtin_scenarios()["dimension_change"], order)
+        [((_, stack), out)] = branches
+        assert stack.shape == (4, 1, 2, 2) and out.shape[2] == 2
+
+
+def test_spent_walk_matches_built_walk_through_conditions_evolutions_and_mixed_states():
+    assert_spent_walk_matches_built_walk(reordered_conditional_scenario())
+    assert_spent_walk_matches_built_walk(middle_factor_scenario(random_density(18, seed=5, rank=3)))
+
+
+@pytest.mark.parametrize("qubits", [2, 3, 4, 5, 6, 7, 8])
+def test_spent_walk_matches_built_walk_on_ghz(qubits):
+    s = ghz_scenario([0.4 + 0.7 * i for i in range(qubits)])
+    ids = [st.id for st in s.stations]
+    rng = np.random.default_rng(qubits)
+    orders = None if qubits <= 4 else [ids, ids[::-1], *(list(rng.permutation(ids)) for _ in range(2))]
+    assert_spent_walk_matches_built_walk(s, orders)
+
+
+def test_an_eight_qubit_ghz_walk_never_holds_more_than_its_state(monkeypatch):
+    # Every station but the leaf is spent and projective: rank-1 roots keep
+    # each level at 2^8 entries, where Kraus stacks doubled it per station.
+    branches = count_calls(monkeypatch, "_branches")
+    s = ghz_scenario([0.4 + 0.7 * i for i in range(8)])
+    ids = [st.id for st in s.stations]
+    for order in (ids, ids[::-1]):
+        evaluate_in_order(s, order)
+    assert len(branches) == 14
+    for (_, stack), out in branches:
+        assert stack.shape == (2, 1, 1, 2) and out.size == 256
+
+
+def test_no_spent_stack_before_a_later_station_or_evolution_on_the_factor(monkeypatch):
+    # C, conditioned on A, acts on A's qubit after it: A is never spent; B and,
+    # when it is not last, C's cases are. An evolution between B and C, or
+    # one at the end of the chain, leaves no station spent.
+    a, b = z_iv(), random_intervention(2, [2, 2], seed=70)
+    cases = {("z+",): random_intervention(2, [2, 2], seed=71), ("z-",): x_iv()}
+    stations = (
+        station("A", 0.0, 0.0, 0, a),
+        station("B", 0.5, 10.0, 1, b),
+        Station(Event("C", 2.0, 0.0), ConditionalLocal(0, ("A",), cases)),
+    )
+    s = Scenario(dims0=(2, 2), rho0=random_density(4, seed=72), stations=stations)
+    roots = {id(iv._povm_roots) for iv in (a, b, *cases.values())}
+    branches = count_calls(monkeypatch, "_branches")
+    for order, spent in ((["A", "B", "C"], [b]), (["A", "C", "B"], cases.values()), (["B", "A", "C"], [b])):
+        branches.clear()
+        evaluate_in_order(s, order)
+        used = {id(stack) for (_, stack), _ in branches} & roots
+        assert used == {id(iv._povm_roots) for iv in spent}, order
+    assert_spent_walk_matches_built_walk(s)
+    for evolutions in (
+        (Evolution("B", "C", haar_unitary(4, seed=73)),),
+        (Evolution("C", None, haar_unitary(4, seed=74), history={"A": "z+"}),),
+    ):
+        s = Scenario(dims0=(2, 2), rho0=random_density(4, seed=72), stations=stations, evolutions=evolutions)
+        branches.clear()
+        evaluate_in_order(s, ["A", "B", "C"])
+        assert branches and not {id(stack) for (_, stack), _ in branches} & roots
+        assert_spent_walk_matches_built_walk(s, [["A", "B", "C"]])
+
+
 # ------------------------------------------------------------ ordering layer
 
 

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from spacelike import experiment, tolerance
 from spacelike.linalg import CMatrix, dagger, kron, matmul, max_abs_diff, trace
 from spacelike.experiment import ConditionalLocal, Evolution, Scenario, Station, evaluate_in_order
+from spacelike.scenarios import spin_analyzer, teleport_intervention
 from spacelike.spacetime import Event
 from spacelike.intervention import (
     CompletenessError,
@@ -182,7 +184,7 @@ def test_branch_kernel_matches_kron_embedding(dims, sub):
     rng = np.random.default_rng(len(dims) + sub)
     v = rng.standard_normal((2, b * d * a, 3)) + 1j * rng.standard_normal((2, b * d * a, 3))
     v /= np.linalg.norm(v, axis=(1, 2), keepdims=True)
-    out = _branches(v.reshape(2, b, d, a, 3), iv)
+    out = _branches(v.reshape(2, b, d, a, 3), iv._kraus_stack)
     assert out.shape == (2 * len(iv.outcomes), b, 3, a, 3 * 2)
     lifted = embed(LocalIntervention(sub, iv), dims)
     for n, factor in enumerate(v):
@@ -276,3 +278,49 @@ def test_random_intervention_rejects_undersized_outcome_space():
         random_intervention(4, [1, 2], seed=0)
     with pytest.raises(ValueError):
         random_intervention(2, [], seed=0)
+
+
+def test_spent_walk_matches_final_states_on_the_kron_chain(monkeypatch):
+    # The chain above, each evaluation also checked against its built final
+    # states: A is followed by an evolution, so no station there is spent.
+    evaluated = []
+
+    def evaluate(s, order):
+        result = experiment.evaluate_in_order(s, order)
+        for rec, state in result.final_states.items():
+            assert abs(result.probabilities[rec] - trace(state).real) <= 1e-12
+        evaluated.append(order)
+        return result
+
+    monkeypatch.setitem(globals(), "evaluate_in_order", evaluate)
+    test_evaluated_chain_matches_explicit_kron_products()
+    assert evaluated == [["A", "B"]]
+
+
+def test_povm_roots_reproduce_the_povm_elements():
+    # An outcome of d_out k has an element of rank min(k, d_in); eigh
+    # reproduces E to a few d EPS ||E||, and the roots drop no more.
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 6))
+        dims = [int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 5)))]
+        dims += [d] if sum(dims) < d else []
+        iv = random_intervention(d, dims, seed=seed)
+        f = iv._povm_roots[:, 0]
+        ranks = [min(k, d) for k in dims]
+        assert iv._povm_roots.shape == (len(dims), 1, max(ranks), d)
+        assert [np.count_nonzero(np.abs(rows).max(axis=1)) for rows in f] == ranks
+        assert np.abs(f.conj().transpose(0, 2, 1) @ f - iv.povm).max() <= 8 * tolerance.root_cutoff(d)
+        assert iv.growth >= tolerance.growth(d, iv.deviation)
+
+
+def test_projective_and_teleporting_roots_have_the_rank_of_their_elements():
+    for angle in np.linspace(0.0, 2.0 * math.pi, 25):
+        assert spin_analyzer(angle)._povm_roots.shape == (2, 1, 1, 2)
+    # Each teleportation outcome's element is I / 4: rank d_in = 2, below d_out.
+    for d_out in (3, 5):
+        iv = teleport_intervention(d_out)
+        assert iv._kraus_stack.shape == (4, 1, d_out, 2)
+        assert iv._povm_roots.shape == (4, 1, 2, 2)
+        f = iv._povm_roots[:, 0]
+        assert np.abs(f.conj().transpose(0, 2, 1) @ f - np.eye(2) / 4).max() <= 1e-15

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spacelike import CMatrix, Event, LocalIntervention, Scenario, Station, tolerance
+from spacelike import CMatrix, Event, Intervention, LocalIntervention, Outcome, Scenario, Station
+from spacelike import experiment, tolerance
 from spacelike.cli import main
 from spacelike.experiment import StateError, check_order_invariance, evaluate_in_order
 from spacelike.scenarios import spin_analyzer
@@ -176,6 +177,8 @@ def test_rho0_eigenvalues_at_both_cutoffs_evaluate_under_every_ordering():
 def spectrum_state(d, rank, small=(), seed=0):
     """A d x d rho0 of trace 1: ``rank`` seeded weights, then ``small`` (in units of
     ``rank_cutoff(d)``), then zeros, in a seeded random eigenbasis (none if seed is None)."""
+    if rank + len(small) > d:
+        raise ValueError(f"{rank} + {len(small)} eigenvalues do not fit in dimension {d}")
     rng = np.random.default_rng(seed)
     eigenvalues = np.zeros(d)
     tail = np.asarray(small, dtype=float) * tolerance.rank_cutoff(d)
@@ -186,6 +189,12 @@ def spectrum_state(d, rank, small=(), seed=0):
         return np.diag(eigenvalues).astype(complex)
     q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     return (q * eigenvalues) @ q.conj().T
+
+
+def test_spectrum_state_refuses_eigenvalues_that_do_not_fit():
+    with pytest.raises(ValueError, match="do not fit"):
+        spectrum_state(2, 2, (-3.0,))
+    assert np.trace(spectrum_state(3, 2, (-3.0,))).real == pytest.approx(1.0, abs=1e-15)
 
 
 NEAR_CUTOFF = (-0.9, -0.4, 0.3, 0.6, 1.6, 2.5, 4.0)
@@ -241,13 +250,14 @@ def test_rho0_factor_falls_back_to_eigh_below_the_cutoff(monkeypatch, small, cal
         decomposed.append(a.shape)
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", spy)
+    # Built before the spy, which then counts only rho0's decompositions.
     stations = (
         Station(Event("A", 0.0, 0.0), LocalIntervention(0, spin_analyzer(0.4))),
         Station(Event("B", 0.1, 10.0), LocalIntervention(1, spin_analyzer(1.3))),
         Station(Event("C", 3.0, 0.0), LocalIntervention(0, spin_analyzer(2.2))),
         Station(Event("E", 0.2, -10.0), LocalIntervention(4, spin_analyzer(0.9))),
     )
+    monkeypatch.setattr(np.linalg, "eigh", spy)
     rho0 = spectrum_state(d, 2, (0.99,) * small, seed=8)
     s = Scenario(dims0=(2,) * 5, rho0=CMatrix(rho0), stations=stations)
     assert s._eigen[0].shape == (d, 2)
@@ -257,6 +267,51 @@ def test_rho0_factor_falls_back_to_eigh_below_the_cutoff(monkeypatch, small, cal
     for order in linear_extensions(causal_order(s.events()), s.events()):
         total = sum(evaluate_in_order(s, order).probabilities.values())
         assert abs(total - 1.0) <= tolerance.FLOOR
+
+
+def test_range_basis_stops_at_the_rounding_of_the_diagonal():
+    # At D = 2,048 the floor rank_cutoff(D) / D lies below the rounding of a
+    # pure state's diagonal: pivoting down to it took 5 columns where 1 spans.
+    d = 2048
+    rng = np.random.Generator(np.random.Philox(key=0))
+    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    psi /= np.linalg.norm(psi)
+    basis = experiment._range_basis(np.outer(psi, psi.conj()), tolerance.rank_cutoff(d) / d)
+    assert basis.shape == (d, 1)
+    assert abs(np.vdot(basis[:, 0], psi)) == pytest.approx(1.0, abs=1e-12)
+
+
+def edge_instrument(high, seed):
+    """A qubit instrument accepted at a completeness edge whose POVM element
+    "a" has an eigenvalue below the root cutoff, which its root drops."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    small = 0.5 * tolerance.root_cutoff(2)
+    edge = 1.0 + (0.9 if high else -0.9) * tolerance.COMPLETENESS
+    a = np.diag([math.sqrt(edge), math.sqrt(small)]) @ q.conj().T
+    b = np.diag([0.0, math.sqrt(edge - small)]) @ q.conj().T
+    return Intervention(2, (Outcome("a", 2, (CMatrix(a),)), Outcome("b", 2, (CMatrix(b),))))
+
+
+def test_spent_stations_at_the_completeness_edge_stay_within_every_bound():
+    # Eight qubits measured once each, so every station but the last fires
+    # through roots that drop mass; half raise every trace, half lower it.
+    n = 8
+    ivs = [edge_instrument(i % 2 == 0, seed=i) for i in range(n)]
+    for iv in ivs:
+        assert iv._povm_roots.shape == (2, 1, 1, 2)
+        assert iv.growth > tolerance.growth(2, iv.deviation)
+    stations = tuple(
+        Station(Event(f"q{i}", 0.05 * i, 2.0 * i), LocalIntervention(i, iv)) for i, iv in enumerate(ivs)
+    )
+    rng = np.random.default_rng(80)
+    psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    psi /= np.linalg.norm(psi)
+    s = Scenario(dims0=(2,) * n, rho0=CMatrix(np.outer(psi, psi.conj())), stations=stations)
+    ids = [st.id for st in stations]
+    for order in (ids, ids[::-1]):
+        total = sum(evaluate_in_order(s, order).probabilities.values())
+        assert 2.0 - s.growth - tolerance.FLOOR <= total <= s.growth + tolerance.FLOOR
 
 
 def test_simulate_three_station_tie_evaluates_every_resolution(tmp_path, capsys):

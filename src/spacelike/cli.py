@@ -97,10 +97,10 @@ def _emit_report(report_dict: dict, fmt: str, out) -> None:
 
 def cmd_simulate(args, out) -> int:
     s = load_scenario(args.scenario)
-    # Every ordering the frame admits: more than one exactly on a tie.
+    # Every ordering the frame admits: more than one exactly on a tie of causally unordered stations.
     groups = frame_groups(s.events(), Frame(args.frame_velocity))
     later = {(a.id, b.id) for g, h in zip(groups, groups[1:]) for a in g for b in h}
-    orders = linear_extensions(later, [e for g in groups for e in g])
+    orders = linear_extensions(later.union(s._covering), [e for g in groups for e in g])
     results = [evaluate_in_order(s, order) for order in orders]
     if len(results) == 1:
         _emit_result(results[0], args.format, out)

@@ -10,8 +10,8 @@ r = rank(rho0), found when the scenario is built by the one decomposition
 that also checks rho0's positivity, and walks one ordering level by
 level: all live branches sit in stacked arrays, one contraction per
 station applies its Kraus matrices to every branch, and a branch wider
-than its dimension is recompressed. The last station's outcome
-probabilities come from its POVM elements, so the final states,
+than its dimension is recompressed. A station after which nothing acts on
+its factor fires through roots of its POVM elements, so the final states,
 V V^dagger per record, are built only when a caller reads them.
 
 Two certifiers operate on top of the evaluator:
@@ -44,7 +44,7 @@ import numpy as np
 from . import tolerance
 from .linalg import CMatrix, DimensionError, deviation, trace
 from .intervention import Intervention, LocalIntervention, _factor_sizes, _trace
-from .intervention import _branches, _check_outcomes, _first_outside, _outcome_probabilities
+from .intervention import _branches, _check_outcomes, _first_outside
 # Not called here (the evaluator contracts Kraus stacks on factors, and a
 # scenario closes its causal order with ``_causal_pasts``); bound only
 # because the benchmark's tracer, bench/tracer.py, rebinds these names.
@@ -390,8 +390,9 @@ class EvaluationResult:
     def final_states(self) -> dict[Record, CMatrix]:
         """Unnormalized final state V V^dagger of every record; its trace is its probability.
 
-        The walk runs again with ``build`` on, so it ends in no leaf level,
-        and each row of a level's V is cut to its record's factor dimensions.
+        The walk runs again with ``build`` on, so every station fires through
+        its Kraus stack, and each row of a level's V is cut to its record's
+        factor dimensions.
         """
         states: dict[Record, CMatrix] = {}
         for lv in _walk(self.scenario, self.ordering, build=True):
@@ -426,11 +427,10 @@ class _Level:
     factor) its actual factor dimensions (a spent factor's: its roots'
     padded rank, see ``_fire``) and ``idx`` (branch, station) the
     outcome it took at each station of ``fired``, which lists the stations
-    fired so far with the intervention each fired. A leaf level (see
-    ``_fire``) has ``v`` None and its outcome probabilities in ``tr``.
+    fired so far with the intervention each fired.
     """
 
-    v: np.ndarray | None
+    v: np.ndarray
     tr: np.ndarray
     dims: np.ndarray
     idx: np.ndarray
@@ -521,17 +521,14 @@ def _resolve(st: Station, lv: _Level) -> list[tuple[_Level, Intervention]]:
     return [(part, st.resolve(part.history(0))) for _, part in lv.split(cases)]
 
 
-def _fire(st: Station, lv: _Level, iv: Intervention, spent: bool, leaf: bool) -> _Level:
+def _fire(st: Station, lv: _Level, iv: Intervention, spent: bool) -> _Level:
     """Fire ``iv`` at ``st`` on every branch of ``lv``: the next level.
 
     Each branch trace is bounded by its parent's times the derived growth.
     A ``spent`` station, one after which nothing acts on its factor, fires
     through ``iv``'s POVM roots instead of its Kraus stack, so each branch
     keeps only its outcome's rank on that factor, not d_out rows per Kraus
-    matrix; ``dims`` then records the roots' padded rank there. With
-    ``leaf`` the branches are not built: the level's ``tr`` holds the
-    outcome probabilities from ``_outcome_probabilities`` and its ``v`` is
-    None.
+    matrix; ``dims`` then records the roots' padded rank there.
     """
     sub, d = st.subsystem, iv.d_in
     n, nfactors = lv.dims.shape
@@ -553,10 +550,6 @@ def _fire(st: Station, lv: _Level, iv: Intervention, spent: bool, leaf: bool) ->
     idx[:, :, :-1] = lv.idx[:, None]
     idx[:, :, -1] = np.arange(m)
     idx, fired = idx.reshape(n * m, -1), (*lv.fired, (st.id, iv))
-    if leaf:
-        tr = _outcome_probabilities(v, iv)
-        _check_outcomes(tr, lv.tr, iv)
-        return _Level(None, tr, dims, idx, fired=fired)
     out = _branches(v, stack)
     weights = None if lv.weights is None else np.repeat(lv.weights, out.shape[-1] // v.shape[-1])
     tr = _trace(out, weights)
@@ -593,10 +586,7 @@ def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[_Lev
     rows per Kraus matrix. A branch whose width would exceed its
     dimension is recompressed by QR. Branches split into sub-batches only
     where a conditional station's case or a history-keyed evolution
-    differs between them. The last station's outcome probabilities come
-    from its POVM elements on the reduced states
-    (``_outcome_probabilities``) in a leaf level, whose branches are not
-    built, unless an evolution follows that station.
+    differs between them.
 
     With ``build`` every branch is built, through Kraus stacks only, and the
     walk starts from rho0's eigenvectors weighted by their eigenvalues; those
@@ -608,7 +598,8 @@ def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[_Lev
     x width entries, D the padded dimension and width at most D. Spent
     factors shrink D to the product of the roots' ranks and the unspent
     factors, so a GHZ state measured one qubit per station never holds more
-    than 2^n entries per level: 4 kB for 8 qubits, 16 kB for 10.
+    than 2^n entries per level, the last included: 4 kB for 8 qubits, 16 kB
+    for 10.
     """
     q, w = s._eigen
     v0, weights = (q, w) if build else (q * np.sqrt(w), None)
@@ -628,9 +619,6 @@ def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[_Lev
     start = max((i for i, pair in steps if pair in pairs), default=0)
     last = {s._by_id[sid].subsystem: j for j, sid in enumerate(order)}
     spent = set() if build else {j for j in last.values() if j >= start}
-    # The last station, when spent, is a leaf: its branches are not built.
-    leaf_at = len(order) - 1 if len(order) - 1 in spent else -1
-    spent.discard(leaf_at)
     for j, cur in enumerate((*order, None)):
         if s.evolutions:
             prev = order[j - 1] if j else None
@@ -638,11 +626,7 @@ def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[_Lev
         if cur is None:
             return levels
         st = s._by_id[cur]
-        levels = [
-            _fire(st, part, iv, j in spent, j == leaf_at) for lv in levels for part, iv in _resolve(st, lv)
-        ]
-        if j == leaf_at:
-            return levels
+        levels = [_fire(st, part, iv, j in spent) for lv in levels for part, iv in _resolve(st, lv)]
 
 
 def _require_admissible(s: Scenario, order: tuple[str, ...]) -> None:
@@ -680,11 +664,10 @@ def evaluate_in_order(s: Scenario, order: Sequence[str]) -> EvaluationResult:
     factor; its trace is the record probability. The probabilities are
     computed as ||K V||_F^2, summed over the Kraus index tuples, from a
     factor V of rho0 = V V^dagger, level by level: one contraction per
-    station acts on every live branch at once. At the last station, when
-    no evolution follows it, each outcome's probability is Tr(E rho_red)
-    from its POVM element E and the state reduced to the station's factor,
-    so no final state is built; the result builds them on first read of
-    ``final_states``.
+    station acts on every live branch at once. A station after which
+    nothing acts on its factor fires through roots F of its POVM elements
+    E = F^dagger F, so no final state is built; the result builds them on
+    first read of ``final_states``.
     """
     order = tuple(order)
     _require_admissible(s, order)

@@ -7,7 +7,7 @@ output Hilbert space need not match the input). Completeness of the full
 branch set is enforced at construction so that branch traces always form
 a probability distribution. The same branch acts on a factor V of
 rho = V V^dagger as V -> [A_1 V, ..., A_k V], one product per Kraus matrix;
-the evaluator's kernels apply it to a whole stack of factors at once.
+the evaluator's kernel applies it to a whole stack of factors at once.
 """
 
 from __future__ import annotations
@@ -244,20 +244,6 @@ def _branches(v: np.ndarray, stack: np.ndarray) -> np.ndarray:
     rows = v.transpose(2, 0, 1, 3, 4).reshape(d, -1)
     out = (stack.reshape(m * k * rows_out, d) @ rows).reshape(m, k, rows_out, n, b, a, w)
     return out.transpose(3, 0, 4, 2, 5, 6, 1).reshape(n * m, b, rows_out, a, w * k)
-
-
-def _outcome_probabilities(v: np.ndarray, iv: Intervention) -> np.ndarray:
-    """Branch trace of every outcome of ``iv`` for every branch in ``v``, no branch built.
-
-    ``v`` is laid out as for ``_branches``. An outcome's branch trace is
-    Tr(E rho_red), with E its POVM element and rho_red = W W^dagger the
-    state reduced to the addressed factor, W gathering every row of V that
-    addresses factor entry x. Returns the traces outcome-minor.
-    """
-    n, b, d, a, w = v.shape
-    x = v.transpose(0, 2, 1, 3, 4).reshape(n, d, b * a * w)
-    red_t = (x.conj() @ x.transpose(0, 2, 1)).reshape(n, d * d)
-    return (red_t @ iv.povm.reshape(-1, d * d).T).real.reshape(-1)
 
 
 def povm_elements(iv: Intervention) -> list[tuple[str, CMatrix]]:

@@ -119,6 +119,26 @@ def test_simulate_names_the_tie_witness_in_every_format(capsys):
     assert code == 0 and "witness" not in out
 
 
+def test_simulate_resolves_a_tie_of_causally_ordered_stations_by_their_causal_order(tmp_path, capsys):
+    # Z and X lie on one worldline 1e-13 apart, inside the tie tolerance: the
+    # frame groups them together, but only Z -> X is admissible.
+    z, x = noncommuting_counterexample().stations
+    timelike = Scenario(
+        dims0=(2,),
+        rho0=CMatrix(np.diag([1.0, 0.0])),
+        stations=(Station(Event("Z", 0.0, 0.0), z.local), Station(Event("X", 1e-13, 0.0), x.local)),
+    )
+    path = tmp_path / "timelike_tie.json"
+    path.write_text(serialize_scenario(timelike))
+    code, out, err = run(capsys, "simulate", str(path))
+    assert (code, err) == (0, "")
+    assert out.startswith("ordering: Z -> X\n") and "tie at velocity" not in out and "worst spread" not in out
+    code, out, _ = run(capsys, "simulate", str(path), "--format", "json")
+    doc = json.loads(out)
+    assert code == 0 and doc["ordering"] == ["Z", "X"] and "tie" not in doc
+    assert json.loads(run(capsys, "check-invariance", str(path), "--format", "json")[1])["orders_checked"] == 1
+
+
 def test_check_invariance_exit_codes(capsys):
     code, out, _ = run(capsys, "check-invariance", "eprb")
     assert code == 0

@@ -757,7 +757,7 @@ def test_result_serialization_shape():
     assert set(rec["outcomes"]) == {"A", "B"}
 
 
-# ------------------------------------------------- leaf step and final states
+# ------------------------------------------- the last station and final states
 
 
 def reference_final_states(s, order, lifted=None):
@@ -797,9 +797,10 @@ def reference_final_states(s, order, lifted=None):
 def assert_leaf_step_matches_state_path(s, orders=None, final_states=True, one_reference=False):
     """Probabilities and final states equal the reference recursion's within 1e-12.
 
-    The probabilities come from the batched factor walk and, at the last
-    station, from the POVM leaf step; the final states from the same walk
-    with every branch built. With ``one_reference``, for scenarios whose
+    The probabilities come from the batched factor walk, in which every
+    spent station, the last one (the leaf) included, fires through its POVM
+    roots; the final states from the same walk with every branch built
+    through Kraus stacks. With ``one_reference``, for scenarios whose
     final states are the same in every ordering, the reference recursion
     runs once, in the first ordering, and every ordering is compared with it.
     """
@@ -901,12 +902,12 @@ def test_factor_path_matches_state_path_on_a_mixed_two_kraus_scenario(monkeypatc
 
 def test_pure_single_kraus_scenario_takes_the_factor_path(monkeypatch):
     branches = count_calls(monkeypatch, "_branches")
-    leaves = count_calls(monkeypatch, "_outcome_probabilities")
-    evaluate_in_order(eprb(0.3, 1.2), ["A", "B"])
-    # One batched contraction builds both of A's branches; B's outcome
-    # probabilities, for both branches at once, come from the POVM leaf step.
-    assert len(branches) == 1 and branches[0][1].shape[:1] == (2,)
-    assert len(leaves) == 1 and leaves[0][1].shape == (4,)
+    s = eprb(0.3, 1.2)
+    evaluate_in_order(s, ["A", "B"])
+    # One batched contraction builds both of A's branches; one more fires B,
+    # for both of them at once, through B's POVM roots.
+    assert [out.shape[:1] for _, out in branches] == [(2,), (4,)]
+    assert branches[1][0][1] is s.station("B").local.local._povm_roots
 
 
 def ghz_scenario(angles):
@@ -1005,15 +1006,15 @@ def test_leaf_step_matches_state_path_on_a_conditional_last_station():
 
 
 def test_final_evolution_after_the_last_station_takes_the_state_path(monkeypatch):
-    def unreachable(*args):
-        raise AssertionError("the POVM leaf step ran before a final evolution")
-
+    # An evolution at the end of the chain leaves no station spent: no POVM roots fire.
     s = timelike_chain_scenario(
         rho0=random_density(2, seed=7),
         evolutions=(Evolution("Q", None, HADAMARD, history={"Q": "x+"}),),
     )
-    monkeypatch.setattr(experiment, "_outcome_probabilities", unreachable)
+    branches = count_calls(monkeypatch, "_branches")
     assert_leaf_step_matches_state_path(s)
+    roots = {id(iv._povm_roots) for st in s.stations for iv in st.interventions().values()}
+    assert branches and not {id(stack) for (_, stack), _ in branches} & roots
 
 
 def test_sub_batches_match_the_reference_where_cases_evolutions_and_dims_differ():
@@ -1129,15 +1130,17 @@ def test_spent_walk_matches_built_walk_on_random_products():
 
 
 def test_spent_walk_matches_built_walk_on_builtins(monkeypatch):
-    # dimension_change teleports qubits into d_out 3 and 5: its roots have rank 2.
+    # dimension_change teleports qubits into d_out 3 and 5: both stations'
+    # roots have rank 2, and both stations are spent in either ordering.
     for s in builtin_scenarios().values():
         assert_spent_walk_matches_built_walk(s)
     branches = count_calls(monkeypatch, "_branches")
     for order in (["A", "B"], ["B", "A"]):
         branches.clear()
         evaluate_in_order(builtin_scenarios()["dimension_change"], order)
-        [((_, stack), out)] = branches
-        assert stack.shape == (4, 1, 2, 2) and out.shape[2] == 2
+        assert len(branches) == 2
+        for (_, stack), out in branches:
+            assert stack.shape == (4, 1, 2, 2) and out.shape[2] == 2
 
 
 def test_spent_walk_matches_built_walk_through_conditions_evolutions_and_mixed_states():
@@ -1155,22 +1158,22 @@ def test_spent_walk_matches_built_walk_on_ghz(qubits):
 
 
 def test_an_eight_qubit_ghz_walk_never_holds_more_than_its_state(monkeypatch):
-    # Every station but the leaf is spent and projective: rank-1 roots keep
-    # each level at 2^8 entries, where Kraus stacks doubled it per station.
+    # Every station is spent and projective: rank-1 roots keep each level,
+    # the last included, at 2^8 entries, where Kraus stacks doubled it per station.
     branches = count_calls(monkeypatch, "_branches")
     s = ghz_scenario([0.4 + 0.7 * i for i in range(8)])
     ids = [st.id for st in s.stations]
     for order in (ids, ids[::-1]):
         evaluate_in_order(s, order)
-    assert len(branches) == 14
+    assert len(branches) == 16
     for (_, stack), out in branches:
         assert stack.shape == (2, 1, 1, 2) and out.size == 256
 
 
 def test_no_spent_stack_before_a_later_station_or_evolution_on_the_factor(monkeypatch):
-    # C, conditioned on A, acts on A's qubit after it: A is never spent; B and,
-    # when it is not last, C's cases are. An evolution between B and C, or
-    # one at the end of the chain, leaves no station spent.
+    # C, conditioned on A, acts on A's qubit after it: A is never spent; B and
+    # C's cases, each last on its qubit, always are. An evolution between B
+    # and C leaves only C's cases spent; one at the end of the chain, none.
     a, b = z_iv(), random_intervention(2, [2, 2], seed=70)
     cases = {("z+",): random_intervention(2, [2, 2], seed=71), ("z-",): x_iv()}
     stations = (
@@ -1181,20 +1184,21 @@ def test_no_spent_stack_before_a_later_station_or_evolution_on_the_factor(monkey
     s = Scenario(dims0=(2, 2), rho0=random_density(4, seed=72), stations=stations)
     roots = {id(iv._povm_roots) for iv in (a, b, *cases.values())}
     branches = count_calls(monkeypatch, "_branches")
-    for order, spent in ((["A", "B", "C"], [b]), (["A", "C", "B"], cases.values()), (["B", "A", "C"], [b])):
+    for order in (["A", "B", "C"], ["A", "C", "B"], ["B", "A", "C"]):
         branches.clear()
         evaluate_in_order(s, order)
         used = {id(stack) for (_, stack), _ in branches} & roots
-        assert used == {id(iv._povm_roots) for iv in spent}, order
+        assert used == {id(iv._povm_roots) for iv in (b, *cases.values())}, order
     assert_spent_walk_matches_built_walk(s)
-    for evolutions in (
-        (Evolution("B", "C", haar_unitary(4, seed=73)),),
-        (Evolution("C", None, haar_unitary(4, seed=74), history={"A": "z+"}),),
+    for evolutions, spent in (
+        ((Evolution("B", "C", haar_unitary(4, seed=73)),), cases.values()),
+        ((Evolution("C", None, haar_unitary(4, seed=74), history={"A": "z+"}),), ()),
     ):
         s = Scenario(dims0=(2, 2), rho0=random_density(4, seed=72), stations=stations, evolutions=evolutions)
         branches.clear()
         evaluate_in_order(s, ["A", "B", "C"])
-        assert branches and not {id(stack) for (_, stack), _ in branches} & roots
+        used = {id(stack) for (_, stack), _ in branches} & roots
+        assert branches and used == {id(iv._povm_roots) for iv in spent}
         assert_spent_walk_matches_built_walk(s, [["A", "B", "C"]])
 
 

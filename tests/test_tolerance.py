@@ -294,7 +294,7 @@ def edge_instrument(high, seed):
 
 
 def test_spent_stations_at_the_completeness_edge_stay_within_every_bound():
-    # Eight qubits measured once each, so every station but the last fires
+    # Eight qubits measured once each, so every station, the last included, fires
     # through roots that drop mass; half raise every trace, half lower it.
     n = 8
     ivs = [edge_instrument(i % 2 == 0, seed=i) for i in range(n)]

@@ -207,10 +207,15 @@ def _check_no_signaling_all(s: Scenario, tol: float, seed: int, target: str | No
         ]
         if not pairs:
             raise ValueError("no mutually spacelike station pair matches the request")
-    return [
-        check_no_signaling(s, t, _generated_alternatives(s, v, seed), tol, varied=v)
-        for v, t in pairs
-    ]
+    # One list per varied station, built when first needed: its targets then
+    # reuse the scenario's copies and the evaluations those remember.
+    alternatives: dict[str, list[LocalIntervention]] = {}
+    reports = []
+    for v, t in pairs:
+        if v not in alternatives:
+            alternatives[v] = _generated_alternatives(s, v, seed)
+        reports.append(check_no_signaling(s, t, alternatives[v], tol, varied=v))
+    return reports
 
 
 def cmd_check_no_signaling(args, out) -> int:

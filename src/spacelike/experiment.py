@@ -27,6 +27,11 @@ Two certifiers operate on top of the evaluator:
   alternatives and reports the worst change in a spacelike-separated
   station's marginal distribution, in an ordering that fires the varied
   station before the target.
+
+A scenario remembers two things between calls, and nothing else: the
+probabilities of the last ordering it was evaluated in, and the copies it
+made with one station's intervention replaced. So a no-signaling check of
+one varied station against each of its targets walks each candidate once.
 """
 
 from __future__ import annotations
@@ -251,6 +256,21 @@ def _factor(rho: np.ndarray, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, w
 
 
+class _Memo:
+    """What a scenario remembers between calls, and nothing more.
+
+    ``evaluation`` is the (ordering, probabilities) of its last evaluation,
+    None before the first; ``variants`` is (station id, {local: copy}), the
+    copies ``_with_station`` made for one station, (None, {}) before the first.
+    """
+
+    __slots__ = ("evaluation", "variants")
+
+    def __init__(self):
+        self.evaluation: tuple[tuple[str, ...], dict[Record, float]] | None = None
+        self.variants: tuple[str | None, dict[LocalIntervention, Scenario]] = (None, {})
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Initial state, stations, and inter-station evolutions.
@@ -261,7 +281,10 @@ class Scenario:
     the chain can raise a trace; ``_eigen`` holds rho0's eigenpairs from
     ``_factor``, which also checks positivity; ``_by_id`` the stations by id;
     ``_pasts`` each one's causal past and direct predecessors; ``_covering``
-    the covering pairs (a, b) of that order.
+    the covering pairs (a, b) of that order. ``_memo``, a ``_Memo``, keeps the
+    probabilities of the last ordering ``evaluate_in_order`` walked and the
+    copies ``_with_station`` made for one station, so the per-target calls of
+    a no-signaling check share each candidate's evaluation.
     """
 
     dims0: tuple[int, ...]
@@ -274,6 +297,7 @@ class Scenario:
     _by_id: dict[str, Station] = field(init=False, repr=False, compare=False)
     _pasts: tuple[dict[str, set[str]], dict[str, list[str]]] = field(init=False, repr=False, compare=False)
     _covering: list[tuple[str, str]] = field(init=False, repr=False, compare=False)
+    _memo: _Memo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("dims0", "stations", "evolutions"):
@@ -297,6 +321,7 @@ class Scenario:
         if len(set(ids)) != len(ids):
             raise ValueError(f"station ids must be unique, got {ids}")
         object.__setattr__(self, "_by_id", dict(zip(ids, self.stations)))
+        object.__setattr__(self, "_memo", _Memo())
         object.__setattr__(self, "_pasts", _causal_pasts(self.events()))
         object.__setattr__(self, "_covering", [(a, b) for b, pre in self._pasts[1].items() for a in pre])
         growth, past = 1.0, self._pasts[0]
@@ -355,8 +380,16 @@ class Scenario:
 
         The copy shares every derived field that does not depend on the
         intervention, and replaces ``stations``, ``_by_id`` and ``growth``
-        after checking the evolution-history labels that name the station.
+        after checking the evolution-history labels that name the station;
+        it gets its own empty ``_memo``. An equal (station_id, local) key
+        returns the same copy, with whatever its memo holds. Only one
+        station's copies are kept: asking about another replaces them.
+        ``LocalIntervention`` compares its Kraus matrices by identity, so an
+        alternative built anew is a new key.
         """
+        sid, variants = self._memo.variants
+        if sid == station_id and (s := variants.get(local)) is not None:
+            return s
         new = Station(self.station(station_id).event, local)
         for ev in self.evolutions:
             if station_id in ev.history:
@@ -365,6 +398,11 @@ class Scenario:
         object.__setattr__(s, "stations", tuple(new if st.id == station_id else st for st in self.stations))
         object.__setattr__(s, "_by_id", {**self._by_id, station_id: new})
         object.__setattr__(s, "growth", s._station_growth() * self._evolution_growth)
+        object.__setattr__(s, "_memo", _Memo())
+        if sid != station_id:
+            variants = {}
+            self._memo.variants = (station_id, variants)
+        variants[local] = s
         return s
 
     def _station_growth(self) -> float:
@@ -668,10 +706,20 @@ def evaluate_in_order(s: Scenario, order: Sequence[str]) -> EvaluationResult:
     nothing acts on its factor fires through roots F of its POVM elements
     E = F^dagger F, so no final state is built; the result builds them on
     first read of ``final_states``.
+
+    The scenario remembers the probabilities of the last ordering it was
+    evaluated in (``Scenario._memo``): asking for that ordering again
+    neither checks nor walks it. Each result holds its own copy of the
+    probabilities, so a caller that changes one changes nothing else. A
+    new ordering replaces the remembered one, and a walk that raises
+    leaves it as it was.
     """
     order = tuple(order)
-    _require_admissible(s, order)
-    return EvaluationResult(ordering=order, probabilities=_probabilities(s, _walk(s, order)), scenario=s)
+    last = s._memo.evaluation
+    if last is None or last[0] != order:
+        _require_admissible(s, order)
+        last = s._memo.evaluation = (order, _probabilities(s, _walk(s, order)))
+    return EvaluationResult(ordering=order, probabilities=dict(last[1]), scenario=s)
 
 
 def evaluate_in_frame(s: Scenario, f: Frame) -> EvaluationResult:
@@ -938,6 +986,12 @@ def check_no_signaling(
     subsystem. When ``varied`` is omitted it is inferred from the
     subsystem the alternatives address, provided exactly one non-target
     station acts there.
+
+    Every candidate is evaluated through ``evaluate_in_order``. The
+    ordering depends only on the varied station, and ``_with_station``
+    returns the same copy for the same alternative, so checking one varied
+    station against each of its targets walks each candidate once; the
+    other calls read the probabilities the candidate remembers.
     """
     if not alternatives:
         raise ValueError("alternatives must not be empty: there is nothing to compare the original with")

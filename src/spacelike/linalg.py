@@ -103,7 +103,10 @@ def trace(a: CMatrix) -> complex:
 def deviation(a: np.ndarray, b: np.ndarray | None = None) -> float:
     """Largest entrywise |a - b| of two same-shape arrays; ``b`` defaults to the identity."""
     if b is None:
-        b = np.eye(a.shape[0])
+        # a - I without building I: one copy of a, 1 taken from its diagonal.
+        d = a.astype(np.result_type(a, np.float64), order="C")
+        d.reshape(-1)[:: len(d) + 1] -= 1.0
+        return float(np.abs(d).max())
     return float(np.max(np.abs(a - b)))
 
 

@@ -208,6 +208,22 @@ def test_no_signaling_sweep_names_failing_and_worst_seeds(capsys):
         assert (json.loads(printed["failing_seeds"]), int(printed["worst_seed"])) == (failing, worst_seed)
 
 
+def test_no_signaling_generates_each_varied_stations_alternatives_once(monkeypatch):
+    generate = cli._generated_alternatives
+    calls = []
+    monkeypatch.setattr(cli, "_generated_alternatives", lambda s, v, seed: calls.append(v) or generate(s, v, seed))
+    s = random_product_scenario(seed=3)
+    reports = cli._check_no_signaling_all(s, 1e-9, 3, None, None)
+    ids = [st.id for st in s.stations]
+    assert len(reports) == 12 and calls == ids
+    # The reports alternatives generated anew for every pair give, on a scenario built anew.
+    fresh = Scenario(dims0=s.dims0, rho0=s.rho0, stations=s.stations)
+    assert [r.as_dict() for r in reports] == [
+        cli.check_no_signaling(fresh, r.target, generate(fresh, r.varied, 3), 1e-9, varied=r.varied).as_dict()
+        for r in reports
+    ]
+
+
 def test_check_no_signaling_builtin(capsys):
     code, out, _ = run(capsys, "check-no-signaling", "eprb", "--format", "json")
     assert code == 0

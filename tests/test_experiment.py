@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -1573,3 +1574,147 @@ def test_admissibility_from_direct_predecessors_equals_the_closure_check():
             assert admitted == expected, (s.events(), order)
             verdicts[admitted] += 1
     assert verdicts[True] > 1000 and verdicts[False] > 1000, verdicts
+
+
+# ------------------------------------------------------------ the scenario's memo
+
+
+def count_walks(monkeypatch):
+    """Count the evaluator's walks without keeping what they return."""
+    walks = []
+    walk = experiment._walk
+
+    def counted(s, order, build=False):
+        walks.append(order)
+        return walk(s, order, build)
+
+    monkeypatch.setattr(experiment, "_walk", counted)
+    return walks
+
+
+def criterion_05_alternatives(varied, seed):
+    d = varied.resolve({}).d_in
+    return [
+        LocalIntervention(varied.subsystem, random_intervention(d, [d], seed=seed * 31 + 7)),
+        LocalIntervention(varied.subsystem, random_intervention(d, [1] * d, seed=seed * 31 + 8)),
+    ]
+
+
+def test_a_repeated_evaluation_walks_once_and_hands_out_copies(monkeypatch):
+    s = random_product_scenario(seed=3)
+    order = [st.id for st in s.stations]
+    walks = count_walks(monkeypatch)
+    first, second = evaluate_in_order(s, order), evaluate_in_order(s, tuple(order))
+    assert walks == [tuple(order)]
+    assert first.probabilities == second.probabilities
+    assert first.probabilities is not second.probabilities
+    # A caller that changes its result changes nothing the next call returns.
+    expected = dict(second.probabilities)
+    first.probabilities.clear()
+    second.probabilities[next(iter(expected))] = -1.0
+    assert evaluate_in_order(s, order).probabilities == expected
+    assert len(walks) == 1
+    # Another ordering walks, and replaces the remembered one.
+    other = tuple(reversed(order))
+    assert evaluate_in_order(s, other).ordering == other
+    assert s._memo.evaluation[0] == other and len(walks) == 2
+
+
+def test_a_walk_that_raises_stores_nothing(monkeypatch):
+    s = eprb(0.0, 1.0)
+    evaluate_in_order(s, ["A", "B"])
+    walks = count_walks(monkeypatch)
+    kernel = experiment._branches
+    monkeypatch.setattr(experiment, "_branches", lambda v, iv: 2 * kernel(v, iv))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="internal invariant failure"):
+            evaluate_in_order(s, ["B", "A"])
+    assert walks == [("B", "A")] * 2
+    assert s._memo.evaluation[0] == ("A", "B")
+    monkeypatch.setattr(experiment, "_branches", kernel)
+    assert sum(evaluate_in_order(s, ["B", "A"]).probabilities.values()) == pytest.approx(1.0)
+    # An ordering the causal order rejects is neither walked nor stored.
+    chain = timelike_chain_scenario()
+    with pytest.raises(ValueError, match="violating their causal order"):
+        evaluate_in_order(chain, ["Q", "P"])
+    assert chain._memo.evaluation is None and len(walks) == 3
+
+
+def test_a_variant_never_reads_its_parents_probabilities():
+    # Z fires first on |0>: X's x+ marginal is 1/2 under the original, 1 under a Hadamard.
+    hadamard = LocalIntervention(0, Intervention(d_in=2, outcomes=(Outcome("h", 2, (HADAMARD,)),)))
+    s = noncommuting_counterexample()
+    original = marginal(evaluate_in_order(s, ["Z", "X"]), "X")
+    variant = s._with_station("Z", hadamard)
+    assert variant._memo is not s._memo and variant._memo.evaluation is None
+    swapped = marginal(evaluate_in_order(variant, ["Z", "X"]), "X")
+    assert swapped["x+"] - original["x+"] == pytest.approx(0.5, abs=1e-12)
+    assert marginal(evaluate_in_order(s, ["Z", "X"]), "X") == original
+    # An equal key returns the same copy; asking about another station replaces them.
+    assert s._with_station("Z", hadamard) is variant
+    assert s._with_station("Z", LocalIntervention(0, hadamard.local)) is variant
+    other = s._with_station("X", LocalIntervention(0, identity_iv()))
+    assert s._memo.variants == ("X", {other.station("X").local: other})
+    assert s._with_station("Z", hadamard) is not variant
+    report = check_no_signaling(s, "X", [hadamard], 1e-9, varied="Z")
+    assert not report.ok and report.worst == pytest.approx(0.5, abs=1e-12)
+
+
+def test_an_exhaustive_check_leaves_one_ordering_in_the_memo():
+    s = same_qubit_antichain(7)
+    report = check_order_invariance(s, 1e-9)
+    assert not report.ok and report.orders_checked == 5040
+    last = linear_extensions(s._covering, s.events())[-1]
+    order, probabilities = s._memo.evaluation
+    assert order == last and len(probabilities) == 2**7
+    assert s._memo.variants == (None, {})
+
+
+def test_one_varied_station_against_three_targets_walks_each_candidate_once(monkeypatch):
+    s = random_product_scenario(seed=3)
+    assert len(s.stations) == 4
+    varied, targets = s.stations[0], s.stations[1:]
+    alternatives = criterion_05_alternatives(varied, 3)
+    walks = count_walks(monkeypatch)
+    evaluations = []
+    evaluate = experiment.evaluate_in_order
+    monkeypatch.setattr(experiment, "evaluate_in_order", lambda v, o: evaluations.append(o) or evaluate(v, o))
+    for target in targets:
+        assert check_no_signaling(s, target.id, alternatives, 1e-9, varied=varied.id).ok
+    assert len(evaluations) == 9 and len(walks) == 3
+    assert set(walks) == {experiment._varied_first_ids(s, varied.id)}
+
+
+def shared_and_rebuilt_reports(s, target, alternatives, varied):
+    """The report from ``s``, which may remember earlier calls, and from a fresh copy of it."""
+    shared = check_no_signaling(s, target, alternatives, 1e-9, varied=varied)
+    rebuilt = check_no_signaling(replace(s), target, alternatives, 1e-9, varied=varied)
+    return shared, rebuilt
+
+
+def test_sharing_evaluations_changes_no_no_signaling_report(monkeypatch):
+    walks = count_walks(monkeypatch)
+    pairs = []
+    for seed in range(200):
+        s = random_product_scenario(seed=seed)
+        for varied in s.stations:
+            alternatives = criterion_05_alternatives(varied, seed)
+            for target in s.stations:
+                if target.id != varied.id:
+                    pairs.append(shared_and_rebuilt_reports(s, target.id, alternatives, varied.id))
+    s = eprb(0.0, math.pi / 3.0)
+    analyzers = [LocalIntervention(0, spin_analyzer(a)) for a in (0.0, math.pi / 2.0, math.pi / 4.0)]
+    pairs.append(shared_and_rebuilt_reports(s, "B", [*analyzers, LocalIntervention(0, identity_iv())], "A"))
+    hadamard = LocalIntervention(0, Intervention(d_in=2, outcomes=(Outcome("h", 2, (HADAMARD,)),)))
+    s = noncommuting_counterexample()
+    pairs.append(shared_and_rebuilt_reports(s, "X", [hadamard], "Z"))
+    pairs.append(shared_and_rebuilt_reports(s, "X", [hadamard], "Z"))
+    for shared, rebuilt in pairs:
+        assert (shared.ok, shared.worst, shared.witness, shared.ordering) == (
+            rebuilt.ok, rebuilt.worst, rebuilt.witness, rebuilt.ordering
+        )
+    assert len(pairs) == 1262 + 3
+    assert not pairs[-1][0].ok and pairs[-1][0].worst == pytest.approx(0.5, abs=1e-12)
+    # Shared: 3 walks per varied station of the sweep (1,761), 5 for eprb, 2 for the
+    # control, which its second call reads back. Rebuilt: every candidate of every call.
+    assert len(walks) == (1761 + 5 + 2) + (3 * 1262 + 5 + 2 * 2)

@@ -5,6 +5,7 @@ from spacelike.linalg import (
     CMatrix,
     DimensionError,
     dagger,
+    deviation,
     kron,
     matmul,
     max_abs_diff,
@@ -93,3 +94,16 @@ def test_max_abs_diff():
     assert max_abs_diff(a, b) == pytest.approx(3e-4)
     with pytest.raises(DimensionError):
         max_abs_diff(a, CMatrix(np.zeros((3, 3))))
+
+
+def test_deviation_from_the_identity_equals_subtracting_np_eye_exactly():
+    rng = np.random.default_rng(20)
+    for n in range(1, 65):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        # Near the identity too, where the diagonal entries decide the answer.
+        near = np.eye(n) + 1e-9 * a
+        before = a.copy()
+        for m in (a, near, a.T, CMatrix(near).array):
+            assert deviation(m) == np.max(np.abs(m - np.eye(n)))
+        # The argument is left as it was.
+        assert np.array_equal(a, before)

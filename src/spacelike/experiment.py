@@ -30,8 +30,9 @@ Two certifiers operate on top of the evaluator:
 
 A scenario remembers two things between calls, and nothing else: the
 probabilities of the last ordering it was evaluated in, and the copies it
-made with one station's intervention replaced. So a no-signaling check of
-one varied station against each of its targets walks each candidate once.
+made with one station's intervention replaced by the last no-signaling
+check's alternatives. So a no-signaling check of one varied station
+against each of its targets walks each candidate once.
 """
 
 from __future__ import annotations
@@ -261,7 +262,8 @@ class _Memo:
 
     ``evaluation`` is the (ordering, probabilities) of its last evaluation,
     None before the first; ``variants`` is (station id, {local: copy}), the
-    copies ``_with_station`` made for one station, (None, {}) before the first.
+    copies ``_with_station`` made for one station since ``_variants`` last
+    kept only its own, (None, {}) before the first.
     """
 
     __slots__ = ("evaluation", "variants")
@@ -283,8 +285,9 @@ class Scenario:
     ``_pasts`` each one's causal past and direct predecessors; ``_covering``
     the covering pairs (a, b) of that order. ``_memo``, a ``_Memo``, keeps the
     probabilities of the last ordering ``evaluate_in_order`` walked and the
-    copies ``_with_station`` made for one station, so the per-target calls of
-    a no-signaling check share each candidate's evaluation.
+    copies ``_variants`` made for one station's last list of alternatives,
+    so the per-target calls of a no-signaling check share each candidate's
+    evaluation.
     """
 
     dims0: tuple[int, ...]
@@ -383,7 +386,8 @@ class Scenario:
         after checking the evolution-history labels that name the station;
         it gets its own empty ``_memo``. An equal (station_id, local) key
         returns the same copy, with whatever its memo holds. Only one
-        station's copies are kept: asking about another replaces them.
+        station's copies are kept: asking about another replaces them, and
+        ``_variants`` drops those of alternatives it was not given.
         ``LocalIntervention`` compares its Kraus matrices by identity, so an
         alternative built anew is a new key.
         """
@@ -404,6 +408,16 @@ class Scenario:
             self._memo.variants = (station_id, variants)
         variants[local] = s
         return s
+
+    def _variants(self, station_id: str, alternatives: Sequence[LocalIntervention]) -> list[Scenario]:
+        """``_with_station`` for each alternative in turn, keeping no other copies.
+
+        One list checked against several targets reuses its copies; new
+        alternatives on every call leave only the last call's alive.
+        """
+        copies = [self._with_station(station_id, alt) for alt in alternatives]
+        self._memo.variants = (station_id, dict(zip(alternatives, copies)))
+        return copies
 
     def _station_growth(self) -> float:
         return math.prod(
@@ -434,7 +448,7 @@ class EvaluationResult:
         """
         states: dict[Record, CMatrix] = {}
         for lv in _walk(self.scenario, self.ordering, build=True):
-            for rec, v, dims in zip(lv.records(), lv.v, lv.dims.tolist()):
+            for rec, v, dims in zip(lv.records(), lv.v, lv.factor_dims().tolist()):
                 v = v[tuple(map(slice, dims))].reshape(math.prod(dims), -1)
                 state = (v if lv.weights is None else v * lv.weights) @ v.conj().T
                 state.setflags(write=False)
@@ -461,32 +475,63 @@ class _Level:
     ``v`` is (branch, padded factor dims..., width): every branch's factor
     V, zero past a branch's own dimension of a factor and past its own
     width; its state is V diag(weights) V^dagger, with ``weights`` None
-    for all ones. ``tr`` holds each branch's trace, ``dims`` (branch,
-    factor) its actual factor dimensions (a spent factor's: its roots'
-    padded rank, see ``_fire``) and ``idx`` (branch, station) the
-    outcome it took at each station of ``fired``, which lists the stations
-    fired so far with the intervention each fired.
+    for all ones. ``tr`` holds each branch's trace. ``fired`` lists the
+    stations fired so far as (id, intervention, factor, spent): a spent
+    station leaves its roots' padded rank on its factor (see ``_fire``),
+    any other each outcome's d_out. ``dims`` holds, per factor, the
+    distinct dimensions the branches have there.
+
+    Nothing is kept per branch but ``v`` and ``tr``: the level holds
+    groups of branches, and every station fired since it was last split
+    multiplied each group by all of its outcomes, outcome-minor. ``idx``
+    (group, station) is the outcome each group took at the stations fired
+    before that split, one empty row for a level never split.
+    ``outcomes`` and ``factor_dims`` build the per-branch rows for the
+    few readers that need them: a split, a history-keyed evolution, an
+    evolution's size check, ``final_states`` and an error message.
     """
 
     v: np.ndarray
     tr: np.ndarray
-    dims: np.ndarray
+    dims: tuple[frozenset[int], ...]
     idx: np.ndarray
     weights: np.ndarray | None = None
-    fired: tuple[tuple[str, Intervention], ...] = ()
+    fired: tuple[tuple[str, Intervention, int, bool], ...] = ()
+
+    def outcomes(self) -> np.ndarray:
+        """(branch, station): the outcome each branch took at each station of ``fired``."""
+        group, later = np.arange(len(self.tr)), []
+        for _, iv, _, _ in reversed(self.fired[self.idx.shape[1] :]):
+            group, outcome = np.divmod(group, len(iv.outcomes))
+            later.append(outcome)
+        return np.column_stack([self.idx[group], *reversed(later)])
+
+    def factor_dims(self) -> np.ndarray:
+        """(branch, factor): each branch's actual factor dimensions.
+
+        A factor no station fired on has one dimension; the last station
+        fired on any other sets it, by outcome.
+        """
+        idx = self.outcomes()
+        dims = np.tile([min(d) for d in self.dims], (len(idx), 1))
+        for j, (_, iv, sub, spent) in enumerate(self.fired):
+            rows = iv._povm_roots.shape[2] if spent else np.take([o.d_out for o in iv.outcomes], idx[:, j])
+            dims[:, sub] = rows
+        return dims
 
     def history(self, row: int) -> dict[str, str]:
-        return {sid: iv.outcomes[i].label for (sid, iv), i in zip(self.fired, self.idx[row])}
+        return {sid: iv.outcomes[i].label for (sid, iv, _, _), i in zip(self.fired, self.outcomes()[row])}
 
     def matches(self, history: Mapping[str, str]) -> np.ndarray:
         """Which branches recorded every outcome of ``history``."""
-        hit = np.ones(len(self.idx), dtype=bool)
-        pos = {sid: j for j, (sid, _) in enumerate(self.fired)}
+        hit = np.ones(len(self.tr), dtype=bool)
+        pos = {sid: j for j, (sid, *_) in enumerate(self.fired)}
+        idx = self.outcomes()
         for sid, label in history.items():
             labels = self.fired[pos[sid]][1].labels() if sid in pos else ()
             if label not in labels:
                 return np.zeros_like(hit)
-            hit &= self.idx[:, pos[sid]] == labels.index(label)
+            hit &= idx[:, pos[sid]] == labels.index(label)
         return hit
 
     def split(self, key: np.ndarray) -> list[tuple[np.ndarray, _Level]]:
@@ -496,26 +541,29 @@ class _Level:
         groups: dict[tuple, list[int]] = {}
         for row, k in enumerate(map(tuple, key.reshape(len(key), -1).tolist())):
             groups.setdefault(k, []).append(row)
+        idx, dims = self.outcomes(), self.factor_dims()
         parts = []
         for rows in groups.values():
-            part = replace(self, v=self.v[rows], tr=self.tr[rows], dims=self.dims[rows], idx=self.idx[rows])
+            part_dims = tuple(map(frozenset, dims[rows].T.tolist()))
+            part = replace(self, v=self.v[rows], tr=self.tr[rows], dims=part_dims, idx=idx[rows])
             parts.append((key[rows[0]], part))
         return parts
 
     def records(self) -> list[Record]:
         """Each branch's record: its outcome labels keyed by station id, sorted by id."""
-        pairs = [[(sid, o.label) for o in iv.outcomes] for sid, iv in self.fired]
+        pairs = [[(sid, o.label) for o in iv.outcomes] for sid, iv, _, _ in self.fired]
         by_id = sorted(range(len(pairs)), key=lambda j: self.fired[j][0])
         # Unsplit, the rows are every outcome combination in order; a split keeps a strict subset.
-        if len(self.idx) != math.prod(map(len, pairs)):
-            return [tuple(pairs[j][row[j]] for j in by_id) for row in self.idx.tolist()]
+        if len(self.tr) != math.prod(map(len, pairs)):
+            return [tuple(pairs[j][row[j]] for j in by_id) for row in self.outcomes().tolist()]
         rows = itertools.product(*pairs)
         return list(map(operator.itemgetter(*by_id), rows) if len(by_id) > 1 else rows)
 
 
 def _apply_unitary(lv: _Level, u: CMatrix, position: str) -> _Level:
     """Every branch of ``lv`` evolved by u, V -> U V, on the branches' own factor dims."""
-    sizes = lv.dims.prod(axis=1)
+    dims = lv.factor_dims()
+    sizes = dims.prod(axis=1)
     bad = np.flatnonzero(sizes != u.rows)
     if bad.size:
         raise DimensionError(
@@ -524,11 +572,11 @@ def _apply_unitary(lv: _Level, u: CMatrix, position: str) -> _Level:
         )
     # Branches of one sub-batch fired the same interventions, so equal sizes
     # with different factor dims would need dimension errors elsewhere.
-    if (lv.dims != lv.dims[0]).any():
+    if (dims != dims[0]).any():
         raise DimensionError(
             f"branches reach the evolution {position} with different factor dimensions"
         )
-    v = lv.v[(slice(None), *map(slice, lv.dims[0].tolist()))]
+    v = lv.v[(slice(None), *map(slice, dims[0].tolist()))]
     v = (u.array @ v.reshape(len(v), u.rows, -1)).reshape(v.shape)
     return replace(lv, v=v, tr=_trace(v, lv.weights))
 
@@ -539,7 +587,7 @@ def _evolve(s: Scenario, lv: _Level, prev: str | None, cur: str | None) -> list[
     if not evs:
         return [lv]
     position = f"between {prev!r} and {cur!r}" if cur is not None else f"after {prev!r}"
-    which = np.full(len(lv.idx), -1)
+    which = np.full(len(lv.tr), -1)
     for i, ev in reversed(list(enumerate(evs))):
         which[lv.matches(ev.history)] = i
     return [
@@ -552,53 +600,57 @@ def _resolve(st: Station, lv: _Level) -> list[tuple[_Level, Intervention]]:
     """The intervention ``st`` fires on each branch of ``lv``, split where a case differs."""
     if isinstance(st.local, LocalIntervention):
         return [(lv, st.local.local)]
-    pos = {sid: j for j, (sid, _) in enumerate(lv.fired)}
+    pos = {sid: j for j, (sid, *_) in enumerate(lv.fired)}
     if not all(dep in pos for dep in st.local.depends_on):
         st.resolve(lv.history(0))  # raises: a dependency has not fired
-    cases = lv.idx[:, [pos[dep] for dep in st.local.depends_on]]
+    cases = lv.outcomes()[:, [pos[dep] for dep in st.local.depends_on]]
     return [(part, st.resolve(part.history(0))) for _, part in lv.split(cases)]
 
 
 def _fire(st: Station, lv: _Level, iv: Intervention, spent: bool) -> _Level:
     """Fire ``iv`` at ``st`` on every branch of ``lv``: the next level.
 
-    Each branch trace is bounded by its parent's times the derived growth.
-    A ``spent`` station, one after which nothing acts on its factor, fires
-    through ``iv``'s POVM roots instead of its Kraus stack, so each branch
-    keeps only its outcome's rank on that factor, not d_out rows per Kraus
-    matrix; ``dims`` then records the roots' padded rank there.
+    One contraction of ``iv``'s stack gives every outcome branch of every
+    branch (``_branches``); each branch trace is bounded by its parent's
+    times the derived growth. A ``spent`` station, one after which nothing
+    acts on its factor, fires through ``iv``'s POVM roots instead of its
+    Kraus stack, so each branch keeps only its outcome's rank on that
+    factor, not d_out rows per Kraus matrix; its factor's dimension is
+    then the roots' padded rank.
     """
     sub, d = st.subsystem, iv.d_in
-    n, nfactors = lv.dims.shape
-    if not (0 <= sub < nfactors and (lv.dims[:, sub] == d).all()):
-        bad = np.flatnonzero(lv.dims[:, sub] != d)[0] if 0 <= sub < nfactors else 0
+    if not (0 <= sub < len(lv.dims) and lv.dims[sub] == {d}):
+        dims = lv.factor_dims()
+        bad = np.flatnonzero(dims[:, sub] != d)[0] if 0 <= sub < len(lv.dims) else 0
         try:
-            _factor_sizes(lv.dims[bad].tolist(), sub, d)
+            _factor_sizes(dims[bad].tolist(), sub, d)
         except DimensionError as exc:
             raise DimensionError(f"station {st.id!r} at this point in the chain: {exc}") from exc
-    pdims = lv.v.shape[1:-1]
+    n, pdims = len(lv.v), lv.v.shape[1:-1]
     # Every branch has d on this factor, so its padding beyond d is zero.
     v = lv.v[(slice(None),) * (sub + 1) + (slice(0, d),)]
     v = v.reshape(n, math.prod(pdims[:sub]), d, math.prod(pdims[sub + 1 :]), -1)
-    m = len(iv.outcomes)
     stack = iv._povm_roots if spent else iv._kraus_stack
-    dims = np.repeat(lv.dims, m, axis=0)
-    dims.reshape(n, m, nfactors)[:, :, sub] = stack.shape[2] if spent else [o.d_out for o in iv.outcomes]
-    idx = np.empty((n, m, lv.idx.shape[1] + 1), dtype=int)
-    idx[:, :, :-1] = lv.idx[:, None]
-    idx[:, :, -1] = np.arange(m)
-    idx, fired = idx.reshape(n * m, -1), (*lv.fired, (st.id, iv))
     out = _branches(v, stack)
     weights = None if lv.weights is None else np.repeat(lv.weights, out.shape[-1] // v.shape[-1])
     tr = _trace(out, weights)
     _check_outcomes(tr, lv.tr, iv)
-    shape = (n * m, *pdims[:sub], out.shape[2], *pdims[sub + 1 :])
+    rows = out.shape[2]
+    shape = (len(out), *pdims[:sub], rows, *pdims[sub + 1 :])
     size = math.prod(shape[1:])
     if out.shape[-1] > size:
         if weights is not None:
             out = out * np.sqrt(weights)
-        out, weights = _recompress(out.reshape(n * m, size, -1)), None
-    return _Level(out.reshape(*shape, -1), tr, dims, idx, weights, fired)
+        out, weights = _recompress(out.reshape(len(out), size, -1)), None
+    dims = frozenset((rows,)) if spent else frozenset(o.d_out for o in iv.outcomes)
+    return _Level(
+        out.reshape(*shape, -1),
+        tr,
+        (*lv.dims[:sub], dims, *lv.dims[sub + 1 :]),
+        lv.idx,
+        weights,
+        (*lv.fired, (st.id, iv, sub, spent)),
+    )
 
 
 def _recompress(v: np.ndarray) -> np.ndarray:
@@ -633,11 +685,13 @@ def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[_Lev
     recompressed.
 
     Memory: a level holds prod(outcomes of the stations fired so far) x D
-    x width entries, D the padded dimension and width at most D. Spent
-    factors shrink D to the product of the roots' ranks and the unspent
-    factors, so a GHZ state measured one qubit per station never holds more
-    than 2^n entries per level, the last included: 4 kB for 8 qubits, 16 kB
-    for 10.
+    x width entries, D the padded dimension and width at most D, and one
+    trace per branch; which outcomes a branch took and its factor
+    dimensions are derived only where read (see ``_Level``). Spent factors
+    shrink D to the product of the roots' ranks and the unspent factors,
+    so a GHZ state measured one qubit per station never holds more than
+    2^n entries per level, the last included: 4 kB for 8 qubits, 16 kB for
+    10.
     """
     q, w = s._eigen
     v0, weights = (q, w) if build else (q * np.sqrt(w), None)
@@ -645,7 +699,7 @@ def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[_Lev
         _Level(
             v0.reshape(1, *s.dims0, v0.shape[1]),
             _trace(v0[None], weights),
-            np.array([s.dims0]),
+            tuple(frozenset((d,)) for d in s.dims0),
             np.empty((1, 0), dtype=int),
             weights,
         )
@@ -679,7 +733,11 @@ def _require_admissible(s: Scenario, order: tuple[str, ...]) -> None:
 
 
 def _probabilities(s: Scenario, levels: list[_Level]) -> dict[Record, float]:
-    """One ordering's record probabilities from its last sub-batches, each within its bound."""
+    """One ordering's record probabilities from its last sub-batches, each within its bound.
+
+    A level names its records from the stations it fired; only a split one
+    builds its per-branch outcomes for that.
+    """
     probabilities: dict[Record, float] = {}
     for lv in levels:
         records = lv.records()
@@ -735,14 +793,20 @@ def evaluate_in_frame(s: Scenario, f: Frame) -> EvaluationResult:
 
 
 def marginal(result: EvaluationResult, station_id: str) -> dict[str, float]:
-    """Outcome distribution of one station, summed over all other outcomes."""
+    """Outcome distribution of one station, summed over all other outcomes.
+
+    Every record of one evaluation names the same stations, sorted by id,
+    so the station's label sits at one position, found in the first
+    record; KeyError if the station is absent.
+    """
+    first = next(iter(result.probabilities), ())
+    j = next((j for j, (sid, _) in enumerate(first) if sid == station_id), None)
+    if j is None:
+        raise KeyError(f"station {station_id!r} did not participate in this evaluation")
     out: dict[str, float] = {}
     for rec, p in result.probabilities.items():
-        entry = dict(rec)
-        if station_id in entry:
-            out[entry[station_id]] = out.get(entry[station_id], 0.0) + p
-    if not out:
-        raise KeyError(f"station {station_id!r} did not participate in this evaluation")
+        label = rec[j][1]
+        out[label] = out.get(label, 0.0) + p
     return out
 
 
@@ -988,10 +1052,11 @@ def check_no_signaling(
     station acts there.
 
     Every candidate is evaluated through ``evaluate_in_order``. The
-    ordering depends only on the varied station, and ``_with_station``
-    returns the same copy for the same alternative, so checking one varied
-    station against each of its targets walks each candidate once; the
-    other calls read the probabilities the candidate remembers.
+    ordering depends only on the varied station, and ``_variants`` returns
+    the same copy for the same alternative, keeping only the copies of
+    this call's alternatives, so checking one varied station against each
+    of its targets walks each candidate once; the other calls read the
+    probabilities the candidate remembers.
     """
     if not alternatives:
         raise ValueError("alternatives must not be empty: there is nothing to compare the original with")
@@ -1017,7 +1082,7 @@ def check_no_signaling(
 
     order = _varied_first_ids(s, varied)
     # The original candidate is s itself; each alternative is s with one station swapped.
-    variants = [s, *(s._with_station(varied, alt) for alt in alternatives)]
+    variants = [s, *s._variants(varied, alternatives)]
     marginals = [marginal(evaluate_in_order(v, order), target) for v in variants]
     worst, witness, _ = _spread(enumerate(marginals))
     ok = worst <= tol

@@ -202,15 +202,17 @@ def _trace(v: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
     return np.einsum("ij,ij->i", x, x)
 
 
-def _first_outside(values: np.ndarray, high) -> int | None:
-    """Flat index of the first value outside [0, high] by more than ``tolerance.FLOOR``, if any.
+def _first_outside(traces: np.ndarray, high) -> int | None:
+    """Flat index of the first trace above ``high`` by more than ``tolerance.FLOOR``, or NaN, if any.
 
-    ``high`` broadcasts against ``values``; NaN is outside.
+    ``high`` broadcasts against ``traces``. A trace from ``_trace`` is a sum
+    of squares, never below 0, so one ``max`` checks the bound, and it
+    propagates NaN, which then fails the comparison.
     """
-    if values.min() >= -tolerance.FLOOR and (values - high).max() <= tolerance.FLOOR:
+    excess = traces - high
+    if excess.max() <= tolerance.FLOOR:
         return None
-    inside = (values >= -tolerance.FLOOR) & (values <= high + tolerance.FLOOR)
-    return int(np.flatnonzero(~inside)[0])
+    return int(np.flatnonzero(~(excess <= tolerance.FLOOR))[0])
 
 
 def _check_outcomes(traces: np.ndarray, parent: np.ndarray, iv: Intervention) -> None:

@@ -213,6 +213,29 @@ def test_chain_dimension_mismatch_names_station():
     assert sum(result.probabilities.values()) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_a_factor_of_mixed_dimensions_is_refused_or_routed_by_outcome():
+    # G leaves its qubit 2- or 3-dimensional, by outcome: a level's branches
+    # then differ on that factor, and a qubit station after G meets the qutrit.
+    grow = station("G", 0.0, 1.0, 0, random_intervention(2, [2, 3], seed=1))
+    s = Scenario(dims0=(2,), rho0=maximally_mixed(), stations=(grow, station("Z", 0.5, -1.0, 0, z_iv())))
+    with pytest.raises(DimensionError) as exc:
+        evaluate_in_order(s, ["G", "Z"])
+    assert str(exc.value) == (
+        "station 'Z' at this point in the chain: factor 0 has dimension 3, "
+        "but the local intervention expects d_in 2"
+    )
+    # Routing o0 (d_out 2) to a qubit case and o1 (d_out 3) to a qutrit case fits every branch.
+    cases = {("o0",): x_iv(), ("o1",): random_intervention(3, [1, 2], seed=2)}
+    routed = Scenario(
+        dims0=(2,),
+        rho0=random_density(2, seed=3),
+        stations=(grow, Station(Event("C", 2.0, 1.0), ConditionalLocal(0, ("G",), cases))),
+    )
+    assert_leaf_step_matches_state_path(routed)
+    assert_spent_walk_matches_built_walk(routed)
+    assert len(evaluate_in_order(routed, ["G", "C"]).probabilities) == 4
+
+
 def test_subsystem_index_out_of_range_names_station():
     s = Scenario(
         dims0=(2,),
@@ -725,6 +748,22 @@ def test_a_broken_runtime_invariant_is_reported_not_returned(monkeypatch, capsys
         evaluate_in_order(eprb(0.0, 1.0), ["A", "B"])
     assert cli.main(["simulate", "eprb"]) == 2
     assert "internal invariant failure" in capsys.readouterr().err
+
+
+def test_a_nan_branch_factor_is_reported_naming_its_outcome(monkeypatch):
+    # One NaN entry in outcome '-''s branch: the bound's one max must carry it to the report.
+    kernel = experiment._branches
+
+    def poisoned(v, stack):
+        out = kernel(v, stack).copy()
+        out[1].flat[0] = np.nan
+        return out
+
+    monkeypatch.setattr(experiment, "_branches", poisoned)
+    s = eprb(0.0, 1.0)
+    with pytest.raises(ValueError, match="branch trace for outcome '-' is nan, .*internal invariant failure"):
+        evaluate_in_order(s, ["A", "B"])
+    assert s._memo.evaluation is None
 
 
 # ------------------------------------------------------------- cross checks
@@ -1683,6 +1722,17 @@ def test_one_varied_station_against_three_targets_walks_each_candidate_once(monk
         assert check_no_signaling(s, target.id, alternatives, 1e-9, varied=varied.id).ok
     assert len(evaluations) == 9 and len(walks) == 3
     assert set(walks) == {experiment._varied_first_ids(s, varied.id)}
+
+
+def test_fresh_alternatives_leave_one_calls_copies_in_the_memo():
+    # A caller varying one station over newly built alternatives, one call each.
+    s = random_product_scenario(seed=3)
+    varied, target = s.stations[0], s.stations[1]
+    d = varied.resolve({}).d_in
+    for seed in range(2000):
+        alternative = LocalIntervention(varied.subsystem, random_intervention(d, [d], seed=seed))
+        assert check_no_signaling(s, target.id, [alternative], 1e-9, varied=varied.id).ok
+    assert s._memo.variants[0] == varied.id and list(s._memo.variants[1]) == [alternative]
 
 
 def shared_and_rebuilt_reports(s, target, alternatives, varied):

@@ -31,6 +31,7 @@ from .intervention import Intervention, LocalIntervention, Outcome, random_inter
 from .experiment import (
     EvaluationResult,
     Scenario,
+    _frame_orders,
     check_no_signaling,
     check_order_invariance,
     compare_orderings,
@@ -38,7 +39,7 @@ from .experiment import (
 )
 from .scenarios import _BUILTINS, random_product_scenario
 from .schema import SchemaError, parse_scenario
-from .spacetime import Frame, IntervalKind, classify, frame_groups, linear_extensions
+from .spacetime import Frame, IntervalKind, classify
 
 def load_scenario(name_or_path: str | Path) -> Scenario:
     """The built-in scenario of a ``_scenario`` key, built alone, or the parsed file at a path."""
@@ -97,11 +98,7 @@ def _emit_report(report_dict: dict, fmt: str, out) -> None:
 
 def cmd_simulate(args, out) -> int:
     s = load_scenario(args.scenario)
-    # Every ordering the frame admits: more than one exactly on a tie of causally unordered stations.
-    groups = frame_groups(s.events(), Frame(args.frame_velocity))
-    later = {(a.id, b.id) for g, h in zip(groups, groups[1:]) for a in g for b in h}
-    orders = linear_extensions(later.union(s._covering), [e for g in groups for e in g])
-    results = [evaluate_in_order(s, order) for order in orders]
+    results = [evaluate_in_order(s, order) for order in _frame_orders(s, Frame(args.frame_velocity))]
     if len(results) == 1:
         _emit_result(results[0], args.format, out)
         return 0

@@ -43,7 +43,7 @@ import math
 import operator
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -63,6 +63,7 @@ from .spacetime import (
     TieReport,
     _causal_pasts,
     classify,
+    frame_groups,
     frame_ordering,
     linear_extensions,
 )
@@ -96,12 +97,12 @@ class StateError(ValueError):
 
 
 class TieError(RuntimeError):
-    """Frame ordering hit a tie; carries the TieReport for the caller."""
+    """Frame ordering hit a tie the causal order leaves open; carries the TieReport for the caller."""
 
     def __init__(self, report: TieReport):
         super().__init__(
-            f"boosted times coincide at velocity {report.velocity} for pairs {report.pairs}; "
-            "evaluate both resolutions explicitly"
+            f"boosted times coincide at velocity {report.velocity} for pairs {report.pairs}, "
+            "and the causal order leaves more than one ordering; evaluate each explicitly"
         )
         self.report = report
 
@@ -262,8 +263,8 @@ class _Memo:
 
     ``evaluation`` is the (ordering, probabilities) of its last evaluation,
     None before the first; ``variants`` is (station id, {local: copy}), the
-    copies ``_with_station`` made for one station since ``_variants`` last
-    kept only its own, (None, {}) before the first.
+    copies ``_variants`` returned on its last call, (None, {}) before the
+    first.
     """
 
     __slots__ = ("evaluation", "variants")
@@ -283,11 +284,12 @@ class Scenario:
     the chain can raise a trace; ``_eigen`` holds rho0's eigenpairs from
     ``_factor``, which also checks positivity; ``_by_id`` the stations by id;
     ``_pasts`` each one's causal past and direct predecessors; ``_covering``
-    the covering pairs (a, b) of that order. ``_memo``, a ``_Memo``, keeps the
-    probabilities of the last ordering ``evaluate_in_order`` walked and the
-    copies ``_variants`` made for one station's last list of alternatives,
-    so the per-target calls of a no-signaling check share each candidate's
-    evaluation.
+    the covering pairs (a, b) of that order; ``_evolutions_at`` the
+    evolutions by their (after, before) pair. ``_memo``, a ``_Memo``, keeps
+    the probabilities of the last ordering ``evaluate_in_order`` walked and
+    the copies ``_variants`` made for one station's last list of
+    alternatives, so the per-target calls of a no-signaling check share
+    each candidate's evaluation.
     """
 
     dims0: tuple[int, ...]
@@ -300,6 +302,7 @@ class Scenario:
     _by_id: dict[str, Station] = field(init=False, repr=False, compare=False)
     _pasts: tuple[dict[str, set[str]], dict[str, list[str]]] = field(init=False, repr=False, compare=False)
     _covering: list[tuple[str, str]] = field(init=False, repr=False, compare=False)
+    _evolutions_at: dict[tuple[str | None, str | None], list[Evolution]] = field(init=False, repr=False, compare=False)
     _memo: _Memo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -327,7 +330,7 @@ class Scenario:
         object.__setattr__(self, "_memo", _Memo())
         object.__setattr__(self, "_pasts", _causal_pasts(self.events()))
         object.__setattr__(self, "_covering", [(a, b) for b, pre in self._pasts[1].items() for a in pre])
-        growth, past = 1.0, self._pasts[0]
+        growth, past, at = 1.0, self._pasts[0], {}
         for ev in self.evolutions:
             for end in (ev.after, ev.before):
                 if end is not None and end not in self._by_id:
@@ -357,15 +360,15 @@ class Scenario:
                     f"(deviation {dev:.3e})"
                 )
             growth *= tolerance.growth(m.rows, dev)
+            at.setdefault((a, b), []).append(ev)
         object.__setattr__(self, "_evolution_growth", growth)
         object.__setattr__(self, "growth", self._station_growth() * growth)
-        for i, e1 in enumerate(self.evolutions):
-            for e2 in self.evolutions[i + 1 :]:
-                if (e1.after, e1.before) == (e2.after, e2.before) and all(
-                    e1.history[k] == e2.history[k] for k in e1.history.keys() & e2.history.keys()
-                ):
+        object.__setattr__(self, "_evolutions_at", at)
+        for (a, b), evs in at.items():
+            for e1, e2 in itertools.combinations(evs, 2):
+                if all(e1.history[k] == e2.history[k] for k in e1.history.keys() & e2.history.keys()):
                     raise ValueError(
-                        f"evolutions between {e1.after!r} and {e1.before!r} have "
+                        f"evolutions between {a!r} and {b!r} have "
                         "overlapping history conditions; matches must be unambiguous"
                     )
 
@@ -384,16 +387,8 @@ class Scenario:
         The copy shares every derived field that does not depend on the
         intervention, and replaces ``stations``, ``_by_id`` and ``growth``
         after checking the evolution-history labels that name the station;
-        it gets its own empty ``_memo``. An equal (station_id, local) key
-        returns the same copy, with whatever its memo holds. Only one
-        station's copies are kept: asking about another replaces them, and
-        ``_variants`` drops those of alternatives it was not given.
-        ``LocalIntervention`` compares its Kraus matrices by identity, so an
-        alternative built anew is a new key.
+        it gets its own empty ``_memo``.
         """
-        sid, variants = self._memo.variants
-        if sid == station_id and (s := variants.get(local)) is not None:
-            return s
         new = Station(self.station(station_id).event, local)
         for ev in self.evolutions:
             if station_id in ev.history:
@@ -403,21 +398,23 @@ class Scenario:
         object.__setattr__(s, "_by_id", {**self._by_id, station_id: new})
         object.__setattr__(s, "growth", s._station_growth() * self._evolution_growth)
         object.__setattr__(s, "_memo", _Memo())
-        if sid != station_id:
-            variants = {}
-            self._memo.variants = (station_id, variants)
-        variants[local] = s
         return s
 
     def _variants(self, station_id: str, alternatives: Sequence[LocalIntervention]) -> list[Scenario]:
-        """``_with_station`` for each alternative in turn, keeping no other copies.
+        """``_with_station`` for each alternative in turn, one copy per distinct alternative.
 
-        One list checked against several targets reuses its copies; new
-        alternatives on every call leave only the last call's alive.
+        The memo keeps only this call's copies: an alternative equal to one
+        of the last call's, for the same station, gets that copy back, with
+        whatever its memo holds. ``LocalIntervention`` compares its Kraus
+        matrices by identity, so an alternative built anew is a new key.
         """
-        copies = [self._with_station(station_id, alt) for alt in alternatives]
-        self._memo.variants = (station_id, dict(zip(alternatives, copies)))
-        return copies
+        sid, kept = self._memo.variants
+        copies: dict[LocalIntervention, Scenario] = {}
+        for alt in alternatives:
+            if alt not in copies:
+                copies[alt] = kept[alt] if sid == station_id and alt in kept else self._with_station(station_id, alt)
+        self._memo.variants = (station_id, copies)
+        return [copies[alt] for alt in alternatives]
 
     def _station_growth(self) -> float:
         return math.prod(
@@ -487,8 +484,8 @@ class _Level:
     (group, station) is the outcome each group took at the stations fired
     before that split, one empty row for a level never split.
     ``outcomes`` and ``factor_dims`` build the per-branch rows for the
-    few readers that need them: a split, a history-keyed evolution, an
-    evolution's size check, ``final_states`` and an error message.
+    few readers that need them: a split, an evolution's size check,
+    ``final_states`` and an error message.
     """
 
     v: np.ndarray
@@ -519,34 +516,29 @@ class _Level:
             dims[:, sub] = rows
         return dims
 
-    def history(self, row: int) -> dict[str, str]:
-        return {sid: iv.outcomes[i].label for (sid, iv, _, _), i in zip(self.fired, self.outcomes()[row])}
+    def split(self, names: Collection[str]) -> list[tuple[dict[str, str], _Level]]:
+        """Sub-batches of branches that took the same outcomes at the fired stations in ``names``.
 
-    def matches(self, history: Mapping[str, str]) -> np.ndarray:
-        """Which branches recorded every outcome of ``history``."""
-        hit = np.ones(len(self.tr), dtype=bool)
-        pos = {sid: j for j, (sid, *_) in enumerate(self.fired)}
+        Each comes, first seen first, with those outcomes by station id, which
+        omit a station not fired yet; the level itself where all branches agree.
+        A conditional station's cases and history-keyed evolutions split here.
+        """
+        cols = [j for j, (sid, *_) in enumerate(self.fired) if sid in names]
+        if not cols:
+            return [({}, self)]
+        groups: dict[tuple[int, ...], list[int]] = {}
         idx = self.outcomes()
-        for sid, label in history.items():
-            labels = self.fired[pos[sid]][1].labels() if sid in pos else ()
-            if label not in labels:
-                return np.zeros_like(hit)
-            hit &= idx[:, pos[sid]] == labels.index(label)
-        return hit
-
-    def split(self, key: np.ndarray) -> list[tuple[np.ndarray, _Level]]:
-        """Sub-batches of branches sharing a row of ``key`` (1-D: one column), first seen first."""
-        if (key == key[0]).all():
-            return [(key[0], self)]
-        groups: dict[tuple, list[int]] = {}
-        for row, k in enumerate(map(tuple, key.reshape(len(key), -1).tolist())):
+        for row, k in enumerate(map(tuple, idx[:, cols].tolist())):
             groups.setdefault(k, []).append(row)
-        idx, dims = self.outcomes(), self.factor_dims()
+        dims = self.factor_dims() if len(groups) > 1 else None
         parts = []
-        for rows in groups.values():
-            part_dims = tuple(map(frozenset, dims[rows].T.tolist()))
-            part = replace(self, v=self.v[rows], tr=self.tr[rows], dims=part_dims, idx=idx[rows])
-            parts.append((key[rows[0]], part))
+        for k, rows in groups.items():
+            history = {self.fired[j][0]: self.fired[j][1].outcomes[i].label for j, i in zip(cols, k)}
+            if dims is None:
+                parts.append((history, self))
+            else:
+                part_dims = tuple(map(frozenset, dims[rows].T.tolist()))
+                parts.append((history, replace(self, v=self.v[rows], tr=self.tr[rows], dims=part_dims, idx=idx[rows])))
         return parts
 
     def records(self) -> list[Record]:
@@ -583,28 +575,22 @@ def _apply_unitary(lv: _Level, u: CMatrix, position: str) -> _Level:
 
 def _evolve(s: Scenario, lv: _Level, prev: str | None, cur: str | None) -> list[_Level]:
     """``lv`` past the evolution from ``prev`` to ``cur``, split where histories differ."""
-    evs = [ev for ev in s.evolutions if ev.after == prev and ev.before == cur]
-    if not evs:
+    evs = s._evolutions_at.get((prev, cur))
+    if evs is None:
         return [lv]
     position = f"between {prev!r} and {cur!r}" if cur is not None else f"after {prev!r}"
-    which = np.full(len(lv.tr), -1)
-    for i, ev in reversed(list(enumerate(evs))):
-        which[lv.matches(ev.history)] = i
-    return [
-        part if i < 0 else _apply_unitary(part, evs[i].matrix, position)
-        for i, part in lv.split(which)
-    ]
+    out = []
+    for history, part in lv.split({k for ev in evs for k in ev.history}):
+        ev = next((ev for ev in evs if ev.matches(prev, cur, history)), None)
+        out.append(part if ev is None else _apply_unitary(part, ev.matrix, position))
+    return out
 
 
 def _resolve(st: Station, lv: _Level) -> list[tuple[_Level, Intervention]]:
     """The intervention ``st`` fires on each branch of ``lv``, split where a case differs."""
     if isinstance(st.local, LocalIntervention):
         return [(lv, st.local.local)]
-    pos = {sid: j for j, (sid, *_) in enumerate(lv.fired)}
-    if not all(dep in pos for dep in st.local.depends_on):
-        st.resolve(lv.history(0))  # raises: a dependency has not fired
-    cases = lv.outcomes()[:, [pos[dep] for dep in st.local.depends_on]]
-    return [(part, st.resolve(part.history(0))) for _, part in lv.split(cases)]
+    return [(part, st.resolve(history)) for history, part in lv.split(st.local.depends_on)]
 
 
 def _fire(st: Station, lv: _Level, iv: Intervention, spent: bool) -> _Level:
@@ -706,9 +692,8 @@ def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[_Lev
     ]
     # Chain position i lies between order[i - 1] and order[i]. A station last
     # on its factor and at or after the last position an evolution acts at is spent.
-    pairs = {(ev.after, ev.before) for ev in s.evolutions}
     steps = enumerate(zip((None, *order), (*order, None)))
-    start = max((i for i, pair in steps if pair in pairs), default=0)
+    start = max((i for i, pair in steps if pair in s._evolutions_at), default=0)
     last = {s._by_id[sid].subsystem: j for j, sid in enumerate(order)}
     spent = set() if build else {j for j in last.values() if j >= start}
     for j, cur in enumerate((*order, None)):
@@ -780,16 +765,33 @@ def evaluate_in_order(s: Scenario, order: Sequence[str]) -> EvaluationResult:
     return EvaluationResult(ordering=order, probabilities=dict(last[1]), scenario=s)
 
 
+def _frame_orders(s: Scenario, f: Frame) -> list[tuple[str, ...]]:
+    """Every admissible ordering frame f induces: more than one exactly on a tie the causal order leaves open.
+
+    Within a group of tied boosted times (``frame_groups``) only the causal
+    order ranks stations; ValueError past 8! orderings (``linear_extensions``).
+    """
+    groups = frame_groups(s.events(), f)
+    later = {(a.id, b.id) for g, h in zip(groups, groups[1:]) for a in g for b in h}
+    return linear_extensions(later.union(s._covering), [e for g in groups for e in g])
+
+
 def evaluate_in_frame(s: Scenario, f: Frame) -> EvaluationResult:
     """Evaluate under the chronological ordering the boosted frame induces.
 
-    Raises TieError when two stations share a boosted time within
-    tolerance; the caller may then evaluate both resolutions explicitly.
+    Where stations share a boosted time within ``tolerance.TIE``, the causal
+    order ranks them. TieError, whose report names the tied pairs, is raised
+    only when more than one ordering remains, as when tied stations are
+    spacelike; the caller may evaluate each with ``evaluate_in_order``.
     """
     ordered = frame_ordering(s.events(), f)
-    if isinstance(ordered, TieReport):
-        raise TieError(ordered)
-    return evaluate_in_order(s, [e.id for e in ordered])
+    if not isinstance(ordered, TieReport):
+        return evaluate_in_order(s, [e.id for e in ordered])
+    try:
+        [order] = _frame_orders(s, f)
+    except ValueError:  # more than one ordering, or more than 8! of them
+        raise TieError(ordered) from None
+    return evaluate_in_order(s, order)
 
 
 def marginal(result: EvaluationResult, station_id: str) -> dict[str, float]:

@@ -283,6 +283,31 @@ def test_unmatched_history_means_identity():
     assert result.probabilities[(("P", "z-"), ("Q", "x+"))] == pytest.approx(0.25, abs=1e-12)
 
 
+def test_a_history_naming_a_station_not_yet_fired_never_matches():
+    # H on qubit 0 between P and Q, keyed on R's outcome; R, on qubit 1, is spacelike to both.
+    s = Scenario(
+        dims0=(2, 2),
+        rho0=CMatrix(np.kron(P0.array, maximally_mixed().array)),
+        stations=(
+            station("P", 0.0, 0.0, 0, z_iv()),
+            station("Q", 2.0, 0.0, 0, z_iv()),
+            station("R", 1.0, 5.0, 1, z_iv()),
+        ),
+        evolutions=(Evolution("P", "Q", CMatrix(np.kron(HADAMARD.array, np.eye(2))), history={"R": "z+"}),),
+    )
+    orders = [("P", "Q", "R"), ("P", "R", "Q"), ("R", "P", "Q")]
+    assert sorted(linear_extensions(s._covering, s.events())) == orders
+    flipped = (("P", "z+"), ("Q", "z-"), ("R", "z+"))
+    # R has not fired at the P -> Q segment, or the segment does not occur.
+    for order in orders[:2]:
+        assert evaluate_in_order(s, order).probabilities[flipped] == pytest.approx(0.0, abs=1e-12)
+    # R fired first: its z+ branch is rotated, its z- branch is not.
+    probs = evaluate_in_order(s, orders[2]).probabilities
+    assert probs[flipped] == pytest.approx(0.25, abs=1e-12)
+    assert probs[(("P", "z+"), ("Q", "z-"), ("R", "z-"))] == pytest.approx(0.0, abs=1e-12)
+    assert_leaf_step_matches_state_path(s, orders)
+
+
 def test_initial_and_final_evolutions_apply():
     rho0 = CMatrix(np.diag([1.0, 0.0]).astype(complex))
     s = Scenario(
@@ -338,6 +363,39 @@ def test_evaluate_in_frame_raises_on_tie():
         evaluate_in_frame(s, Frame(0.0))
     pairs = excinfo.value.report.pairs
     assert ("A", "B") in pairs or ("B", "A") in pairs
+
+
+def test_evaluate_in_frame_evaluates_a_tie_the_causal_order_settles():
+    # Z and X on one worldline, 1e-13 apart: their boosted times tie, but only Z -> X is causal.
+    s = noncommuting_counterexample()
+    s = replace(s, stations=(
+        Station(Event("Z", 0.0, 0.0), s.station("Z").local),
+        Station(Event("X", 1e-13, 0.0), s.station("X").local),
+    ))
+    result = evaluate_in_frame(s, Frame(0.0))
+    assert result.ordering == ("Z", "X")
+    assert result.probabilities == evaluate_in_order(s, ["Z", "X"]).probabilities
+
+
+@pytest.mark.parametrize(
+    "events",
+    [
+        # A third station ties with Z -> X at x = 5, spacelike to both: three orderings remain.
+        [Event("Z", 0.0, 0.0), Event("X", 1e-13, 0.0), Event("Y", 0.0, 5.0)],
+        # Nine simultaneous stations have 9! of them, past the 8! the enumeration refuses.
+        [Event(f"S{i}", 0.0, 10.0 * i) for i in range(9)],
+    ],
+    ids=["three", "nine"],
+)
+def test_evaluate_in_frame_raises_when_a_tie_leaves_several_orderings(events):
+    s = Scenario(
+        dims0=(2,),
+        rho0=maximally_mixed(),
+        stations=tuple(Station(e, LocalIntervention(0, z_iv())) for e in events),
+    )
+    with pytest.raises(TieError, match="more than one ordering") as excinfo:
+        evaluate_in_frame(s, Frame(0.0))
+    assert excinfo.value.report.pairs
 
 
 def test_marginal_sums_partner_outcomes():
@@ -1684,17 +1742,17 @@ def test_a_variant_never_reads_its_parents_probabilities():
     hadamard = LocalIntervention(0, Intervention(d_in=2, outcomes=(Outcome("h", 2, (HADAMARD,)),)))
     s = noncommuting_counterexample()
     original = marginal(evaluate_in_order(s, ["Z", "X"]), "X")
-    variant = s._with_station("Z", hadamard)
+    [variant] = s._variants("Z", [hadamard])
     assert variant._memo is not s._memo and variant._memo.evaluation is None
     swapped = marginal(evaluate_in_order(variant, ["Z", "X"]), "X")
     assert swapped["x+"] - original["x+"] == pytest.approx(0.5, abs=1e-12)
     assert marginal(evaluate_in_order(s, ["Z", "X"]), "X") == original
     # An equal key returns the same copy; asking about another station replaces them.
-    assert s._with_station("Z", hadamard) is variant
-    assert s._with_station("Z", LocalIntervention(0, hadamard.local)) is variant
-    other = s._with_station("X", LocalIntervention(0, identity_iv()))
+    assert s._variants("Z", [hadamard])[0] is variant
+    assert s._variants("Z", [LocalIntervention(0, hadamard.local)])[0] is variant
+    [other] = s._variants("X", [LocalIntervention(0, identity_iv())])
     assert s._memo.variants == ("X", {other.station("X").local: other})
-    assert s._with_station("Z", hadamard) is not variant
+    assert s._variants("Z", [hadamard])[0] is not variant
     report = check_no_signaling(s, "X", [hadamard], 1e-9, varied="Z")
     assert not report.ok and report.worst == pytest.approx(0.5, abs=1e-12)
 
@@ -1722,6 +1780,19 @@ def test_one_varied_station_against_three_targets_walks_each_candidate_once(monk
         assert check_no_signaling(s, target.id, alternatives, 1e-9, varied=varied.id).ok
     assert len(evaluations) == 9 and len(walks) == 3
     assert set(walks) == {experiment._varied_first_ids(s, varied.id)}
+
+
+def test_an_alternative_listed_twice_is_copied_and_walked_once(monkeypatch):
+    s = random_product_scenario(seed=3)
+    varied, target = s.stations[0], s.stations[1]
+    [alternative, _] = criterion_05_alternatives(varied, 3)
+    walks = count_walks(monkeypatch)
+    report = check_no_signaling(s, target.id, [alternative, alternative], 1e-9, varied=varied.id)
+    assert report.ok and report.alternatives_checked == 3
+    # The original and one copy.
+    assert len(walks) == 2
+    [(copied, variant)] = s._memo.variants[1].items()
+    assert copied == alternative and all(v is variant for v in s._variants(varied.id, [alternative] * 2))
 
 
 def test_fresh_alternatives_leave_one_calls_copies_in_the_memo():

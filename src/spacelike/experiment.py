@@ -113,8 +113,9 @@ class ConditionalLocal:
 
     ``depends_on`` lists the station ids whose outcomes select the case;
     ``cases`` maps the tuple of their labels (in depends_on order) to the
-    intervention to fire. The certifiers accept such stations only when
-    every station in depends_on is causally prior.
+    intervention to fire. A scenario rejects a depends_on naming a station
+    it lacks or the station itself; the certifiers accept such stations
+    only when every station in depends_on is causally prior.
     """
 
     subsystem: int
@@ -327,6 +328,10 @@ class Scenario:
         if len(set(ids)) != len(ids):
             raise ValueError(f"station ids must be unique, got {ids}")
         object.__setattr__(self, "_by_id", dict(zip(ids, self.stations)))
+        for st in self.stations:
+            for dep in getattr(st.local, "depends_on", ()):
+                if dep == st.id or dep not in self._by_id:
+                    raise ValueError(f"station {st.id!r} depends on {dep!r}, which is not another station")
         object.__setattr__(self, "_memo", _Memo())
         object.__setattr__(self, "_pasts", _causal_pasts(self.events()))
         object.__setattr__(self, "_covering", [(a, b) for b, pre in self._pasts[1].items() for a in pre])
@@ -440,13 +445,11 @@ class EvaluationResult:
         """Unnormalized final state V V^dagger of every record; its trace is its probability.
 
         The walk runs again with ``build`` on, so every station fires through
-        its Kraus stack, and each row of a level's V is cut to its record's
-        factor dimensions.
+        its Kraus stack, and each row of a level's V is its record's factor.
         """
         states: dict[Record, CMatrix] = {}
         for lv in _walk(self.scenario, self.ordering, build=True):
-            for rec, v, dims in zip(lv.records(), lv.v, lv.factor_dims().tolist()):
-                v = v[tuple(map(slice, dims))].reshape(math.prod(dims), -1)
+            for rec, v in zip(lv.records(), lv.v.reshape(len(lv.v), -1, lv.v.shape[-1])):
                 state = (v if lv.weights is None else v * lv.weights) @ v.conj().T
                 state.setflags(write=False)
                 states[rec] = CMatrix(state)
@@ -469,81 +472,62 @@ class EvaluationResult:
 class _Level:
     """The live branches of one sub-batch after the stations fired so far; never changed once built.
 
-    ``v`` is (branch, padded factor dims..., width): every branch's factor
-    V, zero past a branch's own dimension of a factor and past its own
-    width; its state is V diag(weights) V^dagger, with ``weights`` None
-    for all ones. ``tr`` holds each branch's trace. ``fired`` lists the
-    stations fired so far as (id, intervention, factor, spent): a spent
-    station leaves its roots' padded rank on its factor (see ``_fire``),
-    any other each outcome's d_out. ``dims`` holds, per factor, the
-    distinct dimensions the branches have there.
+    ``v`` is (branch, factor dims..., width): every branch's factor V, with
+    the factor dimensions all of the level's branches have, zero past a
+    branch's own width; its state is V diag(weights) V^dagger, with
+    ``weights`` None for all ones. ``tr`` holds each branch's trace.
+    ``fired`` lists the stations fired so far as (id, intervention). A
+    station whose outcomes change its factor to different dimensions
+    leaves one level per outcome (see ``_fire``).
 
     Nothing is kept per branch but ``v`` and ``tr``: the level holds
     groups of branches, and every station fired since it was last split
     multiplied each group by all of its outcomes, outcome-minor. ``idx``
     (group, station) is the outcome each group took at the stations fired
     before that split, one empty row for a level never split.
-    ``outcomes`` and ``factor_dims`` build the per-branch rows for the
-    few readers that need them: a split, an evolution's size check,
-    ``final_states`` and an error message.
+    ``outcomes`` builds the per-branch rows for the few readers that need
+    them: a split and the records of a split level.
     """
 
     v: np.ndarray
     tr: np.ndarray
-    dims: tuple[frozenset[int], ...]
     idx: np.ndarray
     weights: np.ndarray | None = None
-    fired: tuple[tuple[str, Intervention, int, bool], ...] = ()
+    fired: tuple[tuple[str, Intervention], ...] = ()
 
     def outcomes(self) -> np.ndarray:
         """(branch, station): the outcome each branch took at each station of ``fired``."""
         group, later = np.arange(len(self.tr)), []
-        for _, iv, _, _ in reversed(self.fired[self.idx.shape[1] :]):
+        for _, iv in reversed(self.fired[self.idx.shape[1] :]):
             group, outcome = np.divmod(group, len(iv.outcomes))
             later.append(outcome)
         return np.column_stack([self.idx[group], *reversed(later)])
-
-    def factor_dims(self) -> np.ndarray:
-        """(branch, factor): each branch's actual factor dimensions.
-
-        A factor no station fired on has one dimension; the last station
-        fired on any other sets it, by outcome.
-        """
-        idx = self.outcomes()
-        dims = np.tile([min(d) for d in self.dims], (len(idx), 1))
-        for j, (_, iv, sub, spent) in enumerate(self.fired):
-            rows = iv._povm_roots.shape[2] if spent else np.take([o.d_out for o in iv.outcomes], idx[:, j])
-            dims[:, sub] = rows
-        return dims
 
     def split(self, names: Collection[str]) -> list[tuple[dict[str, str], _Level]]:
         """Sub-batches of branches that took the same outcomes at the fired stations in ``names``.
 
         Each comes, first seen first, with those outcomes by station id, which
         omit a station not fired yet; the level itself where all branches agree.
-        A conditional station's cases and history-keyed evolutions split here.
+        A conditional station's cases, history-keyed evolutions and a
+        station's outcomes of different dimensions split here.
         """
-        cols = [j for j, (sid, *_) in enumerate(self.fired) if sid in names]
+        cols = [j for j, (sid, _) in enumerate(self.fired) if sid in names]
         if not cols:
             return [({}, self)]
         groups: dict[tuple[int, ...], list[int]] = {}
         idx = self.outcomes()
         for row, k in enumerate(map(tuple, idx[:, cols].tolist())):
             groups.setdefault(k, []).append(row)
-        dims = self.factor_dims() if len(groups) > 1 else None
         parts = []
         for k, rows in groups.items():
             history = {self.fired[j][0]: self.fired[j][1].outcomes[i].label for j, i in zip(cols, k)}
-            if dims is None:
-                parts.append((history, self))
-            else:
-                part_dims = tuple(map(frozenset, dims[rows].T.tolist()))
-                parts.append((history, replace(self, v=self.v[rows], tr=self.tr[rows], dims=part_dims, idx=idx[rows])))
+            part = self if len(groups) == 1 else replace(self, v=self.v[rows], tr=self.tr[rows], idx=idx[rows])
+            parts.append((history, part))
         return parts
 
     def records(self) -> list[Record]:
         """Each branch's record: its outcome labels keyed by station id, sorted by id."""
-        pairs = [[(sid, o.label) for o in iv.outcomes] for sid, iv, _, _ in self.fired]
+        pairs = [[(sid, o.label) for o in iv.outcomes] for sid, iv in self.fired]
         by_id = sorted(range(len(pairs)), key=lambda j: self.fired[j][0])
         # Unsplit, the rows are every outcome combination in order; a split keeps a strict subset.
         if len(self.tr) != math.prod(map(len, pairs)):
@@ -553,23 +537,13 @@ class _Level:
 
 
 def _apply_unitary(lv: _Level, u: CMatrix, position: str) -> _Level:
-    """Every branch of ``lv`` evolved by u, V -> U V, on the branches' own factor dims."""
-    dims = lv.factor_dims()
-    sizes = dims.prod(axis=1)
-    bad = np.flatnonzero(sizes != u.rows)
-    if bad.size:
+    """Every branch of ``lv`` evolved by u, V -> U V."""
+    size = math.prod(lv.v.shape[1:-1])
+    if size != u.rows:
         raise DimensionError(
-            f"evolution {position} is {u.rows}x{u.cols}, but the state there is "
-            f"{sizes[bad[0]]}-dimensional"
+            f"evolution {position} is {u.rows}x{u.cols}, but the state there is {size}-dimensional"
         )
-    # Branches of one sub-batch fired the same interventions, so equal sizes
-    # with different factor dims would need dimension errors elsewhere.
-    if (dims != dims[0]).any():
-        raise DimensionError(
-            f"branches reach the evolution {position} with different factor dimensions"
-        )
-    v = lv.v[(slice(None), *map(slice, dims[0].tolist()))]
-    v = (u.array @ v.reshape(len(v), u.rows, -1)).reshape(v.shape)
+    v = (u.array @ lv.v.reshape(len(lv.v), size, -1)).reshape(lv.v.shape)
     return replace(lv, v=v, tr=_trace(v, lv.weights))
 
 
@@ -593,50 +567,40 @@ def _resolve(st: Station, lv: _Level) -> list[tuple[_Level, Intervention]]:
     return [(part, st.resolve(history)) for history, part in lv.split(st.local.depends_on)]
 
 
-def _fire(st: Station, lv: _Level, iv: Intervention, spent: bool) -> _Level:
-    """Fire ``iv`` at ``st`` on every branch of ``lv``: the next level.
+def _fire(st: Station, lv: _Level, iv: Intervention, spent: bool) -> list[_Level]:
+    """Fire ``iv`` at ``st`` on every branch of ``lv``: the next levels.
 
     One contraction of ``iv``'s stack gives every outcome branch of every
     branch (``_branches``); each branch trace is bounded by its parent's
-    times the derived growth. A ``spent`` station, one after which nothing
-    acts on its factor, fires through ``iv``'s POVM roots instead of its
-    Kraus stack, so each branch keeps only its outcome's rank on that
-    factor, not d_out rows per Kraus matrix; its factor's dimension is
-    then the roots' padded rank.
+    times the derived growth. Outcomes whose d_out differ leave one level
+    each, cut to that d_out, so every level keeps one shape. A ``spent``
+    station, one after which nothing acts on its factor, fires through
+    ``iv``'s POVM roots instead of its Kraus stack, so each branch keeps
+    only its outcome's rank on that factor, not d_out rows per Kraus
+    matrix; its branches stay one level, the roots' padded rank on that
+    factor, which nothing reads again.
     """
-    sub, d = st.subsystem, iv.d_in
-    if not (0 <= sub < len(lv.dims) and lv.dims[sub] == {d}):
-        dims = lv.factor_dims()
-        bad = np.flatnonzero(dims[:, sub] != d)[0] if 0 <= sub < len(lv.dims) else 0
-        try:
-            _factor_sizes(dims[bad].tolist(), sub, d)
-        except DimensionError as exc:
-            raise DimensionError(f"station {st.id!r} at this point in the chain: {exc}") from exc
-    n, pdims = len(lv.v), lv.v.shape[1:-1]
-    # Every branch has d on this factor, so its padding beyond d is zero.
-    v = lv.v[(slice(None),) * (sub + 1) + (slice(0, d),)]
-    v = v.reshape(n, math.prod(pdims[:sub]), d, math.prod(pdims[sub + 1 :]), -1)
+    sub, d, pdims = st.subsystem, iv.d_in, lv.v.shape[1:-1]
+    try:
+        b, a = _factor_sizes(pdims, sub, d)
+    except DimensionError as exc:
+        raise DimensionError(f"station {st.id!r} at this point in the chain: {exc}") from exc
     stack = iv._povm_roots if spent else iv._kraus_stack
-    out = _branches(v, stack)
-    weights = None if lv.weights is None else np.repeat(lv.weights, out.shape[-1] // v.shape[-1])
+    out = _branches(lv.v.reshape(len(lv.v), b, d, a, -1), stack)
+    weights = None if lv.weights is None else np.repeat(lv.weights, out.shape[-1] // lv.v.shape[-1])
     tr = _trace(out, weights)
     _check_outcomes(tr, lv.tr, iv)
-    rows = out.shape[2]
-    shape = (len(out), *pdims[:sub], rows, *pdims[sub + 1 :])
-    size = math.prod(shape[1:])
+    shape = (*pdims[:sub], out.shape[2], *pdims[sub + 1 :])
+    size = math.prod(shape)
     if out.shape[-1] > size:
         if weights is not None:
             out = out * np.sqrt(weights)
         out, weights = _recompress(out.reshape(len(out), size, -1)), None
-    dims = frozenset((rows,)) if spent else frozenset(o.d_out for o in iv.outcomes)
-    return _Level(
-        out.reshape(*shape, -1),
-        tr,
-        (*lv.dims[:sub], dims, *lv.dims[sub + 1 :]),
-        lv.idx,
-        weights,
-        (*lv.fired, (st.id, iv, sub, spent)),
-    )
+    new = _Level(out.reshape(len(out), *shape, -1), tr, lv.idx, weights, (*lv.fired, (st.id, iv)))
+    if spent or len({o.d_out for o in iv.outcomes}) == 1:
+        return [new]
+    d_out, cut = {o.label: o.d_out for o in iv.outcomes}, (slice(None),) * (sub + 1)
+    return [replace(part, v=part.v[(*cut, slice(0, d_out[h[st.id]]))]) for h, part in new.split({st.id})]
 
 
 def _recompress(v: np.ndarray) -> np.ndarray:
@@ -671,9 +635,11 @@ def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[_Lev
     recompressed.
 
     Memory: a level holds prod(outcomes of the stations fired so far) x D
-    x width entries, D the padded dimension and width at most D, and one
-    trace per branch; which outcomes a branch took and its factor
-    dimensions are derived only where read (see ``_Level``). Spent factors
+    x width entries, D the dimension its branches share, and one trace per
+    branch; which outcomes a branch took is derived only where read (see
+    ``_Level``). The width is at most D, except on a level cut to one
+    outcome's smaller d_out, whose width the next station recompresses
+    to its dimension. Spent factors
     shrink D to the product of the roots' ranks and the unspent factors,
     so a GHZ state measured one qubit per station never holds more than
     2^n entries per level, the last included: 4 kB for 8 qubits, 16 kB for
@@ -685,7 +651,6 @@ def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[_Lev
         _Level(
             v0.reshape(1, *s.dims0, v0.shape[1]),
             _trace(v0[None], weights),
-            tuple(frozenset((d,)) for d in s.dims0),
             np.empty((1, 0), dtype=int),
             weights,
         )
@@ -703,7 +668,7 @@ def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[_Lev
         if cur is None:
             return levels
         st = s._by_id[cur]
-        levels = [_fire(st, part, iv, j in spent) for lv in levels for part, iv in _resolve(st, lv)]
+        levels = [out for lv in levels for part, iv in _resolve(st, lv) for out in _fire(st, part, iv, j in spent)]
 
 
 def _require_admissible(s: Scenario, order: tuple[str, ...]) -> None:
@@ -780,9 +745,10 @@ def evaluate_in_frame(s: Scenario, f: Frame) -> EvaluationResult:
     """Evaluate under the chronological ordering the boosted frame induces.
 
     Where stations share a boosted time within ``tolerance.TIE``, the causal
-    order ranks them. TieError, whose report names the tied pairs, is raised
-    only when more than one ordering remains, as when tied stations are
-    spacelike; the caller may evaluate each with ``evaluate_in_order``.
+    order ranks them. TieError is raised only when more than one ordering
+    remains, as when tied stations are spacelike; its report names every
+    pair of tied stations neither of which is in the other's causal past,
+    and the caller may evaluate each ordering with ``evaluate_in_order``.
     """
     ordered = frame_ordering(s.events(), f)
     if not isinstance(ordered, TieReport):
@@ -790,7 +756,14 @@ def evaluate_in_frame(s: Scenario, f: Frame) -> EvaluationResult:
     try:
         [order] = _frame_orders(s, f)
     except ValueError:  # more than one ordering, or more than 8! of them
-        raise TieError(ordered) from None
+        past = s._pasts[0]
+        pairs = tuple(
+            (a.id, b.id)
+            for g in frame_groups(s.events(), f)
+            for a, b in itertools.combinations(g, 2)
+            if a.id not in past[b.id] and b.id not in past[a.id]
+        )
+        raise TieError(TieReport(f.v, pairs)) from None
     return evaluate_in_order(s, order)
 
 

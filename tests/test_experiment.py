@@ -236,6 +236,28 @@ def test_a_factor_of_mixed_dimensions_is_refused_or_routed_by_outcome():
     assert len(evaluate_in_order(routed, ["G", "C"]).probabilities) == 4
 
 
+def test_an_evolution_after_outcomes_of_different_dimensions_checks_each_ones_size():
+    # G's outcomes leave its qubit 2- or 3-dimensional; the Hadamard fits only the first.
+    grow = station("G", 0.0, 1.0, 0, random_intervention(2, [2, 3], seed=1))
+    s = Scenario(
+        dims0=(2,), rho0=maximally_mixed(), stations=(grow,), evolutions=(Evolution("G", None, HADAMARD),)
+    )
+    with pytest.raises(DimensionError) as exc:
+        evaluate_in_order(s, ["G"])
+    assert str(exc.value) == "evolution after 'G' is 2x2, but the state there is 3-dimensional"
+
+
+@pytest.mark.parametrize("dep", ["Q", "C"])
+def test_a_condition_on_an_unknown_station_or_itself_is_rejected_when_built(dep):
+    cases = {("z+",): x_iv(), ("z-",): z_iv()}
+    stations = (
+        station("P", 0.0, 0.0, 0, z_iv()),
+        Station(Event("C", 1.0, 0.0), ConditionalLocal(0, (dep,), cases)),
+    )
+    with pytest.raises(ValueError, match=f"station 'C' depends on '{dep}', which is not another station"):
+        Scenario(dims0=(2,), rho0=maximally_mixed(), stations=stations)
+
+
 def test_subsystem_index_out_of_range_names_station():
     s = Scenario(
         dims0=(2,),
@@ -378,16 +400,20 @@ def test_evaluate_in_frame_evaluates_a_tie_the_causal_order_settles():
 
 
 @pytest.mark.parametrize(
-    "events",
+    "events, open_pairs",
     [
-        # A third station ties with Z -> X at x = 5, spacelike to both: three orderings remain.
-        [Event("Z", 0.0, 0.0), Event("X", 1e-13, 0.0), Event("Y", 0.0, 5.0)],
+        # A third station ties with Z -> X at x = 5, spacelike to both: three orderings remain,
+        # and the open pairs (Z, Y) and (X, Y) are not the consecutive ones, (Z, X) and (X, Y).
+        ([Event("Z", 0.0, 0.0), Event("X", 1e-13, 0.0), Event("Y", 1e-13, 5.0)], [("Z", "Y"), ("X", "Y")]),
         # Nine simultaneous stations have 9! of them, past the 8! the enumeration refuses.
-        [Event(f"S{i}", 0.0, 10.0 * i) for i in range(9)],
+        (
+            [Event(f"S{i}", 0.0, 10.0 * i) for i in range(9)],
+            list(itertools.combinations([f"S{i}" for i in range(9)], 2)),
+        ),
     ],
     ids=["three", "nine"],
 )
-def test_evaluate_in_frame_raises_when_a_tie_leaves_several_orderings(events):
+def test_evaluate_in_frame_raises_when_a_tie_leaves_several_orderings(events, open_pairs):
     s = Scenario(
         dims0=(2,),
         rho0=maximally_mixed(),
@@ -395,7 +421,10 @@ def test_evaluate_in_frame_raises_when_a_tie_leaves_several_orderings(events):
     )
     with pytest.raises(TieError, match="more than one ordering") as excinfo:
         evaluate_in_frame(s, Frame(0.0))
-    assert excinfo.value.report.pairs
+    # Exactly the tied pairs the causal order leaves open, each named once, in either order.
+    pairs = excinfo.value.report.pairs
+    assert len(pairs) == len(open_pairs)
+    assert set(map(frozenset, pairs)) == set(map(frozenset, open_pairs))
 
 
 def test_marginal_sums_partner_outcomes():
@@ -986,16 +1015,19 @@ def test_leaf_step_matches_state_path_on_a_dimension_changing_middle_factor(monk
 
 
 def test_factor_path_matches_state_path_on_a_mixed_two_kraus_scenario(monkeypatch):
-    # Rank 3 times two Kraus matrices stays within every dimension the chain reaches.
+    # Rank 3 times M's two Kraus matrices is 6 wide. Where R's outcome keeps
+    # 1 dimension and M's a qubit, L's branches have 2 * 2 * 1 = 4, so L's
+    # output is recompressed, and no other.
     branches = count_calls(monkeypatch, "_branches")
     recompressed = count_calls(monkeypatch, "_recompress")
     s = middle_factor_scenario(random_density(18, seed=5, rank=3))
     assert_leaf_step_matches_state_path(s)
     assert s._eigen[0].shape == (18, 3)
-    assert branches and not recompressed
-    for _, out in branches:
-        n, b, d_out, a, width = out.shape
-        assert width <= b * d_out * a
+    assert branches and recompressed
+    for (v,), r in recompressed:
+        assert v.shape[2] > v.shape[1] and r.shape == (v.shape[0], v.shape[1], v.shape[1])
+    wide = [out for _, out in branches if out.shape[-1] > math.prod(out.shape[1:-1])]
+    assert len(wide) == len(recompressed)
 
 
 def test_pure_single_kraus_scenario_takes_the_factor_path(monkeypatch):
@@ -1430,7 +1462,7 @@ def reordered_conditional_scenario():
     them. A1's case depends on R and has two or three outcomes of 2 or of
     1, 3 and 1 dimensions, A3 grows its qubit to a qutrit, and a
     history-keyed evolution follows Z on the R = z+ branches, so prefixes
-    of different padded dims share a station and the last station's
+    of different factor dims share a station and the last station's
     branches are built.
     """
     stations = (

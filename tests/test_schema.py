@@ -197,6 +197,20 @@ def test_depends_on_and_cases_must_pair():
         parse_scenario(json.dumps(doc))
 
 
+@pytest.mark.parametrize("dep", ["Q", "C"])
+def test_a_condition_on_an_unknown_station_or_itself_is_rejected_at_the_root(dep):
+    doc = valid_doc()
+    conditional = copy.deepcopy(doc["stations"][0])
+    conditional["event"] = {"id": "C", "t": 1.0, "x": 0.0}
+    iv = conditional.pop("intervention")
+    conditional["depends_on"] = [dep]
+    conditional["cases"] = [{"when": ["up"], "intervention": iv}, {"when": ["down"], "intervention": iv}]
+    doc["stations"].append(conditional)
+    with pytest.raises(SchemaError, match=f"station 'C' depends on '{dep}'") as excinfo:
+        parse_scenario(json.dumps(doc))
+    assert excinfo.value.path == "$"
+
+
 def test_non_square_evolution_matrix_rejected():
     doc = valid_doc()
     doc["evolutions"] = [{"after": None, "before": "A", "matrix": [[1.0, 0.0], [0.0, 0.0]]}]

@@ -97,7 +97,7 @@ class StateError(ValueError):
 
 
 class TieError(RuntimeError):
-    """Frame ordering hit a tie the causal order leaves open; carries the TieReport for the caller."""
+    """A frame's ordering has a tie the causal order leaves open; carries ``frame_ordering``'s TieReport."""
 
     def __init__(self, report: TieReport):
         super().__init__(
@@ -286,11 +286,13 @@ class Scenario:
     ``_factor``, which also checks positivity; ``_by_id`` the stations by id;
     ``_pasts`` each one's causal past and direct predecessors; ``_covering``
     the covering pairs (a, b) of that order; ``_evolutions_at`` the
-    evolutions by their (after, before) pair. ``_memo``, a ``_Memo``, keeps
-    the probabilities of the last ordering ``evaluate_in_order`` walked and
-    the copies ``_variants`` made for one station's last list of
-    alternatives, so the per-target calls of a no-signaling check share
-    each candidate's evaluation.
+    evolutions by their (after, before) pair; ``_movable`` the evolutions
+    some ordering moves to another chain position; ``_chains`` whether each
+    subsystem's stations form a chain of the causal order. ``_memo``, a
+    ``_Memo``, keeps the probabilities of the last ordering
+    ``evaluate_in_order`` walked and the copies ``_variants`` made for one
+    station's last list of alternatives, so the per-target calls of a
+    no-signaling check share each candidate's evaluation.
     """
 
     dims0: tuple[int, ...]
@@ -304,6 +306,8 @@ class Scenario:
     _pasts: tuple[dict[str, set[str]], dict[str, list[str]]] = field(init=False, repr=False, compare=False)
     _covering: list[tuple[str, str]] = field(init=False, repr=False, compare=False)
     _evolutions_at: dict[tuple[str | None, str | None], list[Evolution]] = field(init=False, repr=False, compare=False)
+    _movable: tuple[Evolution, ...] = field(init=False, repr=False, compare=False)
+    _chains: bool = field(init=False, repr=False, compare=False)
     _memo: _Memo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -329,13 +333,18 @@ class Scenario:
             raise ValueError(f"station ids must be unique, got {ids}")
         object.__setattr__(self, "_by_id", dict(zip(ids, self.stations)))
         for st in self.stations:
+            if st.subsystem >= len(self.dims0):
+                raise DimensionError(
+                    f"station {st.id!r} acts on subsystem {st.subsystem}, but the "
+                    f"scenario's subsystems are 0 to {len(self.dims0) - 1}"
+                )
             for dep in getattr(st.local, "depends_on", ()):
                 if dep == st.id or dep not in self._by_id:
                     raise ValueError(f"station {st.id!r} depends on {dep!r}, which is not another station")
         object.__setattr__(self, "_memo", _Memo())
         object.__setattr__(self, "_pasts", _causal_pasts(self.events()))
         object.__setattr__(self, "_covering", [(a, b) for b, pre in self._pasts[1].items() for a in pre])
-        growth, past, at = 1.0, self._pasts[0], {}
+        growth, past, at, movable = 1.0, self._pasts[0], {}, []
         for ev in self.evolutions:
             for end in (ev.after, ev.before):
                 if end is not None and end not in self._by_id:
@@ -343,14 +352,19 @@ class Scenario:
             if ev.after is None and ev.before is None:
                 raise ValueError("evolution must attach to at least one station")
             a, b = ev.after, ev.before
-            # Some ordering puts a right before b iff b is not before a and no station lies between.
+            # Stations some ordering puts between a and b (None: the start or end of the chain): for y
+            # neither before a nor after b, the edges a -> y -> b keep the order acyclic.
+            between = [y for y in past if y not in (a, b) and y not in past.get(a, ()) and b not in past[y]]
+            # Some ordering puts a right before b iff b is not before a and no station lies causally between.
             if a == b or b in past.get(a, ()) or any(
-                a is None or a in past[y] for y in (past if b is None else past[b])
+                (a is None or a in past[y]) and (b is None or y in past[b]) for y in between
             ):
                 raise ValueError(
                     f"evolution after {a!r} and before {b!r} fits no admissible ordering: "
                     "none puts its ends next to each other, so it would never apply"
                 )
+            if between or (None not in (a, b) and a not in past[b]):
+                movable.append(ev)
             for k, v in ev.history.items():
                 if k not in self._by_id:
                     raise ValueError(f"evolution history references unknown station {k!r}")
@@ -369,6 +383,10 @@ class Scenario:
         object.__setattr__(self, "_evolution_growth", growth)
         object.__setattr__(self, "growth", self._station_growth() * growth)
         object.__setattr__(self, "_evolutions_at", at)
+        object.__setattr__(self, "_movable", tuple(movable))
+        by_factor = sorted(self.stations, key=lambda st: (st.subsystem, st.event.t))
+        chains = all(x.id in past[y.id] for x, y in zip(by_factor, by_factor[1:]) if x.subsystem == y.subsystem)
+        object.__setattr__(self, "_chains", chains)
         for (a, b), evs in at.items():
             for e1, e2 in itertools.combinations(evs, 2):
                 if all(e1.history[k] == e2.history[k] for k in e1.history.keys() & e2.history.keys()):
@@ -390,8 +408,9 @@ class Scenario:
         """This scenario with one station's intervention replaced, nothing decomposed again.
 
         The copy shares every derived field that does not depend on the
-        intervention, and replaces ``stations``, ``_by_id`` and ``growth``
-        after checking the evolution-history labels that name the station;
+        intervention, ``_movable`` and ``_chains`` too, as every caller keeps
+        the station's subsystem, and replaces ``stations``, ``_by_id`` and
+        ``growth`` after checking the evolution-history labels that name the station;
         it gets its own empty ``_memo``.
         """
         new = Station(self.station(station_id).event, local)
@@ -742,7 +761,7 @@ def _frame_orders(s: Scenario, f: Frame) -> list[tuple[str, ...]]:
 
 
 def evaluate_in_frame(s: Scenario, f: Frame) -> EvaluationResult:
-    """Evaluate under the chronological ordering the boosted frame induces.
+    """Evaluate under the chronological ordering the boosted frame induces (``frame_ordering``).
 
     Where stations share a boosted time within ``tolerance.TIE``, the causal
     order ranks them. TieError is raised only when more than one ordering
@@ -751,20 +770,9 @@ def evaluate_in_frame(s: Scenario, f: Frame) -> EvaluationResult:
     and the caller may evaluate each ordering with ``evaluate_in_order``.
     """
     ordered = frame_ordering(s.events(), f)
-    if not isinstance(ordered, TieReport):
-        return evaluate_in_order(s, [e.id for e in ordered])
-    try:
-        [order] = _frame_orders(s, f)
-    except ValueError:  # more than one ordering, or more than 8! of them
-        past = s._pasts[0]
-        pairs = tuple(
-            (a.id, b.id)
-            for g in frame_groups(s.events(), f)
-            for a, b in itertools.combinations(g, 2)
-            if a.id not in past[b.id] and b.id not in past[a.id]
-        )
-        raise TieError(TieReport(f.v, pairs)) from None
-    return evaluate_in_order(s, order)
+    if isinstance(ordered, TieReport):
+        raise TieError(ordered)
+    return evaluate_in_order(s, [e.id for e in ordered])
 
 
 def marginal(result: EvaluationResult, station_id: str) -> dict[str, float]:
@@ -824,70 +832,42 @@ def _require_causal_conditions(s: Scenario) -> None:
                     )
 
 
-def _require_order_comparable(s: Scenario) -> bool:
+def _require_order_comparable(s: Scenario) -> None:
     """Reject scenarios whose dynamics cannot be compared across orderings.
 
-    A non-identity evolution from ``after`` to ``before`` (None: the start
-    or end of the chain) must sit at the same chain position in every
-    admissible ordering: ``after`` causally precedes ``before`` when both
-    are stations, and every other station precedes ``after`` or follows
-    ``before``. Were some station y neither, the edges after -> y -> before
-    would keep the order acyclic, so some linear extension would place y
-    inside the segment. Spacelike, reorderable segments must therefore
-    carry identity evolution. Outcome-conditioned stations may depend only
-    on causally prior stations. Returns whether every evolution, identity
-    within ``tolerance.IDENTITY`` or not, sits at a fixed position.
+    No evolution some ordering moves (``Scenario._movable``) may differ from
+    the identity by more than ``tolerance.IDENTITY``, and outcome-conditioned
+    stations may depend only on causally prior stations.
     """
     _require_causal_conditions(s)
-    past = s._pasts[0]
-    fixed = True
-    for ev in s.evolutions:
-        a, b = ev.after, ev.before
-        # A None end precedes and follows nothing, so every other station must lie beyond the other end.
-        movable = (None not in (a, b) and a not in past[b]) or any(
-            y not in past.get(a, ()) and b not in past[y]
-            for y in (st.id for st in s.stations)
-            if y not in (a, b)
-        )
-        fixed &= not movable
-        if movable and deviation(ev.matrix.array) > tolerance.IDENTITY:
+    for ev in s._movable:
+        if deviation(ev.matrix.array) > tolerance.IDENTITY:
             raise ValueError(
-                f"evolution after {a!r} and before {b!r} is order-dependent: the "
+                f"evolution after {ev.after!r} and before {ev.before!r} is order-dependent: the "
                 "segment is reorderable, so its ends are not first, last or adjacent "
                 "in every admissible ordering; a non-identity unitary there makes "
                 "orderings incomparable"
             )
-    return fixed
-
-
-def _factors_disjoint(s: Scenario) -> bool:
-    """Whether the stations of each subsystem form a chain, each in the next one's past in time order."""
-    past, last = s._pasts[0], {}
-    for st in sorted(s.stations, key=lambda st: st.event.t):
-        prev = last.get(st.subsystem)
-        if prev is not None and prev not in past[st.id]:
-            return False
-        last[st.subsystem] = st.id
-    return True
 
 
 def check_order_invariance(s: Scenario, tol: float) -> InvarianceReport:
     """Certify that record probabilities agree across every admissible ordering.
 
     Validates the scenario and counts the linear extensions of the causal
-    order, the orderings the verdict covers (``orders_checked``). When
-    causally incomparable stations act on different subsystems and every
-    evolution sits at a fixed position (``method`` "pairwise"), adjacent
-    swaps of maps on different tensor factors, which commute, link any two
-    extensions, so every record's unnormalized final state is the same in
-    all: one is evaluated, for its runtime checks, and ``worst`` is 0.0
-    exactly. Otherwise every extension is evaluated, one at a time, and
-    ``compare_orderings`` reads the results as they come, so memory grows
-    with the records, not with the orderings.
+    order, the orderings the verdict covers (``orders_checked``). Where
+    causally incomparable stations act on different subsystems
+    (``Scenario._chains``) and no evolution can move (``Scenario._movable``
+    is empty), adjacent swaps of maps on different tensor factors, which
+    commute, link any two extensions, so every record's unnormalized final
+    state is the same in all: one is evaluated, for its runtime checks, and
+    ``worst`` is 0.0 exactly (``method`` "pairwise"). Otherwise every
+    extension is evaluated, one at a time, and ``compare_orderings`` reads
+    the results as they come, so memory grows with the records, not with
+    the orderings.
     """
-    fixed = _require_order_comparable(s)
+    _require_order_comparable(s)
     extensions = linear_extensions(s._covering, s.events())
-    if fixed and _factors_disjoint(s):
+    if not s._movable and s._chains:
         evaluate_in_order(s, extensions[0])
         return InvarianceReport(True, 0.0, len(extensions), method="pairwise")
     return compare_orderings((evaluate_in_order(s, o) for o in extensions), tol)

@@ -3,11 +3,14 @@
 Provides Lorentz boosts, interval classification, the causal partial
 order on a set of events, the chronological ordering a moving frame
 induces, and enumeration of all total orders compatible with the causal
-order.
+order. ``frame_ordering`` is the one rule for a frame's ordering: the
+causal order ranks events whose boosted times tie, and a tie it leaves
+open is reported, never broken.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -65,9 +68,11 @@ class IntervalKind(Enum):
 
 @dataclass(frozen=True)
 class TieReport:
-    """Events whose boosted times coincide within ``tolerance.TIE``.
+    """Tied events the causal order leaves unordered.
 
-    Returned by frame_ordering instead of an order; a tie is reported,
+    Returned by frame_ordering instead of an order: ``pairs`` names every
+    pair of events whose boosted times tie (``frame_groups``) and neither of
+    which is in the other's causal past, each pair once. A tie is reported,
     never silently broken.
     """
 
@@ -156,12 +161,25 @@ def frame_groups(events: list[Event], f: Frame) -> list[list[Event]]:
 
 
 def frame_ordering(events: list[Event], f: Frame) -> list[Event] | TieReport:
-    """Events sorted by boosted time t', or a TieReport when t' values collide."""
-    groups = frame_groups(events, f)
-    ties = tuple((a.id, b.id) for g in groups for a, b in zip(g, g[1:]))
-    if ties:
-        return TieReport(velocity=f.v, pairs=ties)
-    return [e for g in groups for e in g]
+    """Events sorted by boosted time t'; a TieReport where the causal order leaves a tie open.
+
+    Events whose t' tie within ``tolerance.TIE`` (``frame_groups``) are
+    ranked by the causal order alone: rounding can give causally ordered
+    events equal t'. An event causally between two tied ones has t' between
+    theirs, so it ties with them too, and each group's own causal pasts
+    decide it. A group of one needs no ranking.
+    """
+    ordered, pairs = [], []
+    for g in frame_groups(events, f):
+        if len(g) > 1:
+            past, _ = _causal_pasts(g)
+            tied = itertools.combinations(g, 2)
+            pairs += [(a.id, b.id) for a, b in tied if a.id not in past[b.id] and b.id not in past[a.id]]
+            g.sort(key=lambda e: len(past[e.id]))
+        ordered += g
+    if pairs:
+        return TieReport(velocity=f.v, pairs=tuple(pairs))
+    return ordered
 
 
 def linear_extensions(

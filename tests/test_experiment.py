@@ -231,7 +231,7 @@ def test_a_factor_of_mixed_dimensions_is_refused_or_routed_by_outcome():
         rho0=random_density(2, seed=3),
         stations=(grow, Station(Event("C", 2.0, 1.0), ConditionalLocal(0, ("G",), cases))),
     )
-    assert_leaf_step_matches_state_path(routed)
+    assert_walk_matches_reference(routed)
     assert_spent_walk_matches_built_walk(routed)
     assert len(evaluate_in_order(routed, ["G", "C"]).probabilities) == 4
 
@@ -259,13 +259,12 @@ def test_a_condition_on_an_unknown_station_or_itself_is_rejected_when_built(dep)
 
 
 def test_subsystem_index_out_of_range_names_station():
-    s = Scenario(
-        dims0=(2,),
-        rho0=maximally_mixed(),
-        stations=(station("A", 0.0, 0.0, 1, z_iv()),),
-    )
     with pytest.raises(DimensionError, match="'A'"):
-        evaluate_in_order(s, ["A"])
+        Scenario(
+            dims0=(2,),
+            rho0=maximally_mixed(),
+            stations=(station("A", 0.0, 0.0, 1, z_iv()),),
+        )
 
 
 def test_evolution_between_stations_hand_value():
@@ -327,7 +326,7 @@ def test_a_history_naming_a_station_not_yet_fired_never_matches():
     probs = evaluate_in_order(s, orders[2]).probabilities
     assert probs[flipped] == pytest.approx(0.25, abs=1e-12)
     assert probs[(("P", "z+"), ("Q", "z-"), ("R", "z-"))] == pytest.approx(0.0, abs=1e-12)
-    assert_leaf_step_matches_state_path(s, orders)
+    assert_walk_matches_reference(s, orders)
 
 
 def test_initial_and_final_evolutions_apply():
@@ -921,7 +920,7 @@ def reference_final_states(s, order, lifted=None):
     return states
 
 
-def assert_leaf_step_matches_state_path(s, orders=None, final_states=True, one_reference=False):
+def assert_walk_matches_reference(s, orders=None, final_states=True, one_reference=False):
     """Probabilities and final states equal the reference recursion's within 1e-12.
 
     The probabilities come from the batched factor walk, in which every
@@ -961,16 +960,16 @@ def haar_unitary(d, seed):
     return CMatrix(q * (np.diagonal(r) / np.abs(np.diagonal(r))).conj())
 
 
-def test_leaf_step_matches_state_path_on_random_products():
+def test_walk_matches_reference_on_random_products():
     # Each station acts on its own factor, with no evolution or condition, so
     # every record's final state is the same in every ordering.
     for k in range(200):
-        assert_leaf_step_matches_state_path(random_product_scenario(seed=k), one_reference=True)
+        assert_walk_matches_reference(random_product_scenario(seed=k), one_reference=True)
 
 
-def test_leaf_step_matches_state_path_on_builtins():
+def test_walk_matches_reference_on_builtins():
     for s in builtin_scenarios().values():
-        assert_leaf_step_matches_state_path(s)
+        assert_walk_matches_reference(s)
 
 
 def middle_factor_scenario(rho0):
@@ -1005,10 +1004,10 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-def test_leaf_step_matches_state_path_on_a_dimension_changing_middle_factor(monkeypatch):
+def test_walk_matches_reference_on_a_dimension_changing_middle_factor(monkeypatch):
     # Full rank 18: the first station's branches, 18 wide, have 12 or fewer dimensions.
     recompressed = count_calls(monkeypatch, "_recompress")
-    assert_leaf_step_matches_state_path(middle_factor_scenario(random_density(18, seed=5)))
+    assert_walk_matches_reference(middle_factor_scenario(random_density(18, seed=5)))
     assert recompressed
     for (v,), r in recompressed:
         assert v.shape[2] > v.shape[1] and r.shape == (v.shape[0], v.shape[1], v.shape[1])
@@ -1021,7 +1020,7 @@ def test_factor_path_matches_state_path_on_a_mixed_two_kraus_scenario(monkeypatc
     branches = count_calls(monkeypatch, "_branches")
     recompressed = count_calls(monkeypatch, "_recompress")
     s = middle_factor_scenario(random_density(18, seed=5, rank=3))
-    assert_leaf_step_matches_state_path(s)
+    assert_walk_matches_reference(s)
     assert s._eigen[0].shape == (18, 3)
     assert branches and recompressed
     for (v,), r in recompressed:
@@ -1057,7 +1056,7 @@ def test_factor_path_matches_state_path_on_ghz(qubits):
     s = ghz_scenario([0.4 + 0.7 * i for i in range(qubits)])
     ids = [st.id for st in s.stations]
     if qubits <= 4:
-        assert_leaf_step_matches_state_path(s)
+        assert_walk_matches_reference(s)
         return
     # n! orderings of 2^n records each are too many to run through the
     # reference; local measurements on distinct qubits commute, so its final
@@ -1113,7 +1112,7 @@ def test_pure_ghz_factor_decomposes_no_full_size_matrix(monkeypatch, qubits):
     assert s._eigen[0].shape == (d, 1)
 
 
-def test_leaf_step_matches_state_path_on_a_conditional_last_station():
+def test_walk_matches_reference_on_a_conditional_last_station():
     s = Scenario(
         dims0=(2, 2),
         rho0=random_density(4, seed=6),
@@ -1132,7 +1131,7 @@ def test_leaf_step_matches_state_path_on_a_conditional_last_station():
             ),
         ),
     )
-    assert_leaf_step_matches_state_path(s, [["A", "B"]])
+    assert_walk_matches_reference(s, [["A", "B"]])
 
 
 def test_final_evolution_after_the_last_station_takes_the_state_path(monkeypatch):
@@ -1142,7 +1141,7 @@ def test_final_evolution_after_the_last_station_takes_the_state_path(monkeypatch
         evolutions=(Evolution("Q", None, HADAMARD, history={"Q": "x+"}),),
     )
     branches = count_calls(monkeypatch, "_branches")
-    assert_leaf_step_matches_state_path(s)
+    assert_walk_matches_reference(s)
     roots = {id(iv._povm_roots) for st in s.stations for iv in st.interventions().values()}
     assert branches and not {id(stack) for (_, stack), _ in branches} & roots
 
@@ -1193,10 +1192,10 @@ def test_sub_batches_match_the_reference_where_cases_evolutions_and_dims_differ(
             Evolution("D", None, haar_unitary(6, seed=50), history={"A": "o0"}),
         ),
     )
-    assert_leaf_step_matches_state_path(s)
+    assert_walk_matches_reference(s)
 
 
-def test_leaf_step_matches_state_path_with_bottleneck_evolutions():
+def test_walk_matches_reference_with_bottleneck_evolutions():
     stations = (
         station("R", -5.0, 0.0, 0, z_iv()),
         station("A1", 0.0, 3.0, 1, random_intervention(2, [2], seed=31)),
@@ -1209,7 +1208,7 @@ def test_leaf_step_matches_state_path_with_bottleneck_evolutions():
         Evolution("Z", None, haar_unitary(16, seed=35), history={"R": "z-"}),
     )
     s = Scenario(dims0=(2, 2, 2, 2), rho0=random_density(16, seed=36), stations=stations, evolutions=evolutions)
-    assert_leaf_step_matches_state_path(s)
+    assert_walk_matches_reference(s)
 
 
 def test_final_states_are_built_on_first_read_only(monkeypatch):
@@ -1381,6 +1380,7 @@ def test_evolution_rule_equals_the_extension_scan():
                         evolutions=(Evolution(after, before, HADAMARD),),
                     )
                     assert placeable, (s.events(), after, before)
+                    assert bool(probe._movable) is not expected, (s.events(), after, before)
                     experiment._require_order_comparable(probe)
                     admitted = True
                 except ValueError as exc:
@@ -1394,6 +1394,29 @@ def test_evolution_rule_equals_the_extension_scan():
                 verdicts[admitted] += 1
     assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
     assert 100 < unplaceable < verdicts[False], unplaceable
+
+
+def test_chains_hold_iff_no_two_stations_of_a_subsystem_are_incomparable():
+    rng = np.random.default_rng(41)
+    verdicts = {True: 0, False: 0}
+    for _ in range(400):
+        n, subsystems = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        # A narrow x range makes most pairs timelike, so some subsystems form chains.
+        width = float(rng.choice([0.5, 2.0]))
+        stations = tuple(
+            station(f"e{i}", float(rng.uniform(-2, 2)), float(rng.uniform(-width, width)), int(k), z_iv())
+            for i, k in enumerate(rng.integers(subsystems, size=n))
+        )
+        s = Scenario(dims0=(2,) * subsystems, rho0=maximally_mixed(2**subsystems), stations=stations)
+        order = causal_order(s.events())
+        expected = all(
+            (a.id, b.id) in order or (b.id, a.id) in order
+            for a, b in itertools.combinations(stations, 2)
+            if a.subsystem == b.subsystem
+        )
+        assert s._chains is expected, s.stations
+        verdicts[expected] += 1
+    assert verdicts[True] > 50 and verdicts[False] > 50, verdicts
 
 
 def test_invariance_witness_breaks_ties_by_ordering():
@@ -1494,7 +1517,7 @@ def reordered_conditional_scenario():
 def test_orderings_walked_together_through_conditions_and_keyed_evolutions():
     s = reordered_conditional_scenario()
     assert len(linear_extensions(s._covering, s.events())) == 6
-    assert_leaf_step_matches_state_path(s)
+    assert_walk_matches_reference(s)
     report = check_order_invariance(s, 1e-9)
     assert report.ok and report.orders_checked == 6, report
 
@@ -1513,7 +1536,7 @@ def test_orderings_walked_together_evolve_only_where_their_segment_is():
         evolutions=(Evolution("A", "B", haar_unitary(8, seed=70)),),
     )
     assert len(linear_extensions(s._covering, s.events())) == 6
-    assert_leaf_step_matches_state_path(s)
+    assert_walk_matches_reference(s)
 
 
 def every_ordering(s, tol=1e-9):

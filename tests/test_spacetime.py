@@ -15,6 +15,7 @@ from spacelike.spacetime import (
     boost,
     causal_order,
     classify,
+    frame_groups,
     frame_ordering,
     linear_extensions,
 )
@@ -199,6 +200,59 @@ def test_frame_ordering_reports_ties():
     assert isinstance(report, TieReport)
     assert report.velocity == 0.0
     assert ("a", "b") in report.pairs or ("b", "a") in report.pairs
+
+
+def test_frame_ordering_ranks_a_tie_the_causal_order_settles():
+    # Z and X on one worldline 1e-13 apart tie in the frame, but only Z -> X is causal.
+    z, x = Event("Z", 0.0, 0.0), Event("X", 1e-13, 0.0)
+    for events in ([z, x], [x, z]):
+        assert frame_ordering(events, Frame(0.0)) == [z, x]
+    # A lightlike pair whose boosted times round to the same float: only the causal order ranks it.
+    a, b = Event("A", 1000.0, 1000.0), Event("B", 1000.0 + 1e-13, 1000.0 + 1e-13)
+    assert boost(a, Frame(0.8))[0] == boost(b, Frame(0.8))[0]
+    assert frame_ordering([b, a], Frame(0.8)) == [a, b]
+    # Y ties with both at x = 5 and is spacelike to both: exactly (Z, Y) and (X, Y) are open.
+    report = frame_ordering([z, x, Event("Y", 1e-13, 5.0)], Frame(0.0))
+    assert isinstance(report, TieReport)
+    assert len(report.pairs) == 2
+    assert set(map(frozenset, report.pairs)) == {frozenset("ZY"), frozenset("XY")}
+
+
+def test_frame_ordering_is_the_one_extension_of_its_groups_or_names_the_open_pairs():
+    """On a coarse grid, with events 1e-13 apart on one worldline, ties are common and some are causal."""
+    rng = np.random.default_rng(26)
+    ranked = reported = 0
+    for _ in range(400):
+        events = [
+            Event(
+                f"e{i}",
+                int(rng.integers(0, 3)) / 2 + int(rng.integers(0, 3)) * 1e-13,
+                float(rng.integers(-1, 2)),
+            )
+            for i in range(int(rng.integers(2, 7)))
+        ]
+        f = Frame(float(rng.choice([0.0, 0.5, -0.5])))
+        order = causal_order(events)
+        groups = frame_groups(events, f)
+        chained = {(a.id, b.id) for g, h in zip(groups, groups[1:]) for a in g for b in h}
+        extensions = linear_extensions(chained | order, events)
+        open_pairs = {
+            frozenset((a.id, b.id))
+            for g in groups
+            for a, b in itertools.combinations(g, 2)
+            if (a.id, b.id) not in order and (b.id, a.id) not in order
+        }
+        result = frame_ordering(events, f)
+        if len(extensions) == 1:
+            assert not open_pairs
+            assert [e.id for e in result] == list(extensions[0]), events
+            ranked += any(len(g) > 1 for g in groups)
+        else:
+            assert isinstance(result, TieReport), events
+            assert len(result.pairs) == len(open_pairs)
+            assert set(map(frozenset, result.pairs)) == open_pairs, events
+            reported += 1
+    assert ranked > 20 and reported > 20, (ranked, reported)
 
 
 def test_frame_ordering_extends_causal_order():

@@ -149,6 +149,11 @@ class Station:
     def subsystem(self) -> int:
         return self.local.subsystem
 
+    @property
+    def depends_on(self) -> tuple[str, ...]:
+        """Stations whose outcomes select the intervention; () for a fixed one."""
+        return () if isinstance(self.local, LocalIntervention) else self.local.depends_on
+
     def interventions(self) -> dict[tuple[str, ...], Intervention]:
         """Every intervention the station may fire, keyed by the outcomes selecting it."""
         if isinstance(self.local, LocalIntervention):
@@ -283,7 +288,8 @@ class Scenario:
     ``growth``, the product of ``tolerance.growth`` over every station's worst
     intervention and every evolution (``_evolution_growth``), bounds how much
     the chain can raise a trace; ``_eigen`` holds rho0's eigenpairs from
-    ``_factor``, which also checks positivity; ``_by_id`` the stations by id;
+    ``_factor``, which also checks positivity; ``_start`` the probability
+    walk's read-only first level, V0 = q sqrt(w); ``_by_id`` the stations by id;
     ``_pasts`` each one's causal past and direct predecessors; ``_covering``
     the covering pairs (a, b) of that order; ``_evolutions_at`` the
     evolutions by their (after, before) pair; ``_movable`` the evolutions
@@ -302,6 +308,7 @@ class Scenario:
     growth: float = field(init=False, repr=False, compare=False)
     _evolution_growth: float = field(init=False, repr=False, compare=False)
     _eigen: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    _start: _Level = field(init=False, repr=False, compare=False)
     _by_id: dict[str, Station] = field(init=False, repr=False, compare=False)
     _pasts: tuple[dict[str, set[str]], dict[str, list[str]]] = field(init=False, repr=False, compare=False)
     _covering: list[tuple[str, str]] = field(init=False, repr=False, compare=False)
@@ -327,7 +334,13 @@ class Scenario:
             raise StateError(f"initial state trace must be 1, got {tr}")
         if deviation(rho, adj) > tolerance.STATE:
             raise StateError("initial state must be Hermitian")
-        object.__setattr__(self, "_eigen", _factor(rho, adj))
+        q, w = _factor(rho, adj)
+        object.__setattr__(self, "_eigen", (q, w))
+        v0 = q * np.sqrt(w)
+        start = _Level(v0.reshape(1, *self.dims0, len(w)), _trace(v0[None]))
+        for a in (start.v, start.tr):
+            a.setflags(write=False)
+        object.__setattr__(self, "_start", start)
         ids = [s.id for s in self.stations]
         if len(set(ids)) != len(ids):
             raise ValueError(f"station ids must be unique, got {ids}")
@@ -338,7 +351,7 @@ class Scenario:
                     f"station {st.id!r} acts on subsystem {st.subsystem}, but the "
                     f"scenario's subsystems are 0 to {len(self.dims0) - 1}"
                 )
-            for dep in getattr(st.local, "depends_on", ()):
+            for dep in st.depends_on:
                 if dep == st.id or dep not in self._by_id:
                     raise ValueError(f"station {st.id!r} depends on {dep!r}, which is not another station")
         object.__setattr__(self, "_memo", _Memo())
@@ -495,62 +508,56 @@ class _Level:
     the factor dimensions all of the level's branches have, zero past a
     branch's own width; its state is V diag(weights) V^dagger, with
     ``weights`` None for all ones. ``tr`` holds each branch's trace.
-    ``fired`` lists the stations fired so far as (id, intervention). A
-    station whose outcomes change its factor to different dimensions
-    leaves one level per outcome (see ``_fire``).
-
-    Nothing is kept per branch but ``v`` and ``tr``: the level holds
-    groups of branches, and every station fired since it was last split
-    multiplied each group by all of its outcomes, outcome-minor. ``idx``
-    (group, station) is the outcome each group took at the stations fired
-    before that split, one empty row for a level never split.
-    ``outcomes`` builds the per-branch rows for the few readers that need
-    them: a split and the records of a split level.
+    ``fired`` lists the stations fired so far as (id, intervention), and
+    ``fixed`` maps each station the level was split on to the index of
+    the outcome all its branches took there. The branches are every
+    combination of the other fired stations' outcomes, outcome-minor.
     """
 
     v: np.ndarray
     tr: np.ndarray
-    idx: np.ndarray
     weights: np.ndarray | None = None
     fired: tuple[tuple[str, Intervention], ...] = ()
-
-    def outcomes(self) -> np.ndarray:
-        """(branch, station): the outcome each branch took at each station of ``fired``."""
-        group, later = np.arange(len(self.tr)), []
-        for _, iv in reversed(self.fired[self.idx.shape[1] :]):
-            group, outcome = np.divmod(group, len(iv.outcomes))
-            later.append(outcome)
-        return np.column_stack([self.idx[group], *reversed(later)])
+    fixed: dict[str, int] = field(default_factory=dict)
 
     def split(self, names: Collection[str]) -> list[tuple[dict[str, str], _Level]]:
         """Sub-batches of branches that took the same outcomes at the fired stations in ``names``.
 
-        Each comes, first seen first, with those outcomes by station id, which
-        omit a station not fired yet; the level itself where all branches agree.
-        A conditional station's cases, history-keyed evolutions and a
-        station's outcomes of different dimensions split here.
+        Each comes, in lexicographic outcome order, with those outcomes by
+        station id, which omit a station not fired yet; the level itself
+        where all branches agree. A conditional station's cases,
+        history-keyed evolutions and a station's outcomes of different
+        dimensions split here.
         """
-        cols = [j for j, (sid, _) in enumerate(self.fired) if sid in names]
-        if not cols:
+        if not names:
             return [({}, self)]
-        groups: dict[tuple[int, ...], list[int]] = {}
-        idx = self.outcomes()
-        for row, k in enumerate(map(tuple, idx[:, cols].tolist())):
-            groups.setdefault(k, []).append(row)
+        # A fixed or one-outcome station has one label; each part sets the other named stations'.
+        history = {sid: iv.outcomes[self.fixed.get(sid, 0)].label for sid, iv in self.fired if sid in names}
+        free = [(sid, iv) for sid, iv in self.fired if sid not in self.fixed]
+        axes = [k for k, (sid, iv) in enumerate(free) if sid in history and len(iv.outcomes) > 1]
+        if not axes:
+            return [(history, self)]
+        # The named outcome axes lead, so each combination of them is one contiguous block.
+        counts = [len(iv.outcomes) for _, iv in free]
+        shape = [counts[k] for k in axes]
+        blocks = [np.moveaxis(a.reshape(*counts, *a.shape[1:]), axes, range(len(axes))) for a in (self.v, self.tr)]
+        v, tr = (a.reshape(math.prod(shape), -1, *a.shape[len(counts) :]) for a in blocks)
         parts = []
-        for k, rows in groups.items():
-            history = {self.fired[j][0]: self.fired[j][1].outcomes[i].label for j, i in zip(cols, k)}
-            part = self if len(groups) == 1 else replace(self, v=self.v[rows], tr=self.tr[rows], idx=idx[rows])
-            parts.append((history, part))
+        for n, combo in enumerate(itertools.product(*map(range, shape))):
+            fixed, labels = dict(self.fixed), dict(history)
+            for k, i in zip(axes, combo):
+                sid, iv = free[k]
+                fixed[sid], labels[sid] = i, iv.outcomes[i].label
+            parts.append((labels, replace(self, v=v[n], tr=tr[n], fixed=fixed)))
         return parts
 
     def records(self) -> list[Record]:
         """Each branch's record: its outcome labels keyed by station id, sorted by id."""
-        pairs = [[(sid, o.label) for o in iv.outcomes] for sid, iv in self.fired]
+        pairs = [
+            [(sid, iv.outcomes[self.fixed[sid]].label)] if sid in self.fixed else [(sid, o.label) for o in iv.outcomes]
+            for sid, iv in self.fired
+        ]
         by_id = sorted(range(len(pairs)), key=lambda j: self.fired[j][0])
-        # Unsplit, the rows are every outcome combination in order; a split keeps a strict subset.
-        if len(self.tr) != math.prod(map(len, pairs)):
-            return [tuple(pairs[j][row[j]] for j in by_id) for row in self.outcomes().tolist()]
         rows = itertools.product(*pairs)
         return list(map(operator.itemgetter(*by_id), rows) if len(by_id) > 1 else rows)
 
@@ -577,13 +584,6 @@ def _evolve(s: Scenario, lv: _Level, prev: str | None, cur: str | None) -> list[
         ev = next((ev for ev in evs if ev.matches(prev, cur, history)), None)
         out.append(part if ev is None else _apply_unitary(part, ev.matrix, position))
     return out
-
-
-def _resolve(st: Station, lv: _Level) -> list[tuple[_Level, Intervention]]:
-    """The intervention ``st`` fires on each branch of ``lv``, split where a case differs."""
-    if isinstance(st.local, LocalIntervention):
-        return [(lv, st.local.local)]
-    return [(part, st.resolve(history)) for history, part in lv.split(st.local.depends_on)]
 
 
 def _fire(st: Station, lv: _Level, iv: Intervention, spent: bool) -> list[_Level]:
@@ -615,7 +615,7 @@ def _fire(st: Station, lv: _Level, iv: Intervention, spent: bool) -> list[_Level
         if weights is not None:
             out = out * np.sqrt(weights)
         out, weights = _recompress(out.reshape(len(out), size, -1)), None
-    new = _Level(out.reshape(len(out), *shape, -1), tr, lv.idx, weights, (*lv.fired, (st.id, iv)))
+    new = _Level(out.reshape(len(out), *shape, -1), tr, weights, (*lv.fired, (st.id, iv)), lv.fixed)
     if spent or len({o.d_out for o in iv.outcomes}) == 1:
         return [new]
     d_out, cut = {o.label: o.d_out for o in iv.outcomes}, (slice(None),) * (sub + 1)
@@ -631,8 +631,8 @@ def _recompress(v: np.ndarray) -> np.ndarray:
 def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[_Level]:
     """The last sub-batches of branches of one ordering; each level's ``tr`` is its probabilities.
 
-    The walk starts from a factor V of rho0, the eigenvectors the scenario
-    found when built (``_eigen``) scaled by the roots of their eigenvalues, and goes
+    The walk starts from the scenario's ``_start``, a factor V of rho0
+    built with the scenario from its eigenpairs (``_eigen``), and goes
     through the ordering one station at a time, carrying each sub-batch of
     live branches as one ``_Level``: at a station, one contraction of its
     Kraus stack gives every branch's outcome branches (``_fire``,
@@ -653,27 +653,18 @@ def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[_Lev
     it passes through identities exactly. Weights are folded into V if it is
     recompressed.
 
-    Memory: a level holds prod(outcomes of the stations fired so far) x D
-    x width entries, D the dimension its branches share, and one trace per
-    branch; which outcomes a branch took is derived only where read (see
-    ``_Level``). The width is at most D, except on a level cut to one
-    outcome's smaller d_out, whose width the next station recompresses
-    to its dimension. Spent factors
-    shrink D to the product of the roots' ranks and the unspent factors,
-    so a GHZ state measured one qubit per station never holds more than
-    2^n entries per level, the last included: 4 kB for 8 qubits, 16 kB for
-    10.
+    Memory: a level holds prod(outcomes of the fired stations it was not
+    split on) x D x width entries, D the dimension its branches share, and
+    one trace per branch; a branch's outcomes are its position in that
+    product (see ``_Level``). The width is at most D, except on a level cut
+    to one outcome's smaller d_out, whose width the next station
+    recompresses to its dimension. Spent factors shrink D to the product of
+    the roots' ranks and the unspent factors, so a GHZ state measured one
+    qubit per station never holds more than 2^n entries per level, the last
+    included: 4 kB for 8 qubits, 16 kB for 10.
     """
     q, w = s._eigen
-    v0, weights = (q, w) if build else (q * np.sqrt(w), None)
-    levels = [
-        _Level(
-            v0.reshape(1, *s.dims0, v0.shape[1]),
-            _trace(v0[None], weights),
-            np.empty((1, 0), dtype=int),
-            weights,
-        )
-    ]
+    levels = [_Level(q.reshape(1, *s.dims0, len(w)), _trace(q[None], w), w) if build else s._start]
     # Chain position i lies between order[i - 1] and order[i]. A station last
     # on its factor and at or after the last position an evolution acts at is spent.
     steps = enumerate(zip((None, *order), (*order, None)))
@@ -687,7 +678,8 @@ def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[_Lev
         if cur is None:
             return levels
         st = s._by_id[cur]
-        levels = [out for lv in levels for part, iv in _resolve(st, lv) for out in _fire(st, part, iv, j in spent)]
+        parts = [(part, st.resolve(history)) for lv in levels for history, part in lv.split(st.depends_on)]
+        levels = [out for part, iv in parts for out in _fire(st, part, iv, j in spent)]
 
 
 def _require_admissible(s: Scenario, order: tuple[str, ...]) -> None:
@@ -702,11 +694,7 @@ def _require_admissible(s: Scenario, order: tuple[str, ...]) -> None:
 
 
 def _probabilities(s: Scenario, levels: list[_Level]) -> dict[Record, float]:
-    """One ordering's record probabilities from its last sub-batches, each within its bound.
-
-    A level names its records from the stations it fired; only a split one
-    builds its per-branch outcomes for that.
-    """
+    """One ordering's record probabilities from its last sub-batches, each within its bound."""
     probabilities: dict[Record, float] = {}
     for lv in levels:
         records = lv.records()
@@ -822,14 +810,13 @@ class InvarianceReport:
 def _require_causal_conditions(s: Scenario) -> None:
     """Reject outcome-conditioned stations that depend on a station not causally prior."""
     for st in s.stations:
-        if isinstance(st.local, ConditionalLocal):
-            for dep in st.local.depends_on:
-                if dep not in s._pasts[0][st.id]:
-                    raise ValueError(
-                        f"station {st.id!r} conditions on {dep!r}, which is not "
-                        "causally prior; outcome dependence across spacelike "
-                        "separation is rejected"
-                    )
+        for dep in st.depends_on:
+            if dep not in s._pasts[0][st.id]:
+                raise ValueError(
+                    f"station {st.id!r} conditions on {dep!r}, which is not "
+                    "causally prior; outcome dependence across spacelike "
+                    "separation is rejected"
+                )
 
 
 def _require_order_comparable(s: Scenario) -> None:

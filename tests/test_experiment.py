@@ -1331,6 +1331,70 @@ def test_no_spent_stack_before_a_later_station_or_evolution_on_the_factor(monkey
         assert_spent_walk_matches_built_walk(s, [["A", "B", "C"]])
 
 
+# ------------------------------------------------------------ walk levels
+
+
+def assert_split_partitions_in_order(lv, names):
+    """``lv.split(names)`` gives the parent's branches with each history, in lexicographic outcome order.
+
+    Each part's records, ``v`` and ``tr`` rows are the parent's at the
+    positions whose named outcomes equal the part's history, in the
+    parent's order; a split that names no free station returns the level
+    itself. Returns the parts.
+    """
+    records = lv.records()
+    fired = {sid: [o.label for o in iv.outcomes] for sid, iv in lv.fired}
+    named = [sid for sid in fired if sid in names]
+    parts = lv.split(set(names))
+    free = [sid for sid in named if sid not in lv.fixed and len(fired[sid]) > 1]
+    if not free:
+        assert len(parts) == 1 and parts[0][1] is lv
+    keys = [tuple(fired[sid].index(history[sid]) for sid in named) for history, _ in parts]
+    assert keys == sorted(set(keys)), keys
+    covered = 0
+    for history, part in parts:
+        assert list(history) == named
+        rows = [i for i, rec in enumerate(records) if all(dict(rec)[sid] == history[sid] for sid in named)]
+        assert part.records() == [records[i] for i in rows]
+        assert np.array_equal(part.v, lv.v[rows]) and np.array_equal(part.tr, lv.tr[rows])
+        covered += len(rows)
+    assert covered == len(records)
+    return parts
+
+
+def test_a_split_partitions_its_level_in_lexicographic_outcome_order():
+    qubits = Scenario(
+        dims0=(2,) * 5,
+        rho0=random_density(32, seed=70),
+        stations=tuple(station(f"q{i}", 0.0, 10.0 * i, i, random_intervention(2, [1, 1, 1], seed=i)) for i in range(5)),
+    )
+    (wide,) = experiment._walk(qubits, tuple(f"q{i}" for i in range(5)), build=True)
+    assert len(wide.tr) == 243
+    s = reordered_conditional_scenario()
+    orders = linear_extensions(s._covering, s.events())
+    levels = [wide, *(lv for order in orders for lv in experiment._walk(s, tuple(order), build=True))]
+    for lv in levels:
+        ids = [sid for sid, _ in lv.fired]
+        for r in range(len(ids) + 1):
+            for names in itertools.combinations(ids, r):
+                for _, part in assert_split_partitions_in_order(lv, names):
+                    for other in set(ids) - set(names):
+                        assert_split_partitions_in_order(part, {other})
+
+
+def test_the_walk_starts_from_one_read_only_level_per_scenario():
+    s = reordered_conditional_scenario()
+    start = s._start
+    assert not start.v.flags.writeable and not start.tr.flags.writeable
+    alt = LocalIntervention(2, random_intervention(2, [2, 2], seed=71))
+    assert s._with_station("A2", alt)._start is start
+    before = start.v.copy()
+    for order in linear_extensions(s._covering, s.events()):
+        experiment._walk(s, tuple(order))
+        experiment._walk(s, tuple(order), build=True)
+    assert s._start is start and start.v.tobytes() == before.tobytes()
+
+
 # ------------------------------------------------------------ ordering layer
 
 

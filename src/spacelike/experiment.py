@@ -873,16 +873,18 @@ def _spread(keyed: Iterable[tuple[object, Mapping]]) -> tuple[float, tuple | Non
     ends: dict = {}
     n = 0
     for key, dist in keyed:
-        absent = dict.fromkeys(ends.keys() - dist.keys(), 0.0)
-        for entry, p in itertools.chain(dist.items(), absent.items()):
+        # Earlier entries this distribution does not name are 0 here; most name them all.
+        absent = () if ends.keys() <= dist.keys() else dict.fromkeys(ends.keys() - dist.keys(), 0.0).items()
+        for entry, p in itertools.chain(dist.items(), absent):
             pk = (p, key)
-            if entry not in ends:
+            extremes = ends.get(entry)
+            if extremes is None:
                 # Missing from every earlier distribution: 0 at the least and the greatest key.
-                ends[entry] = [(0.0, least), (0.0, greatest)] if n else [pk, pk]
-            extremes = ends[entry]
+                extremes = ends[entry] = [(0.0, least), (0.0, greatest)] if n else [pk, pk]
+            # The least never exceeds the greatest, so pk passes at most one of them.
             if pk < extremes[0]:
                 extremes[0] = pk
-            if pk > extremes[1]:
+            elif pk > extremes[1]:
                 extremes[1] = pk
         least, greatest = (min(least, key), max(greatest, key)) if n else (key, key)
         n += 1
@@ -890,7 +892,7 @@ def _spread(keyed: Iterable[tuple[object, Mapping]]) -> tuple[float, tuple | Non
         return 0.0, None, n
     spread = {entry: high[0] - low[0] for entry, (low, high) in ends.items()}
     worst = max(spread.values())
-    entry = next(e for e in sorted(ends) if spread[e] >= worst - tolerance.FLOOR)
+    entry = min(e for e, d in spread.items() if d >= worst - tolerance.FLOOR)
     (p_low, key_low), (p_high, key_high) = ends[entry]
     return worst, (entry, key_low, key_high, p_low, p_high), n
 

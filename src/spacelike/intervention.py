@@ -199,18 +199,18 @@ def _trace(v: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
     if weights is not None:
         v = v * np.sqrt(weights)
     x = np.ascontiguousarray(v).reshape(len(v), -1).view(np.float64)
-    return np.einsum("ij,ij->i", x, x)
+    return np.add.reduce(x * x, axis=1)
 
 
 def _first_outside(traces: np.ndarray, high) -> int | None:
     """Flat index of the first trace above ``high`` by more than ``tolerance.FLOOR``, or NaN, if any.
 
     ``high`` broadcasts against ``traces``. A trace from ``_trace`` is a sum
-    of squares, never below 0, so one ``max`` checks the bound, and it
+    of squares, never below 0, so one maximum checks the bound, and it
     propagates NaN, which then fails the comparison.
     """
     excess = traces - high
-    if excess.max() <= tolerance.FLOOR:
+    if np.maximum.reduce(excess, axis=None) <= tolerance.FLOOR:
         return None
     return int(np.flatnonzero(~(excess <= tolerance.FLOOR))[0])
 

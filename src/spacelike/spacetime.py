@@ -193,7 +193,12 @@ def linear_extensions(
     so consecutive orders share their longest prefixes. An event is ready
     when none of its predecessors is unplaced; a count per event keeps
     that up to date, so each step costs its event's successors, not a
-    scan of every event.
+    scan of every event. A running count of the order pairs whose source
+    is unplaced spots a free tail: when it is 0, no pair joins two
+    unplaced events, so every permutation of them, in ``events`` order,
+    ends the prefix, and they are listed in one step, in the order the
+    search would give. For mutually spacelike events the tail is every
+    event; otherwise it is at least the last one.
 
     Refuses more than MAX_EXTENSIONS (8!) of them: their count grows
     factorially with the number of mutually spacelike events. Such a
@@ -201,6 +206,8 @@ def linear_extensions(
     ready in each round of Kahn's algorithm are mutually unordered, so
     the product of the rounds' factorials bounds the count from below,
     and a bound over the limit refuses before any ordering is listed.
+    The bound can be far below the count, so listing stops, a free tail
+    included, at the first ordering past the limit.
     """
     ids = [e.id for e in events]
     if len(set(ids)) != len(ids):
@@ -224,17 +231,28 @@ def linear_extensions(
 
     out: list[tuple[str, ...]] = []
     chosen: list[int] = []
+    # Order pairs whose source is unplaced. No target is placed before its
+    # source, so these are exactly the pairs among the unplaced events.
+    pairs = sum(map(len, succs))
     # Depth-first backtracking with an explicit stack: stack[k] holds the
     # events ready at depth k, in ``ids`` order, and the next one to try.
     # The ready set is the same whenever the search returns to a depth.
     stack = [[sorted(ready), 0]] if bound <= MAX_EXTENSIONS else []
-    while stack:
+    while stack and len(out) <= MAX_EXTENSIONS:
         top = stack[-1]
         candidates, k = top
+        if not pairs and not k:
+            # A free tail: every unplaced event is ready, so each permutation
+            # of them, in ``ids`` order, ends this prefix, as depth-first would.
+            head = tuple(ids[j] for j in chosen)
+            tails = itertools.permutations([ids[j] for j in candidates])
+            out += (head + p for p in itertools.islice(tails, MAX_EXTENSIONS + 1 - len(out)))
+            k = top[1] = len(candidates)
         if k < len(candidates):
             top[1] = k + 1
             x = candidates[k]
             chosen.append(x)
+            pairs -= len(succs[x])
             ready.remove(x)
             for y in succs[x]:
                 missing[y] -= 1
@@ -242,13 +260,10 @@ def linear_extensions(
                     ready.add(y)
             stack.append([sorted(ready), 0])
             continue
-        if len(chosen) == len(ids):
-            out.append(tuple(ids[j] for j in chosen))
-            if len(out) > MAX_EXTENSIONS:
-                break
         stack.pop()
         if chosen:
             x = chosen.pop()
+            pairs += len(succs[x])
             for y in succs[x]:
                 if not missing[y]:
                     ready.remove(y)

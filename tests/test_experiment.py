@@ -1075,6 +1075,12 @@ def test_factor_path_matches_state_path_on_ghz(qubits):
             assert max_abs_diff(got[rec], state) <= 1e-12, rec
 
 
+def test_eight_spacelike_stations_certify_over_every_ordering():
+    # All 8! orderings are one free tail of the enumeration.
+    report = check_order_invariance(ghz_scenario([0.4 + 0.7 * i for i in range(8)]), 1e-12)
+    assert (report.orders_checked, report.method, report.worst) == (40320, "pairwise", 0.0)
+
+
 def test_ten_qubit_ghz_meets_the_closed_form_in_two_orderings():
     # Mermin: for an even number of qubits, <(x) (cos t Z + sin t X)> = prod cos + prod sin.
     angles = [0.3 + 0.55 * i for i in range(10)]

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -357,6 +358,23 @@ def test_linear_extensions_list_equal_the_recursive_enumeration():
         direct = _causal_pasts(events)[1]
         covering = {(a, b) for b, preds in direct.items() for a in preds}
         assert linear_extensions(covering, events) == expected, events
+    # Relations given directly, whose last events are free of each other:
+    # once the head is placed the rest is a free tail, whose permutations
+    # must come in the order depth-first gives them.
+    relations = []
+    for _ in range(300):
+        n = int(rng.integers(0, 8))
+        head = int(rng.integers(0, n + 1))
+        names = [f"e{i}" for i in rng.permutation(n)]
+        pairs = {(names[i], names[j]) for i in range(head) for j in range(i + 1, n) if rng.random() < 0.5}
+        events = [Event(i, 0.0, 0.0) for i in sorted(names, key=lambda _: rng.random())]
+        relations.append((pairs, events))
+    diamond = {("bottom", "left"), ("bottom", "right"), ("left", "top"), ("right", "top")}
+    for k in range(4):
+        events = [Event(i, 0.0, 0.0) for i in ("bottom", "left", "right", "top", *(f"a{j}" for j in range(k)))]
+        relations.append((diamond | {("top", f"a{j}") for j in range(k)}, events))
+    for order, events in relations:
+        assert linear_extensions(order, events) == recursive_extensions(order, events), (order, events)
 
 
 def test_linear_extensions_of_a_chain_deeper_than_the_recursion_limit():
@@ -403,6 +421,22 @@ def test_linear_extensions_refuse_past_the_round_bound_while_listing():
     events = [Event(f"{c}{i}", 2.0 * i, x) for i in range(10) for c, x in (("a", 0.0), ("b", 50.0))]
     with pytest.raises(ValueError, match=r"20 events have more than 40320 orderings"):
         linear_extensions(causal_order(events), events)
+
+
+def test_linear_extensions_cap_a_free_tail_at_the_limit():
+    # A chain c0..c8 with each y_i after c_i: the rounds bound the count by
+    # 2^8, yet once the chain is placed the nine y's are a free tail of 9!
+    # orderings. Listing stops one past the limit, before the rest of it.
+    events = [Event(f"{c}{i}", 0.0, 0.0) for c in "cy" for i in range(9)]
+    order = {(f"c{i}", f"c{i + 1}") for i in range(8)} | {(f"c{i}", f"y{i}") for i in range(9)}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"18 events have more than 40320 orderings \(8!\), the limit"):
+            linear_extensions(order, events)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6, peak
 
 
 def test_event_equality_and_immutability():

@@ -21,8 +21,9 @@ Two certifiers operate on top of the evaluator:
   (a strictly stronger set than the frame-realizable orderings). Where
   causally incomparable stations act on different subsystems and no
   evolution can move, they differ by swaps of commuting maps, and one is
-  evaluated ("pairwise"); otherwise all are, one at a time, and each
-  record keeps only its least and greatest probability ("exhaustive").
+  walked for its runtime checks, with no record built ("pairwise");
+  otherwise all are evaluated, one at a time, and each record keeps only
+  its least and greatest probability ("exhaustive").
 * ``check_no_signaling`` replaces one station's intervention by
   alternatives and reports the worst change in a spacelike-separated
   station's marginal distribution, in an ordering that fires the varied
@@ -589,26 +590,35 @@ def _evolve(s: Scenario, lv: _Level, prev: str | None, cur: str | None) -> list[
 def _fire(st: Station, lv: _Level, iv: Intervention, spent: bool) -> list[_Level]:
     """Fire ``iv`` at ``st`` on every branch of ``lv``: the next levels.
 
-    One contraction of ``iv``'s stack gives every outcome branch of every
-    branch (``_branches``); each branch trace is bounded by its parent's
-    times the derived growth. Outcomes whose d_out differ leave one level
-    each, cut to that d_out, so every level keeps one shape. A ``spent``
-    station, one after which nothing acts on its factor, fires through
-    ``iv``'s POVM roots instead of its Kraus stack, so each branch keeps
-    only its outcome's rank on that factor, not d_out rows per Kraus
-    matrix; its branches stay one level, the roots' padded rank on that
-    factor, which nothing reads again.
+    One kernel pass: one contraction of ``iv``'s stack gives every outcome
+    branch of every branch (``_branches``), one square-and-reduce their
+    traces (``_trace``), and one max-reduce bounds each by its parent's
+    trace times the derived growth; ``_check_outcomes`` and
+    ``_factor_sizes`` run only to word a failure. Outcomes whose d_out
+    differ leave one level each, cut to that d_out, so every level keeps
+    one shape. A ``spent`` station, one after which nothing acts on its
+    factor, fires through ``iv``'s POVM roots instead of its Kraus stack,
+    so each branch keeps only its outcome's rank on that factor, not d_out
+    rows per Kraus matrix; its branches stay one level, the roots' padded
+    rank on that factor, which nothing reads again.
     """
     sub, d, pdims = st.subsystem, iv.d_in, lv.v.shape[1:-1]
-    try:
-        b, a = _factor_sizes(pdims, sub, d)
-    except DimensionError as exc:
-        raise DimensionError(f"station {st.id!r} at this point in the chain: {exc}") from exc
+    if pdims[sub] != d:
+        try:
+            _factor_sizes(pdims, sub, d)
+        except DimensionError as exc:
+            raise DimensionError(f"station {st.id!r} at this point in the chain: {exc}") from exc
     stack = iv._povm_roots if spent else iv._kraus_stack
+    b, a = math.prod(pdims[:sub]), math.prod(pdims[sub + 1 :])
     out = _branches(lv.v.reshape(len(lv.v), b, d, a, -1), stack)
     weights = None if lv.weights is None else np.repeat(lv.weights, out.shape[-1] // lv.v.shape[-1])
     tr = _trace(out, weights)
-    _check_outcomes(tr, lv.tr, iv)
+    if len(lv.tr) == 1:  # Rounding is monotone: the greatest branch trace has the greatest excess.
+        excess = np.maximum.reduce(tr) - lv.tr.item() * iv.growth
+    else:
+        excess = np.maximum.reduce(tr.reshape(len(lv.tr), -1) - (lv.tr * iv.growth)[:, None], axis=None)
+    if not excess <= tolerance.FLOOR:
+        _check_outcomes(tr, lv.tr, iv)
     shape = (*pdims[:sub], out.shape[2], *pdims[sub + 1 :])
     size = math.prod(shape)
     if out.shape[-1] > size:
@@ -616,7 +626,7 @@ def _fire(st: Station, lv: _Level, iv: Intervention, spent: bool) -> list[_Level
             out = out * np.sqrt(weights)
         out, weights = _recompress(out.reshape(len(out), size, -1)), None
     new = _Level(out.reshape(len(out), *shape, -1), tr, weights, (*lv.fired, (st.id, iv)), lv.fixed)
-    if spent or len({o.d_out for o in iv.outcomes}) == 1:
+    if spent or iv._one_d_out:
         return [new]
     d_out, cut = {o.label: o.d_out for o in iv.outcomes}, (slice(None),) * (sub + 1)
     return [replace(part, v=part.v[(*cut, slice(0, d_out[h[st.id]]))]) for h, part in new.split({st.id})]
@@ -693,17 +703,28 @@ def _require_admissible(s: Scenario, order: tuple[str, ...]) -> None:
                 raise ValueError(f"order places {a!r} after {b!r}, violating their causal order")
 
 
-def _probabilities(s: Scenario, levels: list[_Level]) -> dict[Record, float]:
-    """One ordering's record probabilities from its last sub-batches, each within its bound."""
-    probabilities: dict[Record, float] = {}
+def _checked_walk(s: Scenario, order: tuple[str, ...]) -> list[_Level]:
+    """The last sub-batches of one admissible ordering, each record probability and their sum checked.
+
+    Rejects an inadmissible ``order`` (``_require_admissible``), walks it
+    (``_walk``), and bounds every record probability, an entry of a level's
+    ``tr``, by the scenario's derived ``growth`` and their sum, taken in
+    level and branch order, by 2 - growth and growth. A record is named only
+    to word a probability out of bounds; nothing else here builds records.
+    """
+    _require_admissible(s, order)
+    levels = _walk(s, order)
     for lv in levels:
-        records = lv.records()
         if (i := _first_outside(lv.tr, s.growth)) is not None:
-            tolerance.check(float(lv.tr[i]), 0.0, s.growth, f"probability of record {records[i]}")
-        probabilities.update(zip(records, lv.tr.tolist()))
-    total = sum(probabilities.values())
+            tolerance.check(float(lv.tr[i]), 0.0, s.growth, f"probability of record {lv.records()[i]}")
+    total = sum(itertools.chain.from_iterable(lv.tr.tolist() for lv in levels))
     tolerance.check(total, 2.0 - s.growth, s.growth, "sum of record probabilities")
-    return probabilities
+    return levels
+
+
+def _probabilities(levels: list[_Level]) -> dict[Record, float]:
+    """The record table of a checked walk's last sub-batches: every record's probability."""
+    return {rec: p for lv in levels for rec, p in zip(lv.records(), lv.tr.tolist())}
 
 
 def evaluate_in_order(s: Scenario, order: Sequence[str]) -> EvaluationResult:
@@ -720,7 +741,8 @@ def evaluate_in_order(s: Scenario, order: Sequence[str]) -> EvaluationResult:
     station acts on every live branch at once. A station after which
     nothing acts on its factor fires through roots F of its POVM elements
     E = F^dagger F, so no final state is built; the result builds them on
-    first read of ``final_states``.
+    first read of ``final_states``. The walk and its checks are
+    ``_checked_walk``'s; the record table on top of it, ``_probabilities``.
 
     The scenario remembers the probabilities of the last ordering it was
     evaluated in (``Scenario._memo``): asking for that ordering again
@@ -732,8 +754,7 @@ def evaluate_in_order(s: Scenario, order: Sequence[str]) -> EvaluationResult:
     order = tuple(order)
     last = s._memo.evaluation
     if last is None or last[0] != order:
-        _require_admissible(s, order)
-        last = s._memo.evaluation = (order, _probabilities(s, _walk(s, order)))
+        last = s._memo.evaluation = (order, _probabilities(_checked_walk(s, order)))
     return EvaluationResult(ordering=order, probabilities=dict(last[1]), scenario=s)
 
 
@@ -846,8 +867,10 @@ def check_order_invariance(s: Scenario, tol: float) -> InvarianceReport:
     (``Scenario._chains``) and no evolution can move (``Scenario._movable``
     is empty), adjacent swaps of maps on different tensor factors, which
     commute, link any two extensions, so every record's unnormalized final
-    state is the same in all: one is evaluated, for its runtime checks, and
-    ``worst`` is 0.0 exactly (``method`` "pairwise"). Otherwise every
+    state is the same in all: the first is walked for its runtime checks
+    (``_checked_walk``), which builds no record, no result and no memo
+    entry, and leaves the scenario's memo as it was, and ``worst`` is 0.0
+    exactly (``method`` "pairwise"). Otherwise every
     extension is evaluated, one at a time, and ``compare_orderings`` reads
     the results as they come, so memory grows with the records, not with
     the orderings.
@@ -855,7 +878,7 @@ def check_order_invariance(s: Scenario, tol: float) -> InvarianceReport:
     _require_order_comparable(s)
     extensions = linear_extensions(s._covering, s.events())
     if not s._movable and s._chains:
-        evaluate_in_order(s, extensions[0])
+        _checked_walk(s, extensions[0])
         return InvarianceReport(True, 0.0, len(extensions), method="pairwise")
     return compare_orderings((evaluate_in_order(s, o) for o in extensions), tol)
 

@@ -81,6 +81,7 @@ class Intervention:
     zero-padded to (outcomes, 1, largest rank, d_in). ``growth`` bounds how
     much firing either stack can raise a trace: ``tolerance.growth`` at the
     deviation plus the absolute sum of the eigenvalues the roots drop.
+    ``_one_d_out`` says whether every outcome has the same d_out.
     """
 
     d_in: int
@@ -90,6 +91,7 @@ class Intervention:
     povm: np.ndarray = field(init=False, repr=False, compare=False)
     _kraus_stack: np.ndarray = field(init=False, repr=False, compare=False)
     _povm_roots: np.ndarray = field(init=False, repr=False, compare=False)
+    _one_d_out: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "outcomes", tuple(self.outcomes))
@@ -133,6 +135,7 @@ class Intervention:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "deviation", worst)
+        object.__setattr__(self, "_one_d_out", len({o.d_out for o in self.outcomes}) == 1)
         object.__setattr__(self, "growth", tolerance.growth(d, worst + float(np.abs(w[~kept]).sum())))
 
     def labels(self) -> tuple[str, ...]:

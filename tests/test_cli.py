@@ -7,7 +7,7 @@ import pytest
 
 import numpy as np
 
-from spacelike import cli, scenarios
+from spacelike import cli, scenarios, tolerance
 from spacelike.cli import main
 from spacelike.experiment import ConditionalLocal, EvaluationResult, Scenario, Station
 from spacelike.intervention import Intervention, LocalIntervention, Outcome, random_intervention
@@ -199,13 +199,28 @@ def test_no_signaling_sweep_names_failing_and_worst_seeds(capsys):
         for seed in range(3)
     }
     failing = [seed for seed, w in worst.items() if w > 1e-300]
-    worst_seed = max(worst, key=lambda seed: (worst[seed], -seed))
+    # The seeds' worsts are rounding, each within tolerance.FLOOR of the largest: the first seed is named.
+    worst_seed = min(seed for seed, w in worst.items() if w >= max(worst.values()) - tolerance.FLOOR)
     assert failing
     code, table, csv, doc = sweep_lines(capsys, "check-no-signaling", "--trials", "3", "--tolerance", "1e-300")
     assert code == 1
     assert (doc["failing_seeds"], doc["worst_seed"]) == (failing, worst_seed)
     for printed in (table, csv):
         assert (json.loads(printed["failing_seeds"]), int(printed["worst_seed"])) == (failing, worst_seed)
+
+
+def test_worst_seed_is_the_first_within_the_floor_of_the_worst():
+    def reports(*worsts):
+        return [{"seed": 40 + k, "ok": w <= 1e-9, "worst": w} for k, w in enumerate(worsts)]
+
+    rounding = 1.7763568394002505e-15
+    # Worsts that differ by last-bit rounding name the first seed, whichever is larger.
+    assert cli._sweep(reports(rounding - 1e-16, rounding, 0.0))["worst_seed"] == 40
+    assert cli._sweep(reports(0.0, rounding, rounding - 1e-16))["worst_seed"] == 40
+    # A worst more than the floor below the sweep's is passed over.
+    assert cli._sweep(reports(0.0, 2 * tolerance.FLOOR, 0.25, 0.25 - tolerance.FLOOR / 2))["worst_seed"] == 42
+    doc = cli._sweep(reports(rounding, 0.0))
+    assert (doc["worst"], doc["worst_seed"], doc["failing_seeds"]) == (rounding, 40, [])
 
 
 def test_no_signaling_generates_each_varied_stations_alternatives_once(monkeypatch):

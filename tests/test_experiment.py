@@ -1692,6 +1692,82 @@ def test_a_certified_scenario_is_evaluated_in_one_ordering(monkeypatch):
         check_order_invariance(bad, 1e-9)
 
 
+def test_the_pairwise_walk_bounds_every_branch_even_with_its_ordering_remembered(monkeypatch):
+    s = eprb(0.0, 1.0)
+    first = linear_extensions(s._covering, s.events())[0]
+    evaluate_in_order(s, first)
+    kernel = experiment._branches
+    # Doubling every branch factor quadruples its trace, past any derived bound.
+    monkeypatch.setattr(experiment, "_branches", lambda v, stack: 2 * kernel(v, stack))
+    with pytest.raises(ValueError, match="branch trace for outcome '\\+'.*internal invariant failure"):
+        check_order_invariance(s, 1e-9)
+
+    def poisoned(v, stack, parents):
+        out = kernel(v, stack).copy()
+        if len(v) >= parents:
+            out[-1].flat[0] = np.nan
+        return out
+
+    # A fires on one parent branch, B on A's two: a NaN at either level names its outcome.
+    for parents in (1, 2):
+        monkeypatch.setattr(experiment, "_branches", lambda v, stack, parents=parents: poisoned(v, stack, parents))
+        with pytest.raises(ValueError, match="branch trace for outcome '-' is nan, .*internal invariant failure"):
+            check_order_invariance(s, 1e-9)
+    # Scaled by 1.5 at B only, B's '-' under A's '+' reaches 2.25 * 0.385 of its parent's 0.5.
+    monkeypatch.setattr(experiment, "_branches", lambda v, stack: kernel(v, stack) * (1.5 if len(v) == 2 else 1.0))
+    with pytest.raises(ValueError, match="branch trace for outcome '-' is 0.86.*internal invariant failure"):
+        check_order_invariance(s, 1e-9)
+
+
+def test_both_callers_of_the_checked_walk_bound_each_record_and_the_sum(monkeypatch):
+    # eprb(0, 1) gives each record at most (1 + cos 1) / 4 < 0.4: scaled by 1.5 each stays below 1, the sum does not.
+    walk = experiment._walk
+    scale = {"by": 1.5, "record": None}
+
+    def skewed(s, order, build=False):
+        levels = walk(s, order, build)
+        assert len(levels) == 1
+        tr = levels[0].tr * scale["by"]
+        if scale["record"] is not None:
+            tr[scale["record"]] = 2.0
+        return [replace(levels[0], tr=tr)]
+
+    monkeypatch.setattr(experiment, "_walk", skewed)
+    s = eprb(0.0, 1.0)
+    # Both walk A then B, whose second record is A '+' and B '-'.
+    for certify in (lambda: check_order_invariance(s, 1e-9), lambda: evaluate_in_order(s, ["A", "B"])):
+        scale.update(by=1.5, record=None)
+        with pytest.raises(ValueError, match="sum of record probabilities is 1.49.*internal invariant failure"):
+            certify()
+        scale.update(by=1.0, record=1)
+        with pytest.raises(ValueError, match=r"probability of record \(\('A', '\+'\), \('B', '-'\)\) is 2.0, "):
+            certify()
+    assert s._memo.evaluation is None
+
+
+def test_the_pairwise_certificate_builds_no_record_and_leaves_the_memo(monkeypatch):
+    s = eprb(0.2, 1.1)
+    evaluate_in_order(s, ["B", "A"])
+    remembered = s._memo.evaluation
+
+    def refuse(lv):
+        raise AssertionError("the pairwise certificate built a record table")
+
+    monkeypatch.setattr(experiment._Level, "records", refuse)
+    evaluations = count_calls(monkeypatch, "evaluate_in_order")
+    walks = count_calls(monkeypatch, "_walk")
+    report = check_order_invariance(s, 1e-9)
+    assert (report.ok, report.method, report.orders_checked) == (True, "pairwise", 2)
+    assert [args[1] for args, _ in walks] == [("A", "B")]
+    assert s._memo.evaluation is remembered and s._memo.evaluation[0] == ("B", "A")
+    fresh = random_product_scenario(seed=0)
+    assert check_order_invariance(fresh, 1e-9).method == "pairwise" and fresh._memo.evaluation is None
+    for seed in range(200):
+        report = check_order_invariance(random_product_scenario(seed=seed), 1e-9)
+        assert (report.ok, report.method, report.worst) == (True, "pairwise", 0.0), seed
+    assert evaluations == []
+
+
 def test_pairwise_certificate_agrees_with_every_ordering():
     scenarios = [random_product_scenario(seed=k) for k in range(200)]
     scenarios += [*builtin_scenarios().values(), reordered_conditional_scenario()]

@@ -138,7 +138,8 @@ def _sweep(reports: list[dict], **counts) -> dict:
 
     The worst seed is the first whose worst lies within ``tolerance.FLOOR``
     of the sweep's worst, as ``experiment._spread`` picks its witness, so
-    last-bit rounding cannot move it.
+    last-bit rounding cannot move it. On a sweep whose worst is itself
+    within the floor of 0, that is simply the first seed.
     """
     worst = max(r["worst"] for r in reports)
     return {

@@ -347,7 +347,7 @@ class Scenario:
             raise ValueError(f"station ids must be unique, got {ids}")
         object.__setattr__(self, "_by_id", dict(zip(ids, self.stations)))
         for st in self.stations:
-            if st.subsystem >= len(self.dims0):
+            if not 0 <= st.subsystem < len(self.dims0):
                 raise DimensionError(
                     f"station {st.id!r} acts on subsystem {st.subsystem}, but the "
                     f"scenario's subsystems are 0 to {len(self.dims0) - 1}"
@@ -593,32 +593,24 @@ def _fire(st: Station, lv: _Level, iv: Intervention, spent: bool) -> list[_Level
     One kernel pass: one contraction of ``iv``'s stack gives every outcome
     branch of every branch (``_branches``), one square-and-reduce their
     traces (``_trace``), and one max-reduce bounds each by its parent's
-    trace times the derived growth; ``_check_outcomes`` and
-    ``_factor_sizes`` run only to word a failure. Outcomes whose d_out
-    differ leave one level each, cut to that d_out, so every level keeps
-    one shape. A ``spent`` station, one after which nothing acts on its
+    trace times the derived growth (``_check_outcomes``). Outcomes whose
+    d_out differ leave one level each, cut to that d_out, so every level
+    keeps one shape. A ``spent`` station, one after which nothing acts on its
     factor, fires through ``iv``'s POVM roots instead of its Kraus stack,
     so each branch keeps only its outcome's rank on that factor, not d_out
     rows per Kraus matrix; its branches stay one level, the roots' padded
     rank on that factor, which nothing reads again.
     """
     sub, d, pdims = st.subsystem, iv.d_in, lv.v.shape[1:-1]
-    if pdims[sub] != d:
-        try:
-            _factor_sizes(pdims, sub, d)
-        except DimensionError as exc:
-            raise DimensionError(f"station {st.id!r} at this point in the chain: {exc}") from exc
+    try:
+        b, a = _factor_sizes(pdims, sub, d)
+    except DimensionError as exc:
+        raise DimensionError(f"station {st.id!r} at this point in the chain: {exc}") from exc
     stack = iv._povm_roots if spent else iv._kraus_stack
-    b, a = math.prod(pdims[:sub]), math.prod(pdims[sub + 1 :])
     out = _branches(lv.v.reshape(len(lv.v), b, d, a, -1), stack)
     weights = None if lv.weights is None else np.repeat(lv.weights, out.shape[-1] // lv.v.shape[-1])
     tr = _trace(out, weights)
-    if len(lv.tr) == 1:  # Rounding is monotone: the greatest branch trace has the greatest excess.
-        excess = np.maximum.reduce(tr) - lv.tr.item() * iv.growth
-    else:
-        excess = np.maximum.reduce(tr.reshape(len(lv.tr), -1) - (lv.tr * iv.growth)[:, None], axis=None)
-    if not excess <= tolerance.FLOOR:
-        _check_outcomes(tr, lv.tr, iv)
+    _check_outcomes(tr, lv.tr, iv)
     shape = (*pdims[:sub], out.shape[2], *pdims[sub + 1 :])
     size = math.prod(shape)
     if out.shape[-1] > size:
@@ -713,18 +705,21 @@ def _checked_walk(s: Scenario, order: tuple[str, ...]) -> list[_Level]:
     to word a probability out of bounds; nothing else here builds records.
     """
     _require_admissible(s, order)
-    levels = _walk(s, order)
+    levels, total = _walk(s, order), 0.0
     for lv in levels:
         if (i := _first_outside(lv.tr, s.growth)) is not None:
             tolerance.check(float(lv.tr[i]), 0.0, s.growth, f"probability of record {lv.records()[i]}")
-    total = sum(itertools.chain.from_iterable(lv.tr.tolist() for lv in levels))
+        total = sum(lv.tr.tolist(), total)
     tolerance.check(total, 2.0 - s.growth, s.growth, "sum of record probabilities")
     return levels
 
 
 def _probabilities(levels: list[_Level]) -> dict[Record, float]:
     """The record table of a checked walk's last sub-batches: every record's probability."""
-    return {rec: p for lv in levels for rec, p in zip(lv.records(), lv.tr.tolist())}
+    probabilities: dict[Record, float] = {}
+    for lv in levels:
+        probabilities.update(zip(lv.records(), lv.tr.tolist()))
+    return probabilities
 
 
 def evaluate_in_order(s: Scenario, order: Sequence[str]) -> EvaluationResult:

@@ -158,6 +158,21 @@ def test_conditional_local_validation():
         ConditionalLocal(subsystem=0, depends_on=("M",), cases={("a", "b"): identity_iv()})
 
 
+@pytest.mark.parametrize("subsystem", [-1, 2])
+def test_scenario_rejects_a_conditional_station_off_its_subsystems(subsystem):
+    # A full-rank rho0 would let a negative index reshape without error and walk a wrong level.
+    cases = {(o,): identity_iv() for o in ("z+", "z-")}
+    with pytest.raises(DimensionError, match=f"subsystem {subsystem}, but"):
+        Scenario(
+            dims0=(2, 2),
+            rho0=maximally_mixed(4),
+            stations=(
+                station("M", 0.0, 0.0, 0, z_iv()),
+                Station(Event("C", 2.0, 0.0), ConditionalLocal(subsystem, ("M",), cases)),
+            ),
+        )
+
+
 # ---------------------------------------------------------------- evaluation
 
 

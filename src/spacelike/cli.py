@@ -288,11 +288,16 @@ def _tolerance(text: str) -> float:
     return t
 
 
-def _trials(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"trials must be at least 1, got {n}")
-    return n
+def _at_least(low: int):
+    """The argparse type of an integer flag no less than ``low``; argparse names the flag."""
+
+    def integer(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,13 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
         if certifier:
             p.add_argument(
                 "--trials",
-                type=_trials,
+                type=_at_least(1),
                 default=None,
                 help="check this many random product scenarios instead of one scenario",
             )
             p.add_argument(
                 "--seed",
-                type=int,
+                type=_at_least(0),
                 default=0,
                 help="seed of the first random scenario and of generated alternatives",
             )

@@ -6,8 +6,8 @@ intervention), and optional unitary evolutions between chain positions.
 Evaluating a scenario under a chronological ordering gives every outcome
 record's probability: the trace of the record's unnormalized final state.
 The evaluator carries a factor V of rho0 = V V^dagger, D x r with
-r = rank(rho0), found when the scenario is built by the one decomposition
-that also checks rho0's positivity, and walks one ordering level by
+r = rank(rho0), found when the scenario is built by a pivoted LDL^dagger
+of rho0 that also checks its positivity, and walks one ordering level by
 level: all live branches sit in stacked arrays, one contraction per
 station applies its Kraus matrices to every branch, and a branch wider
 than its dimension is recompressed. A station after which nothing acts on
@@ -210,59 +210,44 @@ def _require_history_label(st: Station, label: str) -> None:
         raise ValueError(f"evolution history names outcome {label!r} unknown to station {st.id!r}")
 
 
-def _range_basis(h: np.ndarray, floor: float) -> np.ndarray | None:
-    """Orthonormal columns spanning Hermitian h's range, or None where eigh(h) costs no more.
+def _ldl(rho: np.ndarray, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(C, d), rho0's Hermitian part h ~ C diag(d) C^dagger, every weight above cutoff / D.
 
-    A partial Cholesky factor of h, pivoted on the largest residual diagonal
-    entry until none exceeds ``floor`` or the rounding of that entry (None
-    for D <= 16 or past D / 2 pivots), goes through QR with its pivot rows
-    first: a diagonal h gives unit vectors exactly. Each of k updates of the
-    residual diagonal rounds by about an ulp of h's largest diagonal entry,
-    so k + 2 of them is its rounding; a floor below it would pivot on noise.
-    """
-    if len(h) <= 16:
-        return None
-    diag, rows, pivots = h.diagonal().real.copy(), np.empty((len(h) // 2, len(h)), complex), []
-    ulp = tolerance.EPS * diag.max()
-    while diag.max() > max(floor, (len(pivots) + 2) * ulp):
-        if len(pivots) == len(rows):
-            return None
-        k, p = len(pivots), int(np.argmax(diag))
-        c = rows[k] = (h[:, p] - rows[:k].T @ rows[:k, p].conj()) / math.sqrt(diag[p])
-        diag -= c.real**2 + c.imag**2
-        diag[p] = 0.0
-        pivots.append(p)
-    perm = np.concatenate([pivots, np.delete(np.arange(len(h)), pivots)])
-    return np.linalg.qr(rows[: len(pivots), perm].T)[0][np.argsort(perm)]
-
-
-def _factor(rho: np.ndarray, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only eigenpairs of rho0's Hermitian part h, vectors as columns, values > cutoff.
-
-    Rayleigh-Ritz in ``_range_basis``, pivoted to a diagonal of cutoff / D, is
-    kept if it reproduces h within the cutoff, ``tolerance.rank_cutoff``, in
-    Frobenius norm: by Weyl no eigenvalue of h is then below -cutoff. Else
-    eigh(h) gives them, and raises StateError on an eigenvalue below -cutoff.
+    A pivoted LDL^dagger: each step takes the largest residual diagonal
+    entry as a weight and the residual column there, divided by it, as a
+    column of C (1 at its pivot row, so a diagonal h gives unit vectors and
+    its own entries exactly), until no entry exceeds cutoff / D or k + 2
+    ulps of h's largest diagonal entry, the rounding of k updates. C is kept
+    if it reproduces h within the cutoff, ``tolerance.rank_cutoff``, in
+    Frobenius norm, as a positive semidefinite h does up to rounding. Past
+    D / 2 pivots or on a failed certificate, eigh(h) gives C and d, and
+    raises StateError on an eigenvalue below -cutoff.
     """
     h = rho + adj
     h *= 0.5
     cutoff = tolerance.rank_cutoff(len(h))
-    basis = _range_basis(h, cutoff / len(h))
-    if basis is not None:
-        w, u = np.linalg.eigh(basis.conj().T @ h @ basis)
-        q, w = (basis @ u)[:, w > cutoff], w[w > cutoff]
-        residual = (q * w) @ q.conj().T
+    diag, rows, d = h.diagonal().real.copy(), np.empty((len(h) // 2, len(h)), complex), np.empty(len(h) // 2)
+    k, ulp = 0, tolerance.EPS * diag.max()
+    while diag.max() > max(cutoff / len(h), (k + 2) * ulp):
+        if k == len(d):
+            break
+        p = int(np.argmax(diag))
+        d[k], c = diag[p], rows[k]
+        c[:] = h[:, p] - rows[:k].T @ (rows[:k, p].conj() * d[:k])
+        c.view(np.float64)[:] /= d[k]  # a real division: x / x is 1 exactly, unlike a complex one
+        diag -= d[k] * (c.real**2 + c.imag**2)
+        diag[p] = 0.0
+        k += 1
+    else:
+        c, d = rows[:k].T.copy(), d[:k]
+        residual = (c * d) @ c.conj().T
         residual -= h
-        if np.linalg.norm(residual) > cutoff:
-            basis = None
-    if basis is None:
-        w, u = np.linalg.eigh(h)
-        if w[0] < -cutoff:
-            raise StateError("initial state must be positive semidefinite")
-        q, w = u[:, w > cutoff], w[w > cutoff]
-    q.setflags(write=False)
-    w.setflags(write=False)
-    return q, w
+        if np.linalg.norm(residual) <= cutoff:
+            return c, d
+    w, u = np.linalg.eigh(h)
+    if w[0] < -cutoff:
+        raise StateError("initial state must be positive semidefinite")
+    return u[:, w > cutoff], w[w > cutoff]
 
 
 class _Memo:
@@ -288,9 +273,9 @@ class Scenario:
     Building one validates it and derives, once, all that evaluation reads:
     ``growth``, the product of ``tolerance.growth`` over every station's worst
     intervention and every evolution (``_evolution_growth``), bounds how much
-    the chain can raise a trace; ``_eigen`` holds rho0's eigenpairs from
-    ``_factor``, which also checks positivity; ``_start`` the probability
-    walk's read-only first level, V0 = q sqrt(w); ``_by_id`` the stations by id;
+    the chain can raise a trace; ``_factor`` holds (C, d), rho0 ~ C diag(d)
+    C^dagger, from ``_ldl``, which also checks positivity; ``_start`` the
+    walk's read-only first level, V0 = C sqrt(d); ``_by_id`` the stations by id;
     ``_pasts`` each one's causal past and direct predecessors; ``_covering``
     the covering pairs (a, b) of that order; ``_evolutions_at`` the
     evolutions by their (after, before) pair; ``_movable`` the evolutions
@@ -308,7 +293,7 @@ class Scenario:
     evolutions: tuple[Evolution, ...] = ()
     growth: float = field(init=False, repr=False, compare=False)
     _evolution_growth: float = field(init=False, repr=False, compare=False)
-    _eigen: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    _factor: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     _start: _Level = field(init=False, repr=False, compare=False)
     _by_id: dict[str, Station] = field(init=False, repr=False, compare=False)
     _pasts: tuple[dict[str, set[str]], dict[str, list[str]]] = field(init=False, repr=False, compare=False)
@@ -335,11 +320,11 @@ class Scenario:
             raise StateError(f"initial state trace must be 1, got {tr}")
         if deviation(rho, adj) > tolerance.STATE:
             raise StateError("initial state must be Hermitian")
-        q, w = _factor(rho, adj)
-        object.__setattr__(self, "_eigen", (q, w))
-        v0 = q * np.sqrt(w)
-        start = _Level(v0.reshape(1, *self.dims0, len(w)), _trace(v0[None]))
-        for a in (start.v, start.tr):
+        c, d = _ldl(rho, adj)
+        object.__setattr__(self, "_factor", (c, d))
+        v0 = c * np.sqrt(d)
+        start = _Level(v0.reshape(1, *self.dims0, len(d)), _trace(v0[None]))
+        for a in (c, d, start.v, start.tr):
             a.setflags(write=False)
         object.__setattr__(self, "_start", start)
         ids = [s.id for s in self.stations]
@@ -634,7 +619,7 @@ def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[_Lev
     """The last sub-batches of branches of one ordering; each level's ``tr`` is its probabilities.
 
     The walk starts from the scenario's ``_start``, a factor V of rho0
-    built with the scenario from its eigenpairs (``_eigen``), and goes
+    built with the scenario from its weighted factor (``_factor``), and goes
     through the ordering one station at a time, carrying each sub-batch of
     live branches as one ``_Level``: at a station, one contraction of its
     Kraus stack gives every branch's outcome branches (``_fire``,
@@ -650,8 +635,8 @@ def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[_Lev
     differs between them.
 
     With ``build`` every branch is built, through Kraus stacks only, and the
-    walk starts from rho0's eigenvectors weighted by their eigenvalues; those
-    of a diagonal rho0 are unit vectors and its diagonal entries exactly, so
+    walk starts from the columns C of rho0's factor weighted by d; those of
+    a diagonal rho0 are unit vectors and its diagonal entries exactly, so
     it passes through identities exactly. Weights are folded into V if it is
     recompressed.
 
@@ -665,8 +650,8 @@ def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[_Lev
     qubit per station never holds more than 2^n entries per level, the last
     included: 4 kB for 8 qubits, 16 kB for 10.
     """
-    q, w = s._eigen
-    levels = [_Level(q.reshape(1, *s.dims0, len(w)), _trace(q[None], w), w) if build else s._start]
+    c, d = s._factor
+    levels = [_Level(c.reshape(1, *s.dims0, len(d)), _trace(c[None], d), d) if build else s._start]
     # Chain position i lies between order[i - 1] and order[i]. A station last
     # on its factor and at or after the last position an evolution acts at is spent.
     steps = enumerate(zip((None, *order), (*order, None)))

@@ -90,14 +90,15 @@ def classify(e1: Event, e2: Event) -> IntervalKind:
     """Interval type of e2 relative to e1.
 
     FUTURE means e2 lies in e1's causal future. Swapping the arguments
-    time-reverses the answer.
+    time-reverses the answer. |dt| is compared with |dx|, not their squares,
+    which can underflow or overflow; where both overflow, every coordinate is halved, exactly.
     """
-    dt = e2.t - e1.t
-    dx = e2.x - e1.x
-    s = dt * dt - dx * dx
-    if s < 0.0:
+    dt, dx = e2.t - e1.t, e2.x - e1.x
+    if abs(dt) == abs(dx) == math.inf:
+        dt, dx = e2.t / 2 - e1.t / 2, e2.x / 2 - e1.x / 2
+    if abs(dt) < abs(dx):
         return IntervalKind.SPACELIKE
-    if s > 0.0:
+    if abs(dt) > abs(dx):
         return IntervalKind.TIMELIKE_FUTURE if dt > 0 else IntervalKind.TIMELIKE_PAST
     if dt > 0:
         return IntervalKind.LIGHTLIKE_FUTURE
@@ -148,9 +149,12 @@ def frame_groups(events: list[Event], f: Frame) -> list[list[Event]]:
     """Events sorted by boosted time t', grouped where consecutive t' values tie.
 
     Within a group events keep their input order; a group of one is an
-    event the frame orders unambiguously.
+    event the frame orders unambiguously. Raises ValueError on a boosted
+    time that is not finite, which no rank can be read from.
     """
     times = {e.id: boost(e, f)[0] for e in events}
+    if bad := next((e.id for e in events if not math.isfinite(times[e.id])), None):
+        raise ValueError(f"event {bad!r} has boosted time {times[bad]} in the frame at velocity {f.v}")
     groups: list[list[Event]] = []
     for e in sorted(events, key=lambda e: times[e.id]):
         if groups and times[e.id] - times[groups[-1][-1].id] <= tolerance.TIE:

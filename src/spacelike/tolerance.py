@@ -10,10 +10,10 @@ raises ValueError.
   of sum A^dagger A - I), or an evolution at unitarity deviation delta,
   multiplies a trace by at most ``growth(d, delta)`` = 1 + d * delta.
 * rho0 is accepted with |tr - 1| <= STATE and no eigenvalue below
-  -STATE / D, checked by the one decomposition that gives the evaluator
-  its factor V (rho0 ~ V V^dagger); what V leaves out has trace at most
-  STATE in size (``rank_cutoff``), of either sign, and float rounding
-  adds far less than STATE to a trace. ``FLOOR`` covers all three.
+  -STATE / D, checked by the certified factorization that gives the
+  evaluator its factor V (rho0 ~ V V^dagger); what V leaves out has trace
+  at most STATE in size (``rank_cutoff``), of either sign, and float
+  rounding adds far less than STATE to a trace. ``FLOOR`` covers all three.
 * A station that no later station or evolution acts on fires through a
   root F of each POVM element E (F^dagger F = E) that drops E's eigenvalues
   at or below ``root_cutoff``. The dropped ones change the sum of
@@ -42,14 +42,16 @@ def growth(d: int, deviation: float) -> float:
 
 
 def rank_cutoff(d: int) -> float:
-    """Largest eigenvalue of a d x d rho0 dropped from its factor V, and the most negative accepted.
+    """Largest eigenvalue of a d x d rho0 dropped from its factor, and the most negative accepted.
 
-    With h rho0's Hermitian part and R = h - V V^dagger, either V comes from
-    a basis of h's range, certified by ||R||_F <= rank_cutoff(d), so by Weyl
-    no eigenvalue of h lies below -rank_cutoff(d), and |tr R| <= sqrt(d)
-    ||R||_F <= STATE; or V comes from eigh(h), which rejects h below that and
-    drops at most d eigenvalues in [-STATE / d, STATE / d], so |tr R| <= STATE.
-    tr V V^dagger is then within 2 STATE of 1 for a rho0 accepted at
+    With h rho0's Hermitian part and R = h - C diag(w) C^dagger, all w > 0,
+    either a pivoted LDL^dagger of h is certified by ||R||_F <= rank_cutoff(d),
+    as a positive semidefinite h is up to rounding (R is then a positive
+    semidefinite Schur complement, no diagonal entry above rank_cutoff(d) / d),
+    so by Weyl no eigenvalue of h lies below -rank_cutoff(d), and |tr R| <=
+    sqrt(d) ||R||_F <= STATE; or eigh(h) rejects h below that and drops at
+    most d eigenvalues in [-STATE / d, STATE / d], so |tr R| <= STATE. The
+    factor's trace is then within 2 STATE of 1 for a rho0 accepted at
     |tr - 1| <= STATE, and ``FLOOR`` = 3 STATE covers both with rounding.
     """
     return STATE / d

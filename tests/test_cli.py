@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,8 @@ from spacelike.linalg import CMatrix
 from spacelike.schema import serialize_scenario
 from spacelike.scenarios import eprb, noncommuting_counterexample, random_product_scenario, spin_analyzer
 from spacelike.spacetime import Event, Frame, frame_groups
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def run(capsys, *argv):
@@ -345,6 +348,55 @@ def test_bad_input_exits_2(argv, tmp_path, capsys):
         main([arg.format(tmp=tmp_path) for arg in argv])
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_a_negative_seed_exits_2_naming_the_flag(capsys):
+    for argv in (["check-invariance", "--trials", "1"], ["check-no-signaling", "eprb"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: must be at least 0, got -1" in err and "Traceback" not in err
+
+
+def with_events(tmp_path, name, coordinates):
+    """The shipped scenario file ``name`` with its stations' (t, x) replaced, in order."""
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    for st, (t, x) in zip(doc["stations"], coordinates):
+        st["event"].update(t=t, x=x)
+    path = tmp_path / f"{name}_moved.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "coordinates",
+    [((0.0, 1e-170), (5e-171, -1e-170)), ((1e308, 1.5e308), (-1e308, -1.7e308))],
+    ids=["scaled-1e-170", "differences-overflow"],
+)
+def test_the_counterexample_is_flagged_at_any_finite_scale(tmp_path, capsys, coordinates):
+    code, out, _ = run(capsys, "check-invariance", with_events(tmp_path, "counterexample", coordinates), "--format", "json")
+    doc = json.loads(out)
+    assert code == 1 and doc["ok"] is False and doc["orders_checked"] == 2
+    assert doc["worst"] == pytest.approx(0.25, abs=1e-12)
+    assert doc["witness"]["record"] == {"X": "x+", "Z": "z+"}
+
+
+def test_a_scaled_eprb_still_has_its_spacelike_pairs(tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "eprb.json").read_text())
+    coordinates = [(st["event"]["t"] * 1e-170, st["event"]["x"] * 1e-170) for st in doc["stations"]]
+    code, out, _ = run(capsys, "check-no-signaling", with_events(tmp_path, "eprb", coordinates), "--format", "json")
+    doc = json.loads(out)
+    assert code == 0 and doc["ok"] is True and len(doc["pairs"]) == 2
+
+
+def test_a_frame_whose_boosted_times_overflow_exits_2(tmp_path, capsys):
+    path = with_events(tmp_path, "counterexample", ((1.7e308, 0.0), (1.6e308, 0.0)))
+    code, out, err = run(capsys, "simulate", path, "--frame-velocity", "0.9")
+    assert code == 2 and not out
+    assert "event 'Z' has boosted time inf" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "simulate", path)
+    assert code == 0 and "ordering: X -> Z" in out
 
 
 def test_an_integer_beyond_float_range_exits_2(tmp_path, capsys):

@@ -65,10 +65,36 @@ def test_boost_composition_is_velocity_addition():
         (Event("b", 1.0, 1.0), IntervalKind.LIGHTLIKE_FUTURE),
         (Event("b", -1.0, -1.0), IntervalKind.LIGHTLIKE_PAST),
         (Event("b", 0.0, 0.0), IntervalKind.COINCIDENT),
+        # Squares that underflow to 0 or overflow to inf would read as lightlike.
+        (Event("b", 5e-171, -2e-170), IntervalKind.SPACELIKE),
+        (Event("b", -2e-170, 5e-171), IntervalKind.TIMELIKE_PAST),
+        (Event("b", 1e308, 1.5e308), IntervalKind.SPACELIKE),
+        (Event("b", 1.5e308, -1e308), IntervalKind.TIMELIKE_FUTURE),
+        (Event("b", 1e-170, -1e-170), IntervalKind.LIGHTLIKE_FUTURE),
     ],
 )
 def test_classify_kinds(e2, expected):
     assert classify(Event("a", 0.0, 0.0), e2) is expected
+
+
+def test_classify_halves_coordinates_whose_differences_overflow():
+    # The counterexample's layout near the top of the float range: dt and dx both overflow.
+    z, x = Event("Z", 1e308, 1.5e308), Event("X", -1e308, -1.7e308)
+    assert classify(z, x) is classify(x, z) is IntervalKind.SPACELIKE
+    assert causal_order([z, x]) == set()
+    z, x = Event("Z", 1.7e308, 1e308), Event("X", -1.7e308, -1e308)
+    assert (classify(z, x), classify(x, z)) == (IntervalKind.TIMELIKE_PAST, IntervalKind.TIMELIKE_FUTURE)
+    assert causal_order([z, x]) == {("X", "Z")}
+
+
+def test_frame_groups_refuses_a_boosted_time_that_overflows():
+    # Timelike, Z after X, but at v = 0.9 both boosted times are inf.
+    events = [Event("Z", 1.7e308, 0.0), Event("X", 1.6e308, 0.0)]
+    assert [[e.id for e in g] for g in frame_groups(events, Frame(0.0))] == [["X"], ["Z"]]
+    with pytest.raises(ValueError, match="event 'Z' has boosted time inf in the frame at velocity 0.9"):
+        frame_groups(events, Frame(0.9))
+    with pytest.raises(ValueError, match="event 'Z'"):
+        frame_ordering(events, Frame(0.9))
 
 
 def test_classify_swaps_direction():

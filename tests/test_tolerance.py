@@ -95,7 +95,7 @@ def shifted_cholesky_accepts(rho0):
 
 def test_positivity_verdict_equals_the_shifted_cholesky_rule():
     # One eigenvalue placed from -3 to +0.5 cutoffs, 2% either side of
-    # -STATE / D included, at sizes on both sides of the eigh-only D <= 16.
+    # -STATE / D included, at sizes from 2 to 256.
     verdicts = {True: 0, False: 0}
     for d in (2, 3, 9, 16, 17, 32, 64, 128, 256):
         for k, small in enumerate((-3.0, -2.0, -1.5, -1.02, -0.98, -0.5, 0.0, 0.5)):
@@ -125,10 +125,8 @@ def test_building_a_scenario_calls_no_cholesky(monkeypatch):
         parse_scenario(json.dumps(doc))
 
 
-def test_a_negative_eigenvalue_past_the_certificate_is_rejected_by_eigh(monkeypatch):
-    # D = 32 with one eigenvalue at -2 cutoffs: the range basis leaves it out,
-    # so the certificate fails, and eigh of the whole state finds it.
-    d = 32
+def eigh_calls(monkeypatch):
+    """The shapes of the matrices np.linalg.eigh decomposes from now on, in call order."""
     decomposed = []
     eigh = np.linalg.eigh
 
@@ -137,12 +135,19 @@ def test_a_negative_eigenvalue_past_the_certificate_is_rejected_by_eigh(monkeypa
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", spy)
+    return decomposed
+
+
+def test_a_negative_eigenvalue_past_the_certificate_is_rejected_by_eigh(monkeypatch):
+    # D = 32 with one eigenvalue at -2 cutoffs: the factor leaves it out, so
+    # the certificate fails, and eigh of the whole state finds it.
+    d = 32
     rho0 = spectrum_state(d, 3, (-2.0,), seed=11)
     assert np.linalg.eigvalsh(rho0)[0] == pytest.approx(-2 * tolerance.rank_cutoff(d), rel=1e-3)
-    decomposed.clear()
+    decomposed = eigh_calls(monkeypatch)
     with pytest.raises(StateError, match="positive semidefinite"):
         Scenario(dims0=(d,), rho0=CMatrix(rho0), stations=())
-    assert decomposed == [(3, 3), (d, d)]
+    assert decomposed == [(d, d)]
     stations = tuple((sid, 0.0, 2.0 * i) for i, sid in enumerate("ABCDE"))
     doc = qubit_file(rho0, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), stations)
     with pytest.raises(SchemaError, match=r"\$\.rho0.*positive semidefinite"):
@@ -166,7 +171,7 @@ def test_rho0_eigenvalues_at_both_cutoffs_evaluate_under_every_ordering():
         Station(Event("C", 3.0, 0.0), LocalIntervention(0, spin_analyzer(2.2))),
     )
     s = Scenario(dims0=(2, 2), rho0=rho0, stations=stations)
-    assert s._eigen[0].shape == (d, 2)
+    assert s._factor[0].shape == (d, 2)
     report = check_order_invariance(s, 1e-9)
     assert report.ok and report.orders_checked == 3
     for order in linear_extensions(causal_order(s.events()), s.events()):
@@ -203,7 +208,7 @@ NEAR_CUTOFF = (-0.9, -0.4, 0.3, 0.6, 1.6, 2.5, 4.0)
 @pytest.mark.parametrize(
     "d, rank, small, seed",
     [
-        *((d, 1, (), d) for d in (2, 9, 64, 256)),  # pure; D <= 16 goes straight to eigh
+        *((d, 1, (), d) for d in (2, 9, 64, 256)),  # pure
         (32, 3, (), 1),
         (27, 9, (), 2),
         (8, 8, (), 3),  # full rank
@@ -213,43 +218,49 @@ NEAR_CUTOFF = (-0.9, -0.4, 0.3, 0.6, 1.6, 2.5, 4.0)
         (32, 2, NEAR_CUTOFF, 5),
         (64, 3, NEAR_CUTOFF * 3, 6),
         (64, 1, (0.99,) * 40, 7),
-        (32, 2, (0.3, 1.6, 2.5, 4.0), 9),  # certified, dropping 0.3 cutoffs
+        (32, 2, (0.3, 1.6, 2.5, 4.0), 9),  # certified, keeping the 0.3 cutoffs too
         (64, 2, (-0.4, 0.3, 1.6, 2.5, 4.0), 10),
     ],
 )
-def test_rho0_factor_matches_eigh(d, rank, small, seed):
+def test_rho0_factor_matches_eigh(monkeypatch, d, rank, small, seed):
     rho0 = spectrum_state(d, rank, small, seed)
+    decomposed = eigh_calls(monkeypatch)
     s = Scenario(dims0=(d,), rho0=CMatrix(rho0), stations=())
-    q, w = s._eigen
+    c, w = s._factor
     h = (rho0 + rho0.conj().T) / 2
     cutoff = tolerance.rank_cutoff(d)
-    assert q.shape == (d, len(w)) and np.all(w > cutoff)
-    assert np.abs(q.conj().T @ q - np.eye(len(w))).max() <= 1e-13
-    assert abs(np.trace(h).real - w.sum()) <= tolerance.STATE
+    assert c.shape == (d, len(w)) and np.all(w > cutoff / d)
+    assert abs(np.trace(h).real - w @ np.linalg.norm(c, axis=0) ** 2) <= tolerance.STATE
     # Certified: within the cutoff; eigh's dropped eigenvalues: within sqrt(d) cutoffs.
-    assert np.linalg.norm(h - (q * w) @ q.conj().T) <= math.sqrt(d) * cutoff
+    bound = math.sqrt(d) * cutoff if decomposed else cutoff
+    assert np.linalg.norm(h - (c * w) @ c.conj().T) <= bound
     if seed is None:
-        assert np.array_equal((q * w) @ q.conj().T, h)
-    reference = np.linalg.eigvalsh(h)
-    if np.all(np.abs(reference - cutoff) > cutoff / 2):  # away from the boundary
-        kept = reference[reference > cutoff]
-        assert len(w) == len(kept)
-        assert np.abs(w - kept).max() <= 1e-13
+        assert np.array_equal((c * w) @ c.conj().T, h)
+    if not small:
+        assert len(w) == rank
 
 
-@pytest.mark.parametrize("small, calls", [(29, 1), (3, 2)], ids=["pivot-budget", "certificate"])
-def test_rho0_factor_falls_back_to_eigh_below_the_cutoff(monkeypatch, small, calls):
-    # Eigenvalues just below the cutoff: too many to pivot past within D / 2
-    # pivots, or too much dropped mass for the certificate; either way the
-    # factor is eigh(h), which drops them.
+def test_a_clean_rho0_is_factored_without_qr_or_eigh(monkeypatch):
+    states = [spectrum_state(d, 1, (), seed=d) for d in (2, 4, 16, 256)]
+    states += [spectrum_state(8, 3, (), None), spectrum_state(64, 5, (), None)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rho0 factored by a dense decomposition")
+
+    for name in ("eigh", "qr"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for rho0 in states:
+        s = Scenario(dims0=(len(rho0),), rho0=CMatrix(rho0), stations=())
+        assert s._factor[0].shape[1] == np.linalg.matrix_rank(rho0)
+
+
+@pytest.mark.parametrize("small", [(0.99,) * 29, (-0.9, -0.9)], ids=["pivot-budget", "certificate"])
+def test_rho0_factor_falls_back_to_eigh_below_the_cutoff(monkeypatch, small):
+    # Eigenvalues just below the cutoff, too many to pivot past within D / 2
+    # pivots, or two just inside the positivity shift, which the certificate
+    # cannot tell from a negative one; either way the factor is eigh(h),
+    # which drops them.
     d = 32
-    decomposed = []
-    eigh = np.linalg.eigh
-
-    def spy(a, *args, **kwargs):
-        decomposed.append(a.shape)
-        return eigh(a, *args, **kwargs)
-
     # Built before the spy, which then counts only rho0's decompositions.
     stations = (
         Station(Event("A", 0.0, 0.0), LocalIntervention(0, spin_analyzer(0.4))),
@@ -257,11 +268,11 @@ def test_rho0_factor_falls_back_to_eigh_below_the_cutoff(monkeypatch, small, cal
         Station(Event("C", 3.0, 0.0), LocalIntervention(0, spin_analyzer(2.2))),
         Station(Event("E", 0.2, -10.0), LocalIntervention(4, spin_analyzer(0.9))),
     )
-    monkeypatch.setattr(np.linalg, "eigh", spy)
-    rho0 = spectrum_state(d, 2, (0.99,) * small, seed=8)
+    rho0 = spectrum_state(d, 2, small, seed=8)
+    decomposed = eigh_calls(monkeypatch)
     s = Scenario(dims0=(2,) * 5, rho0=CMatrix(rho0), stations=stations)
-    assert s._eigen[0].shape == (d, 2)
-    assert len(decomposed) == calls and decomposed[-1] == (d, d)
+    assert s._factor[0].shape == (d, 2)
+    assert decomposed == [(d, d)]
     report = check_order_invariance(s, 1e-9)
     assert report.ok
     for order in linear_extensions(causal_order(s.events()), s.events()):
@@ -269,16 +280,17 @@ def test_rho0_factor_falls_back_to_eigh_below_the_cutoff(monkeypatch, small, cal
         assert abs(total - 1.0) <= tolerance.FLOOR
 
 
-def test_range_basis_stops_at_the_rounding_of_the_diagonal():
+def test_rho0_factor_stops_at_the_rounding_of_the_diagonal():
     # At D = 2,048 the floor rank_cutoff(D) / D lies below the rounding of a
     # pure state's diagonal: pivoting down to it took 5 columns where 1 spans.
     d = 2048
     rng = np.random.Generator(np.random.Philox(key=0))
     psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     psi /= np.linalg.norm(psi)
-    basis = experiment._range_basis(np.outer(psi, psi.conj()), tolerance.rank_cutoff(d) / d)
-    assert basis.shape == (d, 1)
-    assert abs(np.vdot(basis[:, 0], psi)) == pytest.approx(1.0, abs=1e-12)
+    h = np.outer(psi, psi.conj())
+    c, w = experiment._ldl(h, h.conj().T)
+    assert c.shape == (d, 1)
+    assert abs(np.vdot(c[:, 0], psi)) * math.sqrt(w[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def edge_instrument(high, seed):

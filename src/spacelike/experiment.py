@@ -29,16 +29,13 @@ Two certifiers operate on top of the evaluator:
   station's marginal distribution, in an ordering that fires the varied
   station before the target.
 
-A scenario remembers two things between calls, and nothing else: the
-probabilities of the last ordering it was evaluated in, and the copies it
-made with one station's intervention replaced by the last no-signaling
-check's alternatives. So a no-signaling check of one varied station
-against each of its targets walks each candidate once.
+A scenario remembers only its last ordering's probabilities and the copies
+made for the last no-signaling check's alternatives (``_Memo``), so checking
+one varied station against each of its targets walks each candidate once.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 import operator
@@ -165,14 +162,9 @@ class Station:
         """Intervention to fire given the outcomes recorded so far."""
         if isinstance(self.local, LocalIntervention):
             return self.local.local
-        key = []
-        for dep in self.local.depends_on:
-            if dep not in history:
-                raise ValueError(
-                    f"station {self.id!r} depends on {dep!r}, which has not fired yet"
-                )
-            key.append(history[dep])
-        key = tuple(key)
+        if (dep := next((d for d in self.local.depends_on if d not in history), None)) is not None:
+            raise ValueError(f"station {self.id!r} depends on {dep!r}, which has not fired yet")
+        key = tuple(history[dep] for dep in self.local.depends_on)
         if key not in self.local.cases:
             raise ValueError(f"station {self.id!r} has no intervention case for {key}")
         return self.local.cases[key]
@@ -280,11 +272,8 @@ class Scenario:
     the covering pairs (a, b) of that order; ``_evolutions_at`` the
     evolutions by their (after, before) pair; ``_movable`` the evolutions
     some ordering moves to another chain position; ``_chains`` whether each
-    subsystem's stations form a chain of the causal order. ``_memo``, a
-    ``_Memo``, keeps the probabilities of the last ordering
-    ``evaluate_in_order`` walked and the copies ``_variants`` made for one
-    station's last list of alternatives, so the per-target calls of a
-    no-signaling check share each candidate's evaluation.
+    subsystem's stations form a chain of the causal order; ``_memo`` what
+    it remembers between calls (``_Memo``).
     """
 
     dims0: tuple[int, ...]
@@ -406,21 +395,20 @@ class Scenario:
     def _with_station(self, station_id: str, local: LocalIntervention) -> Scenario:
         """This scenario with one station's intervention replaced, nothing decomposed again.
 
-        The copy shares every derived field that does not depend on the
-        intervention, ``_movable`` and ``_chains`` too, as every caller keeps
-        the station's subsystem, and replaces ``stations``, ``_by_id`` and
-        ``growth`` after checking the evolution-history labels that name the station;
-        it gets its own empty ``_memo``.
+        The copy takes this instance's ``__dict__``: it shares every derived
+        field that does not depend on the intervention, ``_movable`` and
+        ``_chains`` too, as every caller keeps the station's subsystem, and
+        replaces ``stations``, ``_by_id``, ``growth`` and, by an empty one,
+        ``_memo``, after checking the evolution-history labels naming the station.
         """
         new = Station(self.station(station_id).event, local)
         for ev in self.evolutions:
             if station_id in ev.history:
                 _require_history_label(new, ev.history[station_id])
-        s = copy.copy(self)
-        object.__setattr__(s, "stations", tuple(new if st.id == station_id else st for st in self.stations))
-        object.__setattr__(s, "_by_id", {**self._by_id, station_id: new})
-        object.__setattr__(s, "growth", s._station_growth() * self._evolution_growth)
-        object.__setattr__(s, "_memo", _Memo())
+        stations = tuple(new if st.id == station_id else st for st in self.stations)
+        s = object.__new__(type(self))
+        s.__dict__.update(self.__dict__, stations=stations, _by_id={**self._by_id, station_id: new}, _memo=_Memo())
+        s.__dict__["growth"] = s._station_growth() * self._evolution_growth
         return s
 
     def _variants(self, station_id: str, alternatives: Sequence[LocalIntervention]) -> list[Scenario]:
@@ -428,16 +416,21 @@ class Scenario:
 
         The memo keeps only this call's copies: an alternative equal to one
         of the last call's, for the same station, gets that copy back, with
-        whatever its memo holds. ``LocalIntervention`` compares its Kraus
-        matrices by identity, so an alternative built anew is a new key.
+        whatever its memo holds. Each alternative is looked up once in this
+        call's copies and once in the kept ones, by its ``Intervention``'s hash,
+        taken when built; Kraus matrices compare by identity, so an
+        alternative built anew is a new key.
         """
         sid, kept = self._memo.variants
+        kept = kept if sid == station_id else {}
         copies: dict[LocalIntervention, Scenario] = {}
+        out = []
         for alt in alternatives:
-            if alt not in copies:
-                copies[alt] = kept[alt] if sid == station_id and alt in kept else self._with_station(station_id, alt)
+            if (copy := copies.get(alt)) is None:
+                copy = copies[alt] = kept.get(alt) or self._with_station(station_id, alt)
+            out.append(copy)
         self._memo.variants = (station_id, copies)
-        return [copies[alt] for alt in alternatives]
+        return out
 
     def _station_growth(self) -> float:
         return math.prod(
@@ -495,8 +488,8 @@ class _Level:
     branch's own width; its state is V diag(weights) V^dagger, with
     ``weights`` None for all ones. ``tr`` holds each branch's trace.
     ``fired`` lists the stations fired so far as (id, intervention), and
-    ``fixed`` maps each station the level was split on to the index of
-    the outcome all its branches took there. The branches are every
+    ``fixed`` maps each station the level was split or cut on to the index
+    of the outcome all its branches took there. The branches are every
     combination of the other fired stations' outcomes, outcome-minor.
     """
 
@@ -511,12 +504,9 @@ class _Level:
 
         Each comes, in lexicographic outcome order, with those outcomes by
         station id, which omit a station not fired yet; the level itself
-        where all branches agree. A conditional station's cases,
-        history-keyed evolutions and a station's outcomes of different
-        dimensions split here.
+        where all branches agree. A conditional station's cases and
+        history-keyed evolutions split here.
         """
-        if not names:
-            return [({}, self)]
         # A fixed or one-outcome station has one label; each part sets the other named stations'.
         history = {sid: iv.outcomes[self.fixed.get(sid, 0)].label for sid, iv in self.fired if sid in names}
         free = [(sid, iv) for sid, iv in self.fired if sid not in self.fixed]
@@ -575,38 +565,41 @@ def _evolve(s: Scenario, lv: _Level, prev: str | None, cur: str | None) -> list[
 def _fire(st: Station, lv: _Level, iv: Intervention, spent: bool) -> list[_Level]:
     """Fire ``iv`` at ``st`` on every branch of ``lv``: the next levels.
 
-    One kernel pass: one contraction of ``iv``'s stack gives every outcome
-    branch of every branch (``_branches``), one square-and-reduce their
-    traces (``_trace``), and one max-reduce bounds each by its parent's
-    trace times the derived growth (``_check_outcomes``). Outcomes whose
-    d_out differ leave one level each, cut to that d_out, so every level
-    keeps one shape. A ``spent`` station, one after which nothing acts on its
-    factor, fires through ``iv``'s POVM roots instead of its Kraus stack,
-    so each branch keeps only its outcome's rank on that factor, not d_out
-    rows per Kraus matrix; its branches stay one level, the roots' padded
-    rank on that factor, which nothing reads again.
+    One kernel pass, on shapes read once: one contraction of ``iv``'s stack
+    gives every outcome branch of every branch (``_branches``), one
+    square-and-reduce their traces (``_trace``), and one max-reduce bounds
+    each by its parent's trace times the derived growth (``_check_outcomes``).
+    Outcomes whose d_out differ leave one level each, fixed at the outcome:
+    it is the fastest branch index, so outcome i is a strided view of every
+    m-th branch, cut to its d_out. A ``spent`` station, one after which
+    nothing acts on its factor, fires through ``iv``'s POVM roots instead of
+    its Kraus stack, so each branch keeps only its outcome's rank on that
+    factor, not d_out rows per Kraus matrix; its branches stay one level,
+    the roots' padded rank on that factor, which nothing reads again.
     """
-    sub, d, pdims = st.subsystem, iv.d_in, lv.v.shape[1:-1]
+    sub, d, (n, *pdims, w) = st.subsystem, iv.d_in, lv.v.shape
     try:
         b, a = _factor_sizes(pdims, sub, d)
     except DimensionError as exc:
         raise DimensionError(f"station {st.id!r} at this point in the chain: {exc}") from exc
-    stack = iv._povm_roots if spent else iv._kraus_stack
-    out = _branches(lv.v.reshape(len(lv.v), b, d, a, -1), stack)
-    weights = None if lv.weights is None else np.repeat(lv.weights, out.shape[-1] // lv.v.shape[-1])
+    out = _branches(lv.v.reshape(n, b, d, a, w), iv._povm_roots if spent else iv._kraus_stack)
+    _, _, r, _, width = out.shape
+    weights = None if lv.weights is None else np.repeat(lv.weights, width // w)
     tr = _trace(out, weights)
     _check_outcomes(tr, lv.tr, iv)
-    shape = (*pdims[:sub], out.shape[2], *pdims[sub + 1 :])
-    size = math.prod(shape)
-    if out.shape[-1] > size:
+    if width > b * r * a:
         if weights is not None:
             out = out * np.sqrt(weights)
-        out, weights = _recompress(out.reshape(len(out), size, -1)), None
-    new = _Level(out.reshape(len(out), *shape, -1), tr, weights, (*lv.fired, (st.id, iv)), lv.fixed)
+        out, weights = _recompress(out.reshape(len(out), b * r * a, -1)), None
+    out = out.reshape(len(out), *pdims[:sub], r, *pdims[sub + 1 :], -1)
+    fired = (*lv.fired, (st.id, iv))
     if spent or iv._one_d_out:
-        return [new]
-    d_out, cut = {o.label: o.d_out for o in iv.outcomes}, (slice(None),) * (sub + 1)
-    return [replace(part, v=part.v[(*cut, slice(0, d_out[h[st.id]]))]) for h, part in new.split({st.id})]
+        return [_Level(out, tr, weights, fired, lv.fixed)]
+    m, cut = len(iv.outcomes), (slice(None),) * sub
+    return [
+        _Level(out[(slice(i, None, m), *cut, slice(0, o.d_out))], tr[i::m], weights, fired, {**lv.fixed, st.id: i})
+        for i, o in enumerate(iv.outcomes)
+    ]
 
 
 def _recompress(v: np.ndarray) -> np.ndarray:
@@ -618,21 +611,20 @@ def _recompress(v: np.ndarray) -> np.ndarray:
 def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[_Level]:
     """The last sub-batches of branches of one ordering; each level's ``tr`` is its probabilities.
 
-    The walk starts from the scenario's ``_start``, a factor V of rho0
-    built with the scenario from its weighted factor (``_factor``), and goes
-    through the ordering one station at a time, carrying each sub-batch of
-    live branches as one ``_Level``: at a station, one contraction of its
-    Kraus stack gives every branch's outcome branches (``_fire``,
-    ``_branches``), an evolution U maps each V to U V, and a record's
-    probability is ||V||_F^2. A station that is the last in the ordering to
-    act on its factor, with no evolution at any later chain position, is
-    spent: only its POVM elements E matter to what follows, so it fires
-    through their roots F (F^dagger F = E), and the factor keeps each
-    outcome's rank, 1 for a projective measurement, instead of its d_out
-    rows per Kraus matrix. A branch whose width would exceed its
-    dimension is recompressed by QR. Branches split into sub-batches only
-    where a conditional station's case or a history-keyed evolution
-    differs between them.
+    The walk starts from the scenario's ``_start``, a factor V of rho0 from
+    its weighted factor (``_factor``), and goes through the ordering's
+    stations, looked up once, carrying each sub-batch of live branches as
+    one ``_Level``: a station's Kraus stack acts on every branch at once
+    (``_fire``, ``_branches``), an evolution U maps each V to U V, and a
+    record's probability is ||V||_F^2. A station that is the last in the
+    ordering to act on its factor, with no evolution at any later chain
+    position, is spent: only its POVM elements E matter to what follows, so
+    it fires through their roots F (F^dagger F = E), and the factor keeps
+    each outcome's rank, 1 for a projective measurement, instead of its
+    d_out rows per Kraus matrix. A branch whose width would exceed its
+    dimension is recompressed by QR. A fixed intervention fires on each
+    level as it is; only a conditional station's case or a history-keyed
+    evolution splits a level into sub-batches.
 
     With ``build`` every branch is built, through Kraus stacks only, and the
     walk starts from the columns C of rho0's factor weighted by d; those of
@@ -641,22 +633,23 @@ def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[_Lev
     recompressed.
 
     Memory: a level holds prod(outcomes of the fired stations it was not
-    split on) x D x width entries, D the dimension its branches share, and
-    one trace per branch; a branch's outcomes are its position in that
-    product (see ``_Level``). The width is at most D, except on a level cut
-    to one outcome's smaller d_out, whose width the next station
-    recompresses to its dimension. Spent factors shrink D to the product of
-    the roots' ranks and the unspent factors, so a GHZ state measured one
-    qubit per station never holds more than 2^n entries per level, the last
-    included: 4 kB for 8 qubits, 16 kB for 10.
+    split or cut on) x D x width entries, D the dimension its branches share,
+    and one trace per branch; a branch's outcomes are its position in that
+    product (see ``_Level``). The width is at most D, except on the levels
+    a station cuts by d_out, views of one array, which the next station
+    recompresses. Spent factors shrink D to the product of the roots' ranks
+    and the unspent factors, so a GHZ state measured one qubit per station
+    never holds more than 2^n entries per level, the last included: 4 kB
+    for 8 qubits, 16 kB for 10.
     """
     c, d = s._factor
     levels = [_Level(c.reshape(1, *s.dims0, len(d)), _trace(c[None], d), d) if build else s._start]
+    stations = [s._by_id[sid] for sid in order]
     # Chain position i lies between order[i - 1] and order[i]. A station last
     # on its factor and at or after the last position an evolution acts at is spent.
-    steps = enumerate(zip((None, *order), (*order, None)))
+    steps = enumerate(zip((None, *order), (*order, None))) if s.evolutions else ()
     start = max((i for i, pair in steps if pair in s._evolutions_at), default=0)
-    last = {s._by_id[sid].subsystem: j for j, sid in enumerate(order)}
+    last = {st.subsystem: j for j, st in enumerate(stations)}
     spent = set() if build else {j for j in last.values() if j >= start}
     for j, cur in enumerate((*order, None)):
         if s.evolutions:
@@ -664,8 +657,11 @@ def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[_Lev
             levels = [out for lv in levels for out in _evolve(s, lv, prev, cur)]
         if cur is None:
             return levels
-        st = s._by_id[cur]
-        parts = [(part, st.resolve(history)) for lv in levels for history, part in lv.split(st.depends_on)]
+        st = stations[j]
+        if isinstance(st.local, LocalIntervention):
+            parts = [(lv, st.local.local) for lv in levels]
+        else:
+            parts = [(part, st.resolve(history)) for lv in levels for history, part in lv.split(st.depends_on)]
         levels = [out for part, iv in parts for out in _fire(st, part, iv, j in spent)]
 
 
@@ -998,12 +994,10 @@ def check_no_signaling(
     subsystem the alternatives address, provided exactly one non-target
     station acts there.
 
-    Every candidate is evaluated through ``evaluate_in_order``. The
-    ordering depends only on the varied station, and ``_variants`` returns
-    the same copy for the same alternative, keeping only the copies of
-    this call's alternatives, so checking one varied station against each
-    of its targets walks each candidate once; the other calls read the
-    probabilities the candidate remembers.
+    Every candidate is evaluated through ``evaluate_in_order`` in one
+    ordering, which depends only on the varied station, and ``_variants``
+    keeps each alternative's copy, so checking one varied station against
+    each of its targets walks each candidate once.
     """
     if not alternatives:
         raise ValueError("alternatives must not be empty: there is nothing to compare the original with")

@@ -1,13 +1,16 @@
+import copy
 import itertools
+import json
 import math
 import re
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spacelike import cli, experiment, tolerance
+from spacelike import cli, experiment, parse_scenario, tolerance
 from spacelike.linalg import CMatrix, DimensionError, deviation, max_abs_diff, trace
 from spacelike.intervention import (
     Intervention,
@@ -42,6 +45,7 @@ P0 = CMatrix(np.diag([1.0, 0.0]).astype(complex))
 P1 = CMatrix(np.diag([0.0, 1.0]).astype(complex))
 PPLUS = CMatrix(0.5 * np.ones((2, 2), dtype=complex))
 PMINUS = CMatrix(np.eye(2, dtype=complex) - PPLUS.array)
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 HADAMARD = CMatrix(np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0))
 
 
@@ -1404,6 +1408,85 @@ def test_a_split_partitions_its_level_in_lexicographic_outcome_order():
                         assert_split_partitions_in_order(part, {other})
 
 
+def split_names(monkeypatch):
+    """The ``names`` of every ``_Level.split`` call from now on."""
+    names = []
+    split = experiment._Level.split
+    monkeypatch.setattr(experiment._Level, "split", lambda lv, n: names.append(n) or split(lv, n))
+    return names
+
+
+def test_only_conditional_stations_and_keyed_evolutions_split_a_level(monkeypatch):
+    # The CI's conditional file: B moves into A's future and fires its own measurement after A's '+'.
+    doc = json.loads((SCENARIO_DIR / "eprb.json").read_text())
+    a, b = doc["stations"]
+    b["event"]["t"] = 5.0
+    iv = b.pop("intervention")
+    cases = [{"when": ["+"], "intervention": iv}, {"when": ["-"], "intervention": a["intervention"]}]
+    b.update(depends_on=["A"], cases=cases)
+    conditional, s = parse_scenario(json.dumps(doc)), reordered_conditional_scenario()
+    names = split_names(monkeypatch)
+    for fixed in (*builtin_scenarios().values(), random_product_scenario(seed=3)):
+        evaluate_in_order(fixed, linear_extensions(fixed._covering, fixed.events())[0])
+    assert names == []
+    result = evaluate_in_order(conditional, ["A", "B"])
+    assert names == [("A",)]
+    want = {("+", "+"): 0.125, ("+", "-"): 0.375, ("-", "+"): 0.5, ("-", "-"): 0.0}
+    assert {(dict(r)["A"], dict(r)["B"]): p for r, p in result.probabilities.items()} == pytest.approx(want, abs=1e-12)
+    for order in linear_extensions(s._covering, s.events()):
+        names.clear()
+        experiment._walk(s, tuple(order))
+        # A1 splits on R, the (None, R) evolution on no station, the keyed (Z, None) one on R.
+        assert [n for n in names if isinstance(n, tuple)] == [("R",)]
+        assert {frozenset(n) for n in names if not isinstance(n, tuple)} == {frozenset(), frozenset("R")}
+
+
+def mixed_d_out_chain(seed):
+    """A's outcomes have d_out 1, 2 and 3 and B, conditioned on A, acts on each, so A is never spent."""
+    a = random_intervention(2, [1, 2, 3], seed=seed)
+    cases = {(o.label,): random_intervention(o.d_out, [2, 1], seed=seed + 100 + i) for i, o in enumerate(a.outcomes)}
+    return Scenario(
+        dims0=(2, 3),
+        rho0=random_density(6, seed=seed),
+        stations=(
+            station("A", 0.0, 0.0, 0, a),
+            Station(Event("B", 1.0, 0.0), ConditionalLocal(0, ("A",), cases)),
+            station("C", 0.5, 10.0, 1, random_intervention(3, [3, 1], seed=seed + 200)),
+        ),
+    )
+
+
+def test_outcomes_of_different_d_out_cut_by_strides_match_a_split_bit_for_bit(monkeypatch):
+    def bits(s):
+        out = []
+        for order in linear_extensions(s._covering, s.events()):
+            r = evaluate_in_order(s, order)
+            out.append([(rec, p.hex()) for rec, p in r.probabilities.items()])
+            out.append([(rec, m.array.tobytes()) for rec, m in r.final_states.items()])
+        return out
+
+    family = [*(mixed_d_out_chain for _ in range(12)), *(random_product_scenario for _ in range(12))]
+    strided = [bits(build(seed)) for seed, build in enumerate(family)]
+    fire, cut = experiment._fire, []
+
+    def fire_then_split(st, lv, iv, spent):
+        # The rule strides replaced: fire every outcome into one level, split it by outcome, cut each part.
+        if spent or iv._one_d_out:
+            return fire(st, lv, iv, spent)
+        uncut = copy.copy(iv)
+        object.__setattr__(uncut, "_one_d_out", True)
+        [whole] = fire(st, lv, uncut, spent)
+        d_out, axes = {o.label: o.d_out for o in iv.outcomes}, (slice(None),) * (st.subsystem + 1)
+        cut.append(st.id)
+        parts = replace(whole, fired=(*lv.fired, (st.id, iv))).split({st.id})
+        return [replace(part, v=part.v[(*axes, slice(0, d_out[h[st.id]]))]) for h, part in parts]
+
+    monkeypatch.setattr(experiment, "_fire", fire_then_split)
+    assert [bits(build(seed)) for seed, build in enumerate(family)] == strided
+    # A in every walk of the chains; product stations only when building final states.
+    assert cut.count("A") >= 12 * 3 * 2 and len(cut) > cut.count("A") + cut.count("B")
+
+
 def test_the_walk_starts_from_one_read_only_level_per_scenario():
     s = reordered_conditional_scenario()
     start = s._start
@@ -2023,6 +2106,40 @@ def test_fresh_alternatives_leave_one_calls_copies_in_the_memo():
         alternative = LocalIntervention(varied.subsystem, random_intervention(d, [d], seed=seed))
         assert check_no_signaling(s, target.id, [alternative], 1e-9, varied=varied.id).ok
     assert s._memo.variants[0] == varied.id and list(s._memo.variants[1]) == [alternative]
+
+
+def test_a_repeat_variants_call_neither_hashes_an_outcome_nor_builds_a_copy(monkeypatch):
+    s = random_product_scenario(seed=3)
+    varied = s.stations[0]
+    alternatives = criterion_05_alternatives(varied, 3)
+    first = s._variants(varied.id, alternatives)
+    hashed, copied = [], []
+    outcome_hash, with_station = Outcome.__hash__, Scenario._with_station
+    monkeypatch.setattr(Outcome, "__hash__", lambda o: hashed.append(o) or outcome_hash(o))
+    monkeypatch.setattr(Scenario, "_with_station", lambda *args: copied.append(args) or with_station(*args))
+    for _ in range(3):
+        again = s._variants(varied.id, [*alternatives, alternatives[0]])
+        assert [*first, first[0]] == again and all(a is b for a, b in zip([*first, first[0]], again))
+    assert hashed == [] and copied == []
+    # An equal alternative hashes its outcomes once, when built; one built anew also gets a copy.
+    twin = LocalIntervention(varied.subsystem, Intervention(varied.resolve({}).d_in, alternatives[1].local.outcomes))
+    assert s._variants(varied.id, [twin])[0] is first[1] and len(hashed) == len(twin.local.outcomes)
+    anew = criterion_05_alternatives(varied, 3)[0]
+    assert s._variants(varied.id, [anew])[0] is not first[0] and len(copied) == 1
+
+
+def test_a_swapped_copy_shares_every_derived_field_but_its_stations_growth_and_memo():
+    s = reordered_conditional_scenario()
+    evaluate_in_order(s, linear_extensions(s._covering, s.events())[0])
+    alternative = LocalIntervention(2, random_intervention(2, [1, 3], seed=90))
+    swapped = s._with_station("A2", alternative)
+    assert type(swapped) is type(s) and list(swapped.__dict__) == list(s.__dict__)
+    own = {"stations", "_by_id", "growth", "_memo"}
+    assert all(swapped.__dict__[k] is v for k, v in s.__dict__.items() if k not in own)
+    assert all(swapped.__dict__[k] is not v for k, v in s.__dict__.items() if k in own)
+    assert swapped.stations == tuple(swapped.station(st.id) for st in s.stations) and swapped.station("A2").local is alternative
+    assert all(swapped.station(st.id) is st for st in s.stations if st.id != "A2")
+    assert swapped.growth == swapped._station_growth() * s._evolution_growth and swapped._memo.evaluation is None
 
 
 def shared_and_rebuilt_reports(s, target, alternatives, varied):

@@ -264,6 +264,19 @@ def test_random_intervention_is_deterministic():
     assert max_abs_diff(a.outcomes[0].kraus[0], c.outcomes[0].kraus[0]) > 1e-3
 
 
+def test_equal_interventions_hash_equally_and_one_built_anew_is_a_new_key():
+    iv = random_intervention(3, [1, 2], seed=42)
+    twin = Intervention(d_in=3, outcomes=iv.outcomes)
+    assert twin == iv and hash(twin) == hash(iv) == hash((3, iv.outcomes))
+    local, local_twin = LocalIntervention(1, iv), LocalIntervention(1, twin)
+    assert local_twin == local and hash(local_twin) == hash(local)
+    # The same matrices in new CMatrix objects: Kraus matrices compare by identity.
+    anew = random_intervention(3, [1, 2], seed=42)
+    keys = {iv: "iv", local: "local"}
+    assert anew != iv and anew not in keys and LocalIntervention(1, anew) not in keys
+    assert keys[twin] == "iv" and keys[local_twin] == "local" and LocalIntervention(0, iv) not in keys
+
+
 def test_random_intervention_single_block_is_isometry():
     iv = random_intervention(3, [3], seed=9)
     k = iv.outcomes[0].kraus[0]

@@ -99,15 +99,15 @@ def test_positivity_verdict_equals_the_shifted_cholesky_rule():
     verdicts = {True: 0, False: 0}
     for d in (2, 3, 9, 16, 17, 32, 64, 128, 256):
         for k, small in enumerate((-3.0, -2.0, -1.5, -1.02, -0.98, -0.5, 0.0, 0.5)):
-            for rank, seed in ((1, None), (1, 100 * d + k), (min(d - 1, 4), 200 * d + k)):
-                rho0 = spectrum_state(d, rank, (small,), seed)
+            for rank, seed, diagonal in ((1, d, True), (1, 100 * d + k, False), (min(d - 1, 4), 200 * d + k, False)):
+                rho0 = spectrum_state(d, rank, (small,), seed, diagonal)
                 try:
                     Scenario(dims0=(d,), rho0=CMatrix(rho0), stations=())
                     accepted = True
                 except StateError as exc:
                     assert str(exc) == "initial state must be positive semidefinite"
                     accepted = False
-                assert accepted == shifted_cholesky_accepts(rho0), (d, small, rank, seed)
+                assert accepted == shifted_cholesky_accepts(rho0), (d, small, rank, seed, diagonal)
                 verdicts[accepted] += 1
     assert verdicts[True] > 90 and verdicts[False] > 90, verdicts
 
@@ -179,9 +179,9 @@ def test_rho0_eigenvalues_at_both_cutoffs_evaluate_under_every_ordering():
         assert abs(total - 1.0) <= tolerance.FLOOR
 
 
-def spectrum_state(d, rank, small=(), seed=0):
-    """A d x d rho0 of trace 1: ``rank`` seeded weights, then ``small`` (in units of
-    ``rank_cutoff(d)``), then zeros, in a seeded random eigenbasis (none if seed is None)."""
+def spectrum_state(d, rank, small=(), seed=0, diagonal=False):
+    """A d x d rho0 of trace 1: ``rank`` weights drawn from ``seed``, then ``small`` (in units of
+    ``rank_cutoff(d)``), then zeros, on the diagonal if ``diagonal``, else in a random eigenbasis drawn next."""
     if rank + len(small) > d:
         raise ValueError(f"{rank} + {len(small)} eigenvalues do not fit in dimension {d}")
     rng = np.random.default_rng(seed)
@@ -190,7 +190,7 @@ def spectrum_state(d, rank, small=(), seed=0):
     eigenvalues[rank : rank + len(tail)] = tail
     bulk = rng.uniform(0.1, 1.0, rank)
     eigenvalues[:rank] = bulk / bulk.sum() * (1.0 - tail.sum())
-    if seed is None:
+    if diagonal:
         return np.diag(eigenvalues).astype(complex)
     q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     return (q * eigenvalues) @ q.conj().T
@@ -213,7 +213,7 @@ NEAR_CUTOFF = (-0.9, -0.4, 0.3, 0.6, 1.6, 2.5, 4.0)
         (27, 9, (), 2),
         (8, 8, (), 3),  # full rank
         (27, 27, (), 4),
-        (8, 3, (), None),  # diagonal
+        (8, 3, (), None),  # diagonal, weights from seed 0
         (64, 5, (), None),
         (32, 2, NEAR_CUTOFF, 5),
         (64, 3, NEAR_CUTOFF * 3, 6),
@@ -223,7 +223,7 @@ NEAR_CUTOFF = (-0.9, -0.4, 0.3, 0.6, 1.6, 2.5, 4.0)
     ],
 )
 def test_rho0_factor_matches_eigh(monkeypatch, d, rank, small, seed):
-    rho0 = spectrum_state(d, rank, small, seed)
+    rho0 = spectrum_state(d, rank, small, seed or 0, diagonal=seed is None)
     decomposed = eigh_calls(monkeypatch)
     s = Scenario(dims0=(d,), rho0=CMatrix(rho0), stations=())
     c, w = s._factor
@@ -242,7 +242,7 @@ def test_rho0_factor_matches_eigh(monkeypatch, d, rank, small, seed):
 
 def test_a_clean_rho0_is_factored_without_qr_or_eigh(monkeypatch):
     states = [spectrum_state(d, 1, (), seed=d) for d in (2, 4, 16, 256)]
-    states += [spectrum_state(8, 3, (), None), spectrum_state(64, 5, (), None)]
+    states += [spectrum_state(8, 3, (), 8, diagonal=True), spectrum_state(64, 5, (), 64, diagonal=True)]
 
     def refuse(*args, **kwargs):
         raise AssertionError("rho0 factored by a dense decomposition")

@@ -27,15 +27,20 @@ Two certifiers operate on top of the evaluator:
 * ``check_no_signaling`` replaces one station's intervention by
   alternatives and reports the worst change in a spacelike-separated
   station's marginal distribution, in an ordering that fires the varied
-  station before the target.
+  station before the target. The candidates differ at the varied station
+  only, so one walk serves them all: the varied station fires the union of
+  their interventions, every other station fires once on all of their
+  branches, and the last levels are split back into one table per
+  candidate.
 
 A scenario remembers only its last ordering's probabilities and the copies
 made for the last no-signaling check's alternatives (``_Memo``), so checking
-one varied station against each of its targets walks each candidate once.
+one varied station against each of its targets walks once.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -246,16 +251,20 @@ class _Memo:
     """What a scenario remembers between calls, and nothing more.
 
     ``evaluation`` is the (ordering, probabilities) of its last evaluation,
-    None before the first; ``variants`` is (station id, {local: copy}), the
-    copies ``_variants`` returned on its last call, (None, {}) before the
-    first.
+    None before the first, whether its own walk or a no-signaling check's
+    walk of every candidate wrote it; ``variants`` is (station id, {local:
+    copy}), the copies ``_variants`` returned on its last call, (None, {})
+    before the first; ``walked`` the evaluations the last no-signaling walk
+    from this scenario wrote, one per candidate in candidate order, ()
+    before the first.
     """
 
-    __slots__ = ("evaluation", "variants")
+    __slots__ = ("evaluation", "variants", "walked")
 
     def __init__(self):
         self.evaluation: tuple[tuple[str, ...], dict[Record, float]] | None = None
         self.variants: tuple[str | None, dict[LocalIntervention, Scenario]] = (None, {})
+        self.walked: tuple[tuple[tuple[str, ...], dict[Record, float]], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -272,8 +281,9 @@ class Scenario:
     the covering pairs (a, b) of that order; ``_evolutions_at`` the
     evolutions by their (after, before) pair; ``_movable`` the evolutions
     some ordering moves to another chain position; ``_chains`` whether each
-    subsystem's stations form a chain of the causal order; ``_memo`` what
-    it remembers between calls (``_Memo``).
+    subsystem's stations form a chain of the causal order; ``_time_order``
+    the station ids sorted by (t, id); ``_memo`` what it remembers between
+    calls (``_Memo``).
     """
 
     dims0: tuple[int, ...]
@@ -290,6 +300,7 @@ class Scenario:
     _evolutions_at: dict[tuple[str | None, str | None], list[Evolution]] = field(init=False, repr=False, compare=False)
     _movable: tuple[Evolution, ...] = field(init=False, repr=False, compare=False)
     _chains: bool = field(init=False, repr=False, compare=False)
+    _time_order: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _memo: _Memo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -375,6 +386,7 @@ class Scenario:
         by_factor = sorted(self.stations, key=lambda st: (st.subsystem, st.event.t))
         chains = all(x.id in past[y.id] for x, y in zip(by_factor, by_factor[1:]) if x.subsystem == y.subsystem)
         object.__setattr__(self, "_chains", chains)
+        object.__setattr__(self, "_time_order", tuple(sorted(ids, key=lambda i: (self._by_id[i].event.t, i))))
         for (a, b), evs in at.items():
             for e1, e2 in itertools.combinations(evs, 2):
                 if all(e1.history[k] == e2.history[k] for k in e1.history.keys() & e2.history.keys()):
@@ -433,8 +445,10 @@ class Scenario:
         return out
 
     def _station_growth(self) -> float:
+        """The product, in station order, of each station's largest intervention growth."""
         return math.prod(
-            max(iv.growth for iv in st.interventions().values())
+            st.local.local.growth if isinstance(st.local, LocalIntervention)
+            else max(iv.growth for iv in st.local.cases.values())
             for st in self.stations
         )
 
@@ -487,7 +501,8 @@ class _Level:
     the factor dimensions all of the level's branches have, zero past a
     branch's own width; its state is V diag(weights) V^dagger, with
     ``weights`` None for all ones. ``tr`` holds each branch's trace.
-    ``fired`` lists the stations fired so far as (id, intervention), and
+    ``fired`` lists the stations fired so far as (id, intervention), the
+    intervention a ``_Union`` on a no-signaling walk's varied station, and
     ``fixed`` maps each station the level was split or cut on to the index
     of the outcome all its branches took there. The branches are every
     combination of the other fired stations' outcomes, outcome-minor.
@@ -496,7 +511,7 @@ class _Level:
     v: np.ndarray
     tr: np.ndarray
     weights: np.ndarray | None = None
-    fired: tuple[tuple[str, Intervention], ...] = ()
+    fired: tuple[tuple[str, Intervention | _Union], ...] = ()
     fixed: dict[str, int] = field(default_factory=dict)
 
     def split(self, names: Collection[str]) -> list[tuple[dict[str, str], _Level]]:
@@ -562,7 +577,70 @@ def _evolve(s: Scenario, lv: _Level, prev: str | None, cur: str | None) -> list[
     return out
 
 
-def _fire(st: Station, lv: _Level, iv: Intervention, spent: bool) -> list[_Level]:
+def _factor_at(st: Station, dims: Sequence[int], d_in: int) -> tuple[int, int]:
+    """``_factor_sizes`` of ``st``'s subsystem for an intervention of ``d_in``; its error names ``st``."""
+    try:
+        return _factor_sizes(dims, st.subsystem, d_in)
+    except DimensionError as exc:
+        raise DimensionError(f"station {st.id!r} at this point in the chain: {exc}") from exc
+
+
+def _padded(stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """(outcomes, K, rows, d_in) stacks concatenated along their outcomes, zero-padded to the largest K and rows."""
+    k, rows = max(a.shape[1] for a in stacks), max(a.shape[2] for a in stacks)
+    out, i = np.zeros((sum(map(len, stacks)), k, rows, stacks[0].shape[3]), complex), 0
+    for a in stacks:
+        out[i : i + len(a), : a.shape[1], : a.shape[2]] = a
+        i += len(a)
+    return out
+
+
+class _Union:
+    """Every candidate's intervention at the varied station, fired as one.
+
+    ``parts`` are the candidates' interventions in candidate order, of one
+    d_in. The union's outcomes are theirs in that order, candidate k's from
+    ``starts[k]`` to ``starts[k + 1]``, so an outcome index names its
+    candidate and that candidate's own label; labels may repeat across
+    candidates. ``growth`` holds each outcome's own candidate's growth; the
+    Kraus stack and POVM roots are theirs, concatenated and zero-padded to a
+    common Kraus count and row count, each built on first use.
+    """
+
+    def __init__(self, parts: tuple[Intervention, ...]):
+        counts = [len(iv.outcomes) for iv in parts]
+        self.parts, self.d_in = parts, parts[0].d_in
+        self.outcomes = tuple(o for iv in parts for o in iv.outcomes)
+        self.starts = list(itertools.accumulate(counts, initial=0))
+        self.growth = np.array([iv.growth for iv, m in zip(parts, counts) for _ in range(m)])
+        self._one_d_out = len({o.d_out for o in self.outcomes}) == 1
+
+    @cached_property
+    def _kraus_stack(self) -> np.ndarray:
+        return _padded([iv._kraus_stack for iv in self.parts])
+
+    @cached_property
+    def _povm_roots(self) -> np.ndarray:
+        return _padded([iv._povm_roots for iv in self.parts])
+
+
+def _unions(
+    st: Station, parts: list[tuple[_Level, Intervention]], alternatives: Sequence[Intervention]
+) -> list[tuple[_Level, _Union]]:
+    """``parts`` with each intervention replaced by its union with ``alternatives``, one ``_Union`` per case.
+
+    Raises ``_fire``'s DimensionError for the first candidate, in candidate
+    order, whose d_in does not fit its factor on some part.
+    """
+    for k in range(len(alternatives) + 1):
+        for lv, iv in parts:
+            _factor_at(st, lv.v.shape[1:-1], (iv, *alternatives)[k].d_in)
+    cases = {id(iv): iv for _, iv in parts}
+    unions = {key: _Union((iv, *alternatives)) for key, iv in cases.items()}
+    return [(lv, unions[id(iv)]) for lv, iv in parts]
+
+
+def _fire(st: Station, lv: _Level, iv: Intervention | _Union, spent: bool) -> list[_Level]:
     """Fire ``iv`` at ``st`` on every branch of ``lv``: the next levels.
 
     One kernel pass, on shapes read once: one contraction of ``iv``'s stack
@@ -576,17 +654,16 @@ def _fire(st: Station, lv: _Level, iv: Intervention, spent: bool) -> list[_Level
     its Kraus stack, so each branch keeps only its outcome's rank on that
     factor, not d_out rows per Kraus matrix; its branches stay one level,
     the roots' padded rank on that factor, which nothing reads again.
+    ``iv`` may be a ``_Union``, whose outcomes are bounded each by its own
+    candidate's growth.
     """
     sub, d, (n, *pdims, w) = st.subsystem, iv.d_in, lv.v.shape
-    try:
-        b, a = _factor_sizes(pdims, sub, d)
-    except DimensionError as exc:
-        raise DimensionError(f"station {st.id!r} at this point in the chain: {exc}") from exc
+    b, a = _factor_at(st, pdims, d)
     out = _branches(lv.v.reshape(n, b, d, a, w), iv._povm_roots if spent else iv._kraus_stack)
     _, _, r, _, width = out.shape
     weights = None if lv.weights is None else np.repeat(lv.weights, width // w)
     tr = _trace(out, weights)
-    _check_outcomes(tr, lv.tr, iv)
+    _check_outcomes(tr, lv.tr, iv.outcomes, iv.growth)
     if width > b * r * a:
         if weights is not None:
             out = out * np.sqrt(weights)
@@ -608,7 +685,13 @@ def _recompress(v: np.ndarray) -> np.ndarray:
     return r.conj().transpose(0, 2, 1)
 
 
-def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[_Level]:
+def _walk(
+    s: Scenario,
+    order: tuple[str, ...],
+    build: bool = False,
+    varied: str | None = None,
+    alternatives: Sequence[Intervention] = (),
+) -> list[_Level]:
     """The last sub-batches of branches of one ordering; each level's ``tr`` is its probabilities.
 
     The walk starts from the scenario's ``_start``, a factor V of rho0 from
@@ -641,6 +724,19 @@ def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[_Lev
     and the unspent factors, so a GHZ state measured one qubit per station
     never holds more than 2^n entries per level, the last included: 4 kB
     for 8 qubits, 16 kB for 10.
+
+    With ``varied``, one walk serves every candidate of a no-signaling
+    check: s, then s with the ``varied`` station's intervention replaced by
+    each of ``alternatives`` in turn. That station fires the union of their
+    interventions (``_unions``), its own resolved per case, so each outcome
+    is its own candidate's, bounded by that candidate's growth, and every
+    other station fires once on all candidates' branches. A level split on
+    the varied station, by a condition or an evolution keyed on it, splits
+    per union outcome, so each part's history holds its own candidate's
+    label; outcomes of different d_out, across candidates too, are cut per
+    union outcome. ``_by_candidate`` splits the last levels back. The
+    levels hold the candidates' branches side by side, about the sum of
+    their own walks' sizes.
     """
     c, d = s._factor
     levels = [_Level(c.reshape(1, *s.dims0, len(d)), _trace(c[None], d), d) if build else s._start]
@@ -662,7 +758,37 @@ def _walk(s: Scenario, order: tuple[str, ...], build: bool = False) -> list[_Lev
             parts = [(lv, st.local.local) for lv in levels]
         else:
             parts = [(part, st.resolve(history)) for lv in levels for history, part in lv.split(st.depends_on)]
+        if cur == varied:
+            parts = _unions(st, parts, alternatives)
         levels = [out for part, iv in parts for out in _fire(st, part, iv, j in spent)]
+
+
+def _by_candidate(levels: list[_Level], varied: str, count: int) -> list[list[_Level]]:
+    """Each candidate's last sub-batches from a walk that fired ``count`` candidates' union at ``varied``.
+
+    A level fixed at the varied station goes to the candidate whose block
+    holds its union outcome; a level free there is sliced along that
+    station's outcome axis, one block per candidate. Either way the
+    candidate's own intervention replaces the union in ``fired``, so its
+    records carry its own labels.
+    """
+    out: list[list[_Level]] = [[] for _ in range(count)]
+    for lv in levels:
+        j = next(j for j, (sid, _) in enumerate(lv.fired) if sid == varied)
+        union = lv.fired[j][1]
+        fired = [(*lv.fired[:j], (varied, iv), *lv.fired[j + 1 :]) for iv in union.parts]
+        if varied in lv.fixed:
+            i = lv.fixed[varied]
+            k = bisect.bisect(union.starts, i) - 1
+            out[k].append(_Level(lv.v, lv.tr, lv.weights, fired[k], {**lv.fixed, varied: i - union.starts[k]}))
+            continue
+        free = [(sid, len(iv.outcomes)) for sid, iv in lv.fired if sid not in lv.fixed]
+        axis, counts, rest = [sid for sid, _ in free].index(varied), [m for _, m in free], lv.v.shape[1:]
+        v, tr = lv.v.reshape(*counts, *rest), lv.tr.reshape(counts)
+        for k, (lo, hi) in enumerate(zip(union.starts, union.starts[1:])):
+            cut = (*[slice(None)] * axis, slice(lo, hi))
+            out[k].append(_Level(v[cut].reshape(-1, *rest), tr[cut].reshape(-1), lv.weights, fired[k], lv.fixed))
+    return out
 
 
 def _require_admissible(s: Scenario, order: tuple[str, ...]) -> None:
@@ -686,12 +812,17 @@ def _checked_walk(s: Scenario, order: tuple[str, ...]) -> list[_Level]:
     to word a probability out of bounds; nothing else here builds records.
     """
     _require_admissible(s, order)
-    levels, total = _walk(s, order), 0.0
+    return _check_records(_walk(s, order), s.growth)
+
+
+def _check_records(levels: list[_Level], growth: float) -> list[_Level]:
+    """``levels``, once every record probability is bounded by ``growth`` and their sum by 2 - growth and growth."""
+    total = 0.0
     for lv in levels:
-        if (i := _first_outside(lv.tr, s.growth)) is not None:
-            tolerance.check(float(lv.tr[i]), 0.0, s.growth, f"probability of record {lv.records()[i]}")
+        if (i := _first_outside(lv.tr, growth)) is not None:
+            tolerance.check(float(lv.tr[i]), 0.0, growth, f"probability of record {lv.records()[i]}")
         total = sum(lv.tr.tolist(), total)
-    tolerance.check(total, 2.0 - s.growth, s.growth, "sum of record probabilities")
+    tolerance.check(total, 2.0 - growth, growth, "sum of record probabilities")
     return levels
 
 
@@ -946,14 +1077,14 @@ class NoSignalingReport:
 
 
 def _varied_first_ids(s: Scenario, varied: str) -> tuple[str, ...]:
-    """Station ids in time order, but ``varied`` and its causal past first.
+    """Station ids in (t, id) order, but ``varied`` and its causal past first.
 
     That head is a down-set of the causal order, so the whole is a linear
     extension, and every station spacelike to ``varied`` fires after it.
+    Both parts keep the scenario's ``_time_order``.
     """
     head = s._pasts[0][varied] | {varied}
-    by_time = sorted(s.stations, key=lambda st: (st.id not in head, st.event.t, st.id))
-    return tuple(st.id for st in by_time)
+    return (*[i for i in s._time_order if i in head], *[i for i in s._time_order if i not in head])
 
 
 def _infer_varied(s: Scenario, target: str, alternatives: Sequence[LocalIntervention]) -> str:
@@ -994,10 +1125,21 @@ def check_no_signaling(
     subsystem the alternatives address, provided exactly one non-target
     station acts there.
 
-    Every candidate is evaluated through ``evaluate_in_order`` in one
-    ordering, which depends only on the varied station, and ``_variants``
-    keeps each alternative's copy, so checking one varied station against
-    each of its targets walks each candidate once.
+    Every candidate is evaluated in one ordering, which depends only on
+    the varied station, and all in one walk (``_walk`` with ``varied``):
+    they differ only at the varied station, which fires the union of their
+    interventions, and every other station fires once for all of them.
+    Each candidate's records and their sum are bounded by its own growth,
+    and only once all passed is each distinct candidate's table written to
+    its memo; the marginals are then read through ``evaluate_in_order``.
+    ``_variants`` keeps the copies, so checking one varied station against
+    each of its targets walks once. A call reads the memos only when the
+    last such walk from s wrote every one of them, for exactly these
+    distinct candidates (``_Memo.walked``); otherwise it walks and
+    overwrites them all. So a report depends only on (s, target,
+    alternatives, varied), not on earlier calls: neither an original
+    evaluated alone before nor copies left warm by a check of other
+    alternatives change it.
     """
     if not alternatives:
         raise ValueError("alternatives must not be empty: there is nothing to compare the original with")
@@ -1024,6 +1166,16 @@ def check_no_signaling(
     order = _varied_first_ids(s, varied)
     # The original candidate is s itself; each alternative is s with one station swapped.
     variants = [s, *s._variants(varied, alternatives)]
+    distinct = list({id(v): v for v in variants}.values())
+    walked = s._memo.walked
+    if len(walked) != len(distinct) or any(v._memo.evaluation is not e for v, e in zip(distinct, walked)):
+        _require_admissible(s, order)
+        ivs = [v._by_id[varied].local.local for v in distinct[1:]]
+        levels = _by_candidate(_walk(s, order, varied=varied, alternatives=ivs), varied, len(distinct))
+        tables = [_probabilities(_check_records(lvs, v.growth)) for v, lvs in zip(distinct, levels)]
+        for v, table in zip(distinct, tables):
+            v._memo.evaluation = (order, table)
+        s._memo.walked = tuple(v._memo.evaluation for v in distinct)
     marginals = [marginal(evaluate_in_order(v, order), target) for v in variants]
     worst, witness, _ = _spread(enumerate(marginals))
     ok = worst <= tol

@@ -224,17 +224,17 @@ def _first_outside(traces: np.ndarray, high) -> int | None:
     return int(np.flatnonzero(~(excess <= tolerance.FLOOR))[0])
 
 
-def _check_outcomes(traces: np.ndarray, parent: np.ndarray, iv: Intervention) -> None:
-    """Bound every branch trace of ``iv``'s outcomes by the derived growth of its parent's trace.
+def _check_outcomes(traces: np.ndarray, parent: np.ndarray, outcomes: Sequence[Outcome], growth) -> None:
+    """Bound every branch trace of ``outcomes`` by a derived growth times its parent's trace.
 
-    ``traces`` is outcome-minor, ``parent`` holds one trace per parent.
+    ``traces`` is outcome-minor, ``parent`` holds one trace per parent, and
+    ``growth`` is one bound for all outcomes or an array of one per outcome.
     """
-    m = len(iv.outcomes)
-    high = parent * iv.growth
-    if (i := _first_outside(traces.reshape(-1, m), high[:, None])) is not None:
-        label = iv.outcomes[i % m].label
-        what = f"branch trace for outcome {label!r}"
-        tolerance.check(float(traces[i]), 0.0, float(high[i // m]), what)
+    m = len(outcomes)
+    if (i := _first_outside(traces.reshape(-1, m), parent[:, None] * growth)) is not None:
+        what = f"branch trace for outcome {outcomes[i % m].label!r}"
+        high = parent[i // m] * (growth if np.ndim(growth) == 0 else growth[i % m])
+        tolerance.check(float(traces[i]), 0.0, float(high), what)
 
 
 def _branches(v: np.ndarray, stack: np.ndarray) -> np.ndarray:

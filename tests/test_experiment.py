@@ -1983,9 +1983,9 @@ def count_walks(monkeypatch):
     walks = []
     walk = experiment._walk
 
-    def counted(s, order, build=False):
+    def counted(s, order, *args, **kwargs):
         walks.append(order)
-        return walk(s, order, build)
+        return walk(s, order, *args, **kwargs)
 
     monkeypatch.setattr(experiment, "_walk", counted)
     return walks
@@ -2080,7 +2080,8 @@ def test_one_varied_station_against_three_targets_walks_each_candidate_once(monk
     monkeypatch.setattr(experiment, "evaluate_in_order", lambda v, o: evaluations.append(o) or evaluate(v, o))
     for target in targets:
         assert check_no_signaling(s, target.id, alternatives, 1e-9, varied=varied.id).ok
-    assert len(evaluations) == 9 and len(walks) == 3
+    # Three candidates per call, all walked together by the first call.
+    assert len(evaluations) == 9 and len(walks) == 1
     assert set(walks) == {experiment._varied_first_ids(s, varied.id)}
 
 
@@ -2091,8 +2092,8 @@ def test_an_alternative_listed_twice_is_copied_and_walked_once(monkeypatch):
     walks = count_walks(monkeypatch)
     report = check_no_signaling(s, target.id, [alternative, alternative], 1e-9, varied=varied.id)
     assert report.ok and report.alternatives_checked == 3
-    # The original and one copy.
-    assert len(walks) == 2
+    # The original and one copy, in one walk.
+    assert len(walks) == 1
     [(copied, variant)] = s._memo.variants[1].items()
     assert copied == alternative and all(v is variant for v in s._variants(varied.id, [alternative] * 2))
 
@@ -2172,6 +2173,185 @@ def test_sharing_evaluations_changes_no_no_signaling_report(monkeypatch):
         )
     assert len(pairs) == 1262 + 3
     assert not pairs[-1][0].ok and pairs[-1][0].worst == pytest.approx(0.5, abs=1e-12)
-    # Shared: 3 walks per varied station of the sweep (1,761), 5 for eprb, 2 for the
-    # control, which its second call reads back. Rebuilt: every candidate of every call.
-    assert len(walks) == (1761 + 5 + 2) + (3 * 1262 + 5 + 2 * 2)
+    # Shared: one walk per varied station of the sweep (587, each of three candidates),
+    # one for eprb and one for the control, which its second call reads back. Rebuilt:
+    # one per call, whatever its number of candidates.
+    assert len(walks) == (587 + 1 + 1) + (1262 + 1 + 2)
+
+
+# ------------------------------------------- one walk for every no-signaling candidate
+
+
+def assert_union_tables_match_own_walks(walks, s, target, alternatives, varied):
+    """A cold check walks once (``walks`` from ``count_walks``); its tables against each candidate's own walk."""
+    before = len(walks)
+    report = check_no_signaling(s, target, alternatives, 1e-9, varied=varied)
+    order = experiment._varied_first_ids(s, varied)
+    assert walks[before:] == [order]
+    # The original and its kept copies, each once.
+    for c in {id(c): c for c in [s, *s._variants(varied, alternatives)]}.values():
+        remembered, table = c._memo.evaluation
+        own = experiment._probabilities(experiment._checked_walk(c, order))
+        assert remembered == order and table.keys() == own.keys()
+        assert max(abs(table[rec] - p) for rec, p in own.items()) <= 1e-15
+    return report
+
+
+def conditioned_on_the_varied_station():
+    """V's outcome selects C's case and a unitary on its qubit between them; T is spacelike to both.
+
+    The state is mixed, V is not spent (C acts on its qubit later), C is
+    spent and one of its cases has outcomes of 1 and 3 dimensions.
+    """
+    cases = {
+        ("o0",): random_intervention(2, [2, 2], seed=112),
+        ("o1",): random_intervention(2, [1, 3], seed=113),
+        ("o2",): random_intervention(2, [2], seed=114),
+    }
+    return Scenario(
+        dims0=(2, 2),
+        rho0=random_density(4, seed=110, rank=2),
+        stations=(
+            station("V", 0.0, 0.0, 0, random_intervention(2, [2, 2], seed=111)),
+            Station(Event("C", 1.0, 0.0), ConditionalLocal(0, ("V",), cases)),
+            station("T", 2.0, 10.0, 1, random_intervention(2, [2, 2], seed=115)),
+        ),
+        evolutions=(Evolution("V", "C", CMatrix(np.kron(haar_unitary(2, seed=116).array, np.eye(2))), history={"V": "o1"}),),
+    )
+
+
+def test_the_union_walk_matches_each_candidates_own_walk(monkeypatch):
+    walks = count_walks(monkeypatch)
+    # A conditional original at A1, resolved per case, not spent (an evolution
+    # follows Z): on R = z- its case's outcomes of 1, 3 and 1 dimensions and
+    # the alternatives' of 2 are cut per union outcome, on R = z+ none is.
+    s = reordered_conditional_scenario()
+    alternatives = [LocalIntervention(1, random_intervention(2, [2, 2], seed=100)),
+                    LocalIntervention(1, random_intervention(2, [2], seed=101))]
+    assert assert_union_tables_match_own_walks(walks, s, "A2", alternatives, "A1").ok
+    # A station and an evolution keyed on the varied station's outcome; one alternative twice.
+    s = conditioned_on_the_varied_station()
+    alternatives = [LocalIntervention(0, random_intervention(2, k * [2], seed=117 + k)) for k in (2, 3)]
+    report = assert_union_tables_match_own_walks(walks, s, "T", [*alternatives, alternatives[0]], "V")
+    assert report.ok and report.ordering == ("V", "C", "T") and report.alternatives_checked == 4
+    for seed in range(200):
+        s = random_product_scenario(seed=seed)
+        for varied in s.stations:
+            target = next(st for st in s.stations if st.id != varied.id)
+            alternatives = criterion_05_alternatives(varied, seed)
+            assert_union_tables_match_own_walks(walks, s, target.id, alternatives, varied.id)
+    analyzers = [LocalIntervention(0, spin_analyzer(a)) for a in (0.0, math.pi / 2.0, math.pi / 4.0)]
+    eprb_report = assert_union_tables_match_own_walks(
+        walks, eprb(0.0, math.pi / 3.0), "B", [*analyzers, LocalIntervention(0, identity_iv())], "A"
+    )
+    assert eprb_report.ok and eprb_report.worst < 1e-12
+    hadamard = LocalIntervention(0, Intervention(d_in=2, outcomes=(Outcome("h", 2, (HADAMARD,)),)))
+    control = assert_union_tables_match_own_walks(walks, noncommuting_counterexample(), "X", [hadamard], "Z")
+    assert not control.ok and control.worst == pytest.approx(0.5, abs=1e-12)
+
+
+def test_a_union_walk_that_raises_seeds_no_memo(monkeypatch):
+    # A qutrit alternative on A's qubit raises the message its own walk gave.
+    s = eprb(0.0, 1.0)
+    evaluate_in_order(s, ["B", "A"])
+    remembered = s._memo.evaluation
+    qutrit = LocalIntervention(0, random_intervention(3, [3], seed=120))
+    message = "station 'A' at this point in the chain: factor 0 has dimension 2, but the local intervention expects d_in 3"
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        check_no_signaling(s, "B", [LocalIntervention(0, identity_iv()), qutrit], 1e-9, varied="A")
+    copies = list(s._memo.variants[1].values())
+    assert s._memo.evaluation is remembered and [c._memo.evaluation for c in copies] == [None, None]
+    # One-dimensional outcomes at Z leave X a qubit intervention on a one-dimensional factor.
+    control = noncommuting_counterexample()
+    collapse = LocalIntervention(0, random_intervention(2, [1, 1], seed=121))
+    message = "station 'X' at this point in the chain: factor 0 has dimension 1, but the local intervention expects d_in 2"
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        check_no_signaling(control, "X", [collapse], 1e-9, varied="Z")
+    assert control._memo.evaluation is None
+    # The last candidate's sum fails after the others' tables were built: none is remembered.
+    split = experiment._by_candidate
+
+    def skewed(levels, varied, count):
+        out = split(levels, varied, count)
+        out[-1] = [replace(lv, tr=lv.tr * 1.5) for lv in out[-1]]
+        return out
+
+    monkeypatch.setattr(experiment, "_by_candidate", skewed)
+    alternatives = [LocalIntervention(0, identity_iv()), LocalIntervention(0, spin_analyzer(0.4))]
+    with pytest.raises(ValueError, match="sum of record probabilities.*internal invariant failure"):
+        check_no_signaling(s, "B", alternatives, 1e-9, varied="A")
+    copies = list(s._memo.variants[1].values())
+    assert s._memo.evaluation is remembered and [c._memo.evaluation for c in copies] == [None, None]
+
+
+def test_a_report_with_the_original_warm_equals_the_all_cold_report(monkeypatch):
+    walks = count_walks(monkeypatch)
+    overwritten, stations, pairs = 0, 0, 0
+    for seed in range(50):
+        s = random_product_scenario(seed=seed)
+        for varied in s.stations:
+            both = criterion_05_alternatives(varied, seed)
+            # The original's own walk, in the check's ordering, warms its memo first.
+            own = evaluate_in_order(s, experiment._varied_first_ids(s, varied.id)).probabilities
+            stations += 1
+            for target in s.stations:
+                if target.id == varied.id:
+                    continue
+                # Both alternatives twice, then the first alone while the copies of both are warm.
+                for alternatives in (both, both, both[:1]):
+                    warm = check_no_signaling(s, target.id, alternatives, 1e-9, varied=varied.id)
+                    cold = check_no_signaling(replace(s), target.id, alternatives, 1e-9, varied=varied.id)
+                    assert (warm.ok, warm.worst, warm.witness, warm.ordering) == (
+                        cold.ok, cold.worst, cold.witness, cold.ordering
+                    )
+                pairs += 1
+            overwritten += s._memo.evaluation[1] != own
+    # The shared s walks its own ordering once per varied station, then per pair for both
+    # alternatives and again for the first alone, reading its memos back once; every cold copy walks.
+    assert len(walks) == stations + pairs * (2 + 3)
+    # The union walk's table replaced the own walk's, and differs from it in the last bits somewhere.
+    assert overwritten > 0
+
+
+def test_a_copys_growth_is_bit_identical_to_a_rebuilt_scenarios():
+    cases = []
+    for seed in range(200):
+        s = random_product_scenario(seed=seed)
+        cases += [(s, v.id, alt) for v in s.stations for alt in criterion_05_alternatives(v, seed)]
+    s = reordered_conditional_scenario()
+    cases += [(s, sid, LocalIntervention(s.station(sid).subsystem, random_intervention(2, [1, 3], seed=130)))
+              for sid in ("A1", "A2", "A3", "Z")]
+    for s, sid, alternative in cases:
+        swapped = s._with_station(sid, alternative)
+        rebuilt = Scenario(dims0=s.dims0, rho0=s.rho0, stations=swapped.stations, evolutions=s.evolutions)
+        # Each station's largest growth, from every intervention it may fire, in station order.
+        product = math.prod(max(iv.growth for iv in st.interventions().values()) for st in rebuilt.stations)
+        assert swapped.growth == rebuilt.growth == product * rebuilt._evolution_growth
+
+
+def sorted_varied_first(s, varied):
+    """Reference: every station sorted by (outside the varied station's past, t, id)."""
+    head = s._pasts[0][varied] | {varied}
+    return tuple(st.id for st in sorted(s.stations, key=lambda st: (st.id not in head, st.event.t, st.id)))
+
+
+def test_varied_first_ids_equal_a_sort_of_every_station():
+    # Ties in t within and across the varied station's past, ids out of time order.
+    tied = Scenario(
+        dims0=(2, 2, 2),
+        rho0=maximally_mixed(8),
+        stations=(
+            station("c", 0.0, 0.0, 0, z_iv()),
+            station("a", 0.0, 5.0, 1, z_iv()),
+            station("e", 1.0, -9.0, 2, z_iv()),
+            station("b", 1.0, 5.0, 1, z_iv()),
+            station("d", 1.0, 0.0, 0, z_iv()),
+        ),
+    )
+    scenarios = [random_product_scenario(seed=k) for k in range(200)]
+    scenarios += [*builtin_scenarios().values(), reordered_conditional_scenario(), tied]
+    for s in scenarios:
+        for st in s.stations:
+            assert experiment._varied_first_ids(s, st.id) == sorted_varied_first(s, st.id), (s.events(), st.id)
+    assert experiment._varied_first_ids(tied, "b") == ("a", "b", "c", "d", "e")
+    assert experiment._varied_first_ids(tied, "e") == ("e", "a", "c", "b", "d")

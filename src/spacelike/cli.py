@@ -198,6 +198,9 @@ def _generated_alternatives(s: Scenario, varied_id: str, seed: int) -> list[Loca
 
 
 def _check_no_signaling_all(s: Scenario, tol: float, seed: int, target: str | None, varied: str | None):
+    for sid in (target, varied):
+        if sid is not None:
+            s.station(sid)  # KeyError naming an unknown station
     if target is not None and varied is not None:
         pairs = [(varied, target)]
     else:
@@ -212,7 +215,7 @@ def _check_no_signaling_all(s: Scenario, tol: float, seed: int, target: str | No
         if not pairs:
             raise ValueError("no mutually spacelike station pair matches the request")
     # One list per varied station, built when first needed: its targets then
-    # reuse the scenario's copies and the evaluations those remember.
+    # read back the scenario's one remembered no-signaling walk.
     alternatives: dict[str, list[LocalIntervention]] = {}
     reports = []
     for v, t in pairs:
@@ -381,7 +384,8 @@ def main(argv=None) -> int:
         print(f"scenario validation failed: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # A KeyError's str() quotes its message as a repr; print the message itself.
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) and exc.args else exc}", file=sys.stderr)
         return 2
 
 if __name__ == "__main__":

@@ -33,9 +33,10 @@ Two certifiers operate on top of the evaluator:
   branches, and the last levels are split back into one table per
   candidate.
 
-A scenario remembers only its last ordering's probabilities and the copies
-made for the last no-signaling check's alternatives (``_Memo``), so checking
-one varied station against each of its targets walks once.
+A scenario remembers only its last ordering's probabilities and its last
+no-signaling walk, keyed by the varied station and the alternatives
+(``_Memo``), so checking one varied station against each of its targets
+walks once.
 """
 
 from __future__ import annotations
@@ -251,20 +252,18 @@ class _Memo:
     """What a scenario remembers between calls, and nothing more.
 
     ``evaluation`` is the (ordering, probabilities) of its last evaluation,
-    None before the first, whether its own walk or a no-signaling check's
-    walk of every candidate wrote it; ``variants`` is (station id, {local:
-    copy}), the copies ``_variants`` returned on its last call, (None, {})
-    before the first; ``walked`` the evaluations the last no-signaling walk
-    from this scenario wrote, one per candidate in candidate order, ()
-    before the first.
+    None before the first, whether its own walk wrote it or a no-signaling
+    check seeded it; ``signaling`` is ((varied, alternatives), candidates,
+    evaluations) of its last no-signaling walk, None before the first: the
+    scenario and one copy per alternative, a repeated one shared, and each
+    candidate's (ordering, probabilities), in that order.
     """
 
-    __slots__ = ("evaluation", "variants", "walked")
+    __slots__ = ("evaluation", "signaling")
 
     def __init__(self):
         self.evaluation: tuple[tuple[str, ...], dict[Record, float]] | None = None
-        self.variants: tuple[str | None, dict[LocalIntervention, Scenario]] = (None, {})
-        self.walked: tuple[tuple[tuple[str, ...], dict[Record, float]], ...] = ()
+        self.signaling: tuple[tuple, list[Scenario], list[tuple[tuple[str, ...], dict[Record, float]]]] | None = None
 
 
 @dataclass(frozen=True)
@@ -411,7 +410,8 @@ class Scenario:
         field that does not depend on the intervention, ``_movable`` and
         ``_chains`` too, as every caller keeps the station's subsystem, and
         replaces ``stations``, ``_by_id``, ``growth`` and, by an empty one,
-        ``_memo``, after checking the evolution-history labels naming the station.
+        ``_memo``, after checking the evolution-history labels naming the
+        station. A no-signaling check builds one per distinct alternative.
         """
         new = Station(self.station(station_id).event, local)
         for ev in self.evolutions:
@@ -422,27 +422,6 @@ class Scenario:
         s.__dict__.update(self.__dict__, stations=stations, _by_id={**self._by_id, station_id: new}, _memo=_Memo())
         s.__dict__["growth"] = s._station_growth() * self._evolution_growth
         return s
-
-    def _variants(self, station_id: str, alternatives: Sequence[LocalIntervention]) -> list[Scenario]:
-        """``_with_station`` for each alternative in turn, one copy per distinct alternative.
-
-        The memo keeps only this call's copies: an alternative equal to one
-        of the last call's, for the same station, gets that copy back, with
-        whatever its memo holds. Each alternative is looked up once in this
-        call's copies and once in the kept ones, by its ``Intervention``'s hash,
-        taken when built; Kraus matrices compare by identity, so an
-        alternative built anew is a new key.
-        """
-        sid, kept = self._memo.variants
-        kept = kept if sid == station_id else {}
-        copies: dict[LocalIntervention, Scenario] = {}
-        out = []
-        for alt in alternatives:
-            if (copy := copies.get(alt)) is None:
-                copy = copies[alt] = kept.get(alt) or self._with_station(station_id, alt)
-            out.append(copy)
-        self._memo.variants = (station_id, copies)
-        return out
 
     def _station_growth(self) -> float:
         """The product, in station order, of each station's largest intervention growth."""
@@ -852,11 +831,11 @@ def evaluate_in_order(s: Scenario, order: Sequence[str]) -> EvaluationResult:
     ``_checked_walk``'s; the record table on top of it, ``_probabilities``.
 
     The scenario remembers the probabilities of the last ordering it was
-    evaluated in (``Scenario._memo``): asking for that ordering again
-    neither checks nor walks it. Each result holds its own copy of the
-    probabilities, so a caller that changes one changes nothing else. A
-    new ordering replaces the remembered one, and a walk that raises
-    leaves it as it was.
+    evaluated in, or that a no-signaling check seeded (``Scenario._memo``):
+    asking for that ordering again neither checks nor walks it. Each result
+    holds its own copy of the probabilities, so a caller that changes one
+    changes nothing else. A new ordering replaces the remembered one, and a
+    walk that raises leaves it as it was.
     """
     order = tuple(order)
     last = s._memo.evaluation
@@ -1107,7 +1086,7 @@ def _infer_varied(s: Scenario, target: str, alternatives: Sequence[LocalInterven
 def check_no_signaling(
     s: Scenario,
     target: str,
-    alternatives: Sequence[LocalIntervention],
+    alternatives: Iterable[LocalIntervention],
     tol: float,
     varied: str | None = None,
 ) -> NoSignalingReport:
@@ -1129,18 +1108,17 @@ def check_no_signaling(
     the varied station, and all in one walk (``_walk`` with ``varied``):
     they differ only at the varied station, which fires the union of their
     interventions, and every other station fires once for all of them.
-    Each candidate's records and their sum are bounded by its own growth,
-    and only once all passed is each distinct candidate's table written to
-    its memo; the marginals are then read through ``evaluate_in_order``.
-    ``_variants`` keeps the copies, so checking one varied station against
-    each of its targets walks once. A call reads the memos only when the
-    last such walk from s wrote every one of them, for exactly these
-    distinct candidates (``_Memo.walked``); otherwise it walks and
-    overwrites them all. So a report depends only on (s, target,
-    alternatives, varied), not on earlier calls: neither an original
-    evaluated alone before nor copies left warm by a check of other
-    alternatives change it.
+    Each candidate's records and their sum are bounded by its own growth.
+    The scenario keeps one such walk (``_Memo.signaling``), keyed by the
+    varied station and the alternatives, with one copy of s per distinct
+    alternative and every candidate's table; it is set only once every
+    candidate passed, and a check with another key walks and replaces it.
+    Each call seeds every candidate's memo from it and reads the marginals
+    through ``evaluate_in_order``. So checking one varied station against
+    each of its targets walks once, and a report depends only on (s,
+    target, alternatives, varied), not on earlier calls.
     """
+    alternatives = tuple(alternatives)
     if not alternatives:
         raise ValueError("alternatives must not be empty: there is nothing to compare the original with")
     if varied is None:
@@ -1164,19 +1142,21 @@ def check_no_signaling(
             )
 
     order = _varied_first_ids(s, varied)
-    # The original candidate is s itself; each alternative is s with one station swapped.
-    variants = [s, *s._variants(varied, alternatives)]
-    distinct = list({id(v): v for v in variants}.values())
-    walked = s._memo.walked
-    if len(walked) != len(distinct) or any(v._memo.evaluation is not e for v, e in zip(distinct, walked)):
+    key = (varied, alternatives)
+    if s._memo.signaling is None or s._memo.signaling[0] != key:
         _require_admissible(s, order)
-        ivs = [v._by_id[varied].local.local for v in distinct[1:]]
-        levels = _by_candidate(_walk(s, order, varied=varied, alternatives=ivs), varied, len(distinct))
-        tables = [_probabilities(_check_records(lvs, v.growth)) for v, lvs in zip(distinct, levels)]
-        for v, table in zip(distinct, tables):
-            v._memo.evaluation = (order, table)
-        s._memo.walked = tuple(v._memo.evaluation for v in distinct)
-    marginals = [marginal(evaluate_in_order(v, order), target) for v in variants]
+        # The original candidate is s itself; each distinct alternative gets one copy of s.
+        copies = {alt: s._with_station(varied, alt) for alt in dict.fromkeys(alternatives)}
+        distinct = [s, *copies.values()]
+        walk = _walk(s, order, varied=varied, alternatives=[alt.local for alt in copies])
+        levels = _by_candidate(walk, varied, len(distinct))
+        tables = [(order, _probabilities(_check_records(lvs, v.growth))) for v, lvs in zip(distinct, levels)]
+        walked = dict(zip(copies, tables[1:]))
+        s._memo.signaling = (key, [s, *map(copies.get, alternatives)], [tables[0], *map(walked.get, alternatives)])
+    _, candidates, evaluations = s._memo.signaling
+    for v, e in zip(candidates, evaluations):
+        v._memo.evaluation = e
+    marginals = [marginal(evaluate_in_order(v, order), target) for v in candidates]
     worst, witness, _ = _spread(enumerate(marginals))
     ok = worst <= tol
     return NoSignalingReport(
@@ -1184,7 +1164,7 @@ def check_no_signaling(
         worst=worst,
         target=target,
         varied=varied,
-        alternatives_checked=len(variants),
+        alternatives_checked=len(candidates),
         ordering=order,
         witness=None if ok or witness is None else NoSignalingWitness(*witness),
     )

@@ -81,8 +81,8 @@ class Intervention:
     zero-padded to (outcomes, 1, largest rank, d_in). ``growth`` bounds how
     much firing either stack can raise a trace: ``tolerance.growth`` at the
     deviation plus the absolute sum of the eigenvalues the roots drop.
-    ``_one_d_out`` says whether every outcome has the same d_out. The hash,
-    of (d_in, outcomes), is taken once; Kraus matrices compare by identity.
+    ``_one_d_out`` says whether every outcome has the same d_out. Equality
+    and the hash are over (d_in, outcomes); Kraus matrices compare by identity.
     """
 
     d_in: int
@@ -93,7 +93,6 @@ class Intervention:
     _kraus_stack: np.ndarray = field(init=False, repr=False, compare=False)
     _povm_roots: np.ndarray = field(init=False, repr=False, compare=False)
     _one_d_out: bool = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "outcomes", tuple(self.outcomes))
@@ -139,10 +138,6 @@ class Intervention:
         object.__setattr__(self, "deviation", worst)
         object.__setattr__(self, "_one_d_out", len({o.d_out for o in self.outcomes}) == 1)
         object.__setattr__(self, "growth", tolerance.growth(d, worst + float(np.abs(w[~kept]).sum())))
-        object.__setattr__(self, "_hash", hash((d, self.outcomes)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def labels(self) -> tuple[str, ...]:
         return tuple(o.label for o in self.outcomes)

@@ -261,6 +261,21 @@ def test_check_no_signaling_single_pair(capsys):
     assert [p["target"] for p in doc["pairs"]] == ["B"]
 
 
+@pytest.mark.parametrize("argv", [["--varied", "Q", "--target", "B"], ["--target", "Q"], ["--varied", "Q"]])
+def test_check_no_signaling_names_an_unknown_station(argv, capsys):
+    code, out, err = run(capsys, "check-no-signaling", "eprb", *argv)
+    assert code == 2 and not out
+    assert err == "error: unknown station 'Q'\n"
+
+
+def test_check_no_signaling_names_a_target_without_a_spacelike_partner(tmp_path, capsys):
+    # B moves into A's causal future, so no station is spacelike to it.
+    path = with_events(tmp_path, "eprb", ((0.0, 1.0), (5.0, -1.0)))
+    code, out, err = run(capsys, "check-no-signaling", path, "--target", "B")
+    assert code == 2 and not out
+    assert err == "error: no mutually spacelike station pair matches the request\n"
+
+
 def test_check_no_signaling_trials(capsys):
     code, out, _ = run(capsys, "check-no-signaling", "--trials", "2", "--format", "json")
     assert code == 0

@@ -823,6 +823,16 @@ def test_no_signaling_rejects_empty_alternatives_whatever_the_varied_station():
             check_no_signaling(s, "B", [], 1e-9, varied=varied)
 
 
+def test_a_one_shot_iterable_of_alternatives_is_checked_in_full():
+    # Read once, the iterator still yields the Hadamard, which X's marginal sees at 0.5.
+    hadamard = LocalIntervention(0, Intervention(d_in=2, outcomes=(Outcome("h", 2, (HADAMARD,)),)))
+    for varied in ("Z", None):
+        report = check_no_signaling(noncommuting_counterexample(), "X", iter([hadamard]), 1e-9, varied=varied)
+        assert not report.ok and report.worst == pytest.approx(0.5, abs=1e-12) and report.alternatives_checked == 2
+    with pytest.raises(ValueError, match="alternatives must not be empty"):
+        check_no_signaling(noncommuting_counterexample(), "X", iter([]), 1e-9)
+
+
 def test_no_signaling_inference_requires_unambiguous_station():
     s = eprb(0.0, 1.0)
     with pytest.raises(ValueError, match="empty"):
@@ -2044,19 +2054,23 @@ def test_a_variant_never_reads_its_parents_probabilities():
     hadamard = LocalIntervention(0, Intervention(d_in=2, outcomes=(Outcome("h", 2, (HADAMARD,)),)))
     s = noncommuting_counterexample()
     original = marginal(evaluate_in_order(s, ["Z", "X"]), "X")
-    [variant] = s._variants("Z", [hadamard])
+    variant = s._with_station("Z", hadamard)
     assert variant._memo is not s._memo and variant._memo.evaluation is None
     swapped = marginal(evaluate_in_order(variant, ["Z", "X"]), "X")
     assert swapped["x+"] - original["x+"] == pytest.approx(0.5, abs=1e-12)
     assert marginal(evaluate_in_order(s, ["Z", "X"]), "X") == original
-    # An equal key returns the same copy; asking about another station replaces them.
-    assert s._variants("Z", [hadamard])[0] is variant
-    assert s._variants("Z", [LocalIntervention(0, hadamard.local)])[0] is variant
-    [other] = s._variants("X", [LocalIntervention(0, identity_iv())])
-    assert s._memo.variants == ("X", {other.station("X").local: other})
-    assert s._variants("Z", [hadamard])[0] is not variant
     report = check_no_signaling(s, "X", [hadamard], 1e-9, varied="Z")
     assert not report.ok and report.worst == pytest.approx(0.5, abs=1e-12)
+    key, [original_candidate, copy], _ = s._memo.signaling
+    assert key == ("Z", (hadamard,)) and original_candidate is s and copy._memo is not s._memo
+    # Equal alternatives read the slot back; another station or another list replaces it.
+    assert check_no_signaling(s, "X", [LocalIntervention(0, hadamard.local)], 1e-9, varied="Z") == report
+    assert s._memo.signaling[1][1] is copy
+    other = LocalIntervention(0, identity_iv())
+    assert check_no_signaling(s, "Z", [other], 1e-9, varied="X").varied == "X"
+    assert s._memo.signaling[0] == ("X", (other,))
+    assert check_no_signaling(s, "X", [hadamard], 1e-9, varied="Z") == report
+    assert s._memo.signaling[1][1] is not copy
 
 
 def test_an_exhaustive_check_leaves_one_ordering_in_the_memo():
@@ -2066,7 +2080,7 @@ def test_an_exhaustive_check_leaves_one_ordering_in_the_memo():
     last = linear_extensions(s._covering, s.events())[-1]
     order, probabilities = s._memo.evaluation
     assert order == last and len(probabilities) == 2**7
-    assert s._memo.variants == (None, {})
+    assert s._memo.signaling is None
 
 
 def test_one_varied_station_against_three_targets_walks_each_candidate_once(monkeypatch):
@@ -2094,8 +2108,9 @@ def test_an_alternative_listed_twice_is_copied_and_walked_once(monkeypatch):
     assert report.ok and report.alternatives_checked == 3
     # The original and one copy, in one walk.
     assert len(walks) == 1
-    [(copied, variant)] = s._memo.variants[1].items()
-    assert copied == alternative and all(v is variant for v in s._variants(varied.id, [alternative] * 2))
+    key, [original, copy, again], evaluations = s._memo.signaling
+    assert key == (varied.id, (alternative, alternative)) and original is s and copy is again
+    assert copy.station(varied.id).local is alternative and evaluations[1] is evaluations[2]
 
 
 def test_fresh_alternatives_leave_one_calls_copies_in_the_memo():
@@ -2106,27 +2121,32 @@ def test_fresh_alternatives_leave_one_calls_copies_in_the_memo():
     for seed in range(2000):
         alternative = LocalIntervention(varied.subsystem, random_intervention(d, [d], seed=seed))
         assert check_no_signaling(s, target.id, [alternative], 1e-9, varied=varied.id).ok
-    assert s._memo.variants[0] == varied.id and list(s._memo.variants[1]) == [alternative]
+    key, [_, copy], _ = s._memo.signaling
+    assert key == (varied.id, (alternative,)) and copy.station(varied.id).local is alternative
 
 
 def test_a_repeat_variants_call_neither_hashes_an_outcome_nor_builds_a_copy(monkeypatch):
     s = random_product_scenario(seed=3)
-    varied = s.stations[0]
+    varied, targets = s.stations[0], s.stations[1:]
     alternatives = criterion_05_alternatives(varied, 3)
-    first = s._variants(varied.id, alternatives)
+    listed = [*alternatives, alternatives[0]]
+    first = [check_no_signaling(s, t.id, listed, 1e-9, varied=varied.id) for t in targets]
+    kept = s._memo.signaling
     hashed, copied = [], []
     outcome_hash, with_station = Outcome.__hash__, Scenario._with_station
     monkeypatch.setattr(Outcome, "__hash__", lambda o: hashed.append(o) or outcome_hash(o))
     monkeypatch.setattr(Scenario, "_with_station", lambda *args: copied.append(args) or with_station(*args))
+    walks = count_walks(monkeypatch)
     for _ in range(3):
-        again = s._variants(varied.id, [*alternatives, alternatives[0]])
-        assert [*first, first[0]] == again and all(a is b for a, b in zip([*first, first[0]], again))
-    assert hashed == [] and copied == []
-    # An equal alternative hashes its outcomes once, when built; one built anew also gets a copy.
-    twin = LocalIntervention(varied.subsystem, Intervention(varied.resolve({}).d_in, alternatives[1].local.outcomes))
-    assert s._variants(varied.id, [twin])[0] is first[1] and len(hashed) == len(twin.local.outcomes)
-    anew = criterion_05_alternatives(varied, 3)[0]
-    assert s._variants(varied.id, [anew])[0] is not first[0] and len(copied) == 1
+        assert [check_no_signaling(s, t.id, listed, 1e-9, varied=varied.id) for t in targets] == first
+    # Equal alternatives built from the same outcomes compare without a hash and read the slot back.
+    twins = [LocalIntervention(a.subsystem, Intervention(a.local.d_in, a.local.outcomes)) for a in listed]
+    assert check_no_signaling(s, targets[0].id, twins, 1e-9, varied=varied.id) == first[0]
+    assert hashed == [] and copied == [] and walks == [] and s._memo.signaling is kept
+    # The same matrices in new objects are a new key: one copy per distinct alternative, one walk.
+    anew = criterion_05_alternatives(varied, 3)
+    assert check_no_signaling(s, targets[0].id, [*anew, anew[0]], 1e-9, varied=varied.id) == first[0]
+    assert len(copied) == 2 and len(walks) == 1 and s._memo.signaling is not kept
 
 
 def test_a_swapped_copy_shares_every_derived_field_but_its_stations_growth_and_memo():
@@ -2188,8 +2208,10 @@ def assert_union_tables_match_own_walks(walks, s, target, alternatives, varied):
     report = check_no_signaling(s, target, alternatives, 1e-9, varied=varied)
     order = experiment._varied_first_ids(s, varied)
     assert walks[before:] == [order]
-    # The original and its kept copies, each once.
-    for c in {id(c): c for c in [s, *s._variants(varied, alternatives)]}.values():
+    _, candidates, evaluations = s._memo.signaling
+    assert candidates[0] is s and all(c._memo.evaluation is e for c, e in zip(candidates, evaluations))
+    # The original and its copies, each once.
+    for c in {id(c): c for c in candidates}.values():
         remembered, table = c._memo.evaluation
         own = experiment._probabilities(experiment._checked_walk(c, order))
         assert remembered == order and table.keys() == own.keys()
@@ -2259,16 +2281,17 @@ def test_a_union_walk_that_raises_seeds_no_memo(monkeypatch):
     message = "station 'A' at this point in the chain: factor 0 has dimension 2, but the local intervention expects d_in 3"
     with pytest.raises(DimensionError, match=re.escape(message)):
         check_no_signaling(s, "B", [LocalIntervention(0, identity_iv()), qutrit], 1e-9, varied="A")
-    copies = list(s._memo.variants[1].values())
-    assert s._memo.evaluation is remembered and [c._memo.evaluation for c in copies] == [None, None]
+    assert s._memo.evaluation is remembered and s._memo.signaling is None
     # One-dimensional outcomes at Z leave X a qubit intervention on a one-dimensional factor.
     control = noncommuting_counterexample()
     collapse = LocalIntervention(0, random_intervention(2, [1, 1], seed=121))
     message = "station 'X' at this point in the chain: factor 0 has dimension 1, but the local intervention expects d_in 2"
     with pytest.raises(DimensionError, match=re.escape(message)):
         check_no_signaling(control, "X", [collapse], 1e-9, varied="Z")
-    assert control._memo.evaluation is None
-    # The last candidate's sum fails after the others' tables were built: none is remembered.
+    assert control._memo.evaluation is None and control._memo.signaling is None
+    # The last candidate's sum fails after the others' tables were built: the slot and the memo stay.
+    assert check_no_signaling(s, "A", [LocalIntervention(1, identity_iv())], 1e-9, varied="B").ok
+    kept, remembered = s._memo.signaling, s._memo.evaluation
     split = experiment._by_candidate
 
     def skewed(levels, varied, count):
@@ -2280,8 +2303,7 @@ def test_a_union_walk_that_raises_seeds_no_memo(monkeypatch):
     alternatives = [LocalIntervention(0, identity_iv()), LocalIntervention(0, spin_analyzer(0.4))]
     with pytest.raises(ValueError, match="sum of record probabilities.*internal invariant failure"):
         check_no_signaling(s, "B", alternatives, 1e-9, varied="A")
-    copies = list(s._memo.variants[1].values())
-    assert s._memo.evaluation is remembered and [c._memo.evaluation for c in copies] == [None, None]
+    assert s._memo.signaling is kept and s._memo.evaluation is remembered
 
 
 def test_a_report_with_the_original_warm_equals_the_all_cold_report(monkeypatch):
@@ -2311,6 +2333,45 @@ def test_a_report_with_the_original_warm_equals_the_all_cold_report(monkeypatch)
     assert len(walks) == stations + pairs * (2 + 3)
     # The union walk's table replaced the own walk's, and differs from it in the last bits somewhere.
     assert overwritten > 0
+
+
+def test_a_check_after_any_other_call_equals_a_cold_check(monkeypatch):
+    walks = count_walks(monkeypatch)
+    checks = 0
+    for seed in range(20):
+        s = random_product_scenario(seed=seed)
+        for varied in s.stations:
+            target = next(st for st in s.stations if st.id != varied.id)
+            alternatives = criterion_05_alternatives(varied, seed)
+            order = experiment._varied_first_ids(s, varied.id)
+            other = next(o for o in linear_extensions(s._covering, s.events()) if o != order)
+            wrong_d = LocalIntervention(varied.subsystem, random_intervention(varied.resolve({}).d_in + 1, [4], seed=seed))
+            cold = check_no_signaling(replace(s), target.id, alternatives, 1e-9, varied=varied.id)
+
+            def warm():
+                return check_no_signaling(s, target.id, alternatives, 1e-9, varied=varied.id)
+
+            # Another ordering evaluated before the slot is set, and again once it is: the slot
+            # is read back without a walk.
+            evaluate_in_order(s, other)
+            assert warm() == cold
+            evaluate_in_order(s, other)
+            before = len(walks)
+            assert s._memo.evaluation[0] == other and warm() == cold and len(walks) == before
+            # A check of another alternatives list, then of another varied station.
+            check_no_signaling(s, target.id, alternatives[:1], 1e-9, varied=varied.id)
+            assert warm() == cold
+            check_no_signaling(s, varied.id, criterion_05_alternatives(target, seed), 1e-9, varied=target.id)
+            assert warm() == cold
+            # A check that raised.
+            with pytest.raises(DimensionError):
+                check_no_signaling(s, target.id, [wrong_d], 1e-9, varied=varied.id)
+            assert warm() == cold
+            # A repeat reads the slot back.
+            before = len(walks)
+            assert warm() == cold and len(walks) == before
+            checks += 1
+    assert checks > 40
 
 
 def test_a_copys_growth_is_bit_identical_to_a_rebuilt_scenarios():

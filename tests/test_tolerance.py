@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spacelike import CMatrix, Event, Intervention, LocalIntervention, Outcome, Scenario, Station
+from spacelike import CMatrix, Event, Evolution, Frame, Intervention, LocalIntervention, Outcome, Scenario, Station
 from spacelike import experiment, tolerance
 from spacelike.cli import main
 from spacelike.experiment import StateError, check_order_invariance, evaluate_in_order
+from spacelike.intervention import CompletenessError
 from spacelike.scenarios import spin_analyzer
 from spacelike.schema import SchemaError, parse_scenario
-from spacelike.spacetime import causal_order, linear_extensions
+from spacelike.spacetime import causal_order, frame_groups, linear_extensions
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SHIPPED = {p.name: json.loads(p.read_text()) for p in sorted(SCENARIO_DIR.glob("*.json"))}
@@ -375,3 +376,50 @@ def test_perturbed_shipped_files_never_raise(tmp_path_factory, where, part, scal
     # An accepted file evaluates without tripping any runtime bound.
     assert main(["simulate", path]) == (0 if accepted else 2)
     assert main(["check-invariance", path]) in ((0, 1) if accepted else (2,))
+
+
+# Each tolerance constant pinned by a literal value well inside and well outside it, so that
+# loosening the constant (or the allowance it feeds) fails a test.
+
+
+def test_a_runtime_bound_allows_the_floor_and_no_more():
+    assert tolerance.check(1 + 1.5e-12, 0.0, 1.0, "probability") == 1 + 1.5e-12
+    with pytest.raises(ValueError, match="internal invariant failure"):
+        tolerance.check(1 + 6e-12, 0.0, 1.0, "probability")
+
+
+def test_completeness_accepts_5e_10_and_rejects_2e_9():
+    def scaled_identity(excess):
+        return Intervention(d_in=2, outcomes=(Outcome("s", 2, (CMatrix(math.sqrt(1 + excess) * np.eye(2)),)),))
+
+    assert scaled_identity(5e-10).deviation == pytest.approx(5e-10, rel=1e-6)
+    with pytest.raises(CompletenessError):
+        scaled_identity(2e-9)
+
+
+def test_boosted_times_5e_13_apart_tie_and_2e_12_apart_do_not():
+    def groups(dt):
+        return [[e.id for e in g] for g in frame_groups([Event("a", 0.0, 0.0), Event("b", dt, 1.0)], Frame(0.0))]
+
+    assert groups(5e-13) == [["a", "b"]]
+    assert groups(2e-12) == [["a"], ["b"]]
+
+
+def test_a_movable_evolution_5e_13_from_identity_counts_as_none_and_2e_12_does_not():
+    def scenario(eps):
+        rho0 = np.zeros((4, 4), dtype=complex)
+        rho0[0, 0] = 1.0
+        return Scenario(
+            dims0=(2, 2),
+            rho0=CMatrix(rho0),
+            stations=(
+                Station(Event("A", 0.0, 0.0), LocalIntervention(0, spin_analyzer(0.0))),
+                Station(Event("B", 0.0, 5.0), LocalIntervention(1, spin_analyzer(0.0))),
+            ),
+            evolutions=(Evolution("A", "B", CMatrix(np.diag([1, 1, 1, np.exp(1j * eps)]))),),
+        )
+
+    report = check_order_invariance(scenario(5e-13), 1e-9)
+    assert report.ok and report.method == "exhaustive"
+    with pytest.raises(ValueError, match="order-dependent"):
+        check_order_invariance(scenario(2e-12), 1e-9)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -169,20 +168,13 @@ def cmd_check_invariance(args, out) -> int:
     return 0 if report.ok else 1
 
 
-def _identity_intervention(d: int) -> Intervention:
-    return Intervention(
-        d_in=d,
-        outcomes=(Outcome(label="id", d_out=d, kraus=(CMatrix.identity(d),)),),
-    )
-
-
 def _generated_alternatives(s: Scenario, varied_id: str, seed: int) -> list[LocalIntervention]:
     st = s.station(varied_id)
     # Cases that differ in d_in cannot share one alternative; evaluation then
     # rejects it with the station named.
     d_in = next(iter(st.interventions().values())).d_in
     rng = np.random.Generator(np.random.Philox(key=seed))
-    alts = [LocalIntervention(st.subsystem, _identity_intervention(d_in))]
+    alts = [LocalIntervention(st.subsystem, Intervention(d_in, (Outcome("id", d_in, (CMatrix.identity(d_in),)),)))]
     for _ in range(2):
         k = int(rng.integers(1, 4))
         outcome_dims = [int(rng.integers(1, 4)) for _ in range(k)]
@@ -286,9 +278,10 @@ def _velocity(text: str) -> float:
 
 def _tolerance(text: str) -> float:
     t = float(text)
-    if not 0.0 < t < math.inf:
-        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {t}")
-    return t
+    try:
+        return tolerance.positive_finite(t)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _at_least(low: int):

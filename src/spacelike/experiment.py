@@ -47,6 +47,7 @@ import math
 import operator
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -255,8 +256,8 @@ class _Memo:
     None before the first, whether its own walk wrote it or a no-signaling
     check seeded it; ``signaling`` is ((varied, alternatives), candidates,
     evaluations) of its last no-signaling walk, None before the first: the
-    scenario and one copy per alternative, a repeated one shared, and each
-    candidate's (ordering, probabilities), in that order.
+    scenario and one copy per alternative, and each candidate's (ordering,
+    probabilities), in that order; equal alternatives share both.
     """
 
     __slots__ = ("evaluation", "signaling")
@@ -453,7 +454,7 @@ class EvaluationResult:
         """
         states: dict[Record, CMatrix] = {}
         for lv in _walk(self.scenario, self.ordering, build=True):
-            for rec, v in zip(lv.records(), lv.v.reshape(len(lv.v), -1, lv.v.shape[-1])):
+            for rec, v in zip(_records(lv.labels), lv.v.reshape(len(lv.v), -1, lv.v.shape[-1])):
                 state = (v if lv.weights is None else v * lv.weights) @ v.conj().T
                 state.setflags(write=False)
                 states[rec] = CMatrix(state)
@@ -521,15 +522,20 @@ class _Level:
             parts.append((labels, replace(self, v=v[n], tr=tr[n], fixed=fixed)))
         return parts
 
-    def records(self) -> list[Record]:
-        """Each branch's record: its outcome labels keyed by station id, sorted by id."""
-        pairs = [
+    @property
+    def labels(self) -> list[list[tuple[str, str]]]:
+        """For each fired station, in firing order, the (id, label) of every outcome its branches take."""
+        return [
             [(sid, iv.outcomes[self.fixed[sid]].label)] if sid in self.fixed else [(sid, o.label) for o in iv.outcomes]
             for sid, iv in self.fired
         ]
-        by_id = sorted(range(len(pairs)), key=lambda j: self.fired[j][0])
-        rows = itertools.product(*pairs)
-        return list(map(operator.itemgetter(*by_id), rows) if len(by_id) > 1 else rows)
+
+
+def _records(labels: list[list[tuple[str, str]]]) -> list[Record]:
+    """Each branch's record, from its level's ``labels``: one (id, label) per fired station, sorted by id."""
+    by_id = sorted(range(len(labels)), key=lambda j: labels[j][0][0])
+    rows = itertools.product(*labels)
+    return list(map(operator.itemgetter(*by_id), rows) if len(by_id) > 1 else rows)
 
 
 def _apply_unitary(lv: _Level, u: CMatrix, position: str) -> _Level:
@@ -613,7 +619,8 @@ def _unions(
     """
     for k in range(len(alternatives) + 1):
         for lv, iv in parts:
-            _factor_at(st, lv.v.shape[1:-1], (iv, *alternatives)[k].d_in)
+            if lv.v.shape[1 + st.subsystem] != (d_in := (alternatives[k - 1] if k else iv).d_in):
+                _factor_at(st, lv.v.shape[1:-1], d_in)
     cases = {id(iv): iv for _, iv in parts}
     unions = {key: _Union((iv, *alternatives)) for key, iv in cases.items()}
     return [(lv, unions[id(iv)]) for lv, iv in parts]
@@ -713,7 +720,7 @@ def _walk(
     the varied station, by a condition or an evolution keyed on it, splits
     per union outcome, so each part's history holds its own candidate's
     label; outcomes of different d_out, across candidates too, are cut per
-    union outcome. ``_by_candidate`` splits the last levels back. The
+    union outcome. ``_candidate_blocks`` splits the last levels back. The
     levels hold the candidates' branches side by side, about the sum of
     their own walks' sizes.
     """
@@ -742,31 +749,27 @@ def _walk(
         levels = [out for part, iv in parts for out in _fire(st, part, iv, j in spent)]
 
 
-def _by_candidate(levels: list[_Level], varied: str, count: int) -> list[list[_Level]]:
-    """Each candidate's last sub-batches from a walk that fired ``count`` candidates' union at ``varied``.
+def _candidate_blocks(levels: list[_Level], varied: str, count: int) -> list[list]:
+    """Each candidate's blocks, each with ``labels`` and ``tr``, from a walk that fired their union at ``varied``.
 
-    A level fixed at the varied station goes to the candidate whose block
-    holds its union outcome; a level free there is sliced along that
-    station's outcome axis, one block per candidate. Either way the
-    candidate's own intervention replaces the union in ``fired``, so its
-    records carry its own labels.
+    A level fixed at the varied station is itself a block of the candidate
+    whose outcomes hold its union outcome; a level free there is sliced
+    along that station's outcome axis into one block per candidate, with
+    its own candidate's ``labels`` (as ``_Level.labels``).
     """
-    out: list[list[_Level]] = [[] for _ in range(count)]
+    out: list[list] = [[] for _ in range(count)]
     for lv in levels:
         j = next(j for j, (sid, _) in enumerate(lv.fired) if sid == varied)
         union = lv.fired[j][1]
-        fired = [(*lv.fired[:j], (varied, iv), *lv.fired[j + 1 :]) for iv in union.parts]
         if varied in lv.fixed:
-            i = lv.fixed[varied]
-            k = bisect.bisect(union.starts, i) - 1
-            out[k].append(_Level(lv.v, lv.tr, lv.weights, fired[k], {**lv.fixed, varied: i - union.starts[k]}))
+            out[bisect.bisect(union.starts, lv.fixed[varied]) - 1].append(lv)
             continue
-        free = [(sid, len(iv.outcomes)) for sid, iv in lv.fired if sid not in lv.fixed]
-        axis, counts, rest = [sid for sid, _ in free].index(varied), [m for _, m in free], lv.v.shape[1:]
-        v, tr = lv.v.reshape(*counts, *rest), lv.tr.reshape(counts)
+        labels = lv.labels
+        tr = lv.tr.reshape([len(iv.outcomes) for sid, iv in lv.fired if sid not in lv.fixed])
+        axis = sum(sid not in lv.fixed for sid, _ in lv.fired[:j])
         for k, (lo, hi) in enumerate(zip(union.starts, union.starts[1:])):
-            cut = (*[slice(None)] * axis, slice(lo, hi))
-            out[k].append(_Level(v[cut].reshape(-1, *rest), tr[cut].reshape(-1), lv.weights, fired[k], lv.fixed))
+            own = [*labels[:j], labels[j][lo:hi], *labels[j + 1 :]]
+            out[k].append(SimpleNamespace(labels=own, tr=tr[(*[slice(None)] * axis, slice(lo, hi))].reshape(-1)))
     return out
 
 
@@ -781,36 +784,25 @@ def _require_admissible(s: Scenario, order: tuple[str, ...]) -> None:
                 raise ValueError(f"order places {a!r} after {b!r}, violating their causal order")
 
 
-def _checked_walk(s: Scenario, order: tuple[str, ...]) -> list[_Level]:
-    """The last sub-batches of one admissible ordering, each record probability and their sum checked.
+def _checked_table(blocks: list, growth: float, table: bool = True) -> dict[Record, float]:
+    """The record table of a walk's last ``blocks``, levels or ``_candidate_blocks``, checked.
 
-    Rejects an inadmissible ``order`` (``_require_admissible``), walks it
-    (``_walk``), and bounds every record probability, an entry of a level's
-    ``tr``, by the scenario's derived ``growth`` and their sum, taken in
-    level and branch order, by 2 - growth and growth. A record is named only
-    to word a probability out of bounds; nothing else here builds records.
+    Every record probability, an entry of a block's ``tr``, is bounded by
+    ``growth`` and their sum, taken in block and branch order, by 2 - growth
+    and growth. A block's ``labels`` name records only to word a probability
+    out of bounds, or with ``table``.
     """
-    _require_admissible(s, order)
-    return _check_records(_walk(s, order), s.growth)
-
-
-def _check_records(levels: list[_Level], growth: float) -> list[_Level]:
-    """``levels``, once every record probability is bounded by ``growth`` and their sum by 2 - growth and growth."""
+    out: dict[Record, float] = {}
     total = 0.0
-    for lv in levels:
-        if (i := _first_outside(lv.tr, growth)) is not None:
-            tolerance.check(float(lv.tr[i]), 0.0, growth, f"probability of record {lv.records()[i]}")
-        total = sum(lv.tr.tolist(), total)
+    for b in blocks:
+        if (i := _first_outside(b.tr, growth)) is not None:
+            tolerance.check(float(b.tr[i]), 0.0, growth, f"probability of record {_records(b.labels)[i]}")
+        probabilities = b.tr.tolist()
+        total = sum(probabilities, total)
+        if table:
+            out.update(zip(_records(b.labels), probabilities))
     tolerance.check(total, 2.0 - growth, growth, "sum of record probabilities")
-    return levels
-
-
-def _probabilities(levels: list[_Level]) -> dict[Record, float]:
-    """The record table of a checked walk's last sub-batches: every record's probability."""
-    probabilities: dict[Record, float] = {}
-    for lv in levels:
-        probabilities.update(zip(lv.records(), lv.tr.tolist()))
-    return probabilities
+    return out
 
 
 def evaluate_in_order(s: Scenario, order: Sequence[str]) -> EvaluationResult:
@@ -827,8 +819,9 @@ def evaluate_in_order(s: Scenario, order: Sequence[str]) -> EvaluationResult:
     station acts on every live branch at once. A station after which
     nothing acts on its factor fires through roots F of its POVM elements
     E = F^dagger F, so no final state is built; the result builds them on
-    first read of ``final_states``. The walk and its checks are
-    ``_checked_walk``'s; the record table on top of it, ``_probabilities``.
+    first read of ``final_states``. An inadmissible ordering is rejected
+    (``_require_admissible``); ``_checked_table`` checks the walk's records
+    and builds their table.
 
     The scenario remembers the probabilities of the last ordering it was
     evaluated in, or that a no-signaling check seeded (``Scenario._memo``):
@@ -840,7 +833,8 @@ def evaluate_in_order(s: Scenario, order: Sequence[str]) -> EvaluationResult:
     order = tuple(order)
     last = s._memo.evaluation
     if last is None or last[0] != order:
-        last = s._memo.evaluation = (order, _probabilities(_checked_walk(s, order)))
+        _require_admissible(s, order)
+        last = s._memo.evaluation = (order, _checked_table(_walk(s, order), s.growth))
     return EvaluationResult(ordering=order, probabilities=dict(last[1]), scenario=s)
 
 
@@ -954,17 +948,18 @@ def check_order_invariance(s: Scenario, tol: float) -> InvarianceReport:
     is empty), adjacent swaps of maps on different tensor factors, which
     commute, link any two extensions, so every record's unnormalized final
     state is the same in all: the first is walked for its runtime checks
-    (``_checked_walk``), which builds no record, no result and no memo
+    (``_checked_table``), which builds no record, no result and no memo
     entry, and leaves the scenario's memo as it was, and ``worst`` is 0.0
     exactly (``method`` "pairwise"). Otherwise every
     extension is evaluated, one at a time, and ``compare_orderings`` reads
     the results as they come, so memory grows with the records, not with
     the orderings.
     """
+    tolerance.positive_finite(tol)
     _require_order_comparable(s)
     extensions = linear_extensions(s._covering, s.events())
     if not s._movable and s._chains:
-        _checked_walk(s, extensions[0])
+        _checked_table(_walk(s, extensions[0]), s.growth, table=False)
         return InvarianceReport(True, 0.0, len(extensions), method="pairwise")
     return compare_orderings((evaluate_in_order(s, o) for o in extensions), tol)
 
@@ -1016,6 +1011,7 @@ def compare_orderings(results: Iterable[EvaluationResult], tol: float) -> Invari
     the witness names the first record whose spread is within
     ``tolerance.FLOOR`` of the worst and the two orderings realizing it.
     """
+    tolerance.positive_finite(tol)
     worst, witness, n = _spread((r.ordering, r.probabilities) for r in results)
     ok = worst <= tol
     return InvarianceReport(
@@ -1102,22 +1098,24 @@ def check_no_signaling(
     spacelike; each alternative must act on the varied station's own
     subsystem. When ``varied`` is omitted it is inferred from the
     subsystem the alternatives address, provided exactly one non-target
-    station acts there.
+    station acts there. ``tol`` must be positive and finite.
 
     Every candidate is evaluated in one ordering, which depends only on
     the varied station, and all in one walk (``_walk`` with ``varied``):
     they differ only at the varied station, which fires the union of their
     interventions, and every other station fires once for all of them.
-    Each candidate's records and their sum are bounded by its own growth.
-    The scenario keeps one such walk (``_Memo.signaling``), keyed by the
-    varied station and the alternatives, with one copy of s per distinct
-    alternative and every candidate's table; it is set only once every
-    candidate passed, and a check with another key walks and replaces it.
-    Each call seeds every candidate's memo from it and reads the marginals
-    through ``evaluate_in_order``. So checking one varied station against
-    each of its targets walks once, and a report depends only on (s,
-    target, alternatives, varied), not on earlier calls.
+    One pass over its last levels (``_candidate_blocks``) gives each
+    candidate's blocks, checked in candidate order against its own growth
+    (``_checked_table``). An alternative equal (==) to an earlier one
+    shares its copy of s and its table. The scenario keeps one such walk
+    (``_Memo.signaling``), keyed by the varied station and the
+    alternatives, set only once every candidate passed. Each call seeds
+    every candidate's memo from it and reads the marginals through
+    ``evaluate_in_order``. So checking one varied station against each of
+    its targets walks once, and a report depends only on (s, target,
+    alternatives, varied), not on earlier calls.
     """
+    tolerance.positive_finite(tol)
     alternatives = tuple(alternatives)
     if not alternatives:
         raise ValueError("alternatives must not be empty: there is nothing to compare the original with")
@@ -1145,14 +1143,15 @@ def check_no_signaling(
     key = (varied, alternatives)
     if s._memo.signaling is None or s._memo.signaling[0] != key:
         _require_admissible(s, order)
-        # The original candidate is s itself; each distinct alternative gets one copy of s.
-        copies = {alt: s._with_station(varied, alt) for alt in dict.fromkeys(alternatives)}
-        distinct = [s, *copies.values()]
-        walk = _walk(s, order, varied=varied, alternatives=[alt.local for alt in copies])
-        levels = _by_candidate(walk, varied, len(distinct))
-        tables = [(order, _probabilities(_check_records(lvs, v.growth))) for v, lvs in zip(distinct, levels)]
-        walked = dict(zip(copies, tables[1:]))
-        s._memo.signaling = (key, [s, *map(copies.get, alternatives)], [tables[0], *map(walked.get, alternatives)])
+        # Candidate 0 is s itself; each alternative equal to no earlier one gets the next, one copy of s.
+        firsts = [alternatives.index(alt) for alt in alternatives]
+        distinct = [i for k, i in enumerate(firsts) if i == k]
+        copies = [s, *(s._with_station(varied, alternatives[i]) for i in distinct)]
+        walk = _walk(s, order, varied=varied, alternatives=[alternatives[i].local for i in distinct])
+        blocks = _candidate_blocks(walk, varied, len(copies))
+        tables = [(order, _checked_table(b, v.growth)) for v, b in zip(copies, blocks)]
+        slots = [0, *(distinct.index(i) + 1 for i in firsts)]
+        s._memo.signaling = (key, [copies[n] for n in slots], [tables[n] for n in slots])
     _, candidates, evaluations = s._memo.signaling
     for v, e in zip(candidates, evaluations):
         v._memo.evaluation = e

@@ -23,6 +23,7 @@ raises ValueError.
   composes, by product, over any number of such stations.
 """
 
+import math
 import sys
 
 EPS = sys.float_info.epsilon  # 2^-52, the relative rounding of one float operation
@@ -77,3 +78,10 @@ def check(value: float, low: float, high: float, what: str) -> float:
             "(internal invariant failure)"
         )
     return value
+
+
+def positive_finite(tol: float) -> float:
+    """Return a certifier's ``tol`` if it is positive and finite; raise ValueError naming it otherwise."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+    return tol

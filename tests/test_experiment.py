@@ -6,6 +6,7 @@ import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -679,6 +680,29 @@ def test_no_signaling_detects_same_subsystem_influence():
     assert report.worst == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_a_tolerance_not_positive_and_finite_is_refused_on_every_path(tol, capsys):
+    message = re.escape(f"tolerance must be positive and finite, got {tol!r}")
+    pairwise, exhaustive = eprb(0.0, math.pi / 3.0), noncommuting_counterexample()
+    assert check_order_invariance(pairwise, 1e-9).method == "pairwise"
+    assert check_order_invariance(exhaustive, 1e-9).method == "exhaustive"
+    identity = [LocalIntervention(0, identity_iv())]
+    for certify in (
+        lambda: check_order_invariance(pairwise, tol),
+        lambda: check_order_invariance(exhaustive, tol),
+        lambda: experiment.compare_orderings(iter([]), tol),
+        lambda: check_no_signaling(pairwise, "B", identity, tol, varied="A"),
+        lambda: check_no_signaling(exhaustive, "X", identity, tol, varied="Z"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            certify()
+    assert pairwise._memo.signaling is None and exhaustive._memo.signaling is None
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check-invariance", "counterexample", "--tolerance", repr(tol)])
+    assert exc.value.code == 2
+    assert f"argument --tolerance: tolerance must be positive and finite, got {tol!r}" in capsys.readouterr().err
+
+
 def test_no_signaling_witness_names_target_outcome_and_candidates():
     # Z fires first on |0>: X's x+ marginal is 1/2 under the original, 1 under a Hadamard.
     hadamard = Intervention(d_in=2, outcomes=(Outcome("h", 2, (HADAMARD,)),))
@@ -1282,7 +1306,7 @@ def assert_spent_walk_matches_built_walk(s, orders=None):
         want = {
             rec: tr
             for lv in experiment._walk(s, tuple(order), build=True)
-            for rec, tr in zip(lv.records(), lv.tr.tolist())
+            for rec, tr in zip(experiment._records(lv.labels), lv.tr.tolist())
         }
         assert got.keys() == want.keys(), order
         for rec, p in want.items():
@@ -1378,7 +1402,7 @@ def assert_split_partitions_in_order(lv, names):
     parent's order; a split that names no free station returns the level
     itself. Returns the parts.
     """
-    records = lv.records()
+    records = experiment._records(lv.labels)
     fired = {sid: [o.label for o in iv.outcomes] for sid, iv in lv.fired}
     named = [sid for sid in fired if sid in names]
     parts = lv.split(set(names))
@@ -1391,7 +1415,7 @@ def assert_split_partitions_in_order(lv, names):
     for history, part in parts:
         assert list(history) == named
         rows = [i for i, rec in enumerate(records) if all(dict(rec)[sid] == history[sid] for sid in named)]
-        assert part.records() == [records[i] for i in rows]
+        assert experiment._records(part.labels) == [records[i] for i in rows]
         assert np.array_equal(part.v, lv.v[rows]) and np.array_equal(part.tr, lv.tr[rows])
         covered += len(rows)
     assert covered == len(records)
@@ -1861,10 +1885,10 @@ def test_the_pairwise_certificate_builds_no_record_and_leaves_the_memo(monkeypat
     evaluate_in_order(s, ["B", "A"])
     remembered = s._memo.evaluation
 
-    def refuse(lv):
+    def refuse(labels):
         raise AssertionError("the pairwise certificate built a record table")
 
-    monkeypatch.setattr(experiment._Level, "records", refuse)
+    monkeypatch.setattr(experiment, "_records", refuse)
     evaluations = count_calls(monkeypatch, "evaluate_in_order")
     walks = count_calls(monkeypatch, "_walk")
     report = check_order_invariance(s, 1e-9)
@@ -2213,7 +2237,7 @@ def assert_union_tables_match_own_walks(walks, s, target, alternatives, varied):
     # The original and its copies, each once.
     for c in {id(c): c for c in candidates}.values():
         remembered, table = c._memo.evaluation
-        own = experiment._probabilities(experiment._checked_walk(c, order))
+        own = experiment._checked_table(experiment._walk(c, order), c.growth)
         assert remembered == order and table.keys() == own.keys()
         assert max(abs(table[rec] - p) for rec, p in own.items()) <= 1e-15
     return report
@@ -2292,18 +2316,64 @@ def test_a_union_walk_that_raises_seeds_no_memo(monkeypatch):
     # The last candidate's sum fails after the others' tables were built: the slot and the memo stay.
     assert check_no_signaling(s, "A", [LocalIntervention(1, identity_iv())], 1e-9, varied="B").ok
     kept, remembered = s._memo.signaling, s._memo.evaluation
-    split = experiment._by_candidate
+    split = experiment._candidate_blocks
 
     def skewed(levels, varied, count):
         out = split(levels, varied, count)
-        out[-1] = [replace(lv, tr=lv.tr * 1.5) for lv in out[-1]]
+        out[-1] = [SimpleNamespace(labels=b.labels, tr=b.tr * 1.5) for b in out[-1]]
         return out
 
-    monkeypatch.setattr(experiment, "_by_candidate", skewed)
+    monkeypatch.setattr(experiment, "_candidate_blocks", skewed)
     alternatives = [LocalIntervention(0, identity_iv()), LocalIntervention(0, spin_analyzer(0.4))]
     with pytest.raises(ValueError, match="sum of record probabilities.*internal invariant failure"):
         check_no_signaling(s, "B", alternatives, 1e-9, varied="A")
     assert s._memo.signaling is kept and s._memo.evaluation is remembered
+
+
+def test_the_first_failing_candidate_names_the_failure(monkeypatch):
+    # Candidates 1 (the identity at A) and 2 (an analyzer) both fail, each its own way.
+    s = eprb(0.0, 1.0)
+    alternatives = [LocalIntervention(0, identity_iv()), LocalIntervention(0, spin_analyzer(0.4))]
+    split, faults, sums = experiment._candidate_blocks, {}, {}
+
+    def skewed(levels, varied, count):
+        out = split(levels, varied, count)
+        for k, fault in faults.items():
+            out[k] = [SimpleNamespace(labels=b.labels, tr=fault(b.tr)) for b in out[k]]
+            sums[k] = sum((p for b in out[k] for p in b.tr.tolist()), 0.0)
+        return out
+
+    def one_record_at_2(tr):
+        tr = tr.copy()
+        tr[0] = 2.0
+        return tr
+
+    monkeypatch.setattr(experiment, "_candidate_blocks", skewed)
+    faults.update({1: lambda tr: tr * 1.5, 2: one_record_at_2})
+    with pytest.raises(ValueError) as raised:
+        check_no_signaling(s, "B", alternatives, 1e-9, varied="A")
+    assert str(raised.value).startswith(f"sum of record probabilities is {sums[1]!r}, ")
+    faults.update({1: one_record_at_2, 2: lambda tr: tr * 1.5})
+    with pytest.raises(ValueError, match=re.escape("probability of record (('A', 'id'), ('B', '+')) is 2.0, ")):
+        check_no_signaling(s, "B", alternatives, 1e-9, varied="A")
+    assert s._memo.signaling is None and s._memo.evaluation is None
+
+
+def test_equal_but_distinct_alternatives_share_one_copy_and_one_table(monkeypatch):
+    unions = count_calls(monkeypatch, "_unions")
+    s = eprb(0.0, 1.0)
+    analyzer = spin_analyzer(0.4)
+    a, b = LocalIntervention(0, analyzer), LocalIntervention(0, replace(analyzer))
+    # Built anew, an analyzer at the same angle holds other matrices, so it is another alternative.
+    c = LocalIntervention(0, spin_analyzer(0.4))
+    assert a == b and a is not b and a.local is not b.local and a != c
+    report = check_no_signaling(s, "B", [a, c, b], 1e-9, varied="A")
+    assert report.ok and report.alternatives_checked == 4
+    assert [len(args[2]) for args, _ in unions] == [2]
+    _, candidates, evaluations = s._memo.signaling
+    assert candidates[0] is s and candidates[1] is candidates[3] and evaluations[1] is evaluations[3]
+    assert len({id(v) for v in candidates}) == len({id(e) for e in evaluations}) == 3
+    assert candidates[1].station("A").local is a and candidates[2].station("A").local is c
 
 
 def test_a_report_with_the_original_warm_equals_the_all_cold_report(monkeypatch):

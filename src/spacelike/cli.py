@@ -19,6 +19,7 @@ Exit status is 0 iff every check the invocation executed came back ok.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -74,9 +75,7 @@ def _emit_result(result: EvaluationResult, fmt: str, out) -> None:
         return
     header, rows = _records_rows(result)
     if fmt == "csv":
-        print(",".join(header), file=out)
-        for row in rows:
-            print(",".join(row), file=out)
+        csv.writer(out, lineterminator="\n").writerows([header, *rows])
     else:
         print(f"ordering: {' -> '.join(result.ordering)}", file=out)
         _print_table(header, rows, out)
@@ -88,9 +87,8 @@ def _emit_report(report_dict: dict, fmt: str, out) -> None:
     if fmt == "json":
         print(json.dumps(report_dict, indent=2, sort_keys=True), file=out)
     elif fmt == "csv":
-        print("key,value", file=out)
-        for k, v in report_dict.items():
-            print(f"{k},{json.dumps(v) if isinstance(v, (dict, list)) else v}", file=out)
+        rows = [(k, json.dumps(v) if isinstance(v, (dict, list)) else str(v)) for k, v in report_dict.items()]
+        csv.writer(out, lineterminator="\n").writerows([("key", "value"), *rows])
     else:
         for k, v in report_dict.items():
             print(f"{k}: {v}", file=out)

@@ -33,10 +33,10 @@ Two certifiers operate on top of the evaluator:
   branches, and the last levels are split back into one table per
   candidate.
 
-A scenario remembers only its last ordering's probabilities and its last
-no-signaling walk, keyed by the varied station and the alternatives
-(``_Memo``), so checking one varied station against each of its targets
-walks once.
+A scenario remembers only its last no-signaling walk, keyed by the
+varied station and the alternatives, and the table that walk gave each
+candidate (``_Memo``), so checking one varied station against each of
+its targets walks once; nothing else writes the memo.
 """
 
 from __future__ import annotations
@@ -250,21 +250,21 @@ def _ldl(rho: np.ndarray, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Memo:
-    """What a scenario remembers between calls, and nothing more.
+    """What a no-signaling check leaves for its next call to read back; only that check writes it.
 
-    ``evaluation`` is the (ordering, probabilities) of its last evaluation,
-    None before the first, whether its own walk wrote it or a no-signaling
-    check seeded it; ``signaling`` is ((varied, alternatives), candidates,
-    evaluations) of its last no-signaling walk, None before the first: the
-    scenario and one copy per alternative, and each candidate's (ordering,
-    probabilities), in that order; equal alternatives share both.
+    ``evaluation`` is the (ordering, probabilities) the last walk that
+    included this scenario as a candidate gave it, None before the first;
+    ``signaling`` is ((varied, alternatives), candidates) of this
+    scenario's last no-signaling walk, None before the first: the scenario
+    and one copy per alternative, in that order; equal alternatives share
+    a copy.
     """
 
     __slots__ = ("evaluation", "signaling")
 
     def __init__(self):
         self.evaluation: tuple[tuple[str, ...], dict[Record, float]] | None = None
-        self.signaling: tuple[tuple, list[Scenario], list[tuple[tuple[str, ...], dict[Record, float]]]] | None = None
+        self.signaling: tuple[tuple, list[Scenario]] | None = None
 
 
 @dataclass(frozen=True)
@@ -282,8 +282,8 @@ class Scenario:
     evolutions by their (after, before) pair; ``_movable`` the evolutions
     some ordering moves to another chain position; ``_chains`` whether each
     subsystem's stations form a chain of the causal order; ``_time_order``
-    the station ids sorted by (t, id); ``_memo`` what it remembers between
-    calls (``_Memo``).
+    the station ids sorted by (t, id); ``_memo`` what a no-signaling check
+    remembers (``_Memo``).
     """
 
     dims0: tuple[int, ...]
@@ -823,19 +823,18 @@ def evaluate_in_order(s: Scenario, order: Sequence[str]) -> EvaluationResult:
     (``_require_admissible``); ``_checked_table`` checks the walk's records
     and builds their table.
 
-    The scenario remembers the probabilities of the last ordering it was
-    evaluated in, or that a no-signaling check seeded (``Scenario._memo``):
-    asking for that ordering again neither checks nor walks it. Each result
-    holds its own copy of the probabilities, so a caller that changes one
-    changes nothing else. A new ordering replaces the remembered one, and a
-    walk that raises leaves it as it was.
+    An ordering whose table a no-signaling check left in ``Scenario._memo``
+    is neither checked nor walked: the result holds a copy of that table,
+    so a caller that changes it changes nothing else. Any other ordering is
+    walked, and the result holds the table the walk built. Nothing here
+    writes the memo.
     """
     order = tuple(order)
-    last = s._memo.evaluation
-    if last is None or last[0] != order:
-        _require_admissible(s, order)
-        last = s._memo.evaluation = (order, _checked_table(_walk(s, order), s.growth))
-    return EvaluationResult(ordering=order, probabilities=dict(last[1]), scenario=s)
+    known = s._memo.evaluation
+    if known is not None and known[0] == order:
+        return EvaluationResult(ordering=order, probabilities=dict(known[1]), scenario=s)
+    _require_admissible(s, order)
+    return EvaluationResult(ordering=order, probabilities=_checked_table(_walk(s, order), s.growth), scenario=s)
 
 
 def _frame_orders(s: Scenario, f: Frame) -> list[tuple[str, ...]]:
@@ -948,9 +947,8 @@ def check_order_invariance(s: Scenario, tol: float) -> InvarianceReport:
     is empty), adjacent swaps of maps on different tensor factors, which
     commute, link any two extensions, so every record's unnormalized final
     state is the same in all: the first is walked for its runtime checks
-    (``_checked_table``), which builds no record, no result and no memo
-    entry, and leaves the scenario's memo as it was, and ``worst`` is 0.0
-    exactly (``method`` "pairwise"). Otherwise every
+    (``_checked_table``), which builds no record and no result, and
+    ``worst`` is 0.0 exactly (``method`` "pairwise"). Otherwise every
     extension is evaluated, one at a time, and ``compare_orderings`` reads
     the results as they come, so memory grows with the records, not with
     the orderings.
@@ -1062,29 +1060,12 @@ def _varied_first_ids(s: Scenario, varied: str) -> tuple[str, ...]:
     return (*[i for i in s._time_order if i in head], *[i for i in s._time_order if i not in head])
 
 
-def _infer_varied(s: Scenario, target: str, alternatives: Sequence[LocalIntervention]) -> str:
-    subsystems = {alt.subsystem for alt in alternatives}
-    if len(subsystems) != 1:
-        raise ValueError(
-            f"alternatives address several subsystems {sorted(subsystems)}; "
-            "pass the varied station explicitly"
-        )
-    sub = subsystems.pop()
-    hits = [st.id for st in s.stations if st.subsystem == sub and st.id != target]
-    if len(hits) != 1:
-        raise ValueError(
-            f"{len(hits)} non-target stations act on subsystem {sub}; "
-            "pass the varied station explicitly"
-        )
-    return hits[0]
-
-
 def check_no_signaling(
     s: Scenario,
     target: str,
     alternatives: Iterable[LocalIntervention],
     tol: float,
-    varied: str | None = None,
+    varied: str,
 ) -> NoSignalingReport:
     """Certify that one station's marginal ignores a spacelike station's choice.
 
@@ -1096,9 +1077,7 @@ def check_no_signaling(
     distribution; when the check fails, the witness names that entry and
     the two candidates realizing it. The two stations must be mutually
     spacelike; each alternative must act on the varied station's own
-    subsystem. When ``varied`` is omitted it is inferred from the
-    subsystem the alternatives address, provided exactly one non-target
-    station acts there. ``tol`` must be positive and finite.
+    subsystem. ``tol`` must be positive and finite.
 
     Every candidate is evaluated in one ordering, which depends only on
     the varied station, and all in one walk (``_walk`` with ``varied``):
@@ -1107,20 +1086,19 @@ def check_no_signaling(
     One pass over its last levels (``_candidate_blocks``) gives each
     candidate's blocks, checked in candidate order against its own growth
     (``_checked_table``). An alternative equal (==) to an earlier one
-    shares its copy of s and its table. The scenario keeps one such walk
-    (``_Memo.signaling``), keyed by the varied station and the
-    alternatives, set only once every candidate passed. Each call seeds
-    every candidate's memo from it and reads the marginals through
-    ``evaluate_in_order``. So checking one varied station against each of
-    its targets walks once, and a report depends only on (s, target,
-    alternatives, varied), not on earlier calls.
+    shares its copy of s and its table. Only once every candidate passed,
+    each gets its table in its ``_Memo.evaluation`` and s keeps the
+    candidates in ``_Memo.signaling``, keyed by the varied station and the
+    alternatives, the only inputs of the walk and of the checks before it.
+    A call with that key reads the marginals back through
+    ``evaluate_in_order`` without checking or walking again. So checking
+    one varied station against each of its targets walks once, and a
+    report depends only on (s, target, alternatives, varied).
     """
     tolerance.positive_finite(tol)
     alternatives = tuple(alternatives)
     if not alternatives:
         raise ValueError("alternatives must not be empty: there is nothing to compare the original with")
-    if varied is None:
-        varied = _infer_varied(s, target, alternatives)
     if target == varied:
         raise ValueError("target and varied station must differ")
     t_st = s.station(target)
@@ -1131,17 +1109,16 @@ def check_no_signaling(
             f"stations {varied!r} and {target!r} are {kind.value}, not spacelike; "
             "the no-signaling claim applies only to spacelike separation"
         )
-    _require_causal_conditions(s)
-    for alt in alternatives:
-        if alt.subsystem != v_st.subsystem:
-            raise ValueError(
-                f"alternative addresses subsystem {alt.subsystem}, but station "
-                f"{varied!r} acts on subsystem {v_st.subsystem}"
-            )
-
     order = _varied_first_ids(s, varied)
     key = (varied, alternatives)
     if s._memo.signaling is None or s._memo.signaling[0] != key:
+        _require_causal_conditions(s)
+        for alt in alternatives:
+            if alt.subsystem != v_st.subsystem:
+                raise ValueError(
+                    f"alternative addresses subsystem {alt.subsystem}, but station "
+                    f"{varied!r} acts on subsystem {v_st.subsystem}"
+                )
         _require_admissible(s, order)
         # Candidate 0 is s itself; each alternative equal to no earlier one gets the next, one copy of s.
         firsts = [alternatives.index(alt) for alt in alternatives]
@@ -1149,12 +1126,11 @@ def check_no_signaling(
         copies = [s, *(s._with_station(varied, alternatives[i]) for i in distinct)]
         walk = _walk(s, order, varied=varied, alternatives=[alternatives[i].local for i in distinct])
         blocks = _candidate_blocks(walk, varied, len(copies))
-        tables = [(order, _checked_table(b, v.growth)) for v, b in zip(copies, blocks)]
-        slots = [0, *(distinct.index(i) + 1 for i in firsts)]
-        s._memo.signaling = (key, [copies[n] for n in slots], [tables[n] for n in slots])
-    _, candidates, evaluations = s._memo.signaling
-    for v, e in zip(candidates, evaluations):
-        v._memo.evaluation = e
+        tables = [_checked_table(b, v.growth) for v, b in zip(copies, blocks)]
+        for v, table in zip(copies, tables):
+            v._memo.evaluation = (order, table)
+        s._memo.signaling = (key, [copies[0], *(copies[distinct.index(i) + 1] for i in firsts)])
+    candidates = s._memo.signaling[1]
     marginals = [marginal(evaluate_in_order(v, order), target) for v in candidates]
     worst, witness, _ = _spread(enumerate(marginals))
     ok = worst <= tol

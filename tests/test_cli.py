@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import json
 import math
@@ -169,12 +171,39 @@ def test_check_invariance_names_its_method_in_every_format(capsys):
         assert f"method,{method}\n" in run(capsys, "check-invariance", name, "--format", "csv")[1]
 
 
+def csv_rows(text: str) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(text)))
+
+
+def test_csv_reports_quote_json_cells(capsys):
+    # A witness or a methods count is JSON with commas and quotes: each stays one cell.
+    for argv in (["counterexample"], ["--trials", "3"]):
+        code, out, _ = run(capsys, "check-invariance", *argv, "--format", "csv")
+        header, *rows = csv_rows(out)
+        assert header == ["key", "value"] and all(len(row) == 2 for row in rows), out
+        doc = json.loads(run(capsys, "check-invariance", *argv, "--format", "json")[1])
+        cell = "witness" if argv == ["counterexample"] else "methods"
+        assert json.loads(dict(rows)[cell]) == doc[cell]
+
+
+def test_simulate_csv_round_trips_a_label_with_a_comma(tmp_path, capsys):
+    path = tmp_path / "comma.json"
+    path.write_text(serialize_scenario(noncommuting_counterexample()).replace('"z+"', '"z,+"'))
+    code, out, _ = run(capsys, "simulate", str(path), "--format", "csv")
+    header, *rows = csv_rows(out)
+    assert code == 0 and header == ["Z", "X", "probability"] and all(len(row) == 3 for row in rows)
+    assert sorted({row[0] for row in rows}) == ["z,+", "z-"]
+    doc = json.loads(run(capsys, "simulate", str(path), "--format", "json")[1])
+    assert len(rows) == len(doc["records"])
+
+
 def sweep_lines(capsys, *argv):
     """The --trials summary in table, csv and json, each as a dict of its printed values."""
     table = run(capsys, *argv)[1].splitlines()
-    csv = run(capsys, *argv, "--format", "csv")[1].splitlines()[1:]
+    header, *rows = csv_rows(run(capsys, *argv, "--format", "csv")[1])
+    assert header == ["key", "value"] and all(len(row) == 2 for row in rows)
     code, out, _ = run(capsys, *argv, "--format", "json")
-    return code, dict(line.split(": ", 1) for line in table), dict(line.split(",", 1) for line in csv), json.loads(out)
+    return code, dict(line.split(": ", 1) for line in table), dict(rows), json.loads(out)
 
 
 def test_invariance_sweep_names_failing_and_worst_seeds_and_counts_methods(monkeypatch, capsys):
@@ -184,15 +213,15 @@ def test_invariance_sweep_names_failing_and_worst_seeds_and_counts_methods(monke
         "random_product_scenario",
         lambda seed: noncommuting_counterexample() if seed == 5 else random_product_scenario(seed=seed),
     )
-    code, table, csv, doc = sweep_lines(capsys, "check-invariance", "--trials", "3", "--seed", "4")
+    code, table, as_csv, doc = sweep_lines(capsys, "check-invariance", "--trials", "3", "--seed", "4")
     assert code == 1
     assert (doc["failing_seeds"], doc["worst_seed"], doc["trials"]) == ([5], 5, 3)
     assert doc["methods"] == {"pairwise": 2, "exhaustive": 1}
     assert [r["method"] for r in doc["reports"]] == ["pairwise", "exhaustive", "pairwise"]
     assert (table["failing_seeds"], table["worst_seed"]) == ("[5]", "5")
     assert table["methods"] == "{'pairwise': 2, 'exhaustive': 1}"
-    assert (csv["failing_seeds"], csv["worst_seed"]) == ("[5]", "5")
-    assert json.loads(csv["methods"]) == doc["methods"]
+    assert (as_csv["failing_seeds"], as_csv["worst_seed"]) == ("[5]", "5")
+    assert json.loads(as_csv["methods"]) == doc["methods"]
 
 
 def test_no_signaling_sweep_names_failing_and_worst_seeds(capsys):
@@ -205,10 +234,10 @@ def test_no_signaling_sweep_names_failing_and_worst_seeds(capsys):
     # The seeds' worsts are rounding, each within tolerance.FLOOR of the largest: the first seed is named.
     worst_seed = min(seed for seed, w in worst.items() if w >= max(worst.values()) - tolerance.FLOOR)
     assert failing
-    code, table, csv, doc = sweep_lines(capsys, "check-no-signaling", "--trials", "3", "--tolerance", "1e-300")
+    code, table, as_csv, doc = sweep_lines(capsys, "check-no-signaling", "--trials", "3", "--tolerance", "1e-300")
     assert code == 1
     assert (doc["failing_seeds"], doc["worst_seed"]) == (failing, worst_seed)
-    for printed in (table, csv):
+    for printed in (table, as_csv):
         assert (json.loads(printed["failing_seeds"]), int(printed["worst_seed"])) == (failing, worst_seed)
 
 

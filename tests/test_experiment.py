@@ -651,7 +651,7 @@ def test_no_signaling_eprb_alternatives():
         LocalIntervention(0, spin_analyzer(math.pi / 4.0)),
         LocalIntervention(0, identity_iv()),
     ]
-    report = check_no_signaling(s, "B", alternatives, 1e-9)
+    report = check_no_signaling(s, "B", alternatives, 1e-9, varied="A")
     assert report.ok
     assert report.worst < 1e-12
     assert report.varied == "A"
@@ -850,19 +850,10 @@ def test_no_signaling_rejects_empty_alternatives_whatever_the_varied_station():
 def test_a_one_shot_iterable_of_alternatives_is_checked_in_full():
     # Read once, the iterator still yields the Hadamard, which X's marginal sees at 0.5.
     hadamard = LocalIntervention(0, Intervention(d_in=2, outcomes=(Outcome("h", 2, (HADAMARD,)),)))
-    for varied in ("Z", None):
-        report = check_no_signaling(noncommuting_counterexample(), "X", iter([hadamard]), 1e-9, varied=varied)
-        assert not report.ok and report.worst == pytest.approx(0.5, abs=1e-12) and report.alternatives_checked == 2
+    report = check_no_signaling(noncommuting_counterexample(), "X", iter([hadamard]), 1e-9, varied="Z")
+    assert not report.ok and report.worst == pytest.approx(0.5, abs=1e-12) and report.alternatives_checked == 2
     with pytest.raises(ValueError, match="alternatives must not be empty"):
-        check_no_signaling(noncommuting_counterexample(), "X", iter([]), 1e-9)
-
-
-def test_no_signaling_inference_requires_unambiguous_station():
-    s = eprb(0.0, 1.0)
-    with pytest.raises(ValueError, match="empty"):
-        check_no_signaling(s, "B", [], 1e-9)
-    report = check_no_signaling(s, "B", [LocalIntervention(0, identity_iv())], 1e-9)
-    assert report.varied == "A"
+        check_no_signaling(noncommuting_counterexample(), "X", iter([]), 1e-9, varied="Z")
 
 
 def test_no_signaling_rejects_ill_posed_arguments():
@@ -871,13 +862,19 @@ def test_no_signaling_rejects_ill_posed_arguments():
         dims0=s.dims0, rho0=s.rho0, stations=(*s.stations, station("A2", 0.0, -5.0, 0, z_iv()))
     )
     cases = [
-        (s, dict(target="A", varied="A"), [LocalIntervention(0, identity_iv())], "must differ"),
-        (s, dict(target="B"), [LocalIntervention(0, z_iv()), LocalIntervention(1, z_iv())], "several subsystems"),
-        (crowded, dict(target="B"), [LocalIntervention(0, identity_iv())], "2 non-target stations"),
+        (dict(target="A", varied="A"), [LocalIntervention(0, identity_iv())], "must differ"),
+        (
+            dict(target="B", varied="A"),
+            [LocalIntervention(0, z_iv()), LocalIntervention(1, z_iv())],
+            "alternative addresses subsystem 1, but station 'A' acts on subsystem 0",
+        ),
     ]
-    for scenario, names, alternatives, message in cases:
+    for names, alternatives, message in cases:
         with pytest.raises(ValueError, match=message):
-            check_no_signaling(scenario, alternatives=alternatives, tol=1e-9, **names)
+            check_no_signaling(s, alternatives=alternatives, tol=1e-9, **names)
+    # Two stations act on the alternatives' subsystem: the caller names the one that varies.
+    identity = [LocalIntervention(0, identity_iv())]
+    assert [check_no_signaling(crowded, "B", identity, 1e-9, varied=v).varied for v in ("A", "A2")] == ["A", "A2"]
 
 
 def test_a_broken_runtime_invariant_is_reported_not_returned(monkeypatch, capsys):
@@ -1882,7 +1879,7 @@ def test_both_callers_of_the_checked_walk_bound_each_record_and_the_sum(monkeypa
 
 def test_the_pairwise_certificate_builds_no_record_and_leaves_the_memo(monkeypatch):
     s = eprb(0.2, 1.1)
-    evaluate_in_order(s, ["B", "A"])
+    check_no_signaling(s, "A", [LocalIntervention(1, identity_iv())], 1e-9, varied="B")
     remembered = s._memo.evaluation
 
     def refuse(labels):
@@ -2035,27 +2032,33 @@ def criterion_05_alternatives(varied, seed):
 
 def test_a_repeated_evaluation_walks_once_and_hands_out_copies(monkeypatch):
     s = random_product_scenario(seed=3)
-    order = [st.id for st in s.stations]
+    varied, target = s.stations[0], s.stations[1]
     walks = count_walks(monkeypatch)
-    first, second = evaluate_in_order(s, order), evaluate_in_order(s, tuple(order))
-    assert walks == [tuple(order)]
+    # Before any check, every evaluation walks and remembers nothing.
+    order = tuple(st.id for st in s.stations)
+    assert evaluate_in_order(s, order) == evaluate_in_order(s, list(order))
+    assert walks == [order] * 2 and s._memo.evaluation is None
+    # The ordering a check walked is read back, one copy per result.
+    report = check_no_signaling(s, target.id, [LocalIntervention(varied.subsystem, varied.local.local)], 1e-9, varied=varied.id)
+    first, second = evaluate_in_order(s, report.ordering), evaluate_in_order(s, list(report.ordering))
+    assert len(walks) == 3
     assert first.probabilities == second.probabilities
     assert first.probabilities is not second.probabilities
     # A caller that changes its result changes nothing the next call returns.
     expected = dict(second.probabilities)
     first.probabilities.clear()
     second.probabilities[next(iter(expected))] = -1.0
-    assert evaluate_in_order(s, order).probabilities == expected
-    assert len(walks) == 1
-    # Another ordering walks, and replaces the remembered one.
-    other = tuple(reversed(order))
+    assert evaluate_in_order(s, report.ordering).probabilities == expected
+    assert len(walks) == 3
+    # Another ordering walks, and leaves the remembered one.
+    other = next(o for o in linear_extensions(s._covering, s.events()) if o != report.ordering)
     assert evaluate_in_order(s, other).ordering == other
-    assert s._memo.evaluation[0] == other and len(walks) == 2
+    assert s._memo.evaluation[0] == report.ordering and len(walks) == 4
 
 
 def test_a_walk_that_raises_stores_nothing(monkeypatch):
     s = eprb(0.0, 1.0)
-    evaluate_in_order(s, ["A", "B"])
+    check_no_signaling(s, "B", [LocalIntervention(0, identity_iv())], 1e-9, varied="A")
     walks = count_walks(monkeypatch)
     kernel = experiment._branches
     monkeypatch.setattr(experiment, "_branches", lambda v, iv: 2 * kernel(v, iv))
@@ -2085,7 +2088,7 @@ def test_a_variant_never_reads_its_parents_probabilities():
     assert marginal(evaluate_in_order(s, ["Z", "X"]), "X") == original
     report = check_no_signaling(s, "X", [hadamard], 1e-9, varied="Z")
     assert not report.ok and report.worst == pytest.approx(0.5, abs=1e-12)
-    key, [original_candidate, copy], _ = s._memo.signaling
+    key, [original_candidate, copy] = s._memo.signaling
     assert key == ("Z", (hadamard,)) and original_candidate is s and copy._memo is not s._memo
     # Equal alternatives read the slot back; another station or another list replaces it.
     assert check_no_signaling(s, "X", [LocalIntervention(0, hadamard.local)], 1e-9, varied="Z") == report
@@ -2097,14 +2100,39 @@ def test_a_variant_never_reads_its_parents_probabilities():
     assert s._memo.signaling[1][1] is not copy
 
 
-def test_an_exhaustive_check_leaves_one_ordering_in_the_memo():
+def test_evaluating_and_certifying_order_leave_the_memo_as_it_was():
+    def unchanged(s, *calls):
+        kept = s._memo.evaluation, s._memo.signaling
+        for call in calls:
+            call()
+            assert (s._memo.evaluation, s._memo.signaling) == kept
+            assert s._memo.evaluation is kept[0] and s._memo.signaling is kept[1]
+
+    def raises(s, order):
+        with pytest.raises(ValueError, match="is not a permutation"):
+            evaluate_in_order(s, order)
+
+    s = eprb(0.2, 1.1)
+    for seeded in (False, True):
+        if seeded:
+            check_no_signaling(s, "A", [LocalIntervention(1, identity_iv())], 1e-9, varied="B")
+            assert s._memo.evaluation[0] == ("B", "A")
+        unchanged(
+            s,
+            lambda: evaluate_in_order(s, ["A", "B"]),
+            lambda: evaluate_in_order(s, ["A", "B"]),
+            lambda: evaluate_in_order(s, ["B", "A"]),
+            lambda: raises(s, ["A"]),
+            lambda: evaluate_in_frame(s, Frame(0.3)),
+            lambda: check_order_invariance(s, 1e-9),
+        )
+    assert check_order_invariance(s, 1e-9).method == "pairwise"
     s = same_qubit_antichain(7)
-    report = check_order_invariance(s, 1e-9)
-    assert not report.ok and report.orders_checked == 5040
-    last = linear_extensions(s._covering, s.events())[-1]
-    order, probabilities = s._memo.evaluation
-    assert order == last and len(probabilities) == 2**7
-    assert s._memo.signaling is None
+    check_no_signaling(s, "S1", [LocalIntervention(0, identity_iv())], 1e-9, varied="S0")
+    reports = []
+    unchanged(s, lambda: reports.append(check_order_invariance(s, 1e-9)))
+    assert [(r.method, r.ok, r.orders_checked) for r in reports] == [("exhaustive", False, 5040)]
+    assert s._memo.evaluation[0] == experiment._varied_first_ids(s, "S0")
 
 
 def test_one_varied_station_against_three_targets_walks_each_candidate_once(monkeypatch):
@@ -2132,9 +2160,9 @@ def test_an_alternative_listed_twice_is_copied_and_walked_once(monkeypatch):
     assert report.ok and report.alternatives_checked == 3
     # The original and one copy, in one walk.
     assert len(walks) == 1
-    key, [original, copy, again], evaluations = s._memo.signaling
+    key, [original, copy, again] = s._memo.signaling
     assert key == (varied.id, (alternative, alternative)) and original is s and copy is again
-    assert copy.station(varied.id).local is alternative and evaluations[1] is evaluations[2]
+    assert copy.station(varied.id).local is alternative and copy._memo.evaluation[0] == report.ordering
 
 
 def test_fresh_alternatives_leave_one_calls_copies_in_the_memo():
@@ -2145,7 +2173,7 @@ def test_fresh_alternatives_leave_one_calls_copies_in_the_memo():
     for seed in range(2000):
         alternative = LocalIntervention(varied.subsystem, random_intervention(d, [d], seed=seed))
         assert check_no_signaling(s, target.id, [alternative], 1e-9, varied=varied.id).ok
-    key, [_, copy], _ = s._memo.signaling
+    key, [_, copy] = s._memo.signaling
     assert key == (varied.id, (alternative,)) and copy.station(varied.id).local is alternative
 
 
@@ -2171,6 +2199,32 @@ def test_a_repeat_variants_call_neither_hashes_an_outcome_nor_builds_a_copy(monk
     anew = criterion_05_alternatives(varied, 3)
     assert check_no_signaling(s, targets[0].id, [*anew, anew[0]], 1e-9, varied=varied.id) == first[0]
     assert len(copied) == 2 and len(walks) == 1 and s._memo.signaling is not kept
+
+
+def test_a_repeated_check_neither_validates_nor_walks_again(monkeypatch):
+    s = reordered_conditional_scenario()
+    alternatives = [LocalIntervention(1, random_intervention(2, [2, 2], seed=100))]
+    first = check_no_signaling(s, "A2", alternatives, 1e-9, varied="A1")
+    validated, admitted = count_calls(monkeypatch, "_require_causal_conditions"), count_calls(monkeypatch, "_require_admissible")
+    walks = count_walks(monkeypatch)
+    assert check_no_signaling(s, "A2", list(alternatives), 1e-9, varied="A1") == first
+    assert validated == [] and admitted == [] and walks == []
+    # Another key validates and walks once.
+    check_no_signaling(s, "A2", alternatives * 2, 1e-9, varied="A1")
+    assert len(validated) == len(admitted) == len(walks) == 1
+
+
+def test_a_check_leaves_the_original_candidates_table_for_evaluate_in_order():
+    for s, target, varied in [(eprb(0.3, 1.2), "B", "A"), (reordered_conditional_scenario(), "A2", "A1")]:
+        v_st = s.station(varied)
+        alternatives = [LocalIntervention(v_st.subsystem, random_intervention(2, [2, 2], seed=130))]
+        report = check_no_signaling(s, target, alternatives, 1e-9, varied=varied)
+        left = s._memo.evaluation[1]
+        result = evaluate_in_order(s, report.ordering)
+        assert result.probabilities == left and result.probabilities is not left and result.scenario is s
+        cold = evaluate_in_order(replace(s), report.ordering).probabilities
+        assert result.probabilities.keys() == cold.keys()
+        assert max(abs(result.probabilities[rec] - p) for rec, p in cold.items()) <= 1e-15
 
 
 def test_a_swapped_copy_shares_every_derived_field_but_its_stations_growth_and_memo():
@@ -2232,8 +2286,8 @@ def assert_union_tables_match_own_walks(walks, s, target, alternatives, varied):
     report = check_no_signaling(s, target, alternatives, 1e-9, varied=varied)
     order = experiment._varied_first_ids(s, varied)
     assert walks[before:] == [order]
-    _, candidates, evaluations = s._memo.signaling
-    assert candidates[0] is s and all(c._memo.evaluation is e for c, e in zip(candidates, evaluations))
+    _, candidates = s._memo.signaling
+    assert candidates[0] is s
     # The original and its copies, each once.
     for c in {id(c): c for c in candidates}.values():
         remembered, table = c._memo.evaluation
@@ -2299,13 +2353,13 @@ def test_the_union_walk_matches_each_candidates_own_walk(monkeypatch):
 def test_a_union_walk_that_raises_seeds_no_memo(monkeypatch):
     # A qutrit alternative on A's qubit raises the message its own walk gave.
     s = eprb(0.0, 1.0)
-    evaluate_in_order(s, ["B", "A"])
-    remembered = s._memo.evaluation
+    assert check_no_signaling(s, "A", [LocalIntervention(1, identity_iv())], 1e-9, varied="B").ok
+    kept, remembered = s._memo.signaling, s._memo.evaluation
     qutrit = LocalIntervention(0, random_intervention(3, [3], seed=120))
     message = "station 'A' at this point in the chain: factor 0 has dimension 2, but the local intervention expects d_in 3"
     with pytest.raises(DimensionError, match=re.escape(message)):
         check_no_signaling(s, "B", [LocalIntervention(0, identity_iv()), qutrit], 1e-9, varied="A")
-    assert s._memo.evaluation is remembered and s._memo.signaling is None
+    assert s._memo.signaling is kept and s._memo.evaluation is remembered
     # One-dimensional outcomes at Z leave X a qubit intervention on a one-dimensional factor.
     control = noncommuting_counterexample()
     collapse = LocalIntervention(0, random_intervention(2, [1, 1], seed=121))
@@ -2314,8 +2368,6 @@ def test_a_union_walk_that_raises_seeds_no_memo(monkeypatch):
         check_no_signaling(control, "X", [collapse], 1e-9, varied="Z")
     assert control._memo.evaluation is None and control._memo.signaling is None
     # The last candidate's sum fails after the others' tables were built: the slot and the memo stay.
-    assert check_no_signaling(s, "A", [LocalIntervention(1, identity_iv())], 1e-9, varied="B").ok
-    kept, remembered = s._memo.signaling, s._memo.evaluation
     split = experiment._candidate_blocks
 
     def skewed(levels, varied, count):
@@ -2370,9 +2422,9 @@ def test_equal_but_distinct_alternatives_share_one_copy_and_one_table(monkeypatc
     report = check_no_signaling(s, "B", [a, c, b], 1e-9, varied="A")
     assert report.ok and report.alternatives_checked == 4
     assert [len(args[2]) for args, _ in unions] == [2]
-    _, candidates, evaluations = s._memo.signaling
-    assert candidates[0] is s and candidates[1] is candidates[3] and evaluations[1] is evaluations[3]
-    assert len({id(v) for v in candidates}) == len({id(e) for e in evaluations}) == 3
+    _, candidates = s._memo.signaling
+    assert candidates[0] is s and candidates[1] is candidates[3]
+    assert len({id(v) for v in candidates}) == len({id(v._memo.evaluation[1]) for v in candidates}) == 3
     assert candidates[1].station("A").local is a and candidates[2].station("A").local is c
 
 
@@ -2383,7 +2435,7 @@ def test_a_report_with_the_original_warm_equals_the_all_cold_report(monkeypatch)
         s = random_product_scenario(seed=seed)
         for varied in s.stations:
             both = criterion_05_alternatives(varied, seed)
-            # The original's own walk, in the check's ordering, warms its memo first.
+            # The original's own walk, in the check's ordering, before any check of this station.
             own = evaluate_in_order(s, experiment._varied_first_ids(s, varied.id)).probabilities
             stations += 1
             for target in s.stations:
@@ -2399,7 +2451,7 @@ def test_a_report_with_the_original_warm_equals_the_all_cold_report(monkeypatch)
                 pairs += 1
             overwritten += s._memo.evaluation[1] != own
     # The shared s walks its own ordering once per varied station, then per pair for both
-    # alternatives and again for the first alone, reading its memos back once; every cold copy walks.
+    # alternatives and again for the first alone, reading its memos back once; every cold check walks.
     assert len(walks) == stations + pairs * (2 + 3)
     # The union walk's table replaced the own walk's, and differs from it in the last bits somewhere.
     assert overwritten > 0
@@ -2422,12 +2474,12 @@ def test_a_check_after_any_other_call_equals_a_cold_check(monkeypatch):
                 return check_no_signaling(s, target.id, alternatives, 1e-9, varied=varied.id)
 
             # Another ordering evaluated before the slot is set, and again once it is: the slot
-            # is read back without a walk.
+            # and the ordering it left are read back without a walk.
             evaluate_in_order(s, other)
             assert warm() == cold
             evaluate_in_order(s, other)
             before = len(walks)
-            assert s._memo.evaluation[0] == other and warm() == cold and len(walks) == before
+            assert s._memo.evaluation[0] == order and warm() == cold and len(walks) == before
             # A check of another alternatives list, then of another varied station.
             check_no_signaling(s, target.id, alternatives[:1], 1e-9, varied=varied.id)
             assert warm() == cold

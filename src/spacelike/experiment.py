@@ -332,6 +332,10 @@ class Scenario:
             raise ValueError(f"station ids must be unique, got {ids}")
         object.__setattr__(self, "_by_id", dict(zip(ids, self.stations)))
         for st in self.stations:
+            if not (math.isfinite(st.event.t) and math.isfinite(st.event.x)):
+                raise ValueError(
+                    f"station {st.id!r} has event coordinates t={st.event.t}, x={st.event.x}; both must be finite"
+                )
             if not 0 <= st.subsystem < len(self.dims0):
                 raise DimensionError(
                     f"station {st.id!r} acts on subsystem {st.subsystem}, but the "
@@ -644,7 +648,9 @@ def _fire(st: Station, lv: _Level, iv: Intervention | _Union, spent: bool) -> li
     candidate's growth.
     """
     sub, d, (n, *pdims, w) = st.subsystem, iv.d_in, lv.v.shape
-    b, a = _factor_at(st, pdims, d)
+    if pdims[sub] != d:
+        _factor_at(st, pdims, d)  # raises, naming the station
+    b, a = math.prod(pdims[:sub]), math.prod(pdims[sub + 1 :])
     out = _branches(lv.v.reshape(n, b, d, a, w), iv._povm_roots if spent else iv._kraus_stack)
     _, _, r, _, width = out.shape
     weights = None if lv.weights is None else np.repeat(lv.weights, width // w)

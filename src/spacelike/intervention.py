@@ -243,13 +243,14 @@ def _branches(v: np.ndarray, stack: np.ndarray) -> np.ndarray:
     is [L_1 V, ..., L_K V] with L = I_b (x) A (x) I_a, A the stack's matrices
     of o; one product contracts d_in for all of them. Returns (n * m, b,
     rows, a, w * K), outcome-minor; column j * K + k holds matrix k on V's
-    column j.
+    column j. The a and w axes stay adjacent, so the output transpose
+    moves them as one.
     """
     n, b, d, a, w = v.shape
     m, k, rows_out, _ = stack.shape
     rows = v.transpose(2, 0, 1, 3, 4).reshape(d, -1)
-    out = (stack.reshape(m * k * rows_out, d) @ rows).reshape(m, k, rows_out, n, b, a, w)
-    return out.transpose(3, 0, 4, 2, 5, 6, 1).reshape(n * m, b, rows_out, a, w * k)
+    out = (stack.reshape(m * k * rows_out, d) @ rows).reshape(m, k, rows_out, n, b, a * w)
+    return out.transpose(3, 0, 4, 2, 5, 1).reshape(n * m, b, rows_out, a, w * k)
 
 
 def povm_elements(iv: Intervention) -> list[tuple[str, CMatrix]]:

@@ -103,6 +103,18 @@ def test_scenario_rejects_duplicate_station_ids():
         )
 
 
+@pytest.mark.parametrize("coordinate", ["t", "x"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_scenario_rejects_a_non_finite_event_coordinate(coordinate, value):
+    # With A's t at NaN, the pairwise certificate, a frame and the
+    # no-signaling check would each read the event differently.
+    s = eprb(0.0, 1.0)
+    a, b = s.stations
+    bad = replace(a, event=replace(a.event, **{coordinate: value}))
+    with pytest.raises(ValueError, match=r"station 'A' has event coordinates .*; both must be finite"):
+        replace(s, stations=(bad, b))
+
+
 def test_scenario_validates_evolutions():
     stations = (station("P", 0.0, 0.0, 0, z_iv()), station("Q", 2.0, 0.0, 0, x_iv()))
     base = dict(dims0=(2,), rho0=maximally_mixed(), stations=stations)
@@ -901,6 +913,37 @@ def test_a_nan_branch_factor_is_reported_naming_its_outcome(monkeypatch):
     with pytest.raises(ValueError, match="branch trace for outcome '-' is nan, .*internal invariant failure"):
         evaluate_in_order(s, ["A", "B"])
     assert s._memo.evaluation is None
+
+
+def three_outcomes(kraus):
+    """A qubit intervention of outcomes o0, o1, o2, each with ``kraus`` 2 x 2 Kraus matrices."""
+    mats = [o.kraus[0] for o in random_intervention(2, [2] * (3 * kraus), seed=36).outcomes]
+    return Intervention(2, tuple(Outcome(f"o{i}", 2, tuple(mats[i * kraus : (i + 1) * kraus])) for i in range(3)))
+
+
+@pytest.mark.parametrize("kraus", [1, 2])
+@pytest.mark.parametrize("branch", [0, 1, 2])
+@pytest.mark.parametrize("entry", ["first", "middle"])
+def test_a_nan_anywhere_in_a_fired_branch_is_reported_naming_its_outcome(monkeypatch, kraus, branch, entry):
+    # Q acts on A's qubit later, so A fires through its Kraus stack, K = kraus,
+    # on one parent: its branches are its outcomes, first, middle and last.
+    s = Scenario(
+        dims0=(2,),
+        rho0=maximally_mixed(),
+        stations=(station("A", 0.0, 0.0, 0, three_outcomes(kraus)), station("Q", 2.0, 0.0, 0, z_iv())),
+    )
+    kernel = experiment._branches
+
+    def poisoned(v, stack):
+        out = kernel(v, stack).copy()
+        if stack.shape[:2] == (3, kraus):
+            factor = out[branch]
+            factor.flat[0 if entry == "first" else factor.size // 2] = np.nan
+        return out
+
+    monkeypatch.setattr(experiment, "_branches", poisoned)
+    with pytest.raises(ValueError, match=f"branch trace for outcome 'o{branch}' is nan, .*internal invariant failure"):
+        evaluate_in_order(s, ["A", "Q"])
 
 
 # ------------------------------------------------------------- cross checks

@@ -403,6 +403,20 @@ def test_linear_extensions_list_equal_the_recursive_enumeration():
         assert linear_extensions(order, events) == recursive_extensions(order, events), (order, events)
 
 
+def test_linear_extensions_list_an_antichain_in_one_step():
+    # No pair of the relation joins two of the events, including pairs that
+    # name only other events: every permutation, in ``events`` order.
+    rng = np.random.default_rng(36)
+    elsewhere = {("u0", "u1"), ("u1", "u2"), ("u0", "u2")}
+    for n in range(8):
+        events = [Event(f"e{i}", 0.0, 0.0) for i in rng.permutation(n)]
+        for order in (set(), elsewhere):
+            assert linear_extensions(order, events) == recursive_extensions(order, events), (n, order)
+    events = [Event(f"e{i}", 0.0, 0.0) for i in rng.permutation(8)]
+    for order in (set(), elsewhere):
+        assert linear_extensions(order, events) == list(itertools.permutations(e.id for e in events))
+
+
 def test_linear_extensions_of_a_chain_deeper_than_the_recursion_limit():
     chain = [Event(f"c{i}", 2.0 * i, 0.0) for i in range(1100)]
     assert linear_extensions(causal_order(chain), chain) == [tuple(e.id for e in chain)]

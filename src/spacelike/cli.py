@@ -13,7 +13,10 @@ Subcommands:
 * ``check-povm``: validate completeness and report the worst deviation
   of any station's POVM sum from the identity.
 
-Exit status is 0 iff every check the invocation executed came back ok.
+``--format json`` and ``--format csv`` print the same document, csv as
+sorted ``key,value`` rows with nested values as JSON cells; ``table`` alone
+prints it as prose for reading. A single evaluation's csv is its record
+table. Exit status is 0 iff every check the invocation executed came back ok.
 """
 
 from __future__ import annotations
@@ -87,7 +90,10 @@ def _emit_report(report_dict: dict, fmt: str, out) -> None:
     if fmt == "json":
         print(json.dumps(report_dict, indent=2, sort_keys=True), file=out)
     elif fmt == "csv":
-        rows = [(k, json.dumps(v) if isinstance(v, (dict, list)) else str(v)) for k, v in report_dict.items()]
+        rows = [
+            (k, json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else str(v))
+            for k, v in sorted(report_dict.items())
+        ]
         csv.writer(out, lineterminator="\n").writerows([("key", "value"), *rows])
     else:
         for k, v in report_dict.items():
@@ -102,32 +108,22 @@ def cmd_simulate(args, out) -> int:
         return 0
     # Tie: every resolution is evaluated and compared record by record.
     report = compare_orderings(results, args.tolerance)
-    ok, worst, w = report.ok, report.worst, report.witness
-    if args.format == "json":
-        doc = {
-            "tie": True,
-            "ok": ok,
-            "worst": worst,
-            "witness": report.as_dict()["witness"],
-            "resolutions": [r.as_dict() for r in results],
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True), file=out)
-    else:
-        print(
-            f"tie at velocity {args.frame_velocity}: {len(results)} orderings evaluated",
-            file=out,
-        )
+    if args.format == "table":
+        print(f"tie at velocity {args.frame_velocity}: {len(results)} orderings evaluated", file=out)
         for r in results:
-            _emit_result(r, args.format, out)
+            _emit_result(r, "table", out)
             print("", file=out)
-        print(f"worst spread across resolutions: {worst:.3e} (ok: {ok})", file=out)
-        if w is not None:
+        print(f"worst spread across resolutions: {report.worst:.3e} (ok: {report.ok})", file=out)
+        if (w := report.witness) is not None:
             print(
                 f"witness: record {dict(w.record)}: {w.p_low:.12g} in {' -> '.join(w.order_low)}, "
                 f"{w.p_high:.12g} in {' -> '.join(w.order_high)}",
                 file=out,
             )
-    return 0 if ok else 1
+    else:
+        doc = {"tie": True, "ok": report.ok, "worst": report.worst, "witness": report.as_dict()["witness"]}
+        _emit_report({**doc, "resolutions": [r.as_dict() for r in results]}, args.format, out)
+    return 0 if report.ok else 1
 
 
 def _sweep(reports: list[dict], **counts) -> dict:
@@ -156,7 +152,7 @@ def cmd_check_invariance(args, out) -> int:
             for seed in range(args.seed, args.seed + args.trials)
         ]
         doc = _sweep(reports, methods={m: sum(r["method"] == m for r in reports) for m in ("pairwise", "exhaustive")})
-        if args.format == "json":
+        if args.format != "table":
             doc["reports"] = reports
         _emit_report(doc, args.format, out)
         return 0 if doc["ok"] else 1
@@ -227,19 +223,15 @@ def cmd_check_no_signaling(args, out) -> int:
         return 0 if doc["ok"] else 1
     s = load_scenario(args.scenario)
     reports = _check_no_signaling_all(s, args.tolerance, args.seed, args.target, args.varied)
-    all_ok = all(r.ok for r in reports)
-    doc = {
-        "ok": all_ok,
-        "worst": max(r.worst for r in reports),
-        "pairs": [r.as_dict() for r in reports],
-    }
-    if args.format == "json":
-        _emit_report(doc, args.format, out)
-    else:
+    ok = all(r.ok for r in reports)
+    if args.format == "table":
         for r in reports:
-            _emit_report(r.as_dict(), args.format, out)
-        print(f"overall ok: {all_ok}", file=out)
-    return 0 if all_ok else 1
+            _emit_report(r.as_dict(), "table", out)
+        print(f"overall ok: {ok}", file=out)
+    else:
+        doc = {"ok": ok, "worst": max(r.worst for r in reports), "pairs": [r.as_dict() for r in reports]}
+        _emit_report(doc, args.format, out)
+    return 0 if ok else 1
 
 
 def cmd_check_povm(args, out) -> int:

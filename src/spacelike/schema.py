@@ -23,14 +23,15 @@ A matrix is a flat row-major list of [re, im] pairs; its length must
 equal rows*cols for the dimensions implied by its position. A station
 may carry "depends_on"/"cases" instead of "intervention" for
 outcome-conditioned interventions; "evolutions" may be omitted.
-Unknown fields are rejected everywhere, and every diagnostic names the
-JSON path it refers to.
+Unknown fields and repeated keys are rejected everywhere, and every
+diagnostic names the JSON path it refers to.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from typing import Any
 
 import numpy as np
@@ -49,6 +50,38 @@ class SchemaError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+
+
+def _load(text: str) -> Any:
+    """``json.loads``, but an object that repeats a key, whose last value json would keep, is refused."""
+    # Each such object with a key it repeats; holding the object keeps its id from being reused.
+    repeats: list[tuple[dict, str]] = []
+
+    def pairs_hook(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            repeats.append((obj, next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)))
+        return obj
+
+    try:
+        root = json.loads(text, object_pairs_hook=pairs_hook)
+    except json.JSONDecodeError as exc:
+        raise SchemaError("$", f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:
+        # Nesting past the recursion limit, or an integer literal past int's digit limit.
+        raise SchemaError("$", f"unreadable JSON: {exc}") from exc
+    # Only a file that repeats a key is walked, in document order, for the object's path.
+    repeated = {id(obj): key for obj, key in repeats}
+    stack = [(root, "$")] if repeated else []
+    while stack:
+        value, path = stack.pop()
+        if isinstance(value, dict):
+            if id(value) in repeated:
+                raise SchemaError(path, f"repeated key {repeated[id(value)]!r}")
+            stack.extend(reversed([(v, f"{path}.{k}") for k, v in value.items()]))
+        elif isinstance(value, list):
+            stack.extend(reversed([(v, f"{path}[{i}]") for i, v in enumerate(value)]))
+    return root
 
 
 def _require_object(value: Any, path: str, required: set[str], optional: set[str] = frozenset()) -> dict:
@@ -224,14 +257,7 @@ def parse_scenario(data: bytes | str) -> Scenario:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise SchemaError("$", f"not valid UTF-8: {exc}") from exc
-    try:
-        root = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except (RecursionError, ValueError) as exc:
-        # Nesting past the recursion limit, or an integer literal past int's digit limit.
-        raise SchemaError("$", f"unreadable JSON: {exc}") from exc
-    obj = _require_object(root, "$", {"dims", "rho0", "stations"}, {"evolutions"})
+    obj = _require_object(_load(data), "$", {"dims", "rho0", "stations"}, {"evolutions"})
     dims = tuple(
         _require_int(d, f"$.dims[{i}]") for i, d in enumerate(_require_list(obj["dims"], "$.dims"))
     )

@@ -116,9 +116,10 @@ def test_simulate_names_the_tie_witness_in_every_format(capsys):
     assert (witness["order_low"], witness["order_high"]) == (["X", "Z"], ["Z", "X"])
     assert (witness["p_low"], witness["p_high"]) == pytest.approx((0.25, 0.5), abs=1e-12)
     line = "witness: record {'X': 'x+', 'Z': 'z+'}: 0.25 in X -> Z, 0.5 in Z -> X"
-    for fmt in ("table", "csv"):
-        code, out, _ = run(capsys, "simulate", "counterexample", "--frame-velocity", "-0.25", "--format", fmt)
-        assert code == 1 and line in out.splitlines(), out
+    code, out, _ = run(capsys, "simulate", "counterexample", "--frame-velocity", "-0.25")
+    assert code == 1 and line in out.splitlines(), out
+    code, out, _ = run(capsys, "simulate", "counterexample", "--frame-velocity", "-0.25", "--format", "csv")
+    assert code == 1 and json.loads(dict(csv_rows(out))["witness"]) == witness, out
     # A tie whose resolutions agree has no witness.
     code, out, _ = run(capsys, "simulate", "counterexample", "--frame-velocity", "-0.25", "--tolerance", "0.5")
     assert code == 0 and "witness" not in out
@@ -195,6 +196,48 @@ def test_simulate_csv_round_trips_a_label_with_a_comma(tmp_path, capsys):
     assert sorted({row[0] for row in rows}) == ["z,+", "z-"]
     doc = json.loads(run(capsys, "simulate", str(path), "--format", "json")[1])
     assert len(rows) == len(doc["records"])
+
+
+# Every command on the shipped files and the built-ins, then the runs that print ties, pairs and sweeps.
+CSV_RUNS = [
+    *(
+        [command, scenario]
+        for command in ("simulate", "check-invariance", "check-no-signaling", "check-povm")
+        for scenario in (*(f"{name}.json" for name in scenarios._BUILTINS), *scenarios._BUILTINS)
+    ),
+    ["check-no-signaling", "eprb", "--varied", "A", "--target", "B"],
+    ["simulate", "counterexample", "--frame-velocity", "-0.25"],
+    ["simulate", "counterexample", "--frame-velocity", "-0.25", "--tolerance", "0.5"],
+    ["check-invariance", "--trials", "20"],
+    ["check-no-signaling", "--trials", "20"],
+]
+
+
+@pytest.mark.parametrize("argv", CSV_RUNS, ids=" ".join)
+def test_csv_prints_the_json_document_as_one_table(argv, capsys):
+    argv = [str(SCENARIOS / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    as_csv = run(capsys, *argv, "--format", "csv")
+    if code == 2:
+        # No document: check-no-signaling on the counterexample refuses its generated alternatives.
+        assert as_csv == (2, "", err)
+        return
+    doc = json.loads(out)
+    assert as_csv[0] == code
+    header, *rows = csv_rows(as_csv[1])
+    # One header and rows of its width: a prose or blank line would be a row of another width.
+    assert rows and all(len(row) == len(header) for row in rows), as_csv[1]
+    if "tie" not in doc and "records" in doc:
+        # A single evaluation's csv is its record table.
+        assert header == [*doc["ordering"], "probability"]
+        assert rows == [
+            [*(rec["outcomes"][i] for i in doc["ordering"]), f"{rec['probability']:.12g}"] for rec in doc["records"]
+        ]
+    else:
+        assert header == ["key", "value"]
+        assert rows == [
+            [k, json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else str(v)] for k, v in doc.items()
+        ]
 
 
 def sweep_lines(capsys, *argv):
@@ -451,6 +494,14 @@ def test_an_integer_beyond_float_range_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "simulate", str(path))
     assert code == 2
     assert "$.stations[0].event.t" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "check-invariance"])
+def test_a_repeated_key_exits_2(command, tmp_path, capsys):
+    # Keeping the last "t" would move A into B's causal future.
+    path = tmp_path / "repeated.json"
+    path.write_text((SCENARIOS / "eprb.json").read_text().replace('"t": 0.0,', '"t": 0.0, "t": 50.0,', 1))
+    assert run(capsys, command, str(path)) == (2, "", "scenario validation failed: $.stations[0].event: repeated key 't'\n")
 
 
 @pytest.mark.parametrize("after, before", [("A", "A"), ("C", "A"), ("A", "C")])

@@ -279,6 +279,26 @@ def test_rejection_names_the_field(path, mutate):
     assert exc.value.path == path
 
 
+@pytest.mark.parametrize(
+    "path, key, fragment, repeat",
+    [
+        ("$", "dims", '"dims": [2]', '"dims": [2]'),
+        ("$.stations[0].event", "t", '"t": 0.0', '"t": 50.0'),
+        ("$.stations[0].intervention.outcomes[0]", "label", '"label": "up"', '"label": "down"'),
+        ("$.evolutions[0].history", "A", '"history": {"A": "up"', '"A": "down"'),
+    ],
+)
+def test_a_repeated_key_is_rejected_naming_the_object_and_the_key(path, key, fragment, repeat):
+    # json.loads would keep the last value and drop the first without a word.
+    doc = conditional_doc()
+    doc["evolutions"] = [{"after": "A", "before": "B", "history": {"A": "up"}, "matrix": IDENTITY}]
+    text = json.dumps(doc)
+    parse_scenario(text)
+    with pytest.raises(SchemaError) as exc:
+        parse_scenario(text.replace(fragment, f"{fragment}, {repeat}", 1))
+    assert (exc.value.path, str(exc.value)) == (path, f"{path}: repeated key {key!r}")
+
+
 def test_nesting_past_the_recursion_limit_is_a_schema_error():
     with pytest.raises(SchemaError) as exc:
         parse_scenario("[" * 100_000 + "]" * 100_000)

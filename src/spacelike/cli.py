@@ -14,7 +14,7 @@ Subcommands:
   of any station's POVM sum from the identity.
 
 ``--format json`` and ``--format csv`` print the same document, csv as
-sorted ``key,value`` rows with nested values as JSON cells; ``table`` alone
+sorted ``key,value`` rows, every value cell its JSON; ``table`` alone
 prints it as prose for reading. A single evaluation's csv is its record
 table. Exit status is 0 iff every check the invocation executed came back ok.
 """
@@ -35,7 +35,6 @@ from .intervention import Intervention, LocalIntervention, Outcome, random_inter
 from .experiment import (
     EvaluationResult,
     Scenario,
-    _frame_orders,
     check_no_signaling,
     check_order_invariance,
     compare_orderings,
@@ -43,7 +42,7 @@ from .experiment import (
 )
 from .scenarios import _BUILTINS, random_product_scenario
 from .schema import SchemaError, parse_scenario
-from .spacetime import Frame, IntervalKind, classify
+from .spacetime import Frame, IntervalKind, classify, frame_resolutions
 
 def load_scenario(name_or_path: str | Path) -> Scenario:
     """The built-in scenario of a ``_scenario`` key, built alone, or the parsed file at a path."""
@@ -90,10 +89,7 @@ def _emit_report(report_dict: dict, fmt: str, out) -> None:
     if fmt == "json":
         print(json.dumps(report_dict, indent=2, sort_keys=True), file=out)
     elif fmt == "csv":
-        rows = [
-            (k, json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else str(v))
-            for k, v in sorted(report_dict.items())
-        ]
+        rows = [(k, json.dumps(v, sort_keys=True)) for k, v in sorted(report_dict.items())]
         csv.writer(out, lineterminator="\n").writerows([("key", "value"), *rows])
     else:
         for k, v in report_dict.items():
@@ -102,14 +98,14 @@ def _emit_report(report_dict: dict, fmt: str, out) -> None:
 
 def cmd_simulate(args, out) -> int:
     s = load_scenario(args.scenario)
-    results = [evaluate_in_order(s, order) for order in _frame_orders(s, Frame(args.frame_velocity))]
+    results = [evaluate_in_order(s, order) for order in frame_resolutions(s.events(), args.frame_velocity)]
     if len(results) == 1:
         _emit_result(results[0], args.format, out)
         return 0
     # Tie: every resolution is evaluated and compared record by record.
     report = compare_orderings(results, args.tolerance)
     if args.format == "table":
-        print(f"tie at velocity {args.frame_velocity}: {len(results)} orderings evaluated", file=out)
+        print(f"tie at velocity {args.frame_velocity.v}: {len(results)} orderings evaluated", file=out)
         for r in results:
             _emit_result(r, "table", out)
             print("", file=out)
@@ -259,11 +255,12 @@ def _scenario(text: str) -> str | Path:
     )
 
 
-def _velocity(text: str) -> float:
+def _velocity(text: str) -> Frame:
     v = float(text)
-    if not abs(v) < 1.0:
-        raise argparse.ArgumentTypeError(f"frame velocity must satisfy |v| < 1, got {v}")
-    return v
+    try:
+        return Frame(v)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _tolerance(text: str) -> float:
@@ -272,6 +269,10 @@ def _tolerance(text: str) -> float:
         return tolerance.positive_finite(t)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+# Philox takes keys below 2**128.
+SEED_END = 2**128
 
 
 def _at_least(low: int):
@@ -284,6 +285,14 @@ def _at_least(low: int):
         return n
 
     return integer
+
+
+def _seed(text: str) -> int:
+    """A Philox key, which seeds every random scenario and alternative: an integer in [0, 2**128)."""
+    n = _at_least(0)(text)
+    if n >= SEED_END:
+        raise argparse.ArgumentTypeError(f"must be below 2**128, the range of Philox keys, got {n}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
             p.add_argument(
                 "--seed",
-                type=_at_least(0),
+                type=_seed,
                 default=0,
                 help="seed of the first random scenario and of generated alternatives",
             )
@@ -325,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--frame-velocity",
         type=_velocity,
-        default=0.0,
+        default=Frame(0.0),
         help="boost velocity of the evaluating frame, |v| < 1",
     )
 
@@ -361,6 +370,9 @@ def main(argv=None) -> int:
         given = [n for n in ("scenario", "target", "varied") if getattr(args, n, None) is not None]
         if given:
             parser.error(f"--trials sweeps random scenarios and cannot be combined with {', '.join(given)}")
+        if args.seed + args.trials > SEED_END:
+            last = args.seed + args.trials - 1
+            parser.error(f"argument --seed: the sweep's last seed, {last}, must be below 2**128")
     try:
         return _COMMANDS[args.command](args, sys.stdout)
     except SchemaError as exc:

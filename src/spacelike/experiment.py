@@ -68,7 +68,6 @@ from .spacetime import (
     TieReport,
     _causal_pasts,
     classify,
-    frame_groups,
     frame_ordering,
     linear_extensions,
 )
@@ -841,17 +840,6 @@ def evaluate_in_order(s: Scenario, order: Sequence[str]) -> EvaluationResult:
         return EvaluationResult(ordering=order, probabilities=dict(known[1]), scenario=s)
     _require_admissible(s, order)
     return EvaluationResult(ordering=order, probabilities=_checked_table(_walk(s, order), s.growth), scenario=s)
-
-
-def _frame_orders(s: Scenario, f: Frame) -> list[tuple[str, ...]]:
-    """Every admissible ordering frame f induces: more than one exactly on a tie the causal order leaves open.
-
-    Within a group of tied boosted times (``frame_groups``) only the causal
-    order ranks stations; ValueError past 8! orderings (``linear_extensions``).
-    """
-    groups = frame_groups(s.events(), f)
-    later = {(a.id, b.id) for g, h in zip(groups, groups[1:]) for a in g for b in h}
-    return linear_extensions(later.union(s._covering), [e for g in groups for e in g])
 
 
 def evaluate_in_frame(s: Scenario, f: Frame) -> EvaluationResult:

@@ -3,9 +3,9 @@
 Provides Lorentz boosts, interval classification, the causal partial
 order on a set of events, the chronological ordering a moving frame
 induces, and enumeration of all total orders compatible with the causal
-order. ``frame_ordering`` is the one rule for a frame's ordering: the
-causal order ranks events whose boosted times tie, and a tie it leaves
-open is reported, never broken.
+order. Every frame rule lives here: the causal order ranks events whose
+boosted times tie, ``frame_ordering`` reports a tie it leaves open, never
+breaking it, and ``frame_resolutions`` lists each of its resolutions.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ __all__ = [
     "classify",
     "frame_groups",
     "frame_ordering",
+    "frame_resolutions",
     "linear_extensions",
 ]
 
@@ -184,6 +185,17 @@ def frame_ordering(events: list[Event], f: Frame) -> list[Event] | TieReport:
     if pairs:
         return TieReport(velocity=f.v, pairs=tuple(pairs))
     return ordered
+
+
+def frame_resolutions(events: list[Event], f: Frame) -> list[tuple[str, ...]]:
+    """Every ordering of the event ids frame f admits: the one ``frame_ordering`` gives, or each resolution of a tie.
+
+    The ``frame_groups`` are chained in time order, and within a group only
+    the causal order ranks events; ValueError past 8! (``linear_extensions``).
+    """
+    groups = frame_groups(events, f)
+    later = {(a.id, b.id) for g, h in zip(groups, groups[1:]) for a in g for b in h}
+    return linear_extensions(later | causal_order(events), [e for g in groups for e in g])
 
 
 def linear_extensions(

@@ -169,7 +169,8 @@ def test_check_invariance_names_its_method_in_every_format(capsys):
     for name, method in (("eprb", "pairwise"), ("counterexample", "exhaustive")):
         assert f"method: {method}\n" in run(capsys, "check-invariance", name)[1]
         assert json.loads(run(capsys, "check-invariance", name, "--format", "json")[1])["method"] == method
-        assert f"method,{method}\n" in run(capsys, "check-invariance", name, "--format", "csv")[1]
+        as_csv = dict(csv_rows(run(capsys, "check-invariance", name, "--format", "csv")[1]))
+        assert json.loads(as_csv["method"]) == method
 
 
 def csv_rows(text: str) -> list[list[str]]:
@@ -235,9 +236,8 @@ def test_csv_prints_the_json_document_as_one_table(argv, capsys):
         ]
     else:
         assert header == ["key", "value"]
-        assert rows == [
-            [k, json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else str(v)] for k, v in doc.items()
-        ]
+        # Every value cell is its JSON.
+        assert [[k, json.loads(v)] for k, v in rows] == [[k, v] for k, v in doc.items()]
 
 
 def sweep_lines(capsys, *argv):
@@ -411,6 +411,17 @@ def test_velocity_and_tolerance_validation():
         main(["simulate", "eprb", "--tolerance", "0"])
 
 
+def test_frame_velocity_is_a_frame_and_frame_alone_bounds_it(capsys):
+    assert cli._velocity("-0.6") == Frame(-0.6)
+    for text in ("1.0", "-1.0", "nan"):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "eprb", "--frame-velocity", text])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert f"argument --frame-velocity: frame velocity must satisfy |v| < 1, got {text}" in err
+
+
 def test_check_commands_require_input():
     with pytest.raises(SystemExit):
         main(["check-invariance"])
@@ -444,6 +455,28 @@ def test_a_negative_seed_exits_2_naming_the_flag(capsys):
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "argument --seed: must be at least 0, got -1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-invariance", "--trials", "1", "--seed", str(2**128)],
+        # One seed in range, but the sweep's second seed is 2**128.
+        ["check-invariance", "--trials", "2", "--seed", str(2**128 - 1)],
+        ["check-no-signaling", "eprb", "--seed", str(2**128)],
+    ],
+)
+def test_a_seed_past_the_philox_key_range_exits_2_naming_the_flag(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --seed: " in err and "must be below 2**128" in err and "Traceback" not in err
+
+
+def test_the_last_seed_below_the_philox_key_range_is_swept(capsys):
+    code, out, _ = run(capsys, "check-invariance", "--trials", "1", "--seed", str(2**128 - 1), "--format", "json")
+    assert code == 0 and json.loads(out)["worst_seed"] == 2**128 - 1
 
 
 def with_events(tmp_path, name, coordinates):

@@ -18,6 +18,7 @@ from spacelike.spacetime import (
     classify,
     frame_groups,
     frame_ordering,
+    frame_resolutions,
     linear_extensions,
 )
 
@@ -245,10 +246,9 @@ def test_frame_ordering_ranks_a_tie_the_causal_order_settles():
     assert set(map(frozenset, report.pairs)) == {frozenset("ZY"), frozenset("XY")}
 
 
-def test_frame_ordering_is_the_one_extension_of_its_groups_or_names_the_open_pairs():
-    """On a coarse grid, with events 1e-13 apart on one worldline, ties are common and some are causal."""
+def tie_prone_cases():
+    """400 event sets and frames on a coarse grid, with events 1e-13 apart on one worldline: ties are common and some are causal."""
     rng = np.random.default_rng(26)
-    ranked = reported = 0
     for _ in range(400):
         events = [
             Event(
@@ -258,7 +258,12 @@ def test_frame_ordering_is_the_one_extension_of_its_groups_or_names_the_open_pai
             )
             for i in range(int(rng.integers(2, 7)))
         ]
-        f = Frame(float(rng.choice([0.0, 0.5, -0.5])))
+        yield events, Frame(float(rng.choice([0.0, 0.5, -0.5])))
+
+
+def test_frame_ordering_is_the_one_extension_of_its_groups_or_names_the_open_pairs():
+    ranked = reported = 0
+    for events, f in tie_prone_cases():
         order = causal_order(events)
         groups = frame_groups(events, f)
         chained = {(a.id, b.id) for g, h in zip(groups, groups[1:]) for a in g for b in h}
@@ -280,6 +285,29 @@ def test_frame_ordering_is_the_one_extension_of_its_groups_or_names_the_open_pai
             assert set(map(frozenset, result.pairs)) == open_pairs, events
             reported += 1
     assert ranked > 20 and reported > 20, (ranked, reported)
+
+
+def test_frame_resolutions_are_the_extensions_of_the_chained_groups():
+    tied = 0
+    for events, f in tie_prone_cases():
+        groups = frame_groups(events, f)
+        chained = {(a.id, b.id) for g, h in zip(groups, groups[1:]) for a in g for b in h}
+        resolutions = frame_resolutions(events, f)
+        assert sorted(resolutions) == sorted(linear_extensions(chained | causal_order(events), events)), events
+        ordered = frame_ordering(events, f)
+        if isinstance(ordered, TieReport):
+            tied += 1
+        else:
+            assert resolutions == [tuple(e.id for e in ordered)], events
+    assert tied > 20, tied
+
+
+def test_frame_resolutions_refuse_nine_simultaneous_spacelike_events():
+    events = [Event(f"q{i}", 0.0, 2.0 * i) for i in range(9)]
+    with pytest.raises(ValueError, match=r"9 events have more than 40320 orderings \(8!\), the limit"):
+        frame_resolutions(events, Frame(0.0))
+    # A frame that separates their boosted times orders them.
+    assert frame_resolutions(events, Frame(0.5)) == [tuple(f"q{i}" for i in reversed(range(9)))]
 
 
 def test_frame_ordering_extends_causal_order():

@@ -27,11 +27,7 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import tolerance
-from .linalg import CMatrix
-from .intervention import Intervention, LocalIntervention, Outcome, random_intervention
 from .experiment import (
     EvaluationResult,
     Scenario,
@@ -40,7 +36,7 @@ from .experiment import (
     compare_orderings,
     evaluate_in_order,
 )
-from .scenarios import _BUILTINS, random_product_scenario
+from .scenarios import _BUILTINS, _generated_alternatives, random_product_scenario
 from .schema import SchemaError, parse_scenario
 from .spacetime import Frame, IntervalKind, classify, frame_resolutions
 
@@ -158,27 +154,6 @@ def cmd_check_invariance(args, out) -> int:
     return 0 if report.ok else 1
 
 
-def _generated_alternatives(s: Scenario, varied_id: str, seed: int) -> list[LocalIntervention]:
-    st = s.station(varied_id)
-    # Cases that differ in d_in cannot share one alternative; evaluation then
-    # rejects it with the station named.
-    d_in = next(iter(st.interventions().values())).d_in
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    alts = [LocalIntervention(st.subsystem, Intervention(d_in, (Outcome("id", d_in, (CMatrix.identity(d_in),)),)))]
-    for _ in range(2):
-        k = int(rng.integers(1, 4))
-        outcome_dims = [int(rng.integers(1, 4)) for _ in range(k)]
-        while sum(outcome_dims) < d_in:
-            outcome_dims.append(int(rng.integers(1, 4)))
-        alts.append(
-            LocalIntervention(
-                st.subsystem,
-                random_intervention(d_in, outcome_dims, seed=int(rng.integers(0, 2**62))),
-            )
-        )
-    return alts
-
-
 def _check_no_signaling_all(s: Scenario, tol: float, seed: int, target: str | None, varied: str | None):
     for sid in (target, varied):
         if sid is not None:
@@ -198,7 +173,7 @@ def _check_no_signaling_all(s: Scenario, tol: float, seed: int, target: str | No
             raise ValueError("no mutually spacelike station pair matches the request")
     # One list per varied station, built when first needed: its targets then
     # read back the scenario's one remembered no-signaling walk.
-    alternatives: dict[str, list[LocalIntervention]] = {}
+    alternatives = {}
     reports = []
     for v, t in pairs:
         if v not in alternatives:

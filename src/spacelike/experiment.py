@@ -913,22 +913,46 @@ def _require_causal_conditions(s: Scenario) -> None:
                 )
 
 
-def _require_order_comparable(s: Scenario) -> None:
+def _require_order_comparable(s: Scenario, target: str | None = None) -> None:
     """Reject scenarios whose dynamics cannot be compared across orderings.
 
     No evolution some ordering moves (``Scenario._movable``) may differ from
-    the identity by more than ``tolerance.IDENTITY``, and outcome-conditioned
-    stations may depend only on causally prior stations.
+    the identity by more than ``tolerance.IDENTITY``. With a ``target``, as a
+    no-signaling check has, only those that can change its marginal are
+    refused (``_reaches_marginal``).
     """
-    _require_causal_conditions(s)
     for ev in s._movable:
-        if deviation(ev.matrix.array) > tolerance.IDENTITY:
+        if deviation(ev.matrix.array) > tolerance.IDENTITY and (target is None or _reaches_marginal(s, ev, target)):
             raise ValueError(
-                f"evolution after {ev.after!r} and before {ev.before!r} is order-dependent: the "
+                f"evolution after {ev.after!r} and before {ev.before!r} is order-dependent"
+                f"{'' if target is None else f' for target {target!r}'}: the "
                 "segment is reorderable, so its ends are not first, last or adjacent "
                 "in every admissible ordering; a non-identity unitary there makes "
                 "orderings incomparable"
             )
+
+
+def _reaches_marginal(s: Scenario, ev: Evolution, target: str) -> bool:
+    """Whether a movable evolution can change ``target``'s marginal.
+
+    It cannot if its ``after`` station lies in the target's causal future,
+    so it fires after the target in every ordering, or if its unitary U
+    keeps U^dagger L U = L within ``tolerance.IDENTITY`` for every POVM
+    element L of the target's cases, lifted to ``dims0``. A case or a U
+    whose size does not match ``dims0`` counts as reaching it.
+    """
+    if ev.after is not None and target in s._pasts[0][ev.after]:
+        return False
+    st, u = s.station(target), ev.matrix.array
+    b, a = math.prod(s.dims0[: st.subsystem]), math.prod(s.dims0[st.subsystem + 1 :])
+    for iv in st.interventions().values():
+        if iv.d_in != s.dims0[st.subsystem] or len(u) != math.prod(s.dims0):
+            return True
+        for e in iv.povm:
+            lifted = np.kron(np.kron(np.eye(b), e), np.eye(a))
+            if deviation(u.conj().T @ lifted @ u, lifted) > tolerance.IDENTITY:
+                return True
+    return False
 
 
 def check_order_invariance(s: Scenario, tol: float) -> InvarianceReport:
@@ -948,6 +972,7 @@ def check_order_invariance(s: Scenario, tol: float) -> InvarianceReport:
     the orderings.
     """
     tolerance.positive_finite(tol)
+    _require_causal_conditions(s)
     _require_order_comparable(s)
     extensions = linear_extensions(s._covering, s.events())
     if not s._movable and s._chains:
@@ -1071,7 +1096,10 @@ def check_no_signaling(
     distribution; when the check fails, the witness names that entry and
     the two candidates realizing it. The two stations must be mutually
     spacelike; each alternative must act on the varied station's own
-    subsystem. ``tol`` must be positive and finite.
+    subsystem. ``tol`` must be positive and finite. A movable evolution
+    that can change the target's marginal makes the verdict depend on the
+    ordering chosen, so it is refused on every call, as its rule depends on
+    the target (``_require_order_comparable``).
 
     Every candidate is evaluated in one ordering, which depends only on
     the varied station, and all in one walk (``_walk`` with ``varied``):
@@ -1103,6 +1131,7 @@ def check_no_signaling(
             f"stations {varied!r} and {target!r} are {kind.value}, not spacelike; "
             "the no-signaling claim applies only to spacelike separation"
         )
+    _require_order_comparable(s, target)
     order = _varied_first_ids(s, varied)
     key = (varied, alternatives)
     if s._memo.signaling is None or s._memo.signaling[0] != key:

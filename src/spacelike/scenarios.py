@@ -1,6 +1,6 @@
 """Built-in scenarios: entangled-pair measurements, a dimension-changing
-teleportation chain, a noncommuting negative control, and a seeded random
-generator feeding the certifiers.
+teleportation chain, a noncommuting negative control, and the seeded random
+draws feeding the certifiers: product scenarios and the CLI's alternatives.
 """
 
 from __future__ import annotations
@@ -219,10 +219,7 @@ def random_product_scenario(seed: int) -> Scenario:
     rho0 = CMatrix(np.outer(v, v.conj()))
     stations = []
     for i, d_in in enumerate(dims):
-        outcome_dims = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 4)))]
-        while sum(outcome_dims) < d_in:
-            outcome_dims.append(int(rng.integers(1, 4)))
-        iv = random_intervention(d_in, outcome_dims, seed=int(rng.integers(0, 2**62)))
+        iv = _drawn_intervention(rng, d_in)
         t = float(rng.uniform(-0.4, 0.4))
         stations.append(
             Station(
@@ -231,6 +228,26 @@ def random_product_scenario(seed: int) -> Scenario:
             )
         )
     return Scenario(dims0=dims, rho0=rho0, stations=tuple(stations))
+
+
+def _drawn_intervention(rng: np.random.Generator, d_in: int) -> Intervention:
+    """A random intervention on d_in dimensions: 1-3 outcomes of 1-3 dimensions, topped up to d_in."""
+    outcome_dims = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 4)))]
+    while sum(outcome_dims) < d_in:
+        outcome_dims.append(int(rng.integers(1, 4)))
+    return random_intervention(d_in, outcome_dims, seed=int(rng.integers(0, 2**62)))
+
+
+def _generated_alternatives(s: Scenario, varied_id: str, seed: int) -> list[LocalIntervention]:
+    """The CLI's no-signaling alternatives at a station: the identity and two drawn interventions."""
+    st = s.station(varied_id)
+    # Cases that differ in d_in cannot share one alternative; evaluation then
+    # rejects it with the station named.
+    d_in = next(iter(st.interventions().values())).d_in
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    identity = Intervention(d_in, (Outcome("id", d_in, (CMatrix.identity(d_in),)),))
+    drawn = [_drawn_intervention(rng, d_in) for _ in range(2)]
+    return [LocalIntervention(st.subsystem, iv) for iv in (identity, *drawn)]
 
 
 # The builder of each named scenario shipped with the package, keyed by file

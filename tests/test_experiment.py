@@ -39,7 +39,9 @@ from spacelike.scenarios import (
     noncommuting_counterexample,
     random_product_scenario,
     spin_analyzer,
+    teleport_intervention,
 )
+from spacelike.schema import serialize_scenario
 from spacelike.spacetime import Event, Frame, causal_order, linear_extensions
 
 P0 = CMatrix(np.diag([1.0, 0.0]).astype(complex))
@@ -2581,3 +2583,73 @@ def test_varied_first_ids_equal_a_sort_of_every_station():
             assert experiment._varied_first_ids(s, st.id) == sorted_varied_first(s, st.id), (s.events(), st.id)
     assert experiment._varied_first_ids(tied, "b") == ("a", "b", "c", "d", "e")
     assert experiment._varied_first_ids(tied, "e") == ("e", "a", "c", "b", "d")
+
+
+# ----------------------------------- no-signaling refuses dynamics that decide the verdict
+
+CNOT = CMatrix(np.eye(4, dtype=complex)[[0, 1, 3, 2]])
+ONE_X = Intervention(d_in=2, outcomes=(Outcome("x", 2, (CMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])),)),))
+
+
+def cnot_scenario(v_angle=0.0, after="V"):
+    """|00>; V at (0, -5) analyzes qubit 0 at ``v_angle``, T at (0, 5) measures Z on qubit 1.
+
+    A CNOT controlled by qubit 0 sits after V and before T, so some
+    orderings apply it and others do not. ``v_angle`` 0 measures Z, the
+    CNOT's control basis, pi/2 measures X. With ``after`` "W", a station in
+    T's causal future measures Z on qubit 1 again and the CNOT sits after W
+    and before V instead.
+    """
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0] = 1.0
+    stations = [station("V", 0.0, -5.0, 0, spin_analyzer(v_angle)), station("T", 0.0, 5.0, 1, z_iv())]
+    if after == "W":
+        stations.append(station("W", 2.0, 5.0, 1, z_iv(labels=("u", "d"))))
+    return Scenario(
+        dims0=(2, 2),
+        rho0=CMatrix(rho),
+        stations=tuple(stations),
+        evolutions=(Evolution(after, "V" if after == "W" else "T", CNOT),),
+    )
+
+
+def test_no_signaling_refuses_a_movable_evolution_that_can_change_the_target(capsys, tmp_path):
+    def refused(target):
+        return re.escape(f"evolution after 'V' and before 'T' is order-dependent for target {target!r}")
+
+    # Varied V: in (V, T) the CNOT flips T's qubit after V's outcome, in (T, V) it never fires.
+    s = cnot_scenario()
+    with pytest.raises(ValueError, match=refused("T")):
+        check_no_signaling(s, "T", [LocalIntervention(0, ONE_X)], 1e-9, varied="V")
+    # Varied T, target V: Z on the control commutes with the CNOT; X does not.
+    report = check_no_signaling(s, "V", [LocalIntervention(1, ONE_X)], 1e-9, varied="T")
+    assert report.ok and report.worst <= 1e-12 and report.ordering == ("T", "V")
+    with pytest.raises(ValueError, match=refused("V")):
+        check_no_signaling(cnot_scenario(math.pi / 2.0), "V", [LocalIntervention(1, ONE_X)], 1e-9, varied="T")
+    # After W, in T's causal future, the CNOT fires after T in every ordering.
+    report = check_no_signaling(cnot_scenario(after="W"), "T", [LocalIntervention(0, ONE_X)], 1e-9, varied="V")
+    assert report.ok and report.worst <= 1e-12
+    # A unitary on V's qubit alone commutes with T's POVM.
+    s = conditioned_on_the_varied_station()
+    report = check_no_signaling(s, "T", [LocalIntervention(0, random_intervention(2, [2, 2], seed=119))], 1e-9, varied="V")
+    assert report.ok and report.worst <= 1e-12
+    # Through the CLI: exit 2 with the message, no traceback, and exit 0 the other way.
+    path = tmp_path / "cnot.json"
+    path.write_text(serialize_scenario(cnot_scenario()), encoding="utf-8")
+    assert cli.main(["check-no-signaling", str(path), "--varied", "V", "--target", "T"]) == 2
+    err = capsys.readouterr().err
+    assert "order-dependent" in err and "Traceback" not in err
+    assert cli.main(["check-no-signaling", str(path), "--varied", "T", "--target", "V"]) == 0
+
+
+def test_a_movable_evolution_of_another_size_than_dims0_counts_as_reaching_the_target():
+    # V teleports its qubit into a qutrit; a permutation of that qutrit alone
+    # commutes with T's POVM, but it cannot be lifted to dims0, so it is refused.
+    s = Scenario(
+        dims0=(2, 2),
+        rho0=maximally_mixed(4),
+        stations=(station("V", 0.0, -5.0, 0, teleport_intervention(3)), station("T", 0.0, 5.0, 1, z_iv())),
+        evolutions=(Evolution("V", "T", CMatrix(np.kron(np.eye(3)[[1, 2, 0]], np.eye(2)))),),
+    )
+    with pytest.raises(ValueError, match="order-dependent for target 'T'"):
+        check_no_signaling(s, "T", [LocalIntervention(0, teleport_intervention(3))], 1e-9, varied="V")

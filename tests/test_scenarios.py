@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from spacelike.experiment import (
     marginal,
 )
 from spacelike.scenarios import (
+    _generated_alternatives,
     builtin_scenarios,
     chsh,
     correlation,
@@ -232,6 +234,54 @@ def test_random_product_scenario_is_deterministic():
         assert iv_a.labels() == iv_b.labels()
         for o_a, o_b in zip(iv_a.outcomes, iv_b.outcomes):
             assert max_abs_diff(o_a.kraus[0], o_b.kraus[0]) == 0.0
+
+
+def kraus_digest(interventions):
+    """sha256 over ``float.hex`` of every Kraus entry's real and imaginary part, in order."""
+    h = hashlib.sha256()
+    for iv in interventions:
+        for o in iv.outcomes:
+            for k in o.kraus:
+                for z in k.array.ravel():
+                    h.update(float(z.real).hex().encode())
+                    h.update(float(z.imag).hex().encode())
+    return h.hexdigest()
+
+
+# One helper draws every random intervention, for the product scenarios and the
+# CLI's alternatives alike. These values pin its stream, so a change to it cannot
+# silently move the CLI's outputs: (scenario, varied station, seed, each
+# alternative's outcome dimensions, kraus_digest). A qubit station draws alike in
+# any scenario.
+ALTERNATIVE_DRAWS = [
+    ("eprb", "A", 0, [[2], [1, 2], [1, 2]], "433a232b5cb44eb1d7183228b7ec2e6c1547d26e7ad0cd02968ac78b76ce5008"),
+    ("eprb", "A", 1, [[2], [1, 3], [2, 1, 3]], "7eb04df119418e0edc58fbf253b2dfc27203518320da9c6a37f876d2a8d9bfa9"),
+    ("counterexample", "Z", 0, [[2], [1, 2], [1, 2]], "433a232b5cb44eb1d7183228b7ec2e6c1547d26e7ad0cd02968ac78b76ce5008"),
+    ("counterexample", "Z", 1, [[2], [1, 3], [2, 1, 3]], "7eb04df119418e0edc58fbf253b2dfc27203518320da9c6a37f876d2a8d9bfa9"),
+    ("product 1", "s1", 0, [[3], [1, 2], [1, 2]], "c3aac47c7e690d3d266b92ed4c810d6c5d76b543f5adf431f19f0f2a5d1ca8ae"),
+]
+
+
+@pytest.mark.parametrize("name, varied, seed, outcome_dims, digest", ALTERNATIVE_DRAWS)
+def test_generated_alternatives_keep_their_draws(name, varied, seed, outcome_dims, digest):
+    s = random_product_scenario(seed=1) if name == "product 1" else builtin_scenarios()[name]
+    alternatives = _generated_alternatives(s, varied, seed)
+    assert {a.subsystem for a in alternatives} == {s.station(varied).subsystem}
+    assert alternatives[0].local.labels() == ("id",)
+    ivs = [a.local for a in alternatives]
+    assert [[o.d_out for o in iv.outcomes] for iv in ivs] == outcome_dims
+    assert kraus_digest(ivs) == digest
+
+
+def test_random_product_scenario_keeps_its_draws():
+    expected = {
+        0: ((2, 3), [[1, 3], [1, 2]], "e775808882243ad035c2f971c9f0f6b3e813d08cf2d86d2731ee75d6fe8cec18"),
+        1: ((2, 3, 3), [[2, 3, 3], [1, 1, 1], [2, 3]], "1c95349908fde269eab9a7523c81a3e06fb4f122814d7923a00b36cae73bf7ae"),
+    }
+    for seed, (dims, outcome_dims, digest) in expected.items():
+        s = random_product_scenario(seed=seed)
+        ivs = [st.resolve({}) for st in s.stations]
+        assert (s.dims0, [[o.d_out for o in iv.outcomes] for iv in ivs], kraus_digest(ivs)) == (dims, outcome_dims, digest)
 
 
 def test_random_product_scenario_structure():

@@ -123,17 +123,18 @@ def _sweep(reports: list[dict], **counts) -> dict:
 
     The worst seed is the first whose worst lies within ``tolerance.FLOOR``
     of the sweep's worst, as ``experiment._spread`` picks its witness, so
-    last-bit rounding cannot move it. On a sweep whose worst is itself
-    within the floor of 0, that is simply the first seed.
+    last-bit rounding cannot move it. A sweep whose worst is itself within
+    the floor of 0 names none: every seed would qualify.
     """
     worst = max(r["worst"] for r in reports)
+    within = (r["seed"] for r in reports if r["worst"] >= worst - tolerance.FLOOR)
     return {
         "ok": all(r["ok"] for r in reports),
         "worst": worst,
         "trials": len(reports),
         **counts,
         "failing_seeds": [r["seed"] for r in reports if not r["ok"]],
-        "worst_seed": next(r["seed"] for r in reports if r["worst"] >= worst - tolerance.FLOOR),
+        "worst_seed": next(within) if worst > tolerance.FLOOR else None,
     }
 
 

@@ -47,7 +47,6 @@ import math
 import operator
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
-from types import SimpleNamespace
 from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -55,7 +54,7 @@ import numpy as np
 from . import tolerance
 from .linalg import CMatrix, DimensionError, deviation, trace
 from .intervention import Intervention, LocalIntervention, _factor_sizes, _trace
-from .intervention import _branches, _check_outcomes, _first_outside
+from .intervention import _branches, _check_outcomes
 # Not called here (the evaluator contracts Kraus stacks on factors, and a
 # scenario closes its causal order with ``_causal_pasts``); bound only
 # because the benchmark's tracer, bench/tracer.py, rebinds these names.
@@ -725,7 +724,7 @@ def _walk(
     the varied station, by a condition or an evolution keyed on it, splits
     per union outcome, so each part's history holds its own candidate's
     label; outcomes of different d_out, across candidates too, are cut per
-    union outcome. ``_candidate_blocks`` splits the last levels back. The
+    union outcome. ``_record_tables`` reads the last levels back. The
     levels hold the candidates' branches side by side, about the sum of
     their own walks' sizes.
     """
@@ -754,30 +753,6 @@ def _walk(
         levels = [out for part, iv in parts for out in _fire(st, part, iv, j in spent)]
 
 
-def _candidate_blocks(levels: list[_Level], varied: str, count: int) -> list[list]:
-    """Each candidate's blocks, each with ``labels`` and ``tr``, from a walk that fired their union at ``varied``.
-
-    A level fixed at the varied station is itself a block of the candidate
-    whose outcomes hold its union outcome; a level free there is sliced
-    along that station's outcome axis into one block per candidate, with
-    its own candidate's ``labels`` (as ``_Level.labels``).
-    """
-    out: list[list] = [[] for _ in range(count)]
-    for lv in levels:
-        j = next(j for j, (sid, _) in enumerate(lv.fired) if sid == varied)
-        union = lv.fired[j][1]
-        if varied in lv.fixed:
-            out[bisect.bisect(union.starts, lv.fixed[varied]) - 1].append(lv)
-            continue
-        labels = lv.labels
-        tr = lv.tr.reshape([len(iv.outcomes) for sid, iv in lv.fired if sid not in lv.fixed])
-        axis = sum(sid not in lv.fixed for sid, _ in lv.fired[:j])
-        for k, (lo, hi) in enumerate(zip(union.starts, union.starts[1:])):
-            own = [*labels[:j], labels[j][lo:hi], *labels[j + 1 :]]
-            out[k].append(SimpleNamespace(labels=own, tr=tr[(*[slice(None)] * axis, slice(lo, hi))].reshape(-1)))
-    return out
-
-
 def _require_admissible(s: Scenario, order: tuple[str, ...]) -> None:
     """Reject an ordering that is not a permutation of the stations extending their causal order."""
     if len(order) != len(s.stations) or set(order) != s._by_id.keys():
@@ -789,25 +764,47 @@ def _require_admissible(s: Scenario, order: tuple[str, ...]) -> None:
                 raise ValueError(f"order places {a!r} after {b!r}, violating their causal order")
 
 
-def _checked_table(blocks: list, growth: float, table: bool = True) -> dict[Record, float]:
-    """The record table of a walk's last ``blocks``, levels or ``_candidate_blocks``, checked.
+def _record_tables(
+    levels: list[_Level], growths: Sequence[float], varied: str | None = None, table: bool = True
+) -> list[dict[Record, float]]:
+    """One checked record table per candidate of a walk's last ``levels``, the k-th bounded by ``growths[k]``.
 
-    Every record probability, an entry of a block's ``tr``, is bounded by
-    ``growth`` and their sum, taken in block and branch order, by 2 - growth
-    and growth. A block's ``labels`` name records only to word a probability
-    out of bounds, or with ``table``.
+    Each level's records and probabilities are listed once; a candidate's
+    are runs of those lists. Without ``varied`` a run is a whole level. With
+    it the walk fired the candidates' union there (``_Union``): a level
+    fixed there is one run of its union outcome's candidate, and a level
+    free there, outcome-minor, gives each candidate one run per combination
+    of the free stations fired before it. Candidates are checked in order,
+    each probability in run order, then their sum by 2 - growth and growth.
+    Records are listed only with ``table`` or to name one out of bounds.
     """
-    out: dict[Record, float] = {}
-    total = 0.0
-    for b in blocks:
-        if (i := _first_outside(b.tr, growth)) is not None:
-            tolerance.check(float(b.tr[i]), 0.0, growth, f"probability of record {_records(b.labels)[i]}")
-        probabilities = b.tr.tolist()
-        total = sum(probabilities, total)
-        if table:
-            out.update(zip(_records(b.labels), probabilities))
-    tolerance.check(total, 2.0 - growth, growth, "sum of record probabilities")
-    return out
+    runs: list[list] = [[] for _ in growths]
+    for lv in levels:
+        rows = (lv, _records(lv.labels) if table else None, lv.tr.tolist())
+        first, starts, inner = 0, [0, 1], len(lv.tr)
+        if varied in lv.fixed:
+            first = bisect.bisect(dict(lv.fired)[varied].starts, lv.fixed[varied]) - 1
+        elif varied is not None:
+            free = [(sid, iv) for sid, iv in lv.fired if sid not in lv.fixed]
+            axis = next(a for a, (sid, _) in enumerate(free) if sid == varied)
+            starts, inner = free[axis][1].starts, math.prod(len(iv.outcomes) for _, iv in free[axis + 1 :])
+        for k, (lo, hi) in enumerate(zip(starts, starts[1:]), first):
+            runs[k].extend((*rows, i + lo * inner, i + hi * inner) for i in range(0, len(lv.tr), starts[-1] * inner))
+    tables = []
+    for growth, own in zip(growths, runs):
+        out, total = {}, 0.0
+        for lv, records, probabilities, lo, hi in own:
+            run = probabilities[lo:hi]
+            total = sum(run, total)
+            # A NaN makes the sum NaN; without one, the largest probability bounds them all.
+            if total != total or not max(run) - growth <= tolerance.FLOOR:
+                i = next(i for i, p in enumerate(run) if not p - growth <= tolerance.FLOOR)
+                tolerance.check(run[i], 0.0, growth, f"probability of record {_records(lv.labels)[lo + i]}")
+            if table:
+                out.update(zip(records[lo:hi], run))
+        tolerance.check(total, 2.0 - growth, growth, "sum of record probabilities")
+        tables.append(out)
+    return tables
 
 
 def evaluate_in_order(s: Scenario, order: Sequence[str]) -> EvaluationResult:
@@ -825,7 +822,7 @@ def evaluate_in_order(s: Scenario, order: Sequence[str]) -> EvaluationResult:
     nothing acts on its factor fires through roots F of its POVM elements
     E = F^dagger F, so no final state is built; the result builds them on
     first read of ``final_states``. An inadmissible ordering is rejected
-    (``_require_admissible``); ``_checked_table`` checks the walk's records
+    (``_require_admissible``); ``_record_tables`` checks the walk's records
     and builds their table.
 
     An ordering whose table a no-signaling check left in ``Scenario._memo``
@@ -839,7 +836,7 @@ def evaluate_in_order(s: Scenario, order: Sequence[str]) -> EvaluationResult:
     if known is not None and known[0] == order:
         return EvaluationResult(ordering=order, probabilities=dict(known[1]), scenario=s)
     _require_admissible(s, order)
-    return EvaluationResult(ordering=order, probabilities=_checked_table(_walk(s, order), s.growth), scenario=s)
+    return EvaluationResult(ordering=order, probabilities=_record_tables(_walk(s, order), [s.growth])[0], scenario=s)
 
 
 def evaluate_in_frame(s: Scenario, f: Frame) -> EvaluationResult:
@@ -965,7 +962,7 @@ def check_order_invariance(s: Scenario, tol: float) -> InvarianceReport:
     is empty), adjacent swaps of maps on different tensor factors, which
     commute, link any two extensions, so every record's unnormalized final
     state is the same in all: the first is walked for its runtime checks
-    (``_checked_table``), which builds no record and no result, and
+    (``_record_tables``), which builds no record and no result, and
     ``worst`` is 0.0 exactly (``method`` "pairwise"). Otherwise every
     extension is evaluated, one at a time, and ``compare_orderings`` reads
     the results as they come, so memory grows with the records, not with
@@ -976,7 +973,7 @@ def check_order_invariance(s: Scenario, tol: float) -> InvarianceReport:
     _require_order_comparable(s)
     extensions = linear_extensions(s._covering, s.events())
     if not s._movable and s._chains:
-        _checked_table(_walk(s, extensions[0]), s.growth, table=False)
+        _record_tables(_walk(s, extensions[0]), [s.growth], table=False)
         return InvarianceReport(True, 0.0, len(extensions), method="pairwise")
     return compare_orderings((evaluate_in_order(s, o) for o in extensions), tol)
 
@@ -1105,15 +1102,15 @@ def check_no_signaling(
     the varied station, and all in one walk (``_walk`` with ``varied``):
     they differ only at the varied station, which fires the union of their
     interventions, and every other station fires once for all of them.
-    One pass over its last levels (``_candidate_blocks``) gives each
-    candidate's blocks, checked in candidate order against its own growth
-    (``_checked_table``). An alternative equal (==) to an earlier one
-    shares its copy of s and its table. Only once every candidate passed,
-    each gets its table in its ``_Memo.evaluation`` and s keeps the
-    candidates in ``_Memo.signaling``, keyed by the varied station and the
-    alternatives, the only inputs of the walk and of the checks before it.
-    A call with that key reads the marginals back through
-    ``evaluate_in_order`` without checking or walking again. So checking
+    One pass over its last levels (``_record_tables``) gives each
+    candidate's table, checked in candidate order against its own growth.
+    An alternative equal (==) to an earlier one shares its copy of s and
+    its table. Only once every candidate passed, each gets its table in
+    its ``_Memo.evaluation`` and s keeps the candidates in
+    ``_Memo.signaling``, keyed by the varied station and the alternatives,
+    the only inputs of the walk and of the checks before it. A call with
+    that key reads the ordering and the marginals back, the latter through
+    ``evaluate_in_order``, without checking or walking again. So checking
     one varied station against each of its targets walks once, and a
     report depends only on (s, target, alternatives, varied).
     """
@@ -1132,9 +1129,11 @@ def check_no_signaling(
             "the no-signaling claim applies only to spacelike separation"
         )
     _require_order_comparable(s, target)
-    order = _varied_first_ids(s, varied)
     key = (varied, alternatives)
-    if s._memo.signaling is None or s._memo.signaling[0] != key:
+    if s._memo.signaling is not None and s._memo.signaling[0] == key:
+        order = s._memo.evaluation[0]
+    else:
+        order = _varied_first_ids(s, varied)
         _require_causal_conditions(s)
         for alt in alternatives:
             if alt.subsystem != v_st.subsystem:
@@ -1148,8 +1147,7 @@ def check_no_signaling(
         distinct = [i for k, i in enumerate(firsts) if i == k]
         copies = [s, *(s._with_station(varied, alternatives[i]) for i in distinct)]
         walk = _walk(s, order, varied=varied, alternatives=[alternatives[i].local for i in distinct])
-        blocks = _candidate_blocks(walk, varied, len(copies))
-        tables = [_checked_table(b, v.growth) for v, b in zip(copies, blocks)]
+        tables = _record_tables(walk, [v.growth for v in copies], varied)
         for v, table in zip(copies, tables):
             v._memo.evaluation = (order, table)
         s._memo.signaling = (key, [copies[0], *(copies[distinct.index(i) + 1] for i in firsts)])

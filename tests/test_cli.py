@@ -274,14 +274,13 @@ def test_no_signaling_sweep_names_failing_and_worst_seeds(capsys):
         for seed in range(3)
     }
     failing = [seed for seed, w in worst.items() if w > 1e-300]
-    # The seeds' worsts are rounding, each within tolerance.FLOOR of the largest: the first seed is named.
-    worst_seed = min(seed for seed, w in worst.items() if w >= max(worst.values()) - tolerance.FLOOR)
-    assert failing
+    # The seeds' worsts are rounding, within tolerance.FLOOR of 0: no seed is named.
+    assert failing and max(worst.values()) <= tolerance.FLOOR
     code, table, as_csv, doc = sweep_lines(capsys, "check-no-signaling", "--trials", "3", "--tolerance", "1e-300")
     assert code == 1
-    assert (doc["failing_seeds"], doc["worst_seed"]) == (failing, worst_seed)
-    for printed in (table, as_csv):
-        assert (json.loads(printed["failing_seeds"]), int(printed["worst_seed"])) == (failing, worst_seed)
+    assert (doc["failing_seeds"], doc["worst_seed"]) == (failing, None)
+    assert (json.loads(table["failing_seeds"]), table["worst_seed"]) == (failing, "None")
+    assert (json.loads(as_csv["failing_seeds"]), as_csv["worst_seed"]) == (failing, "null")
 
 
 def test_worst_seed_is_the_first_within_the_floor_of_the_worst():
@@ -289,13 +288,13 @@ def test_worst_seed_is_the_first_within_the_floor_of_the_worst():
         return [{"seed": 40 + k, "ok": w <= 1e-9, "worst": w} for k, w in enumerate(worsts)]
 
     rounding = 1.7763568394002505e-15
-    # Worsts that differ by last-bit rounding name the first seed, whichever is larger.
-    assert cli._sweep(reports(rounding - 1e-16, rounding, 0.0))["worst_seed"] == 40
-    assert cli._sweep(reports(0.0, rounding, rounding - 1e-16))["worst_seed"] == 40
+    # A sweep whose worst is rounding, within the floor of 0, names no seed, whichever is larger.
+    assert cli._sweep(reports(rounding - 1e-16, rounding, 0.0))["worst_seed"] is None
+    assert cli._sweep(reports(0.0, rounding, rounding - 1e-16))["worst_seed"] is None
     # A worst more than the floor below the sweep's is passed over.
     assert cli._sweep(reports(0.0, 2 * tolerance.FLOOR, 0.25, 0.25 - tolerance.FLOOR / 2))["worst_seed"] == 42
     doc = cli._sweep(reports(rounding, 0.0))
-    assert (doc["worst"], doc["worst_seed"], doc["failing_seeds"]) == (rounding, 40, [])
+    assert (doc["worst"], doc["worst_seed"], doc["failing_seeds"]) == (rounding, None, [])
 
 
 def test_no_signaling_generates_each_varied_stations_alternatives_once(monkeypatch):
@@ -476,7 +475,7 @@ def test_a_seed_past_the_philox_key_range_exits_2_naming_the_flag(argv, capsys):
 
 def test_the_last_seed_below_the_philox_key_range_is_swept(capsys):
     code, out, _ = run(capsys, "check-invariance", "--trials", "1", "--seed", str(2**128 - 1), "--format", "json")
-    assert code == 0 and json.loads(out)["worst_seed"] == 2**128 - 1
+    assert code == 0 and json.loads(out)["reports"][0]["seed"] == 2**128 - 1
 
 
 def with_events(tmp_path, name, coordinates):

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import json
 import math
@@ -6,7 +7,6 @@ import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -2322,6 +2322,37 @@ def test_sharing_evaluations_changes_no_no_signaling_report(monkeypatch):
     assert len(walks) == (587 + 1 + 1) + (1262 + 1 + 2)
 
 
+def test_no_signaling_reports_and_tables_keep_their_bits():
+    # Criterion 05's pairs on seeds 0-49 and the benchmark's two controls, each report and every
+    # candidate's remembered table hashed with floats as float.hex. The earlier reader, which
+    # sliced each candidate's blocks out of the last levels, gave the same digest.
+    digest = hashlib.sha256()
+
+    def add(s, target, alternatives, varied):
+        r = check_no_signaling(s, target, alternatives, 1e-9, varied=varied)
+        w = r.witness and (r.witness.label, r.witness.candidate_low, r.witness.candidate_high,
+                           r.witness.p_low.hex(), r.witness.p_high.hex())
+        digest.update(repr((r.ok, r.worst.hex(), r.alternatives_checked, r.ordering, w)).encode())
+        for c in s._memo.signaling[1]:
+            digest.update(repr([(rec, p.hex()) for rec, p in c._memo.evaluation[1].items()]).encode())
+
+    for seed in range(50):
+        s = random_product_scenario(seed=seed)
+        for varied in s.stations:
+            alternatives = criterion_05_alternatives(varied, seed)
+            for target in s.stations:
+                if target.id != varied.id:
+                    add(s, target.id, alternatives, varied.id)
+
+    def unitary(matrix):
+        return LocalIntervention(0, Intervention(d_in=2, outcomes=(Outcome("u", 2, (CMatrix(matrix),)),)))
+
+    analyzers = [LocalIntervention(0, spin_analyzer(a)) for a in (0.0, math.pi / 2.0, math.pi / 4.0)]
+    add(eprb(0.0, math.pi / 3.0), "B", [*analyzers, unitary(np.eye(2))], "A")
+    add(noncommuting_counterexample(), "X", [unitary(np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0))], "Z")
+    assert digest.hexdigest() == "63a1af672e0e2cea3d18700969857ef4ee19a92be6c1e2b7bedea8d4afa9612f"
+
+
 # ------------------------------------------- one walk for every no-signaling candidate
 
 
@@ -2336,8 +2367,8 @@ def assert_union_tables_match_own_walks(walks, s, target, alternatives, varied):
     # The original and its copies, each once.
     for c in {id(c): c for c in candidates}.values():
         remembered, table = c._memo.evaluation
-        own = experiment._checked_table(experiment._walk(c, order), c.growth)
-        assert remembered == order and table.keys() == own.keys()
+        own = experiment._record_tables(experiment._walk(c, order), [c.growth])[0]
+        assert remembered == order and list(table) == list(own)
         assert max(abs(table[rec] - p) for rec, p in own.items()) <= 1e-15
     return report
 
@@ -2365,6 +2396,23 @@ def conditioned_on_the_varied_station():
     )
 
 
+def varied_after_a_free_station():
+    """P, on its own qubit, lies in V's causal past, and V does not condition on it; T is spacelike to both.
+
+    The varied-first ordering fires P before V; every station is spent, so
+    each walk ends in one level, free at P and V.
+    """
+    return Scenario(
+        dims0=(2, 2, 2),
+        rho0=random_density(8, seed=130, rank=3),
+        stations=(
+            station("P", 0.0, 0.0, 1, random_intervention(2, [2, 2], seed=131)),
+            station("V", 1.0, 0.0, 0, random_intervention(2, [2, 2], seed=132)),
+            station("T", 1.0, 10.0, 2, random_intervention(2, [2, 2, 2], seed=133)),
+        ),
+    )
+
+
 def test_the_union_walk_matches_each_candidates_own_walk(monkeypatch):
     walks = count_walks(monkeypatch)
     # A conditional original at A1, resolved per case, not spent (an evolution
@@ -2379,6 +2427,12 @@ def test_the_union_walk_matches_each_candidates_own_walk(monkeypatch):
     alternatives = [LocalIntervention(0, random_intervention(2, k * [2], seed=117 + k)) for k in (2, 3)]
     report = assert_union_tables_match_own_walks(walks, s, "T", [*alternatives, alternatives[0]], "V")
     assert report.ok and report.ordering == ("V", "C", "T") and report.alternatives_checked == 4
+    # P's outcomes lead V's in the last level, so each candidate's records come in two strided runs.
+    s = varied_after_a_free_station()
+    alternatives = [LocalIntervention(0, random_intervention(2, [2, 2, 2], seed=134)),
+                    LocalIntervention(0, random_intervention(2, [1, 1], seed=135))]
+    report = assert_union_tables_match_own_walks(walks, s, "T", alternatives, "V")
+    assert report.ok and report.ordering == ("P", "V", "T")
     for seed in range(200):
         s = random_product_scenario(seed=seed)
         for varied in s.stations:
@@ -2393,6 +2447,38 @@ def test_the_union_walk_matches_each_candidates_own_walk(monkeypatch):
     hadamard = LocalIntervention(0, Intervention(d_in=2, outcomes=(Outcome("h", 2, (HADAMARD,)),)))
     control = assert_union_tables_match_own_walks(walks, noncommuting_counterexample(), "X", [hadamard], "Z")
     assert not control.ok and control.worst == pytest.approx(0.5, abs=1e-12)
+
+
+def fault_union_walks(monkeypatch, faults):
+    """Make every union walk's last levels carry ``faults``; returns each faulted candidate's sum, updated per walk.
+
+    ``faults[k]`` maps candidate k's part of a level free at the varied
+    station, its ``tr`` as (stations fired before, candidate k's outcomes,
+    stations fired after), to new values. The sum adds candidate k's
+    probabilities in the order the reader does.
+    """
+    walk, sums = experiment._walk, {}
+
+    def faulty(s, order, *args, **kwargs):
+        levels, varied = walk(s, order, *args, **kwargs), kwargs.get("varied")
+        if varied is None:
+            return levels
+        sums.clear()
+        faulted = []
+        for lv in levels:
+            free = [(sid, iv) for sid, iv in lv.fired if sid not in lv.fixed]
+            axis = next(a for a, (sid, _) in enumerate(free) if sid == varied)
+            starts = free[axis][1].starts
+            tr = lv.tr.reshape(math.prod(len(iv.outcomes) for _, iv in free[:axis]), starts[-1], -1).copy()
+            for k, fault in faults.items():
+                part = fault(tr[:, starts[k] : starts[k + 1]])
+                tr[:, starts[k] : starts[k + 1]] = part
+                sums[k] = sum(part.reshape(-1).tolist(), sums.get(k, 0.0))
+            faulted.append(replace(lv, tr=tr.reshape(-1)))
+        return faulted
+
+    monkeypatch.setattr(experiment, "_walk", faulty)
+    return sums
 
 
 def test_a_union_walk_that_raises_seeds_no_memo(monkeypatch):
@@ -2413,14 +2499,7 @@ def test_a_union_walk_that_raises_seeds_no_memo(monkeypatch):
         check_no_signaling(control, "X", [collapse], 1e-9, varied="Z")
     assert control._memo.evaluation is None and control._memo.signaling is None
     # The last candidate's sum fails after the others' tables were built: the slot and the memo stay.
-    split = experiment._candidate_blocks
-
-    def skewed(levels, varied, count):
-        out = split(levels, varied, count)
-        out[-1] = [SimpleNamespace(labels=b.labels, tr=b.tr * 1.5) for b in out[-1]]
-        return out
-
-    monkeypatch.setattr(experiment, "_candidate_blocks", skewed)
+    fault_union_walks(monkeypatch, {2: lambda tr: tr * 1.5})
     alternatives = [LocalIntervention(0, identity_iv()), LocalIntervention(0, spin_analyzer(0.4))]
     with pytest.raises(ValueError, match="sum of record probabilities.*internal invariant failure"):
         check_no_signaling(s, "B", alternatives, 1e-9, varied="A")
@@ -2431,21 +2510,14 @@ def test_the_first_failing_candidate_names_the_failure(monkeypatch):
     # Candidates 1 (the identity at A) and 2 (an analyzer) both fail, each its own way.
     s = eprb(0.0, 1.0)
     alternatives = [LocalIntervention(0, identity_iv()), LocalIntervention(0, spin_analyzer(0.4))]
-    split, faults, sums = experiment._candidate_blocks, {}, {}
-
-    def skewed(levels, varied, count):
-        out = split(levels, varied, count)
-        for k, fault in faults.items():
-            out[k] = [SimpleNamespace(labels=b.labels, tr=fault(b.tr)) for b in out[k]]
-            sums[k] = sum((p for b in out[k] for p in b.tr.tolist()), 0.0)
-        return out
+    faults = {}
+    sums = fault_union_walks(monkeypatch, faults)
 
     def one_record_at_2(tr):
         tr = tr.copy()
-        tr[0] = 2.0
+        tr.flat[0] = 2.0
         return tr
 
-    monkeypatch.setattr(experiment, "_candidate_blocks", skewed)
     faults.update({1: lambda tr: tr * 1.5, 2: one_record_at_2})
     with pytest.raises(ValueError) as raised:
         check_no_signaling(s, "B", alternatives, 1e-9, varied="A")

@@ -231,44 +231,28 @@ def _scenario(text: str) -> str | Path:
     )
 
 
-def _velocity(text: str) -> Frame:
-    v = float(text)
-    try:
-        return Frame(v)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _tolerance(text: str) -> float:
-    t = float(text)
-    try:
-        return tolerance.positive_finite(t)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 # Philox takes keys below 2**128.
 SEED_END = 2**128
 
 
-def _at_least(low: int):
-    """The argparse type of an integer flag no less than ``low``; argparse names the flag."""
+def _flag(parse, check=None, low=None, end=None):
+    """The argparse type of a flag: its text parsed, an integer's range
+    [low, end) checked (``end`` is only ever a seed's), then ``check``
+    applied. A ValueError from any step is the message argparse prints
+    after the flag's name."""
 
-    def integer(text: str) -> int:
-        n = int(text)
-        if n < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
-        return n
+    def value(text: str):
+        try:
+            x = parse(text)
+            if low is not None and x < low:
+                raise ValueError(f"must be at least {low}, got {x}")
+            if end is not None and x >= end:
+                raise ValueError(f"must be below 2**128, the range of Philox keys, got {x}")
+            return x if check is None else check(x)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-    return integer
-
-
-def _seed(text: str) -> int:
-    """A Philox key, which seeds every random scenario and alternative: an integer in [0, 2**128)."""
-    n = _at_least(0)(text)
-    if n >= SEED_END:
-        raise argparse.ArgumentTypeError(f"must be below 2**128, the range of Philox keys, got {n}")
-    return n
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,18 +273,18 @@ def build_parser() -> argparse.ArgumentParser:
             type=_scenario,
             help="built-in name or scenario JSON file",
         )
-        p.add_argument("--tolerance", type=_tolerance, default=1e-9)
+        p.add_argument("--tolerance", type=_flag(float, tolerance.positive_finite), default=1e-9)
         p.add_argument("--format", choices=("json", "csv", "table"), default="table")
         if certifier:
             p.add_argument(
                 "--trials",
-                type=_at_least(1),
+                type=_flag(int, low=1),
                 default=None,
                 help="check this many random product scenarios instead of one scenario",
             )
             p.add_argument(
                 "--seed",
-                type=_seed,
+                type=_flag(int, low=0, end=SEED_END),
                 default=0,
                 help="seed of the first random scenario and of generated alternatives",
             )
@@ -309,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sim)
     p_sim.add_argument(
         "--frame-velocity",
-        type=_velocity,
+        type=_flag(float, Frame),
         default=Frame(0.0),
         help="boost velocity of the evaluating frame, |v| < 1",
     )

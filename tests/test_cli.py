@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -411,7 +412,7 @@ def test_velocity_and_tolerance_validation():
 
 
 def test_frame_velocity_is_a_frame_and_frame_alone_bounds_it(capsys):
-    assert cli._velocity("-0.6") == Frame(-0.6)
+    assert cli.build_parser().parse_args(["simulate", "eprb", "--frame-velocity", "-0.6"]).frame_velocity == Frame(-0.6)
     for text in ("1.0", "-1.0", "nan"):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "eprb", "--frame-velocity", text])
@@ -419,6 +420,17 @@ def test_frame_velocity_is_a_frame_and_frame_alone_bounds_it(capsys):
         out, err = capsys.readouterr()
         assert out == "" and "Traceback" not in err
         assert f"argument --frame-velocity: frame velocity must satisfy |v| < 1, got {text}" in err
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--trials", "--frame-velocity", "--tolerance"])
+def test_a_malformed_number_exits_2_naming_the_flag_and_no_private_name(flag, capsys):
+    command = "simulate" if flag == "--frame-velocity" else "check-invariance"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "eprb", flag, "abc"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"argument {flag}: " in err and "'abc'" in err and "Traceback" not in err
+    assert not re.search(r"\b_\w", err), err
 
 
 def test_check_commands_require_input():
@@ -478,14 +490,110 @@ def test_the_last_seed_below_the_philox_key_range_is_swept(capsys):
     assert code == 0 and json.loads(out)["reports"][0]["seed"] == 2**128 - 1
 
 
-def with_events(tmp_path, name, coordinates):
-    """The shipped scenario file ``name`` with its stations' (t, x) replaced, in order."""
+def with_events(tmp_path, name, coordinates, edit=lambda doc: None):
+    """The shipped scenario file ``name`` with its stations' (t, x) replaced, in order, then changed by ``edit``."""
     doc = json.loads((SCENARIOS / f"{name}.json").read_text())
     for st, (t, x) in zip(doc["stations"], coordinates):
         st["event"].update(t=t, x=x)
+    edit(doc)
     path = tmp_path / f"{name}_moved.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def conditional_eprb(tmp_path):
+    """EPRB with B moved into A's causal future, firing its own analyzer after A's '+' and A's after A's '-'."""
+
+    def condition(doc):
+        a, b = doc["stations"]
+        iv = b.pop("intervention")
+        b.update(depends_on=["A"], cases=[{"when": ["+"], "intervention": iv}, {"when": ["-"], "intervention": a["intervention"]}])
+
+    return with_events(tmp_path, "eprb", ((0.0, 1.0), (5.0, -1.0)), condition)
+
+
+def b_conditioned_on_q(doc):
+    """EPRB's B picks its analyzer by the outcome of 'Q', which the scenario lacks."""
+    b = doc["stations"][1]
+    iv = b.pop("intervention")
+    b.update(depends_on=["Q"], cases=[{"when": [o["label"]], "intervention": iv} for o in iv["outcomes"]])
+
+
+def eight_spacelike_analyzers(tmp_path):
+    """Eight mutually spacelike analyzers, one per qubit of |0...0>, listed in scrambled time order."""
+    rho = np.zeros((256, 256), dtype=complex)
+    rho[0, 0] = 1.0
+    stations = tuple(
+        Station(Event(f"q{i}", 0.05 * (3 * i % 8), 2.0 * i), LocalIntervention(i, spin_analyzer(0.4 + 0.7 * i)))
+        for i in range(8)
+    )
+    path = tmp_path / "spacelike8.json"
+    path.write_text(serialize_scenario(Scenario(dims0=(2,) * 8, rho0=CMatrix(rho), stations=stations)))
+    return str(path)
+
+
+# Console runs that no other test holds: argv (a function of tmp_path in place
+# of a scenario file it writes), exit code, and fragments of stdout and stderr.
+CONSOLE_RUNS = [
+    pytest.param(
+        ["check-invariance", "--trials", "200"],
+        0,
+        ["ok: True\nworst: 0.0\ntrials: 200\nmethods: {'pairwise': 200, 'exhaustive': 0}\nfailing_seeds: []\nworst_seed: None\n"],
+        [],
+        id="invariance-sweep",
+    ),
+    # At --tolerance 1e-12, ok means every pair's worst is at most 1e-12.
+    pytest.param(
+        ["check-no-signaling", "--trials", "200", "--tolerance", "1e-12"],
+        0,
+        ["ok: True\n", "trials: 200\npairs_checked: 1262\nfailing_seeds: []\nworst_seed: None\n"],
+        [],
+        id="no-signaling-sweep",
+    ),
+    pytest.param(
+        ["simulate", conditional_eprb, "--format", "csv"],
+        0,
+        ["A,B,probability\n+,+,0.125\n+,-,0.375\n-,+,0.5\n-,-,0\n"],
+        [],
+        id="conditional-simulate",
+    ),
+    pytest.param(
+        ["check-invariance", conditional_eprb],
+        0,
+        ["ok: True\n", "method: pairwise\n"],
+        [],
+        id="conditional-invariance",
+    ),
+    pytest.param(
+        ["check-povm", lambda tmp: with_events(tmp, "eprb", (), lambda doc: doc["stations"][1].update(subsystem=2))],
+        2,
+        [],
+        ["scenario validation failed: $: station 'B' acts on subsystem 2, but"],
+        id="subsystem-2",
+    ),
+    pytest.param(
+        ["simulate", lambda tmp: with_events(tmp, "eprb", (), b_conditioned_on_q)],
+        2,
+        [],
+        ["scenario validation failed: $: station 'B' depends on 'Q'"],
+        id="unknown-dependency",
+    ),
+    pytest.param(
+        ["check-invariance", eight_spacelike_analyzers],
+        0,
+        ["ok: True\n", "orders_checked: 40320\n", "method: pairwise\n"],
+        [],
+        id="eight-spacelike",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, out_fragments, err_fragments", CONSOLE_RUNS)
+def test_console_runs(argv, code, out_fragments, err_fragments, tmp_path, capsys):
+    got, out, err = run(capsys, *(a(tmp_path) if callable(a) else a for a in argv))
+    assert got == code, err
+    assert all(f in out for f in out_fragments), out
+    assert all(f in err for f in err_fragments) and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize(
@@ -596,7 +704,7 @@ def test_check_invariance_refuses_more_than_eight_events(tmp_path, capsys):
     path = nine_station_file(tmp_path, lambda sid, i: Event(sid, 0.0, 10.0 * i))
     code, out, err = run(capsys, "check-invariance", path)
     assert code == 2
-    assert "more than 40320 orderings (8!), the limit" in err and "simulate --frame-velocity" in err
+    assert "9 events have more than 40320 orderings (8!), the limit" in err and "simulate --frame-velocity" in err
     assert "Traceback" not in err
 
 
@@ -654,6 +762,9 @@ def test_builtin_names_take_dash_or_underscore(name, capsys):
     code, out, _ = run(capsys, "simulate", name, "--format", "csv")
     assert code == 0
     assert out.splitlines()[0] == "A,B,probability"
+    # A and B are each last on their qubit, so both fire through rank-2 POVM roots: 16 records.
+    records = json.loads(run(capsys, "simulate", name, "--format", "json")[1])["records"]
+    assert len(records) == 16 and abs(sum(r["probability"] for r in records) - 1) <= 1e-12
 
 
 def test_the_cli_builds_only_the_scenario_it_loads(tmp_path, monkeypatch, capsys):

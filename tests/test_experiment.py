@@ -722,7 +722,7 @@ def test_no_signaling_witness_names_target_outcome_and_candidates():
     hadamard = Intervention(d_in=2, outcomes=(Outcome("h", 2, (HADAMARD,)),))
     s = noncommuting_counterexample()
     report = check_no_signaling(s, "X", [LocalIntervention(0, hadamard)], 1e-9, varied="Z")
-    assert not report.ok
+    assert not report.ok and report.worst == pytest.approx(0.5, abs=1e-12)
     witness = report.as_dict()["witness"]
     assert (witness["label"], witness["candidate_low"], witness["candidate_high"]) == ("x+", 0, 1)
     assert witness["p_low"] == pytest.approx(0.5, abs=1e-12)

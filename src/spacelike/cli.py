@@ -60,7 +60,8 @@ def _print_table(header: list[str], rows: list[list[str]], out) -> None:
     widths = [len(h) for h in header]
     for row in rows:
         widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
-    fmt = "  ".join(f"{{:<{w}}}" for w in widths)
+    # The last column is not padded, so no row ends in spaces.
+    fmt = "  ".join([*(f"{{:<{w}}}" for w in widths[:-1]), "{}"])
     print(fmt.format(*header), file=out)
     print("  ".join("-" * w for w in widths), file=out)
     for row in rows:
@@ -69,7 +70,7 @@ def _print_table(header: list[str], rows: list[list[str]], out) -> None:
 
 def _emit_result(result: EvaluationResult, fmt: str, out) -> None:
     if fmt == "json":
-        print(json.dumps(result.as_dict(), indent=2, sort_keys=True), file=out)
+        _emit_report(result.as_dict(), fmt, out)
         return
     header, rows = _records_rows(result)
     if fmt == "csv":
@@ -87,6 +88,11 @@ def _emit_report(report_dict: dict, fmt: str, out) -> None:
     elif fmt == "csv":
         rows = [(k, json.dumps(v, sort_keys=True)) for k, v in sorted(report_dict.items())]
         csv.writer(out, lineterminator="\n").writerows([("key", "value"), *rows])
+    elif "pairs" in report_dict:
+        # A no-signaling check prints each pair's report, then the verdict over all of them.
+        for pair in report_dict["pairs"]:
+            _emit_report(pair, fmt, out)
+        print(f"overall ok: {report_dict['ok']}", file=out)
     else:
         for k, v in report_dict.items():
             print(f"{k}: {v}", file=out)
@@ -138,21 +144,28 @@ def _sweep(reports: list[dict], **counts) -> dict:
     }
 
 
-def cmd_check_invariance(args, out) -> int:
-    if args.trials is not None:
+def _certify(args, out, check, counts) -> int:
+    """Run a certifier command on its scenario, or sweep the --trials product
+    scenarios from --seed on: ``check(s, seed)`` gives one scenario's document."""
+    if args.trials is None:
+        doc = check(load_scenario(args.scenario), args.seed)
+    else:
         reports = [
-            {"seed": seed, **check_order_invariance(random_product_scenario(seed=seed), args.tolerance).as_dict()}
+            {"seed": seed, **check(random_product_scenario(seed=seed), seed)}
             for seed in range(args.seed, args.seed + args.trials)
         ]
-        doc = _sweep(reports, methods={m: sum(r["method"] == m for r in reports) for m in ("pairwise", "exhaustive")})
+        doc = _sweep(reports, **counts(reports))
         if args.format != "table":
             doc["reports"] = reports
-        _emit_report(doc, args.format, out)
-        return 0 if doc["ok"] else 1
-    s = load_scenario(args.scenario)
-    report = check_order_invariance(s, args.tolerance)
-    _emit_report(report.as_dict(), args.format, out)
-    return 0 if report.ok else 1
+    _emit_report(doc, args.format, out)
+    return 0 if doc["ok"] else 1
+
+
+def cmd_check_invariance(args, out) -> int:
+    def methods(reports):
+        return {"methods": {m: sum(r["method"] == m for r in reports) for m in ("pairwise", "exhaustive")}}
+
+    return _certify(args, out, lambda s, seed: check_order_invariance(s, args.tolerance).as_dict(), methods)
 
 
 def _check_no_signaling_all(s: Scenario, tol: float, seed: int, target: str | None, varied: str | None):
@@ -184,26 +197,11 @@ def _check_no_signaling_all(s: Scenario, tol: float, seed: int, target: str | No
 
 
 def cmd_check_no_signaling(args, out) -> int:
-    if args.trials is not None:
-        seeds, count = [], 0
-        for seed in range(args.seed, args.seed + args.trials):
-            reps = _check_no_signaling_all(random_product_scenario(seed=seed), args.tolerance, seed, None, None)
-            seeds.append({"seed": seed, "ok": all(r.ok for r in reps), "worst": max(r.worst for r in reps)})
-            count += len(reps)
-        doc = _sweep(seeds, pairs_checked=count)
-        _emit_report(doc, args.format, out)
-        return 0 if doc["ok"] else 1
-    s = load_scenario(args.scenario)
-    reports = _check_no_signaling_all(s, args.tolerance, args.seed, args.target, args.varied)
-    ok = all(r.ok for r in reports)
-    if args.format == "table":
-        for r in reports:
-            _emit_report(r.as_dict(), "table", out)
-        print(f"overall ok: {ok}", file=out)
-    else:
-        doc = {"ok": ok, "worst": max(r.worst for r in reports), "pairs": [r.as_dict() for r in reports]}
-        _emit_report(doc, args.format, out)
-    return 0 if ok else 1
+    def check(s, seed):
+        reports = [r.as_dict() for r in _check_no_signaling_all(s, args.tolerance, seed, args.target, args.varied)]
+        return {"ok": all(r["ok"] for r in reports), "worst": max(r["worst"] for r in reports), "pairs": reports}
+
+    return _certify(args, out, check, lambda reports: {"pairs_checked": sum(len(r["pairs"]) for r in reports)})
 
 
 def cmd_check_povm(args, out) -> int:

@@ -12,7 +12,7 @@ import numpy as np
 from .linalg import CMatrix
 from .intervention import Intervention, LocalIntervention, Outcome, random_intervention
 from .experiment import Scenario, Station, evaluate_in_order
-from .spacetime import Event, IntervalKind, classify
+from .spacetime import Event
 
 __all__ = [
     "builtin_scenarios",
@@ -20,7 +20,6 @@ __all__ = [
     "correlation",
     "dimension_change_scenario",
     "eprb",
-    "export_builtin_scenarios",
     "noncommuting_counterexample",
     "random_product_scenario",
     "spin_analyzer",
@@ -56,19 +55,9 @@ def _singlet() -> CMatrix:
     return CMatrix(rho)
 
 
-def eprb(
-    angle_a: float,
-    angle_b: float,
-    layout: tuple[Event, Event] = _DEFAULT_LAYOUT,
-) -> Scenario:
+def eprb(angle_a: float, angle_b: float) -> Scenario:
     """Singlet pair with one spin analyzer per side at spacelike events."""
-    ev_a, ev_b = layout
-    kind = classify(ev_a, ev_b)
-    if kind is not IntervalKind.SPACELIKE:
-        raise ValueError(
-            f"analyzer events must be spacelike, got {kind.value} for "
-            f"{ev_a.id!r} and {ev_b.id!r}"
-        )
+    ev_a, ev_b = _DEFAULT_LAYOUT
     return Scenario(
         dims0=(2, 2),
         rho0=_singlet(),
@@ -263,18 +252,3 @@ def builtin_scenarios() -> dict[str, Scenario]:
     """The named scenarios shipped with the package, keyed by file stem."""
     return {name: build() for name, build in _BUILTINS.items()}
 
-
-def export_builtin_scenarios(directory) -> list:
-    """Write every built-in scenario as a JSON file; returns the paths."""
-    from pathlib import Path
-
-    from .schema import serialize_scenario
-
-    out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for name, scenario in builtin_scenarios().items():
-        path = out / f"{name}.json"
-        path.write_text(serialize_scenario(scenario), encoding="utf-8")
-        paths.append(path)
-    return paths

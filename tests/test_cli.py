@@ -67,14 +67,12 @@ def test_simulate_scenario_file(tmp_path, capsys):
 
 
 def test_simulate_reports_and_compares_tie(tmp_path, capsys):
-    tied = eprb(0.0, 1.0, layout=(Event("A", 0.0, 1.0), Event("B", 0.0, -1.0)))
-    path = tmp_path / "tie.json"
-    path.write_text(serialize_scenario(tied))
-    code, out, _ = run(capsys, "simulate", str(path))
+    path = with_events(tmp_path, "eprb", ((0.0, 1.0), (0.0, -1.0)))
+    code, out, _ = run(capsys, "simulate", path)
     assert code == 0
     assert "tie" in out
     assert "worst spread across resolutions" in out
-    code, out, _ = run(capsys, "simulate", str(path), "--format", "json")
+    code, out, _ = run(capsys, "simulate", path, "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert doc["tie"] is True and doc["ok"] is True
@@ -296,6 +294,46 @@ def test_worst_seed_is_the_first_within_the_floor_of_the_worst():
     assert cli._sweep(reports(0.0, 2 * tolerance.FLOOR, 0.25, 0.25 - tolerance.FLOOR / 2))["worst_seed"] == 42
     doc = cli._sweep(reports(rounding, 0.0))
     assert (doc["worst"], doc["worst_seed"], doc["failing_seeds"]) == (rounding, None, [])
+
+
+def test_each_sweep_report_is_the_single_scenario_document_of_its_seed(tmp_path, capsys):
+    for command in ("check-invariance", "check-no-signaling"):
+        code, out, _ = run(capsys, command, "--trials", "2", "--seed", "3", "--format", "json")
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert [r.pop("seed") for r in reports] == [3, 4]
+        for seed, report in zip((3, 4), reports):
+            path = tmp_path / f"product{seed}.json"
+            path.write_text(serialize_scenario(random_product_scenario(seed=seed)))
+            code, out, _ = run(capsys, command, str(path), "--seed", str(seed), "--format", "json")
+            assert code == 0
+            assert report == json.loads(out), (command, seed)
+
+
+def test_no_signaling_sweep_names_the_signaling_seed_pair_and_witness(monkeypatch, capsys):
+    # Seed 31 stands in for a signaling scenario: the counterexample, whose alternatives
+    # drawn at that seed all keep a qubit, so each of its pairs is evaluated and moves.
+    drawn = scenarios._generated_alternatives(noncommuting_counterexample(), "Z", 31)
+    assert all(o.d_out == 2 for a in drawn for o in a.local.outcomes)
+    monkeypatch.setattr(
+        cli,
+        "random_product_scenario",
+        lambda seed: noncommuting_counterexample() if seed == 31 else random_product_scenario(seed=seed),
+    )
+    code, _, as_csv, doc = sweep_lines(capsys, "check-no-signaling", "--trials", "3", "--seed", "30")
+    assert code == 1
+    assert (doc["failing_seeds"], doc["worst_seed"]) == ([31], 31)
+    assert (as_csv["failing_seeds"], as_csv["worst_seed"]) == ("[31]", "31")
+    assert json.loads(as_csv["reports"]) == doc["reports"]
+    report = doc["reports"][1]
+    assert (report["seed"], report["ok"]) == (31, False)
+    failing = {(p["varied"], p["target"]): p for p in report["pairs"] if not p["ok"]}
+    assert set(failing) == {("Z", "X"), ("X", "Z")}
+    for (_, target), pair in failing.items():
+        witness = pair["witness"]
+        assert witness["label"] in (f"{target.lower()}+", f"{target.lower()}-")
+        assert abs(witness["p_high"] - witness["p_low"]) == pytest.approx(pair["worst"], abs=1e-12)
+    assert report["worst"] == doc["worst"] == max(p["worst"] for p in report["pairs"]) > 0.1
 
 
 def test_no_signaling_generates_each_varied_stations_alternatives_once(monkeypatch):

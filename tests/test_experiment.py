@@ -414,7 +414,8 @@ def test_evaluate_in_frame_matches_explicit_order():
 
 
 def test_evaluate_in_frame_raises_on_tie():
-    s = eprb(0.0, 1.0, layout=(Event("A", 0.0, 1.0), Event("B", 0.0, -1.0)))
+    s = eprb(0.0, 1.0)
+    s = replace(s, stations=tuple(replace(st, event=replace(st.event, t=0.0)) for st in s.stations))
     with pytest.raises(TieError) as excinfo:
         evaluate_in_frame(s, Frame(0.0))
     pairs = excinfo.value.report.pairs

@@ -45,6 +45,6 @@ def test_readme_cli_examples_print_what_they_show(capsys):
         cut = next((i for i, line in enumerate(shown) if line.startswith("...")), None)
         assert len(printed[:cut]) == len(shown[:cut]), (command, printed)
         for want, got in zip(shown[:cut], printed):
-            want, got = NUMBER.split(want.rstrip()), NUMBER.split(got.rstrip())
+            want, got = NUMBER.split(want), NUMBER.split(got)
             assert want[::2] == got[::2], (command, got)
             assert all(abs(float(a) - float(b)) <= 1e-12 for a, b in zip(want[1::2], got[1::2])), (command, got)
